@@ -3,8 +3,11 @@
 Two generative models are provided: a clustered multipath model for a
 uniform rectangular planar array (URPA), and the Bernoulli-Gaussian model
 used for analysis-style experiments.  Spatial channels are mapped to the
-angular (beamspace) domain by the Kronecker-DFT steering matrix, where few
-scatterers make the channel approximately sparse.
+angular (beamspace) domain, where few scatterers make the channel
+approximately sparse, by the orthonormal 2-D inverse FFT over the element
+grid.  That is the adjoint of the Kronecker-DFT steering matrix, which
+``steering_matrix`` still builds explicitly for ``to_angular`` and as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -128,13 +131,14 @@ def steering_matrix(geom: ArrayGeometry) -> np.ndarray:
     return np.kron(f_v, f_h)
 
 
-def array_response(phi: float, theta: float, geom: ArrayGeometry) -> np.ndarray:
-    """Unit-norm URPA response vector for azimuth ``phi`` and zenith ``theta``.
+def _responses(phi, theta, geom: ArrayGeometry) -> np.ndarray:
+    """Unit-norm URPA responses on the (n_v, n_h) element grid.
 
-    Element (n_v, n_h) carries phase 2*pi*(d/lambda) * (n_v sin(phi) sin(theta)
-    + n_h cos(theta)); the flattening order (n_v outer, n_h inner) matches
-    ``steering_matrix``.
+    ``phi`` and ``theta`` are scalars or equal-length 1-d arrays; the result
+    has shape ``np.shape(phi) + (n_v, n_h)``.
     """
+    phi = np.asarray(phi)[..., np.newaxis, np.newaxis]
+    theta = np.asarray(theta)[..., np.newaxis, np.newaxis]
     iv = np.arange(geom.n_v)
     ih = np.arange(geom.n_h)
     phase = (
@@ -146,7 +150,17 @@ def array_response(phi: float, theta: float, geom: ArrayGeometry) -> np.ndarray:
             + ih[np.newaxis, :] * np.cos(theta)
         )
     )
-    return np.exp(1j * phase).reshape(-1) / np.sqrt(geom.m_total)
+    return np.exp(1j * phase) / np.sqrt(geom.m_total)
+
+
+def array_response(phi: float, theta: float, geom: ArrayGeometry) -> np.ndarray:
+    """Unit-norm URPA response vector for azimuth ``phi`` and zenith ``theta``.
+
+    Element (n_v, n_h) carries phase 2*pi*(d/lambda) * (n_v sin(phi) sin(theta)
+    + n_h cos(theta)); the flattening order (n_v outer, n_h inner) matches
+    ``steering_matrix``.
+    """
+    return _responses(phi, theta, geom).reshape(-1)
 
 
 def _complete_paths(p: PathSet, rng: np.random.Generator) -> PathSet:
@@ -172,22 +186,22 @@ def clustered_channel(
     """Clustered multipath channel, returned in the angular domain.
 
     The spatial column for user k is sqrt(M / N_paths) times the gain-weighted
-    sum of array responses over that user's paths; the angular matrix is the
-    steering-matrix adjoint applied to the spatial matrix.  Angles are
-    continuous, so off-grid energy leakage is present by construction.
+    sum of array responses over that user's paths.  The angular matrix is
+    U_M^H applied to the spatial matrix, computed as the orthonormal 2-D
+    inverse FFT over the (n_v, n_h) element grid; ``steering_matrix`` is never
+    built.  Angles are continuous, so off-grid energy leakage is present by
+    construction.
     """
     if len(path_sets) < 1:
         raise ValueError("need at least one user")
     m = geom.m_total
-    h = np.zeros((m, len(path_sets)), dtype=np.complex128)
+    h = np.empty((len(path_sets), geom.n_v, geom.n_h), dtype=np.complex128)
     for k, p in enumerate(path_sets):
         p = _complete_paths(p, rng)
-        col = np.zeros(m, dtype=np.complex128)
-        for g, phi, theta in zip(p.gains, p.azimuths, p.zeniths):
-            col += g * array_response(phi, theta, geom)
-        h[:, k] = np.sqrt(m / p.n_paths) * col
-    u_m = steering_matrix(geom)
-    return ChannelRealization(u_m.conj().T @ h, "clustered")
+        resp = _responses(p.azimuths, p.zeniths, geom)
+        h[k] = np.sqrt(m / p.n_paths) * np.tensordot(p.gains, resp, axes=1)
+    h_bar = np.fft.ifft2(h, axes=(1, 2), norm="ortho").reshape(len(path_sets), m)
+    return ChannelRealization(h_bar.T, "clustered")
 
 
 def bernoulli_gaussian_channel(

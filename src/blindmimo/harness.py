@@ -384,8 +384,9 @@ def run_sweep(
 ) -> Iterator[TrialRecord]:
     """Monte Carlo sweep over one config parameter, one record per (method, value, trial).
 
-    Per-trial solver errors are captured in the record rather than raised;
-    the stream is deterministic given the config and base seed.
+    Per-trial solver errors are captured in the record (``error`` set,
+    ``stop_reason == "error"``) rather than raised; the stream is
+    deterministic given the config and base seed.
     """
     for m in methods:
         if m not in KNOWN_METHODS:
@@ -401,6 +402,7 @@ def run_sweep(
             for method in methods:
                 seed = _stream_seed(cfg.base_seed, si, trial, method)
                 rng = _stream(cfg.base_seed, si, trial, method)
+                error = None
                 try:
                     if method == "pilot":
                         tm = _run_pilot_method(cfg_i, scenario, rng)
@@ -412,35 +414,23 @@ def run_sweep(
                             trace.stop_reason,
                             trace.final_eta,
                         )
-                    record = TrialRecord(
-                        fingerprint=fingerprint,
-                        sweep_param=sweep_param,
-                        sweep_value=float(value),
-                        method=method,
-                        trial=trial,
-                        seed=seed,
-                        scenario_digest=digest,
-                        metrics=tm,
-                        iters=iters,
-                        stop_reason=stop_reason,
-                        final_eta=final_eta,
-                    )
                 except (detector.DegenerateGradientError, ValueError) as exc:
-                    record = TrialRecord(
-                        fingerprint=fingerprint,
-                        sweep_param=sweep_param,
-                        sweep_value=float(value),
-                        method=method,
-                        trial=trial,
-                        seed=seed,
-                        scenario_digest=digest,
-                        metrics=None,
-                        iters=0,
-                        stop_reason="max_iters",
-                        final_eta=float("nan"),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                yield record
+                    tm, iters, stop_reason, final_eta = None, 0, "error", float("nan")
+                    error = f"{type(exc).__name__}: {exc}"
+                yield TrialRecord(
+                    fingerprint=fingerprint,
+                    sweep_param=sweep_param,
+                    sweep_value=float(value),
+                    method=method,
+                    trial=trial,
+                    seed=seed,
+                    scenario_digest=digest,
+                    metrics=tm,
+                    iters=iters,
+                    stop_reason=stop_reason,
+                    final_eta=final_eta,
+                    error=error,
+                )
 
 
 def concentration_tail_bound(

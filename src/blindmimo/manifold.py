@@ -100,7 +100,9 @@ class TangentDirection:
     """A direction xi in the tangent space of the Stiefel manifold at ``base``.
 
     Tangency means base^H xi + xi^H base = 0; the Frobenius norm of that
-    Hermitian combination must be below 1e-8.
+    Hermitian combination must be below 1e-8 * max(1, ||xi||_F), so the
+    rounding of large directions (e.g. gradients under strong fading) is
+    not mistaken for a departure from the tangent space.
     """
 
     xi: np.ndarray
@@ -115,7 +117,7 @@ class TangentDirection:
         sym = self.base.a.conj().T @ xi
         sym = sym + sym.conj().T
         err = np.linalg.norm(sym)
-        if not err < TANGENCY_TOL:
+        if not err < TANGENCY_TOL * max(1.0, float(np.linalg.norm(xi))):
             raise ValueError(f"direction not tangent: symmetry residual {err:.3e}")
         xi.setflags(write=False)
         object.__setattr__(self, "xi", xi)

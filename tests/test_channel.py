@@ -21,6 +21,16 @@ def dft_matrix(n):
     return f
 
 
+def dense_angular(geom, paths):
+    """U_M^H times the spatial channel summed path by path via array_response."""
+    spatial = np.zeros((geom.m_total, len(paths)), dtype=complex)
+    for k, (gains, az, zen) in enumerate(paths):
+        for l in range(len(gains)):
+            spatial[:, k] += gains[l] * array_response(az[l], zen[l], geom)
+        spatial[:, k] *= np.sqrt(geom.m_total / len(gains))
+    return steering_matrix(geom).conj().T @ spatial
+
+
 class TestSteeringMatrix:
     def test_single_element(self):
         u = steering_matrix(ArrayGeometry(1, 1))
@@ -115,6 +125,39 @@ class TestClusteredChannel:
             acc = acc + array_response(az[l], zen[l], geom)
         expected = (geom.m_total / n_l) * np.linalg.norm(acc) ** 2
         assert np.linalg.norm(chan.h_bar[:, 0]) ** 2 == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("nh,nv,d", [(1, 1, 0.5), (2, 1, 0.5), (5, 3, 0.5),
+                                         (16, 16, 0.5), (256, 1, 0.5), (6, 4, 0.37)])
+    def test_fft_matches_dense_steering_adjoint(self, nh, nv, d):
+        geom = ArrayGeometry(nh, nv, d_over_lambda=d)
+        rng = np.random.default_rng(5)
+        paths = [(rng.standard_normal(n_l) + 1j * rng.standard_normal(n_l),
+                  rng.uniform(0, 2 * np.pi, n_l), rng.uniform(-np.pi / 2, np.pi / 2, n_l))
+                 for n_l in (1, 3, 5)]
+        expected = dense_angular(geom, paths)
+        path_sets = [PathSet(len(g), gains=g, azimuths=az, zeniths=zen) for g, az, zen in paths]
+        got = clustered_channel(path_sets, geom, rng).h_bar
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_path_draw_order_pinned(self):
+        # Missing path parameters are drawn user by user: gains (real then
+        # imaginary parts), then azimuths, then zeniths.
+        geom = ArrayGeometry(8, 2)
+        n_paths = (2, 4)
+        chan_rng = np.random.default_rng(11)
+        chan = clustered_channel([PathSet(n) for n in n_paths], geom, chan_rng)
+        rng = np.random.default_rng(11)
+        paths = []
+        for n_l in n_paths:
+            gains = (rng.standard_normal(n_l) + 1j * rng.standard_normal(n_l)) / np.sqrt(2.0)
+            az = rng.uniform(0.0, 2.0 * np.pi, n_l)
+            zen = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n_l)
+            paths.append((gains, az, zen))
+        expected = dense_angular(geom, paths)
+        assert np.linalg.norm(chan.h_bar - expected) <= 1e-12 * np.linalg.norm(expected)
+        # The generator is left exactly where the replayed draws leave it.
+        assert chan_rng.random() == rng.random()
 
     def test_off_grid_leakage_present(self):
         # Continuous angles leak energy across bins: effective sparsity is

@@ -120,6 +120,30 @@ class TestRunSweep:
             assert r.metrics.rate_training is not None
             assert r.metrics.rate_blind is None
 
+    def test_rgd_runs_under_log_distance_fading(self):
+        # Gradients scale with G^(-1/2) (about 1e5 here); the tangency check
+        # must not mistake their rounding for a non-tangent direction.
+        cfg = tiny_config(k_users=4, n_h=64, t_len=40, trials=2, theta=0.1,
+                          fading_model="log_distance",
+                          solver=SolverOptions(max_iters=60, precondition=True))
+        records = list(run_sweep(cfg, "snr_db", [20.0], ("rgd",)))
+        assert len(records) == 2
+        for r in records:
+            assert r.error is None, r.error
+            assert r.stop_reason in ("eta_tol", "obj_tol", "max_iters")
+
+    def test_error_records_have_error_stop_reason(self):
+        # Six pilots for eight users: the pilot baseline is rank deficient.
+        cfg = tiny_config(k_users=8, n_h=256, t_len=40, trials=2, theta=0.1,
+                          fading_model="log_distance",
+                          solver=SolverOptions(precondition=True))
+        records = list(run_sweep(cfg, "snr_db", [10.0], ("pilot",)))
+        assert len(records) == 2
+        for r in records:
+            assert r.error is not None and "RankDeficientError" in r.error
+            assert r.stop_reason == "error"
+            assert r.metrics is None and r.iters == 0 and math.isnan(r.final_eta)
+
     def test_longer_frames_detect_better(self):
         cfg = tiny_config(trials=15, n_h=128, snr_db=20.0, theta=0.1, k_users=8,
                           t_len=60)
