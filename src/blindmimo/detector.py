@@ -13,6 +13,10 @@ which is a Frank-Wolfe step whose optimal step size is exactly 1 because the
 objective is convex in A.  The conjugate transpose of the solution estimates
 the frame up to a per-row phase and a row permutation; both are resolved
 from the reference symbol and the user-ID headers.
+
+The iteration and its projected-gradient baseline share one ascent loop;
+they differ only in their step: the polar factor of the gradient, or a
+backtracking line search along the Riemannian gradient.
 """
 
 from __future__ import annotations
@@ -24,8 +28,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .manifold import (
+    _RANK_RTOL,
     RankDeficientError,
     StiefelPoint,
+    _polar_factor,
+    _rank_deficient,
     nuclear_norm,
     polar_retract,
     random_stiefel,
@@ -59,8 +66,6 @@ __all__ = [
 
 # Absolute slack allowed when asserting the monotone-ascent guarantee.
 MONOTONE_SLACK = 1e-12
-
-_RANK_RTOL = 1e-12
 
 
 class DegenerateGradientError(RuntimeError):
@@ -142,11 +147,39 @@ def _as_matrix(a: Union[StiefelPoint, np.ndarray]) -> np.ndarray:
     return a.a if isinstance(a, StiefelPoint) else np.asarray(a, dtype=np.complex128)
 
 
-def _inv_sqrt_g(g_diag: np.ndarray, k: int) -> np.ndarray:
+def _positive_g(g_diag: np.ndarray, k: int) -> np.ndarray:
     g = np.asarray(g_diag, dtype=np.float64)
     if g.shape != (k,) or not np.all(g > 0):
         raise ValueError("g_diag must be a strictly positive vector of length K")
-    return 1.0 / np.sqrt(g)
+    return g
+
+
+def _inv_sqrt_g(g_diag: np.ndarray, k: int) -> np.ndarray:
+    return 1.0 / np.sqrt(_positive_g(g_diag, k))
+
+
+def _point_inputs(
+    y_bar: np.ndarray, a: Union[StiefelPoint, np.ndarray], g_diag: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    am = _as_matrix(a)
+    y = np.asarray(y_bar, dtype=np.complex128)
+    if y.shape[1] != am.shape[0]:
+        raise ValueError(f"dimension mismatch: y_bar {y.shape} vs a {am.shape}")
+    return y, am, _inv_sqrt_g(g_diag, am.shape[1])
+
+
+def _evaluate(
+    y: np.ndarray, a: np.ndarray, isg: np.ndarray, p: int, yh: Optional[np.ndarray] = None
+) -> Tuple[float, Optional[np.ndarray]]:
+    """The objective at ``a`` and, given ``yh`` = Ybar^H, the Euclidean gradient there."""
+    w = (y @ a) * isg[np.newaxis, :]
+    mag = np.abs(w)
+    grad = None if yh is None else p * (yh @ (mag ** (p - 2) * w)) * isg[np.newaxis, :]
+    return float((mag**p).sum()), grad
+
+
+def _gap(nuclear: float, a: np.ndarray, grad: np.ndarray) -> float:
+    return max(nuclear - real_inner(a, grad), 0.0)
 
 
 def objective(
@@ -156,12 +189,8 @@ def objective(
     p_exponent: int = 3,
 ) -> float:
     """Entrywise p-norm objective sum |Ybar A G^(-1/2)|^p."""
-    am = _as_matrix(a)
-    y = np.asarray(y_bar, dtype=np.complex128)
-    if y.shape[1] != am.shape[0]:
-        raise ValueError(f"dimension mismatch: y_bar {y.shape} vs a {am.shape}")
-    w = (y @ am) * _inv_sqrt_g(g_diag, am.shape[1])[np.newaxis, :]
-    return float((np.abs(w) ** p_exponent).sum())
+    y, am, isg = _point_inputs(y_bar, a, g_diag)
+    return _evaluate(y, am, isg, p_exponent)[0]
 
 
 def euclid_grad(
@@ -176,14 +205,8 @@ def euclid_grad(
     its real inner product with a direction equals the first-order change of
     the objective along that direction.
     """
-    am = _as_matrix(a)
-    y = np.asarray(y_bar, dtype=np.complex128)
-    if y.shape[1] != am.shape[0]:
-        raise ValueError(f"dimension mismatch: y_bar {y.shape} vs a {am.shape}")
-    isg = _inv_sqrt_g(g_diag, am.shape[1])
-    w = (y @ am) * isg[np.newaxis, :]
-    weighted = np.abs(w) ** (p_exponent - 2) * w
-    return p_exponent * (y.conj().T @ weighted) * isg[np.newaxis, :]
+    y, am, isg = _point_inputs(y_bar, a, g_diag)
+    return _evaluate(y, am, isg, p_exponent, y.conj().T)[1]
 
 
 def iterate(
@@ -213,7 +236,63 @@ def optimality_eta(a: Union[StiefelPoint, np.ndarray], grad: np.ndarray) -> floa
     g = np.asarray(grad, dtype=np.complex128)
     if g.shape != am.shape:
         raise ValueError(f"shape mismatch: grad {g.shape} vs point {am.shape}")
-    return max(nuclear_norm(g) - real_inner(am, g), 0.0)
+    return _gap(nuclear_norm(g), am, g)
+
+
+def _solver_inputs(y_bar: np.ndarray, g_diag: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    y = np.asarray(y_bar, dtype=np.complex128)
+    k = np.asarray(g_diag).shape[0]
+    t = y.shape[1]
+    if t < k:
+        raise ValueError(f"need T >= K, got T={t}, K={k}")
+    if not np.linalg.norm(y) > 0:
+        raise ValueError("received block is identically zero")
+    return y, _inv_sqrt_g(g_diag, k)
+
+
+def _ascend(
+    y: np.ndarray,
+    isg: np.ndarray,
+    a: StiefelPoint,
+    opts: SolverOptions,
+    step: Callable[..., Tuple[Optional[StiefelPoint], int]],
+    on_iterate: Optional[Callable[[StiefelPoint, int], None]] = None,
+) -> Tuple[StiefelPoint, SolveTrace]:
+    """The ascent loop both solvers share; only ``step`` differs.
+
+    Each iterate costs one objective/gradient evaluation and one compact SVD
+    of the gradient, which gives eta; then come ``on_iterate`` and the stop
+    rule (``eta_tol``, ``obj_tol``, ``max_iters``).  Otherwise
+    ``step(a, obj, grad, svd)`` returns the next iterate, or None (no ascent:
+    stop with ``obj_tol``), and the objective evaluations it spent.
+    """
+    yh = y.conj().T
+    objs: list[float] = []
+    etas: list[float] = []
+    n_evals = 0
+    for j in range(opts.max_iters + 1):
+        obj, grad = _evaluate(y, a.a, isg, opts.p_exponent, yh)
+        u, s, vh = np.linalg.svd(grad, full_matrices=False)
+        objs.append(obj)
+        etas.append(_gap(float(s.sum()), a.a, grad))
+        n_evals += 1
+        if on_iterate is not None:
+            on_iterate(a, j)
+        if etas[-1] < opts.eta_tol * max(etas[0], 1.0):
+            stop_reason = "eta_tol"
+        elif j >= 1 and objs[-1] - objs[-2] < opts.obj_rel_tol * max(objs[-2], 1e-300):
+            stop_reason = "obj_tol"
+        elif j == opts.max_iters:
+            stop_reason = "max_iters"
+        else:
+            nxt, spent = step(a, obj, grad, svd=(u, s, vh))
+            n_evals += spent
+            if nxt is not None:
+                a = nxt
+                continue
+            stop_reason = "obj_tol"
+        break
+    return a, SolveTrace(np.array(objs), np.array(etas), len(objs) - 1, stop_reason, n_evals)
 
 
 def solve(
@@ -239,59 +318,13 @@ def solve(
         Optional hook called as ``on_iterate(point, j)`` at every visited
         iterate, including the initial one.
     """
-    y = np.asarray(y_bar, dtype=np.complex128)
-    k = np.asarray(g_diag).shape[0]
-    t = y.shape[1]
-    if t < k:
-        raise ValueError(f"need T >= K, got T={t}, K={k}")
-    if not np.linalg.norm(y) > 0:
-        raise ValueError("received block is identically zero")
-    isg = _inv_sqrt_g(g_diag, k)
-    yh = y.conj().T
-    p = opts.p_exponent
-
-    start = a0
-    for attempt in range(2):
-        a = start if start is not None else random_stiefel(t, k, rng)
-        start = None
-        objs: list[float] = []
-        etas: list[float] = []
-        eta0 = np.inf
-        stop_reason = None
-        degenerate = False
-        for j in range(opts.max_iters + 1):
-            w = (y @ a.a) * isg[np.newaxis, :]
-            objs.append(float((np.abs(w) ** p).sum()))
-            grad = p * (yh @ (np.abs(w) ** (p - 2) * w)) * isg[np.newaxis, :]
-            u, s, vh = np.linalg.svd(grad, full_matrices=False)
-            eta = max(float(s.sum()) - real_inner(a.a, grad), 0.0)
-            etas.append(eta)
-            if on_iterate is not None:
-                on_iterate(a, j)
-            if j == 0:
-                eta0 = eta
-            if eta < opts.eta_tol * max(eta0, 1.0):
-                stop_reason = "eta_tol"
-                break
-            if j >= 1 and objs[-1] - objs[-2] < opts.obj_rel_tol * max(objs[-2], 1e-300):
-                stop_reason = "obj_tol"
-                break
-            if j == opts.max_iters:
-                stop_reason = "max_iters"
-                break
-            if s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]:
-                degenerate = True
-                break
-            a = StiefelPoint(u @ vh)
-        if not degenerate:
-            trace = SolveTrace(
-                objective_per_iter=np.array(objs),
-                eta_per_iter=np.array(etas),
-                iters_run=len(objs) - 1,
-                stop_reason=stop_reason,
-                n_evals=len(objs),
-            )
-            return a, trace
+    y, isg = _solver_inputs(y_bar, g_diag)
+    for start in (a0, None):
+        a = start if start is not None else random_stiefel(y.shape[1], isg.size, rng)
+        try:
+            return _ascend(y, isg, a, opts, lambda *_, svd: (_polar_factor(*svd), 0), on_iterate)
+        except RankDeficientError:
+            continue
     raise DegenerateGradientError(
         "gradient rank deficient after one restart; perturb the input"
     )
@@ -413,15 +446,19 @@ def postprocess(
     rows have unit norm by construction).
     """
     d = np.asarray(y_bar_pre) @ np.asarray(x_hat_pre).conj().T
-    sv = np.linalg.svd(d, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= _RANK_RTOL * sv[0]:
-        raise RankDeficientError("reprojection matrix D is rank deficient")
-    gram = d.conj().T @ d
-    x_hat = np.linalg.solve(gram, d.conj().T @ np.asarray(y_bar))
+    x_hat = _least_squares(d, np.asarray(y_bar), "reprojection matrix D")
     norms = np.linalg.norm(x_hat, axis=1, keepdims=True)
     if not np.all(norms > 0):
         raise RankDeficientError("reprojected estimate has an all-zero row")
     return x_hat / norms
+
+
+def _least_squares(d: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
+    """(D^H D)^(-1) D^H Y; a wide or rank-deficient D raises RankDeficientError."""
+    if d.shape[0] < d.shape[1] or _rank_deficient(np.linalg.svd(d, compute_uv=False)):
+        raise RankDeficientError(f"{name} is rank deficient")
+    dh = d.conj().T
+    return np.linalg.solve(dh @ d, dh @ y)
 
 
 class DemodResult(NamedTuple):
@@ -509,70 +546,28 @@ def riemannian_gd_baseline(
     """Projected-gradient ascent over the Stiefel manifold with backtracking.
 
     Each step retracts A + tau * grad_R with tau found by halving from 1
-    until the objective increases (at most 30 halvings).  Kept as a
-    reference solver: it reaches the same stationary values as ``solve`` but
-    spends extra evaluations on the line search.
+    until the objective increases (at most 30 halvings, else it stops with
+    ``obj_tol``); that step is all it changes in ``solve``'s ascent loop.
+    Kept as a reference solver: it reaches the same stationary values as
+    ``solve`` but spends extra evaluations on the line search.
     """
-    y = np.asarray(y_bar, dtype=np.complex128)
-    k = np.asarray(g_diag).shape[0]
-    t = y.shape[1]
-    if t < k:
-        raise ValueError(f"need T >= K, got T={t}, K={k}")
-    if not np.linalg.norm(y) > 0:
-        raise ValueError("received block is identically zero")
-    a = a0 if a0 is not None else random_stiefel(t, k, rng)
-    p = opts.p_exponent
-    objs = [objective(y, a, g_diag, p)]
-    n_evals = 1
-    etas: list[float] = []
-    eta0 = np.inf
-    stop_reason = "max_iters"
-    for j in range(opts.max_iters + 1):
-        grad = euclid_grad(y, a, g_diag, p)
-        n_evals += 1
-        eta = optimality_eta(a, grad)
-        etas.append(eta)
-        if j == 0:
-            eta0 = eta
-        if eta < opts.eta_tol * max(eta0, 1.0):
-            stop_reason = "eta_tol"
-            break
-        if j == opts.max_iters:
-            stop_reason = "max_iters"
-            break
+    y, isg = _solver_inputs(y_bar, g_diag)
+
+    def line_search(a, obj, grad, svd):
         direction = riemannian_grad(a, grad).xi
-        tau = 1.0
-        accepted = None
-        for _ in range(30):
+        spent = 0
+        for halvings in range(30):
             try:
-                cand = polar_retract(a.a + tau * direction)
+                cand = polar_retract(a.a + 0.5**halvings * direction)
             except RankDeficientError:
-                tau /= 2.0
                 continue
-            cand_obj = objective(y, cand, g_diag, p)
-            n_evals += 1
-            if cand_obj > objs[-1]:
-                accepted = (cand, cand_obj)
-                break
-            tau /= 2.0
-        if accepted is None:
-            stop_reason = "obj_tol"
-            break
-        a, new_obj = accepted
-        objs.append(new_obj)
-        if new_obj - objs[-2] < opts.obj_rel_tol * max(objs[-2], 1e-300):
-            etas.append(optimality_eta(a, euclid_grad(y, a, g_diag, p)))
-            n_evals += 1
-            stop_reason = "obj_tol"
-            break
-    trace = SolveTrace(
-        objective_per_iter=np.array(objs),
-        eta_per_iter=np.array(etas[: len(objs)]),
-        iters_run=len(objs) - 1,
-        stop_reason=stop_reason,
-        n_evals=n_evals,
-    )
-    return a, trace
+            spent += 1
+            if objective(y, cand, g_diag, opts.p_exponent) > obj:
+                return cand, spent
+        return None, spent
+
+    a = a0 if a0 is not None else random_stiefel(y.shape[1], isg.size, rng)
+    return _ascend(y, isg, a, opts, line_search)
 
 
 def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
@@ -608,10 +603,7 @@ def pilot_zf_baseline(
     if x_t.shape[1] < 1:
         raise ValueError("need at least one pilot symbol")
     k = x_t.shape[0]
-    g = np.asarray(g_diag, dtype=np.float64)
-    if g.shape != (k,) or not np.all(g > 0):
-        raise ValueError("g_diag must be a strictly positive vector of length K")
-    sqrt_g = np.sqrt(g)
+    sqrt_g = np.sqrt(_positive_g(g_diag, k))
     b = x_t * sqrt_g[:, np.newaxis]
     lip = float(np.linalg.norm(b, 2)) ** 2
     if lip == 0.0:
@@ -625,12 +617,7 @@ def pilot_zf_baseline(
         h = h_new
         if change <= rel_tol * max(np.linalg.norm(h), 1e-300):
             break
-    d = h * sqrt_g[np.newaxis, :]
-    sv = np.linalg.svd(d, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= _RANK_RTOL * sv[0]:
-        raise RankDeficientError("zero-forcing matrix is rank deficient")
-    gram = d.conj().T @ d
-    return np.linalg.solve(gram, d.conj().T @ np.asarray(y_bar_data))
+    return _least_squares(h * sqrt_g[np.newaxis, :], np.asarray(y_bar_data), "zero-forcing matrix")
 
 
 def genie_align(x_est: np.ndarray, x_true: np.ndarray) -> np.ndarray:

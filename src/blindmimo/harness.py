@@ -97,6 +97,12 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if min(self.k_users, self.t_len, self.n_h, self.n_v) < 1:
             raise ValueError("dimensions must be positive")
+        if self.m < self.k_users:
+            raise ValueError(
+                f"need at least as many antennas as users, got M={self.m} < K={self.k_users}"
+            )
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be nonnegative")
         if self.channel_model not in ("clustered", "bernoulli_gaussian"):
             raise ValueError(f"unknown channel model {self.channel_model!r}")
         if self.fading_model not in ("identity", "log_distance"):
@@ -155,22 +161,21 @@ class SystemConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _seed_sequence(base_seed: int, *tags: Union[int, str]) -> np.random.SeedSequence:
+    """The seed sequence of (base_seed, tags); the base seed is passed whole, so none alias."""
+    words = [int(base_seed)]
+    for t in tags:
+        words.append(zlib.crc32(t.encode()) if isinstance(t, str) else int(t) & 0xFFFFFFFF)
+    return np.random.SeedSequence(words)
+
+
 def _stream(base_seed: int, *tags: Union[int, str]) -> np.random.Generator:
     """Counter-based derived stream: independent of call order across trials."""
-    words = [int(base_seed) & 0xFFFFFFFF]
-    for t in tags:
-        if isinstance(t, str):
-            words.append(zlib.crc32(t.encode()))
-        else:
-            words.append(int(t) & 0xFFFFFFFF)
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.default_rng(_seed_sequence(base_seed, *tags))
 
 
 def _stream_seed(base_seed: int, *tags: Union[int, str]) -> int:
-    words = [int(base_seed) & 0xFFFFFFFF]
-    for t in tags:
-        words.append(zlib.crc32(t.encode()) if isinstance(t, str) else int(t) & 0xFFFFFFFF)
-    return int(np.random.SeedSequence(words).generate_state(1)[0])
+    return int(_seed_sequence(base_seed, *tags).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -257,24 +262,9 @@ class TrialRecord:
     error: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        d = {
-            "fingerprint": self.fingerprint,
-            "sweep_param": self.sweep_param,
-            "sweep_value": self.sweep_value,
-            "method": self.method,
-            "trial": self.trial,
-            "seed": self.seed,
-            "scenario_digest": self.scenario_digest,
-            "metrics": None,
-            "iters": self.iters,
-            "stop_reason": self.stop_reason,
-            "final_eta": self.final_eta,
-            "error": self.error,
-        }
-        if self.metrics is not None:
-            m = asdict(self.metrics)
-            m.pop("wall_time")  # excluded: timings would break bit-reproducibility
-            d["metrics"] = m
+        d = asdict(self)
+        if d["metrics"] is not None:
+            d["metrics"].pop("wall_time")  # excluded: timings would break bit-reproducibility
         return d
 
     def to_json(self) -> str:

@@ -160,8 +160,17 @@ def polar_retract(m: np.ndarray) -> StiefelPoint:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[1] > m.shape[0]:
         raise ValueError(f"expected a tall matrix, got shape {m.shape}")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]:
+    return _polar_factor(*np.linalg.svd(m, full_matrices=False))
+
+
+def _rank_deficient(s: np.ndarray) -> bool:
+    """Whether descending singular values ``s`` mark a rank-deficient matrix."""
+    return s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]
+
+
+def _polar_factor(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> StiefelPoint:
+    """Polar factor U V^H of a compact SVD already taken; see ``polar_retract``."""
+    if _rank_deficient(s):
         raise RankDeficientError(
             f"rank-deficient input: singular values span [{s[-1]:.3e}, {s[0]:.3e}]"
         )

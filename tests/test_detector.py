@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blindmimo import (
     RankDeficientError,
     SolverOptions,
     SolveTrace,
     StiefelPoint,
+    SystemConfig,
     bernoulli_gaussian_channel,
     build_constellation,
     build_frame,
+    build_scenario,
     demodulate,
     detect,
     euclid_grad,
@@ -24,11 +28,13 @@ from blindmimo import (
     random_stiefel,
     resolve_ambiguity,
     riemannian_gd_baseline,
+    nuclear_norm,
     riemannian_grad,
     solve,
     synthesize_received,
 )
-from blindmimo.detector import soft_threshold
+from blindmimo.detector import MONOTONE_SLACK, soft_threshold
+from blindmimo.signal import header_length
 
 
 def crandn(rng, *shape):
@@ -364,6 +370,14 @@ class TestPostprocess:
         with pytest.raises(RankDeficientError):
             postprocess(np.zeros((4, 3), complex), np.ones((2, 3), complex), np.ones((4, 3), complex))
 
+    def test_wide_reprojection_rejected(self):
+        # Two rows for three users: D is 2 x 3 and cannot have full column
+        # rank, although both of its singular values are far from zero.
+        rng = np.random.default_rng(0)
+        y_pre, x_pre = crandn(rng, 2, 6), crandn(rng, 3, 6)
+        with pytest.raises(RankDeficientError, match="reprojection matrix D is rank deficient"):
+            postprocess(y_pre, x_pre, crandn(rng, 2, 6))
+
 
 class TestDemodulate:
     def test_identity_on_exact_points(self):
@@ -495,3 +509,65 @@ class TestPilotZf:
             pilot_zf_baseline(y_train, pilots, rx.y_bar, g, lam=0.0)
         x_hat = pilot_zf_baseline(y_train, pilots, rx.y_bar, g, lam=2.0)
         assert np.isfinite(evm(x_hat, frame.x))
+
+    def test_fewer_antennas_than_users_rejected(self):
+        # M = 4 antennas for K = 8 users: the 4 x 8 zero-forcing matrix has
+        # four healthy singular values but not full column rank.
+        rng = np.random.default_rng(2)
+        k, m = 8, 4
+        pilots = random_stiefel(16, k, rng).a.conj().T
+        h = crandn(rng, m, k)
+        with pytest.raises(RankDeficientError, match="zero-forcing matrix is rank deficient"):
+            pilot_zf_baseline(h @ pilots, pilots, h @ crandn(rng, k, 30), np.ones(k), lam=0.0)
+
+
+class TestSharedAscentLoop:
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_trace_matches_public_kernels(self, p):
+        # The loop and the public objective / gradient / eta share one kernel:
+        # the traced objective is bit-identical to objective() at every
+        # iterate, and eta agrees up to the SVD's rounding.
+        rng = np.random.default_rng(11)
+        y, _, _ = noiseless_instance(rng, m=48, k=3, t=30, theta=0.2)
+        y = y + 1e-3 * crandn(rng, *y.shape)
+        g = rng.uniform(0.5, 2.0, 3)
+        points = []
+        _, tr = solve(y, g, SolverOptions(p_exponent=p), np.random.default_rng(4),
+                      on_iterate=lambda a, j: points.append(a))
+        assert len(points) == tr.iters_run + 1 >= 3
+        for j, a in enumerate(points):
+            assert objective(y, a, g, p) == tr.objective_per_iter[j]
+            grad = euclid_grad(y, a, g, p)
+            assert abs(optimality_eta(a, grad) - tr.eta_per_iter[j]) <= 1e-12 * nuclear_norm(grad)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        k=st.integers(1, 4),
+        extra_t=st.sampled_from([0, 3, 12]),
+        constellation=st.sampled_from(["qpsk", "16qam"]),
+        fading=st.sampled_from(["identity", "log_distance"]),
+        precondition_on=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solver_properties_on_edge_shapes(
+        self, k, extra_t, constellation, fading, precondition_on, seed
+    ):
+        # T = header length + 2 is the shortest frame a config accepts; K = 1
+        # has an empty header.
+        t_len = max(header_length(k, build_constellation(constellation).size) + 2, k) + extra_t
+        cfg = SystemConfig(
+            k_users=k, t_len=t_len, n_h=16, snr_db=20.0, channel_model="bernoulli_gaussian",
+            theta=0.3, constellation=constellation, fading_model=fading, t_pilot=1,
+            base_seed=seed,
+        )
+        rng = np.random.default_rng(seed)
+        sc = build_scenario(cfg, rng)
+        y = precondition(sc.y_bar, k_users=k) if precondition_on else sc.y_bar
+        opts = SolverOptions(max_iters=60)
+        for solver in (solve, riemannian_gd_baseline):
+            a, tr = solver(y, sc.g_diag, opts, np.random.default_rng(seed + 1))
+            assert np.all(np.diff(tr.objective_per_iter) >= -MONOTONE_SLACK)
+            assert tr.stop_reason in ("eta_tol", "obj_tol", "max_iters")
+            assert np.all(tr.eta_per_iter >= 0.0)
+            assert np.linalg.norm(a.a.conj().T @ a.a - np.eye(k)) < 1e-9
+            assert tr.n_evals >= tr.iters_run + 1

@@ -1,5 +1,6 @@
 import csv
 import math
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from blindmimo.harness import (
     _draw_fading,
     _noise_variance,
     _stream,
+    _stream_seed,
     concentration_crossover,
     concentration_tail_bound,
 )
@@ -45,6 +47,17 @@ class TestSystemConfig:
             tiny_config(channel_model="rayleigh")
         with pytest.raises(ValueError):
             tiny_config(theta=0.0)
+
+    def test_fewer_antennas_than_users_rejected(self):
+        with pytest.raises(ValueError, match="M=4 < K=8"):
+            tiny_config(n_h=4, k_users=8)
+        with pytest.raises(ValueError, match="M=6 < K=8"):
+            tiny_config(n_h=3, n_v=2, k_users=8)
+        assert tiny_config(n_h=4, k_users=4).m == 4
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="base_seed"):
+            tiny_config(base_seed=-1)
 
     def test_from_dict_round_trip(self):
         cfg = tiny_config()
@@ -267,3 +280,20 @@ class TestStreamDerivation:
         a = _stream(7, 0, 0, "scenario").standard_normal(4)
         b = _stream(7, 0, 0, "l3").standard_normal(4)
         assert not np.array_equal(a, b)
+
+    def test_base_seeds_do_not_alias(self):
+        # A 32-bit mask on the base seed would make 0 and 2**32 one stream.
+        for tags in ((0, 0, "scenario"), (1, 2, "l3")):
+            a = _stream(0, *tags).standard_normal(4)
+            b = _stream(2**32, *tags).standard_normal(4)
+            assert not np.array_equal(a, b)
+            assert _stream_seed(0, *tags) != _stream_seed(2**32, *tags)
+
+    def test_stream_seed_matches_stream(self):
+        # Seeds below 2**32 keep their streams: the seed words are the base
+        # seed followed by the tags, for both helpers.
+        seed = _stream_seed(7, 0, 3, "l3")
+        words = [7, 0, 3, zlib.crc32(b"l3")]
+        assert seed == int(np.random.SeedSequence(words).generate_state(1)[0])
+        expected = np.random.default_rng(np.random.SeedSequence(words)).standard_normal(4)
+        assert np.array_equal(_stream(7, 0, 3, "l3").standard_normal(4), expected)
