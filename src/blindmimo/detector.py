@@ -16,12 +16,16 @@ from the reference symbol and the user-ID headers.
 
 The iteration and its projected-gradient baseline share one ascent loop;
 they differ only in their step: the polar factor of the gradient, or a
-backtracking line search along the Riemannian gradient.
+backtracking line search along the Riemannian gradient.  The gradient's
+singular values (for eta) and its polar factor come from the eigendecomposition
+of its K x K Gram matrix, or from its compact SVD when that Gram is
+ill-conditioned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -31,6 +35,7 @@ from .manifold import (
     _RANK_RTOL,
     RankDeficientError,
     StiefelPoint,
+    _gram_polar,
     _polar_factor,
     _rank_deficient,
     nuclear_norm,
@@ -111,6 +116,8 @@ class SolveTrace:
     steps.  The objective sequence must be non-decreasing (guaranteed ascent)
     up to 1e-12 absolute slack.  ``n_evals`` counts objective/gradient
     evaluations, the dominant cost, for cross-solver comparisons.
+    ``restarts`` counts fresh random starts after a rank-deficient gradient
+    (``solve`` makes at most one).
     """
 
     objective_per_iter: np.ndarray
@@ -118,6 +125,7 @@ class SolveTrace:
     iters_run: int
     stop_reason: str
     n_evals: int = 0
+    restarts: int = 0
 
     def __post_init__(self) -> None:
         obj = np.asarray(self.objective_per_iter, dtype=np.float64)
@@ -260,11 +268,14 @@ def _ascend(
 ) -> Tuple[StiefelPoint, SolveTrace]:
     """The ascent loop both solvers share; only ``step`` differs.
 
-    Each iterate costs one objective/gradient evaluation and one compact SVD
-    of the gradient, which gives eta; then come ``on_iterate`` and the stop
-    rule (``eta_tol``, ``obj_tol``, ``max_iters``).  Otherwise
-    ``step(a, obj, grad, svd)`` returns the next iterate, or None (no ascent:
-    stop with ``obj_tol``), and the objective evaluations it spent.
+    Each iterate costs one objective/gradient evaluation and one
+    factorization of the gradient (its Gram eigendecomposition, or its
+    compact SVD when the Gram is ill-conditioned), which gives eta; then
+    come ``on_iterate`` and the stop rule (``eta_tol``, ``obj_tol``,
+    ``max_iters``).  Otherwise ``step(a, obj, grad, polar)`` returns the next
+    iterate, or None (no ascent: stop with ``obj_tol``), and the objective
+    evaluations it spent; ``polar()`` forms the gradient's polar factor,
+    raising RankDeficientError when the gradient is rank deficient.
     """
     yh = y.conj().T
     objs: list[float] = []
@@ -272,7 +283,11 @@ def _ascend(
     n_evals = 0
     for j in range(opts.max_iters + 1):
         obj, grad = _evaluate(y, a.a, isg, opts.p_exponent, yh)
-        u, s, vh = np.linalg.svd(grad, full_matrices=False)
+        fast = _gram_polar(grad)
+        if fast is None:
+            u, s, vh = np.linalg.svd(grad, full_matrices=False)
+            fast = s, partial(_polar_factor, u, s, vh)
+        s, polar = fast
         objs.append(obj)
         etas.append(_gap(float(s.sum()), a.a, grad))
         n_evals += 1
@@ -285,7 +300,7 @@ def _ascend(
         elif j == opts.max_iters:
             stop_reason = "max_iters"
         else:
-            nxt, spent = step(a, obj, grad, svd=(u, s, vh))
+            nxt, spent = step(a, obj, grad, polar=polar)
             n_evals += spent
             if nxt is not None:
                 a = nxt
@@ -305,10 +320,11 @@ def solve(
 ) -> Tuple[StiefelPoint, SolveTrace]:
     """Run the parameter-free fixed-point iteration from a random start.
 
-    Each step computes the gradient, takes its compact SVD once, reads the
-    optimality gap eta off the singular values, and retracts.  A rank
-    deficient gradient triggers one automatic restart from a fresh random
-    point; a second failure raises DegenerateGradientError.
+    Each step computes the gradient, factors it once, reads the optimality
+    gap eta off its singular values, and retracts onto its polar factor.  A
+    rank deficient gradient triggers one automatic restart from a fresh
+    random point, counted in the trace's ``restarts``; a second failure
+    raises DegenerateGradientError.
 
     Parameters
     ----------
@@ -319,12 +335,15 @@ def solve(
         iterate, including the initial one.
     """
     y, isg = _solver_inputs(y_bar, g_diag)
-    for start in (a0, None):
+    for restarts, start in enumerate((a0, None)):
         a = start if start is not None else random_stiefel(y.shape[1], isg.size, rng)
         try:
-            return _ascend(y, isg, a, opts, lambda *_, svd: (_polar_factor(*svd), 0), on_iterate)
+            a, trace = _ascend(
+                y, isg, a, opts, lambda *_, polar: (StiefelPoint(polar()), 0), on_iterate
+            )
         except RankDeficientError:
             continue
+        return a, replace(trace, restarts=restarts)
     raise DegenerateGradientError(
         "gradient rank deficient after one restart; perturb the input"
     )
@@ -419,9 +438,16 @@ def precondition(y_bar: np.ndarray, k_users: Optional[int] = None) -> np.ndarray
     a small error; keeping the trailing noise-only directions at unit gain
     instead plants dense spurious attractors that derail the solver.
     Without ``k_users`` the polar factor keeps every direction above 1e-12
-    of the largest singular value.
+    of the largest singular value.  For a tall block with K given, the
+    factor comes from the top K eigenpairs of the T x T Gram Ybar^H Ybar
+    unless the K-th eigenvalue is at most 1e-5 of the largest; otherwise,
+    and always without K, it comes from the compact SVD.
     """
     y = np.asarray(y_bar, dtype=np.complex128)
+    if k_users is not None and 1 <= k_users <= y.shape[1] <= y.shape[0]:
+        fast = _gram_polar(y, k_users)
+        if fast is not None:
+            return fast[1]()
     u, s, vh = np.linalg.svd(y, full_matrices=False)
     if s[0] == 0.0:
         raise RankDeficientError("cannot precondition an all-zero block")
@@ -553,7 +579,7 @@ def riemannian_gd_baseline(
     """
     y, isg = _solver_inputs(y_bar, g_diag)
 
-    def line_search(a, obj, grad, svd):
+    def line_search(a, obj, grad, polar):
         direction = riemannian_grad(a, grad).xi
         spent = 0
         for halvings in range(30):

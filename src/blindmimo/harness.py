@@ -30,7 +30,7 @@ from .channel import (
     clustered_channel,
 )
 from .detector import SolverOptions, SolveTrace
-from .manifold import random_stiefel
+from .manifold import RankDeficientError, random_stiefel
 from .metrics import TrialMetrics, theoretical_objective_bound
 from .signal import (
     TransmitFrame,
@@ -192,7 +192,7 @@ class Scenario:
 
     @property
     def digest(self) -> str:
-        return hashlib.sha256(np.ascontiguousarray(self.y_bar).tobytes()).hexdigest()[:12]
+        return hashlib.sha256(np.ascontiguousarray(self.y_bar).data).hexdigest()[:12]
 
 
 def _draw_fading(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
@@ -246,7 +246,11 @@ def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One (method, sweep value, trial) outcome, flat enough to serialize."""
+    """One (method, sweep value, trial) outcome, flat enough to serialize.
+
+    ``restarts`` is the solver's restart count (0 for pilot and for errors);
+    it defaults to 0 so records written before it existed still load.
+    """
 
     fingerprint: str
     sweep_param: str
@@ -260,6 +264,7 @@ class TrialRecord:
     stop_reason: str
     final_eta: float
     error: Optional[str] = None
+    restarts: int = 0
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -374,8 +379,9 @@ def run_sweep(
 ) -> Iterator[TrialRecord]:
     """Monte Carlo sweep over one config parameter, one record per (method, value, trial).
 
-    Per-trial solver errors are captured in the record (``error`` set,
-    ``stop_reason == "error"``) rather than raised; the stream is
+    Per-trial solver failures (DegenerateGradientError, RankDeficientError)
+    are captured in the record (``error`` set, ``stop_reason == "error"``)
+    rather than raised; any other exception propagates.  The stream is
     deterministic given the config and base seed.
     """
     for m in methods:
@@ -392,19 +398,20 @@ def run_sweep(
             for method in methods:
                 seed = _stream_seed(cfg.base_seed, si, trial, method)
                 rng = _stream(cfg.base_seed, si, trial, method)
-                error = None
+                error, restarts = None, 0
                 try:
                     if method == "pilot":
                         tm = _run_pilot_method(cfg_i, scenario, rng)
                         iters, stop_reason, final_eta = 0, "obj_tol", 0.0
                     else:
                         tm, trace = _run_blind_method(cfg_i, scenario, method, rng)
-                        iters, stop_reason, final_eta = (
+                        iters, stop_reason, final_eta, restarts = (
                             trace.iters_run,
                             trace.stop_reason,
                             trace.final_eta,
+                            trace.restarts,
                         )
-                except (detector.DegenerateGradientError, ValueError) as exc:
+                except (detector.DegenerateGradientError, RankDeficientError) as exc:
                     tm, iters, stop_reason, final_eta = None, 0, "error", float("nan")
                     error = f"{type(exc).__name__}: {exc}"
                 yield TrialRecord(
@@ -420,6 +427,7 @@ def run_sweep(
                     stop_reason=stop_reason,
                     final_eta=final_eta,
                     error=error,
+                    restarts=restarts,
                 )
 
 

@@ -6,12 +6,17 @@ of operations every solver in the package is built on: Haar-uniform sampling,
 the polar-decomposition retraction, tangent-space projection of a Euclidean
 gradient, and the nuclear norm.
 
+Polar factors of tall matrices come from the eigendecomposition of the small
+K x K Gram matrix m^H m; when that Gram is ill-conditioned, which squares
+the condition number of m, they come from the compact SVD instead.
+
 All functions are pure; random state is owned by the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +38,11 @@ TANGENCY_TOL = 1e-8
 
 # Singular values below this fraction of the largest count as zero.
 _RANK_RTOL = 1e-12
+
+# Gram eigenvalues at or below this fraction of the largest (condition number
+# of m at least ~316) send polar factors to the SVD: the Gram route's
+# orthonormality residual grows like eps * cond(m)^2.
+_GRAM_RTOL = 1e-5
 
 
 class RankDeficientError(ValueError):
@@ -152,6 +162,10 @@ def polar_retract(m: np.ndarray) -> StiefelPoint:
     For full-column-rank input this is the unique maximiser of Re<m, A> over
     the Stiefel manifold, and the nearest Stiefel point in Frobenius norm.
 
+    The factor is m (m^H m)^(-1/2), from the eigendecomposition of the
+    Gram; when its smallest eigenvalue is at most 1e-5 of the largest it
+    is U V^H from the SVD instead.
+
     Raises
     ------
     RankDeficientError
@@ -160,7 +174,10 @@ def polar_retract(m: np.ndarray) -> StiefelPoint:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[1] > m.shape[0]:
         raise ValueError(f"expected a tall matrix, got shape {m.shape}")
-    return _polar_factor(*np.linalg.svd(m, full_matrices=False))
+    fast = _gram_polar(m)
+    if fast is None:
+        return StiefelPoint(_polar_factor(*np.linalg.svd(m, full_matrices=False)))
+    return StiefelPoint(fast[1]())
 
 
 def _rank_deficient(s: np.ndarray) -> bool:
@@ -168,13 +185,38 @@ def _rank_deficient(s: np.ndarray) -> bool:
     return s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]
 
 
-def _polar_factor(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> StiefelPoint:
+def _polar_factor(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """Polar factor U V^H of a compact SVD already taken; see ``polar_retract``."""
     if _rank_deficient(s):
         raise RankDeficientError(
             f"rank-deficient input: singular values span [{s[-1]:.3e}, {s[0]:.3e}]"
         )
-    return StiefelPoint(u @ vh)
+    return u @ vh
+
+
+def _gram_polar(
+    m: np.ndarray, r: Optional[int] = None
+) -> Optional[Tuple[np.ndarray, Callable[[], np.ndarray]]]:
+    """Top ``r`` (default all) singular values of ``m`` and its polar factor, from eigh(m^H m).
+
+    Returns the descending singular values and a function that forms
+    m V Sigma^-1 V^H from the kept eigenpairs, so callers that only need
+    the singular values skip that product.  Returns None when the r-th
+    eigenvalue is at most ``_GRAM_RTOL`` of the largest; the caller then
+    takes the SVD route.  With all eigenpairs kept, a Gram diagonal spread
+    past that cut proves it without the eigendecomposition, since the
+    extreme eigenvalues bracket the diagonal.
+    """
+    gram = m.conj().T @ m
+    diag = gram.diagonal().real
+    if r is None and not diag.min() > _GRAM_RTOL * diag.max():
+        return None
+    lam, v = np.linalg.eigh(gram)
+    lam, v = lam[::-1][:r], v[:, ::-1][:, :r]
+    if not lam[-1] > _GRAM_RTOL * lam[0]:
+        return None
+    s = np.sqrt(lam)
+    return s, lambda: m @ ((v / s) @ v.conj().T)
 
 
 def riemannian_grad(a: StiefelPoint, euclid_grad: np.ndarray) -> TangentDirection:

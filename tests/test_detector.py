@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blindmimo import (
+    DegenerateGradientError,
     RankDeficientError,
     SolverOptions,
     SolveTrace,
@@ -33,6 +34,7 @@ from blindmimo import (
     solve,
     synthesize_received,
 )
+from blindmimo import manifold
 from blindmimo.detector import MONOTONE_SLACK, soft_threshold
 from blindmimo.signal import header_length
 
@@ -252,6 +254,62 @@ class TestSolve:
         eta = optimality_eta(a, g)
         assert rg.norm < 10.0 * np.sqrt(max(eta, 1e-300)) * np.linalg.norm(g) ** 0.5
 
+    def test_no_restart_on_ordinary_input(self):
+        rng = np.random.default_rng(10)
+        y, _, _ = noiseless_instance(rng)
+        _, tr = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(1))
+        assert tr.restarts == 0
+
+    @pytest.mark.parametrize("columns, opts", [
+        ([0, 5], SolverOptions()),
+        # A zero gradient has eta = 0, which passes any positive eta_tol
+        # before a step is tried.
+        ([5, 6], SolverOptions(eta_tol=0.0)),
+    ])
+    def test_null_space_start_restarts_once(self, columns, opts):
+        # Start columns inside the null space of a wide block (exact, from
+        # its zero columns) give zero gradient columns, so the first step
+        # meets a rank-deficient gradient.
+        rng = np.random.default_rng(11)
+        y = np.zeros((3, 8), dtype=complex)
+        y[:, :3] = crandn(rng, 3, 3)
+        a0 = StiefelPoint(np.eye(8)[:, columns])
+        assert not euclid_grad(y, a0, np.ones(2))[:, 1].any()
+        a, tr = solve(y, np.ones(2), opts, np.random.default_rng(2), a0=a0)
+        assert tr.restarts == 1
+        assert tr.objective_per_iter[0] > 0.0
+        assert np.linalg.norm(a.a.conj().T @ a.a - np.eye(2)) < 1e-9
+
+    def test_rank_one_block_is_degenerate(self):
+        rng = np.random.default_rng(12)
+        y = np.outer(crandn(rng, 6), crandn(rng, 5))
+        with pytest.raises(DegenerateGradientError):
+            solve(y, np.ones(2), SolverOptions(), np.random.default_rng(3))
+
+    @pytest.mark.parametrize("tau, short", [(np.inf, False), (np.inf, True), (0.0, False)])
+    def test_gram_threshold_does_not_change_the_run(self, monkeypatch, tau, short):
+        # tau = inf sends every factorization to the SVD, as before the Gram
+        # route existed; tau = 0 sends every one with a positive definite Gram
+        # to the eigendecomposition.  On short frames under log-distance
+        # fading tau = 0 takes gradients with cond ~1e3 and fails the Stiefel
+        # check, which is why the default cut exists.
+        cfg = SystemConfig()
+        if short:
+            cfg = SystemConfig(
+                t_len=40, channel_model="bernoulli_gaussian", fading_model="log_distance",
+                solver=SolverOptions(precondition=True),
+            )
+        for seed in range(3):
+            sc = build_scenario(cfg, np.random.default_rng(seed))
+            y = precondition(sc.y_bar, k_users=cfg.k_users) if short else sc.y_bar
+            a, tr = solve(y, sc.g_diag, cfg.solver, np.random.default_rng(seed + 10))
+            with monkeypatch.context() as mp:
+                mp.setattr(manifold, "_GRAM_RTOL", tau)
+                a_tau, tr_tau = solve(y, sc.g_diag, cfg.solver, np.random.default_rng(seed + 10))
+            assert (tr_tau.iters_run, tr_tau.stop_reason) == (tr.iters_run, tr.stop_reason)
+            assert tr_tau.final_objective == pytest.approx(tr.final_objective, rel=1e-10)
+            assert np.abs(a_tau.a - a.a).max() < 1e-8
+
 
 class TestSolveTraceInvariant:
     def test_rejects_decreasing_objective(self):
@@ -292,6 +350,26 @@ class TestResolveAmbiguity:
         assert np.abs(res.phase_corrections * true_phases - 1.0).max() < 1e-9
         assert np.abs(x_hat - frame.x).max() < 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        extra_t=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, k, constellation, extra_t, seed):
+        c = build_constellation(constellation)
+        rng = np.random.default_rng(seed)
+        frame = build_frame(k, header_length(k, c.size) + 1 + extra_t, c, rng)
+        phases = np.exp(2j * np.pi * rng.random(k))
+        perm = rng.permutation(k)
+        distorted = phases[:, None] * frame.x[perm]
+        x_hat, res = resolve_ambiguity(distorted.conj().T, frame.meta, c)
+        assert np.abs(x_hat - frame.x).max() < 1e-9
+        assert np.array_equal(res.permutation, np.argsort(perm))
+        assert np.abs(res.phase_corrections * phases - 1.0).max() < 1e-9
+        assert res.flagged_rows == ()
+
     def test_zero_reference_flagged(self):
         c = build_constellation("qpsk")
         frame = build_frame(3, 20, c, np.random.default_rng(3))
@@ -322,6 +400,34 @@ class TestPrecondition:
         s = np.linalg.svd(pre, compute_uv=False)
         assert np.abs(s[:3] - 1.0).max() < 1e-10
         assert s[3:].max() < 1e-10
+
+    def test_gram_route_matches_svd(self):
+        rng = np.random.default_rng(4)
+        h = crandn(rng, 64, 4)
+        y = h @ crandn(rng, 4, 20) + 1e-2 * crandn(rng, 64, 20)
+        assert manifold._gram_polar(y, 4) is not None
+        u, _, vh = np.linalg.svd(y, full_matrices=False)
+        assert np.abs(precondition(y, k_users=4) - u[:, :4] @ vh[:4]).max() < 1e-12
+
+    def test_ill_conditioned_block_takes_svd(self):
+        # The 4th singular value clears 1e-10 of the largest but not the
+        # Gram route's cut, so the SVD route answers, bit for bit.
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(crandn(rng, 30, 6))
+        w, _ = np.linalg.qr(crandn(rng, 6, 6))
+        y = (q * np.array([1.0, 0.5, 0.2, 1e-4, 1e-6, 1e-7])) @ w.conj().T
+        assert manifold._gram_polar(y, 4) is None
+        u, _, vh = np.linalg.svd(y, full_matrices=False)
+        assert np.array_equal(precondition(y, k_users=4), u[:, :4] @ vh[:4])
+
+    def test_kth_direction_below_1e_10_rejected(self):
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(crandn(rng, 30, 6))
+        w, _ = np.linalg.qr(crandn(rng, 6, 6))
+        y = (q * np.array([1.0, 0.5, 0.2, 1e-11, 1e-12, 1e-13])) @ w.conj().T
+        with pytest.raises(RankDeficientError, match="usable directions"):
+            precondition(y, k_users=4)
+        assert np.linalg.matrix_rank(precondition(y, k_users=3)) == 3
 
     def test_rank_deficiency_detected(self):
         rng = np.random.default_rng(3)

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import math
 import zlib
 from dataclasses import replace
@@ -19,6 +21,7 @@ from blindmimo import (
     run_convergence_experiment,
     run_sweep,
 )
+from blindmimo import detector
 from blindmimo.harness import (
     _draw_fading,
     _noise_variance,
@@ -26,6 +29,7 @@ from blindmimo.harness import (
     _stream_seed,
     concentration_crossover,
     concentration_tail_bound,
+    build_scenario,
 )
 
 
@@ -157,6 +161,30 @@ class TestRunSweep:
             assert r.stop_reason == "error"
             assert r.metrics is None and r.iters == 0 and math.isnan(r.final_eta)
 
+    def test_plain_value_error_propagates(self, monkeypatch):
+        # Only solver failures become error records; anything else is a bug.
+        def broken_detect(*args, **kwargs):
+            raise ValueError("shape bug")
+
+        monkeypatch.setattr(detector, "detect", broken_detect)
+        with pytest.raises(ValueError, match="shape bug"):
+            list(run_sweep(tiny_config(trials=1), "snr_db", [20.0], ("l3",)))
+
+    def test_restarts_recorded(self, monkeypatch):
+        real_solve = detector.solve
+
+        def restarted_solve(*args, **kwargs):
+            a, trace = real_solve(*args, **kwargs)
+            return a, replace(trace, restarts=1)
+
+        cfg = tiny_config(trials=1)
+        plain = list(run_sweep(cfg, "snr_db", [20.0], ("l3", "pilot")))
+        assert [r.restarts for r in plain] == [0, 0]
+        monkeypatch.setattr(detector, "solve", restarted_solve)
+        records = list(run_sweep(cfg, "snr_db", [20.0], ("l3", "l4", "pilot")))
+        assert [(r.method, r.restarts) for r in records] == [("l3", 1), ("l4", 1), ("pilot", 0)]
+        assert '"restarts":1' in records[0].to_json()
+
     def test_longer_frames_detect_better(self):
         cfg = tiny_config(trials=15, n_h=128, snr_db=20.0, theta=0.1, k_users=8,
                           t_len=60)
@@ -173,6 +201,18 @@ class TestEmitReport:
         emit_report(records, tmp_path)
         back = read_records(tmp_path / "trials.jsonl")
         assert back == records or [r.to_json() for r in back] == [r.to_json() for r in records]
+
+    def test_records_without_restarts_load(self, tmp_path):
+        # trials.jsonl files written before the restarts field existed.
+        cfg = tiny_config(trials=1)
+        rec = next(run_sweep(cfg, "snr_db", [20.0], ("l3",)))
+        old = json.loads(rec.to_json())
+        del old["restarts"]
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(old) + "\n")
+        (back,) = read_records(path)
+        assert back.restarts == 0
+        assert back.to_json() == rec.to_json()
 
     def test_empty_records_header_only(self, tmp_path):
         paths = emit_report([], tmp_path)
@@ -288,6 +328,15 @@ class TestStreamDerivation:
             b = _stream(2**32, *tags).standard_normal(4)
             assert not np.array_equal(a, b)
             assert _stream_seed(0, *tags) != _stream_seed(2**32, *tags)
+
+    def test_scenario_digest_hashes_the_bytes(self):
+        sc = build_scenario(tiny_config(), _stream(3, 0, 0, "scenario"))
+        expected = hashlib.sha256(sc.y_bar.tobytes()).hexdigest()[:12]
+        assert sc.digest == expected
+        # A Fortran-ordered copy hashes its C-ordered bytes, as tobytes() did.
+        fortran = replace(sc, y_bar=np.asfortranarray(sc.y_bar))
+        assert not fortran.y_bar.flags.c_contiguous
+        assert fortran.digest == expected
 
     def test_stream_seed_matches_stream(self):
         # Seeds below 2**32 keep their streams: the seed words are the base

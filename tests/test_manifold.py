@@ -12,6 +12,7 @@ from blindmimo import (
     real_inner,
     riemannian_grad,
 )
+from blindmimo.manifold import _GRAM_RTOL, _gram_polar
 
 
 def crandn(rng, *shape):
@@ -129,6 +130,59 @@ class TestPolarRetract:
         for _ in range(1000):
             a = random_stiefel(10, 3, rng)
             assert real_inner(m, a.a) <= best + 1e-12
+
+
+def with_condition(rng, t, k, kappa, scale=1.0):
+    """A t x k matrix with singular values geometrically spaced from scale to scale / kappa."""
+    q, _ = np.linalg.qr(crandn(rng, t, k))
+    w, _ = np.linalg.qr(crandn(rng, k, k))
+    return (q * (scale * np.geomspace(1.0, 1.0 / kappa, k))) @ w.conj().T
+
+
+class TestGramPolar:
+    @pytest.mark.parametrize("shape", [(240, 8), (40, 8), (9, 3), (5, 1)])
+    @pytest.mark.parametrize("kappa", [1.0, 10.0, 100.0])
+    def test_matches_svd_when_well_conditioned(self, shape, kappa):
+        rng = np.random.default_rng(int(kappa) * 1000 + shape[0])
+        for scale in (1e-6, 1.0, 1e9):
+            m = with_condition(rng, *shape, kappa, scale)
+            u, s, vh = np.linalg.svd(m, full_matrices=False)
+            fast = _gram_polar(m)
+            assert fast is not None
+            s_gram, polar = fast
+            assert np.abs(s_gram - s).max() <= 1e-12 * s[0]
+            assert np.abs(polar() - u @ vh).max() <= 1e-12
+            assert np.abs(polar_retract(m).a - u @ vh).max() <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [1e4, 1e8])
+    def test_ill_conditioned_takes_svd_bit_for_bit(self, kappa):
+        rng = np.random.default_rng(3)
+        m = with_condition(rng, 240, 8, kappa)
+        assert _gram_polar(m) is None
+        u, _, vh = np.linalg.svd(m, full_matrices=False)
+        assert np.array_equal(polar_retract(m).a, u @ vh)
+
+    def test_zero_takes_svd_and_raises(self):
+        m = np.zeros((6, 2), dtype=complex)
+        assert _gram_polar(m) is None
+        with pytest.raises(RankDeficientError):
+            polar_retract(m)
+
+    def test_threshold_on_squared_condition_number(self):
+        # The cut is on eigenvalues of m^H m, i.e. on cond(m)^2.
+        rng = np.random.default_rng(4)
+        edge = _GRAM_RTOL**-0.5
+        assert _gram_polar(with_condition(rng, 30, 4, edge / 1.01)) is not None
+        assert _gram_polar(with_condition(rng, 30, 4, edge * 1.01)) is None
+
+    def test_top_r_only(self):
+        rng = np.random.default_rng(5)
+        y = crandn(rng, 30, 12)
+        u, s, vh = np.linalg.svd(y, full_matrices=False)
+        s_gram, polar = _gram_polar(y, 4)
+        assert s_gram.shape == (4,)
+        assert np.abs(s_gram - s[:4]).max() <= 1e-12 * s[0]
+        assert np.abs(polar() - u[:, :4] @ vh[:4]).max() <= 1e-12
 
 
 class TestRiemannianGrad:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindmimo import (
     build_constellation,
+    demodulate,
     build_frame,
     concentration_statistic,
     header_length,
@@ -41,6 +44,27 @@ class TestConstellation:
                 for j in range(c.size):
                     if 1e-9 < d[i, j] < dmin * 1.001:
                         assert int(np.sum(bits[i] != bits[j])) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["qpsk", "qam16"]),
+        shape=st.lists(st.integers(1, 5), min_size=0, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_labels(self, kind, shape, seed):
+        # Read big-endian, a label's bits spell the label; demodulating the
+        # labelled points gives back the labels and the same bits.
+        c = build_constellation(kind)
+        labels = np.random.default_rng(seed).integers(0, c.size, size=tuple(shape))
+        bits = c.bits_of(labels)
+        assert bits.shape == tuple(shape) + (c.bits_per_symbol,)
+        assert set(np.unique(bits)) <= {0, 1}
+        weights = 2 ** np.arange(c.bits_per_symbol - 1, -1, -1)
+        assert np.array_equal(bits @ weights, labels)
+        if labels.ndim == 2:
+            demod = demodulate(c.points[labels] / np.sqrt(labels.shape[1]), c)
+            assert np.array_equal(demod.indices, labels)
+            assert np.array_equal(demod.bits, bits)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
