@@ -17,26 +17,23 @@ from the reference symbol and the user-ID headers.
 The iteration and its projected-gradient baseline share one ascent loop;
 they differ only in their step: the polar factor of the gradient, or a
 backtracking line search along the Riemannian gradient.  The gradient's
-singular values (for eta) and its polar factor come from the eigendecomposition
-of its K x K Gram matrix, or from its compact SVD when that Gram is
-ill-conditioned.
+singular values (for eta) and its polar factor come from ``manifold._polar``,
+the only place that chooses between the eigendecomposition of its K x K Gram
+matrix and its compact SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .manifold import (
-    _RANK_RTOL,
     RankDeficientError,
     StiefelPoint,
-    _gram_polar,
-    _polar_factor,
+    _polar,
     _rank_deficient,
     nuclear_norm,
     polar_retract,
@@ -269,13 +266,14 @@ def _ascend(
     """The ascent loop both solvers share; only ``step`` differs.
 
     Each iterate costs one objective/gradient evaluation and one
-    factorization of the gradient (its Gram eigendecomposition, or its
-    compact SVD when the Gram is ill-conditioned), which gives eta; then
+    factorization of the gradient through ``_polar``, which gives eta; then
     come ``on_iterate`` and the stop rule (``eta_tol``, ``obj_tol``,
     ``max_iters``).  Otherwise ``step(a, obj, grad, polar)`` returns the next
     iterate, or None (no ascent: stop with ``obj_tol``), and the objective
     evaluations it spent; ``polar()`` forms the gradient's polar factor,
-    raising RankDeficientError when the gradient is rank deficient.
+    raising RankDeficientError when the gradient is rank deficient.  An
+    all-zero gradient raises RankDeficientError at once: its eta of 0 would
+    otherwise pass the stop rule at objective 0, the minimum.
     """
     yh = y.conj().T
     objs: list[float] = []
@@ -283,11 +281,9 @@ def _ascend(
     n_evals = 0
     for j in range(opts.max_iters + 1):
         obj, grad = _evaluate(y, a.a, isg, opts.p_exponent, yh)
-        fast = _gram_polar(grad)
-        if fast is None:
-            u, s, vh = np.linalg.svd(grad, full_matrices=False)
-            fast = s, partial(_polar_factor, u, s, vh)
-        s, polar = fast
+        s, polar = _polar(grad)
+        if s[0] == 0.0:
+            raise RankDeficientError("the gradient vanishes")
         objs.append(obj)
         etas.append(_gap(float(s.sum()), a.a, grad))
         n_evals += 1
@@ -425,40 +421,26 @@ def resolve_ambiguity(
     return x_hat, resolution
 
 
-def precondition(y_bar: np.ndarray, k_users: Optional[int] = None) -> np.ndarray:
-    """Replace Ybar by its polar factor (all retained singular values set to 1).
+def precondition(y_bar: np.ndarray, k_users: int) -> np.ndarray:
+    """Replace Ybar by the polar factor of its top K singular directions.
 
     Useful when the frame is too short for its Gram matrix to concentrate:
-    the polar factor of Ybar restores an exactly orthonormal row space for
-    the solver to work against.
+    the result U_K V_K^H has K unit singular values and restores an exactly
+    orthonormal row space for the solver to work against.  The procedure's
+    whole premise is that the preconditioned block is a rank-K signal factor
+    plus a small error; keeping the trailing noise-only directions at unit
+    gain instead plants dense spurious attractors that derail the solver.
 
-    When ``k_users`` is given, only the top K singular directions are
-    retained (they must clear 1e-10 of the largest).  The procedure's whole
-    premise is that the preconditioned block is a rank-K signal factor plus
-    a small error; keeping the trailing noise-only directions at unit gain
-    instead plants dense spurious attractors that derail the solver.
-    Without ``k_users`` the polar factor keeps every direction above 1e-12
-    of the largest singular value.  For a tall block with K given, the
-    factor comes from the top K eigenpairs of the T x T Gram Ybar^H Ybar
-    unless the K-th eigenvalue is at most 1e-5 of the largest; otherwise,
-    and always without K, it comes from the compact SVD.
+    The factor comes from ``_polar(Ybar, K)``.  A block whose K-th singular
+    value is at most 1e-10 of the largest (or that has fewer than K) raises
+    RankDeficientError; ``k_users`` below 1 raises ValueError.
     """
-    y = np.asarray(y_bar, dtype=np.complex128)
-    if k_users is not None and 1 <= k_users <= y.shape[1] <= y.shape[0]:
-        fast = _gram_polar(y, k_users)
-        if fast is not None:
-            return fast[1]()
-    u, s, vh = np.linalg.svd(y, full_matrices=False)
-    if s[0] == 0.0:
-        raise RankDeficientError("cannot precondition an all-zero block")
-    if k_users is not None:
-        if k_users > s.size or s[k_users - 1] <= 1e-10 * s[0]:
-            raise RankDeficientError(
-                f"received block does not carry {k_users} usable directions"
-            )
-        return u[:, :k_users] @ vh[:k_users]
-    keep = s > _RANK_RTOL * s[0]
-    return u[:, keep] @ vh[keep]
+    if k_users < 1:
+        raise ValueError(f"k_users must be at least 1, got {k_users}")
+    s, factor = _polar(np.asarray(y_bar, dtype=np.complex128), k_users)
+    if s.size < k_users or s[-1] <= 1e-10 * s[0]:
+        raise RankDeficientError(f"received block does not carry {k_users} usable directions")
+    return factor()
 
 
 def postprocess(

@@ -57,7 +57,9 @@ __all__ = [
     "concentration_crossover",
 ]
 
-KNOWN_METHODS = ("l3", "l4", "rgd", "pilot")
+# Blind methods: the ``detector`` solver that ``detect`` runs, and its exponent.
+_BLIND_METHODS = {"l3": ("solve", 3), "l4": ("solve", 4), "rgd": ("riemannian_gd_baseline", 3)}
+KNOWN_METHODS = (*_BLIND_METHODS, "pilot")
 
 # Curve constants fitted to the concentration tail for QPSK frames.
 DEFAULT_CONCENTRATION_C = {4: 0.416, 8: 0.464}
@@ -174,10 +176,6 @@ def _stream(base_seed: int, *tags: Union[int, str]) -> np.random.Generator:
     return np.random.default_rng(_seed_sequence(base_seed, *tags))
 
 
-def _stream_seed(base_seed: int, *tags: Union[int, str]) -> int:
-    return int(_seed_sequence(base_seed, *tags).generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Everything all methods share within one trial."""
@@ -283,92 +281,58 @@ class TrialRecord:
         return cls(metrics=rec_metrics, **d)
 
 
-def _blind_metrics(
-    cfg: SystemConfig,
-    scenario: Scenario,
-    result: detector.DetectionResult,
-    elapsed: float,
-) -> TrialMetrics:
-    frame = scenario.frame
-    start = frame.payload_start
-    ser = metrics.symbol_error_rate(
-        result.symbol_indices[:, start:], frame.symbol_indices[:, start:]
-    )
-    ber = metrics.bit_error_rate(result.bits[:, start:], frame.payload_bits)
-    inv_snr = scenario.sigma_z2 / scenario.g_diag
-    _, upper = theoretical_objective_bound(cfg.m, cfg.k_users, scenario.theta_used, inv_snr)
-    return TrialMetrics(
-        evm=metrics.evm(result.x_hat, frame.x),
-        ser=ser,
-        ber=ber,
-        rate_blind=metrics.achievable_rate_blind(result.x_hat, frame.x, cfg.t_len),
-        rate_training=None,
-        normalized_objective=result.trace.final_objective / upper,
-        iters=result.trace.iters_run,
-        wall_time=elapsed,
-    )
-
-
-def _run_blind_method(
+def _run_method(
     cfg: SystemConfig, scenario: Scenario, method: str, rng: np.random.Generator
-) -> Tuple[TrialMetrics, SolveTrace]:
-    c = build_constellation(cfg.constellation)
-    opts = cfg.solver
-    if method == "l3":
-        opts = replace(opts, p_exponent=3)
-        solver = detector.solve
-    elif method == "l4":
-        opts = replace(opts, p_exponent=4)
-        solver = detector.solve
-    elif method == "rgd":
-        opts = replace(opts, p_exponent=3)
-        solver = detector.riemannian_gd_baseline
-    else:
-        raise ValueError(f"unknown blind method {method!r}")
-    t0 = time.perf_counter()
-    result = detector.detect(
-        scenario.y_bar, scenario.g_diag, scenario.frame.meta, c, opts, rng, solver=solver
-    )
-    elapsed = time.perf_counter() - t0
-    return _blind_metrics(cfg, scenario, result, elapsed), result.trace
-
-
-def _run_pilot_method(
-    cfg: SystemConfig, scenario: Scenario, rng: np.random.Generator
-) -> TrialMetrics:
+) -> Tuple[TrialMetrics, Optional[SolveTrace]]:
+    """Run one method on a scenario; the trace is None for the pilot baseline."""
     c = build_constellation(cfg.constellation)
     frame = scenario.frame
-    # Training phase: random unit-power pilot symbols with their own noise.
-    # The 1/sqrt(T) frame scaling is a data-concentration device and does not
-    # apply to pilots; unit symbol power keeps the l1 weight on a sane scale.
-    idx = rng.integers(0, c.size, size=(cfg.k_users, cfg.t_pilot))
-    x_pilot = c.points[idx] * np.sqrt(scenario.p_diag)[:, np.newaxis]
-    noise = (
-        rng.standard_normal((cfg.m, cfg.t_pilot))
-        + 1j * rng.standard_normal((cfg.m, cfg.t_pilot))
-    ) * np.sqrt(scenario.sigma_z2 / 2.0)
-    y_train = (scenario.channel.h_bar * np.sqrt(scenario.g_diag)[np.newaxis, :]) @ x_pilot + noise
-    t0 = time.perf_counter()
-    x_hat = detector.pilot_zf_baseline(
-        y_train, x_pilot, scenario.y_bar, scenario.g_diag, cfg.pilot_lambda
-    )
-    elapsed = time.perf_counter() - t0
-    demod = detector.demodulate(x_hat, c)
+    trace = None
+    if method == "pilot":
+        # Training phase: random unit-power pilot symbols with their own
+        # noise.  The 1/sqrt(T) frame scaling is a data-concentration device
+        # and does not apply to pilots; unit symbol power keeps the l1 weight
+        # on a sane scale.
+        idx = rng.integers(0, c.size, size=(cfg.k_users, cfg.t_pilot))
+        x_pilot = c.points[idx] * np.sqrt(scenario.p_diag)[:, np.newaxis]
+        noise = (
+            rng.standard_normal((cfg.m, cfg.t_pilot))
+            + 1j * rng.standard_normal((cfg.m, cfg.t_pilot))
+        ) * np.sqrt(scenario.sigma_z2 / 2.0)
+        y_train = (scenario.channel.h_bar * np.sqrt(scenario.g_diag)[np.newaxis, :]) @ x_pilot + noise
+        t0 = time.perf_counter()
+        x_hat = detector.pilot_zf_baseline(
+            y_train, x_pilot, scenario.y_bar, scenario.g_diag, cfg.pilot_lambda
+        )
+        elapsed = time.perf_counter() - t0
+        demod = detector.demodulate(x_hat, c)
+        indices, bits = demod.indices, demod.bits
+    else:
+        name, p = _BLIND_METHODS[method]
+        opts = replace(cfg.solver, p_exponent=p)
+        t0 = time.perf_counter()
+        result = detector.detect(
+            scenario.y_bar, scenario.g_diag, frame.meta, c, opts, rng,
+            solver=getattr(detector, name),
+        )
+        elapsed = time.perf_counter() - t0
+        x_hat, indices, bits, trace = result.x_hat, result.symbol_indices, result.bits, result.trace
+        inv_snr = scenario.sigma_z2 / scenario.g_diag
+        _, upper = theoretical_objective_bound(cfg.m, cfg.k_users, scenario.theta_used, inv_snr)
     start = frame.payload_start
     return TrialMetrics(
         evm=metrics.evm(x_hat, frame.x),
-        ser=metrics.symbol_error_rate(
-            demod.indices[:, start:], frame.symbol_indices[:, start:]
+        ser=metrics.symbol_error_rate(indices[:, start:], frame.symbol_indices[:, start:]),
+        ber=metrics.bit_error_rate(bits[:, start:], frame.payload_bits),
+        rate_blind=None if trace is None else metrics.achievable_rate_blind(x_hat, frame.x, cfg.t_len),
+        rate_training=(
+            metrics.achievable_rate_training(x_hat, frame.x, cfg.t_len, cfg.t_pilot)
+            if trace is None else None
         ),
-        ber=metrics.bit_error_rate(demod.bits[:, start:], frame.payload_bits),
-        rate_blind=None,
-        rate_training=metrics.achievable_rate_training(
-            x_hat, frame.x, cfg.t_len, cfg.t_pilot
-        ),
-        normalized_objective=None,
-        iters=0,
+        normalized_objective=None if trace is None else trace.final_objective / upper,
+        iters=0 if trace is None else trace.iters_run,
         wall_time=elapsed,
-    )
+    ), trace
 
 
 def run_sweep(
@@ -396,31 +360,28 @@ def run_sweep(
             scenario = build_scenario(cfg_i, _stream(cfg.base_seed, si, trial, "scenario"))
             digest = scenario.digest
             for method in methods:
-                seed = _stream_seed(cfg.base_seed, si, trial, method)
-                rng = _stream(cfg.base_seed, si, trial, method)
-                error, restarts = None, 0
+                seq = _seed_sequence(cfg.base_seed, si, trial, method)
+                error, trace = None, None
+                iters, stop_reason, final_eta, restarts = 0, "obj_tol", 0.0, 0
                 try:
-                    if method == "pilot":
-                        tm = _run_pilot_method(cfg_i, scenario, rng)
-                        iters, stop_reason, final_eta = 0, "obj_tol", 0.0
-                    else:
-                        tm, trace = _run_blind_method(cfg_i, scenario, method, rng)
-                        iters, stop_reason, final_eta, restarts = (
-                            trace.iters_run,
-                            trace.stop_reason,
-                            trace.final_eta,
-                            trace.restarts,
-                        )
+                    tm, trace = _run_method(cfg_i, scenario, method, np.random.default_rng(seq))
                 except (detector.DegenerateGradientError, RankDeficientError) as exc:
-                    tm, iters, stop_reason, final_eta = None, 0, "error", float("nan")
+                    tm, stop_reason, final_eta = None, "error", float("nan")
                     error = f"{type(exc).__name__}: {exc}"
+                if trace is not None:
+                    iters, stop_reason, final_eta, restarts = (
+                        trace.iters_run,
+                        trace.stop_reason,
+                        trace.final_eta,
+                        trace.restarts,
+                    )
                 yield TrialRecord(
                     fingerprint=fingerprint,
                     sweep_param=sweep_param,
                     sweep_value=float(value),
                     method=method,
                     trial=trial,
-                    seed=seed,
+                    seed=int(seq.generate_state(1)[0]),
                     scenario_digest=digest,
                     metrics=tm,
                     iters=iters,
@@ -518,7 +479,8 @@ def run_convergence_experiment(
     for name, cfg in variants.items():
         if cfg.channel_model != "bernoulli_gaussian":
             raise ValueError("convergence experiment expects the bernoulli_gaussian model")
-        sigma = _noise_variance(cfg, np.ones(cfg.k_users))
+        ones = np.ones(cfg.k_users)
+        sigma = _noise_variance(cfg, ones)
         _, upper = theoretical_objective_bound(
             cfg.m, cfg.k_users, cfg.theta, np.full(cfg.k_users, sigma)
         )
@@ -527,12 +489,8 @@ def run_convergence_experiment(
             rng = _stream(base_seed, "convergence", trial)
             x = random_stiefel(cfg.t_len, cfg.k_users, rng).a.conj().T
             channel = bernoulli_gaussian_channel(cfg.m, cfg.k_users, cfg.theta, rng)
-            noise = (
-                rng.standard_normal((cfg.m, cfg.t_len))
-                + 1j * rng.standard_normal((cfg.m, cfg.t_len))
-            ) * np.sqrt(sigma / 2.0)
-            y_bar = channel.h_bar @ x + noise
-            _, trace = detector.solve(y_bar, np.ones(cfg.k_users), cfg.solver, rng)
+            y_bar = synthesize_received(channel, x, ones, ones, sigma, rng).y_bar
+            _, trace = detector.solve(y_bar, ones, cfg.solver, rng)
             traces.append(trace.objective_per_iter / upper)
         out[name] = {"upper_bound": upper, "traces": traces, "sigma_z2": sigma}
     return out

@@ -6,9 +6,11 @@ of operations every solver in the package is built on: Haar-uniform sampling,
 the polar-decomposition retraction, tangent-space projection of a Euclidean
 gradient, and the nuclear norm.
 
-Polar factors of tall matrices come from the eigendecomposition of the small
-K x K Gram matrix m^H m; when that Gram is ill-conditioned, which squares
-the condition number of m, they come from the compact SVD instead.
+``_polar`` is the only place that chooses how singular values and polar
+factors are computed: a tall matrix goes through the eigendecomposition of
+its small K x K Gram matrix m^H m, and anything else, or a Gram too
+ill-conditioned to trust (forming it squares the condition number of m),
+through the compact SVD.
 
 All functions are pure; random state is owned by the caller.
 """
@@ -162,9 +164,9 @@ def polar_retract(m: np.ndarray) -> StiefelPoint:
     For full-column-rank input this is the unique maximiser of Re<m, A> over
     the Stiefel manifold, and the nearest Stiefel point in Frobenius norm.
 
-    The factor is m (m^H m)^(-1/2), from the eigendecomposition of the
-    Gram; when its smallest eigenvalue is at most 1e-5 of the largest it
-    is U V^H from the SVD instead.
+    The factor comes from ``_polar``: m (m^H m)^(-1/2) from the
+    eigendecomposition of the Gram, or U V^H from the SVD when the Gram's
+    smallest eigenvalue is at most 1e-5 of the largest.
 
     Raises
     ------
@@ -174,24 +176,12 @@ def polar_retract(m: np.ndarray) -> StiefelPoint:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[1] > m.shape[0]:
         raise ValueError(f"expected a tall matrix, got shape {m.shape}")
-    fast = _gram_polar(m)
-    if fast is None:
-        return StiefelPoint(_polar_factor(*np.linalg.svd(m, full_matrices=False)))
-    return StiefelPoint(fast[1]())
+    return StiefelPoint(_polar(m)[1]())
 
 
 def _rank_deficient(s: np.ndarray) -> bool:
     """Whether descending singular values ``s`` mark a rank-deficient matrix."""
     return s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]
-
-
-def _polar_factor(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """Polar factor U V^H of a compact SVD already taken; see ``polar_retract``."""
-    if _rank_deficient(s):
-        raise RankDeficientError(
-            f"rank-deficient input: singular values span [{s[-1]:.3e}, {s[0]:.3e}]"
-        )
-    return u @ vh
 
 
 def _gram_polar(
@@ -202,7 +192,7 @@ def _gram_polar(
     Returns the descending singular values and a function that forms
     m V Sigma^-1 V^H from the kept eigenpairs, so callers that only need
     the singular values skip that product.  Returns None when the r-th
-    eigenvalue is at most ``_GRAM_RTOL`` of the largest; the caller then
+    eigenvalue is at most ``_GRAM_RTOL`` of the largest; ``_polar`` then
     takes the SVD route.  With all eigenpairs kept, a Gram diagonal spread
     past that cut proves it without the eigendecomposition, since the
     extreme eigenvalues bracket the diagonal.
@@ -217,6 +207,34 @@ def _gram_polar(
         return None
     s = np.sqrt(lam)
     return s, lambda: m @ ((v / s) @ v.conj().T)
+
+
+def _polar(
+    m: np.ndarray, r: Optional[int] = None
+) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Top ``r`` (default all) singular values of ``m`` and a function forming its polar factor.
+
+    A tall ``m`` takes ``_gram_polar`` when that accepts; anything else takes
+    the compact SVD, whose function forms U V^H from the kept singular
+    vectors and raises RankDeficientError when the kept singular values fail
+    the 1e-12 rank test.  Callers that need only the singular values never
+    call the function.
+    """
+    if m.shape[1] <= m.shape[0]:
+        fast = _gram_polar(m, r)
+        if fast is not None:
+            return fast
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    u, s, vh = u[:, :r], s[:r], vh[:r]
+
+    def factor() -> np.ndarray:
+        if _rank_deficient(s):
+            raise RankDeficientError(
+                f"rank-deficient input: singular values span [{s[-1]:.3e}, {s[0]:.3e}]"
+            )
+        return u @ vh
+
+    return s, factor
 
 
 def riemannian_grad(a: StiefelPoint, euclid_grad: np.ndarray) -> TangentDirection:
@@ -237,5 +255,4 @@ def riemannian_grad(a: StiefelPoint, euclid_grad: np.ndarray) -> TangentDirectio
 
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of singular values of ``m``."""
-    m = np.asarray(m)
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return float(_polar(np.asarray(m))[0].sum())

@@ -25,8 +25,8 @@ from blindmimo import detector
 from blindmimo.harness import (
     _draw_fading,
     _noise_variance,
+    _seed_sequence,
     _stream,
-    _stream_seed,
     concentration_crossover,
     concentration_tail_bound,
     build_scenario,
@@ -327,7 +327,8 @@ class TestStreamDerivation:
             a = _stream(0, *tags).standard_normal(4)
             b = _stream(2**32, *tags).standard_normal(4)
             assert not np.array_equal(a, b)
-            assert _stream_seed(0, *tags) != _stream_seed(2**32, *tags)
+            assert (_seed_sequence(0, *tags).generate_state(1)[0]
+                    != _seed_sequence(2**32, *tags).generate_state(1)[0])
 
     def test_scenario_digest_hashes_the_bytes(self):
         sc = build_scenario(tiny_config(), _stream(3, 0, 0, "scenario"))
@@ -341,7 +342,7 @@ class TestStreamDerivation:
     def test_stream_seed_matches_stream(self):
         # Seeds below 2**32 keep their streams: the seed words are the base
         # seed followed by the tags, for both helpers.
-        seed = _stream_seed(7, 0, 3, "l3")
+        seed = int(_seed_sequence(7, 0, 3, "l3").generate_state(1)[0])
         words = [7, 0, 3, zlib.crc32(b"l3")]
         assert seed == int(np.random.SeedSequence(words).generate_state(1)[0])
         expected = np.random.default_rng(np.random.SeedSequence(words)).standard_normal(4)

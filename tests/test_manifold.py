@@ -12,7 +12,7 @@ from blindmimo import (
     real_inner,
     riemannian_grad,
 )
-from blindmimo.manifold import _GRAM_RTOL, _gram_polar
+from blindmimo.manifold import _GRAM_RTOL, _gram_polar, _polar
 
 
 def crandn(rng, *shape):
@@ -183,6 +183,36 @@ class TestGramPolar:
         assert s_gram.shape == (4,)
         assert np.abs(s_gram - s[:4]).max() <= 1e-12 * s[0]
         assert np.abs(polar() - u[:, :4] @ vh[:4]).max() <= 1e-12
+
+
+class TestPolar:
+    @pytest.mark.parametrize("kappa", [1e4, 1e8])
+    @pytest.mark.parametrize("r", [None, 7])
+    def test_ill_conditioned_matches_svd_bit_for_bit(self, kappa, r):
+        m = with_condition(np.random.default_rng(6), 240, 8, kappa)
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        s_got, polar = _polar(m, r)
+        assert np.array_equal(s_got, s[:r])
+        assert np.array_equal(polar(), u[:, :r] @ vh[:r])
+
+    def test_well_conditioned_takes_gram(self):
+        m = with_condition(np.random.default_rng(7), 40, 8, 10.0)
+        s_gram, _ = _gram_polar(m)
+        assert np.array_equal(_polar(m)[0], s_gram)
+
+    def test_wide_takes_svd(self):
+        m = crandn(np.random.default_rng(8), 3, 7)
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        s_got, polar = _polar(m)
+        assert np.array_equal(s_got, s)
+        assert np.array_equal(polar(), u @ vh)
+
+    @pytest.mark.parametrize("shape", [(6, 2), (2, 6)])
+    def test_zero_raises(self, shape):
+        s, polar = _polar(np.zeros(shape, dtype=complex))
+        assert not s.any()
+        with pytest.raises(RankDeficientError):
+            polar()
 
 
 class TestRiemannianGrad:
