@@ -21,11 +21,11 @@ def main():
     chan = bm.bernoulli_gaussian_channel(M, K, THETA, rng)
     g = np.ones(K)
     sigma = bm.snr_to_noise_variance(SNR_DB, K, T)
-    rx = bm.synthesize_received(chan, frame, g, g, sigma, rng)
+    y_bar = bm.synthesize_received(chan, frame, g, g, sigma, rng)
     print(f"channel: {M}x{K}, {np.count_nonzero(chan.h_bar)} nonzero entries "
           f"(theta_effective {chan.theta_effective:.3f}), noise variance {sigma:.2e}")
 
-    res = bm.detect(rx.y_bar, g, frame.meta, c, bm.SolverOptions(), rng)
+    res = bm.detect(y_bar, g, frame.meta, c, bm.SolverOptions(), rng)
     tr = res.trace
     print(f"\nsolver stopped after {tr.iters_run} steps ({tr.stop_reason}), "
           f"final eta {tr.final_eta:.2e}")

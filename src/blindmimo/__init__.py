@@ -25,7 +25,6 @@ from .detector import (
     demodulate,
     detect,
     euclid_grad,
-    genie_align,
     iterate,
     objective,
     optimality_eta,
@@ -71,7 +70,6 @@ from .metrics import (
 from .signal import (
     Constellation,
     FrameMeta,
-    ReceivedSignal,
     TransmitFrame,
     build_constellation,
     build_frame,

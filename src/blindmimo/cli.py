@@ -19,6 +19,7 @@ import numpy as np
 
 from .harness import (
     SystemConfig,
+    _write_dat,
     emit_report,
     iterations_to_level,
     read_records,
@@ -94,10 +95,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             vals = [t[min(j, len(t) - 1)] for t in traces]
             mean_curve[j] = float(np.mean(vals))
         path = os.path.join(args.out, f"plot_convergence_{name}.dat")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# iteration mean_normalized_objective\n")
-            for j, v in enumerate(mean_curve):
-                fh.write(f"{j} {v!r}\n")
+        _write_dat(path, "iteration mean_normalized_objective", enumerate(mean_curve))
         crossings = [iterations_to_level(t, args.level) for t in traces]
         summary[name] = {
             "upper_bound": res["upper_bound"],
@@ -129,14 +127,15 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     for k in k_list:
         path = os.path.join(args.out, f"plot_concentration_k{k}.dat")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# t_len empirical theoretical crossover_t\n")
-            for row in rows:
-                if row["k_users"] == k:
-                    fh.write(
-                        f"{row['t_len']} {row['empirical']!r} "
-                        f"{row['theoretical']!r} {row['crossover_t']!r}\n"
-                    )
+        _write_dat(
+            path,
+            "t_len empirical theoretical crossover_t",
+            [
+                (row["t_len"], row["empirical"], row["theoretical"], row["crossover_t"])
+                for row in rows
+                if row["k_users"] == k
+            ],
+        )
         print(path)
     return 0
 

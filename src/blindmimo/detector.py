@@ -62,12 +62,14 @@ __all__ = [
     "detect",
     "riemannian_gd_baseline",
     "pilot_zf_baseline",
-    "soft_threshold",
-    "genie_align",
 ]
 
 # Absolute slack allowed when asserting the monotone-ascent guarantee.
 MONOTONE_SLACK = 1e-12
+
+# Proximal-gradient budget of the pilot baseline's channel estimate.
+_PILOT_MAX_ITERS = 500
+_PILOT_REL_TOL = 1e-8
 
 
 class DegenerateGradientError(RuntimeError):
@@ -470,10 +472,9 @@ def _least_squares(d: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
 
 
 class DemodResult(NamedTuple):
-    """Nearest-point decisions: labels, points, and Gray-decoded bits."""
+    """Nearest-point decisions: labels and Gray-decoded bits."""
 
     indices: np.ndarray
-    symbols: np.ndarray
     bits: np.ndarray
 
 
@@ -487,7 +488,7 @@ def demodulate(x_hat: np.ndarray, c: Constellation) -> DemodResult:
     v = x * np.sqrt(x.shape[1])
     dist = np.abs(v[..., np.newaxis] - c.points[np.newaxis, np.newaxis, :])
     indices = np.argmin(dist, axis=-1)
-    return DemodResult(indices, c.points[indices], c.bits_of(indices))
+    return DemodResult(indices, c.bits_of(indices))
 
 
 @dataclass(frozen=True)
@@ -495,7 +496,6 @@ class DetectionResult:
     """Full output of the blind detection pipeline for one block."""
 
     x_hat: np.ndarray
-    x_hat_symbols: np.ndarray
     symbol_indices: np.ndarray
     bits: np.ndarray
     trace: SolveTrace
@@ -536,7 +536,6 @@ def detect(
     demod = demodulate(x_hat, c)
     return DetectionResult(
         x_hat=x_hat,
-        x_hat_symbols=demod.symbols,
         symbol_indices=demod.indices,
         bits=demod.bits,
         trace=trace,
@@ -578,7 +577,7 @@ def riemannian_gd_baseline(
     return _ascend(y, isg, a, opts, line_search)
 
 
-def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
+def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     """Complex soft-thresholding: shrink magnitudes by ``tau``, keep phases."""
     mag = np.abs(v)
     scale = np.maximum(0.0, 1.0 - tau / np.where(mag == 0, 1.0, mag))
@@ -591,8 +590,6 @@ def pilot_zf_baseline(
     y_bar_data: np.ndarray,
     g_diag: np.ndarray,
     lam: float,
-    max_iters: int = 500,
-    rel_tol: float = 1e-8,
 ) -> np.ndarray:
     """Training-based reference: l1-regularized channel estimate, then zero forcing.
 
@@ -602,9 +599,9 @@ def pilot_zf_baseline(
         min_H  (1/2) ||Ytrain - H G^(1/2) Xtrain||_F^2 + lam ||H||_1
 
     with step 1 / L, L the squared spectral norm of the pilot operator, run
-    for ``max_iters`` iterations or until the relative update drops below
-    ``rel_tol``.  Data is then detected by least squares against the
-    estimated effective channel.
+    for 500 iterations or until the relative update drops below 1e-8.  Data
+    is then detected by least squares against the estimated effective
+    channel.
     """
     y_t = np.asarray(y_bar_train, dtype=np.complex128)
     x_t = np.asarray(x_train, dtype=np.complex128)
@@ -618,31 +615,12 @@ def pilot_zf_baseline(
         raise ValueError("pilot matrix is zero")
     step = 1.0 / lip
     h = np.zeros((y_t.shape[0], k), dtype=np.complex128)
-    for _ in range(max_iters):
+    for _ in range(_PILOT_MAX_ITERS):
         resid = h @ b - y_t
-        h_new = soft_threshold(h - step * (resid @ b.conj().T), lam * step)
+        h_new = _soft_threshold(h - step * (resid @ b.conj().T), lam * step)
         change = np.linalg.norm(h_new - h)
         h = h_new
-        if change <= rel_tol * max(np.linalg.norm(h), 1e-300):
+        if change <= _PILOT_REL_TOL * max(np.linalg.norm(h), 1e-300):
             break
     return _least_squares(h * sqrt_g[np.newaxis, :], np.asarray(y_bar_data), "zero-forcing matrix")
 
-
-def genie_align(x_est: np.ndarray, x_true: np.ndarray) -> np.ndarray:
-    """Genie-aided alignment for debugging only (uses the true frame).
-
-    Assigns estimate rows to true rows by maximal absolute correlation and
-    fits each row's phase, sidestepping the reference-symbol protocol.  Not
-    part of the blind receiver; use it to separate solver error from
-    ambiguity-resolution error.
-    """
-    est = np.asarray(x_est, dtype=np.complex128)
-    true = np.asarray(x_true, dtype=np.complex128)
-    corr = est @ true.conj().T  # row-by-row correlations, estimate vs truth
-    rows, users = linear_sum_assignment(-np.abs(corr))
-    perm = np.empty(est.shape[0], dtype=np.int64)
-    perm[users] = rows
-    aligned = est[perm]
-    inner = np.sum(aligned * true.conj(), axis=1)
-    phases = np.where(np.abs(inner) == 0, 1.0, np.abs(inner) / inner)
-    return aligned * phases[:, np.newaxis]

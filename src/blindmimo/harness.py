@@ -111,6 +111,13 @@ class SystemConfig:
             raise ValueError(f"unknown fading model {self.fading_model!r}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
+        if self.n_paths < 1:
+            raise ValueError("n_paths must be positive")
+        if self.sigma_z2 is not None and self.sigma_z2 < 0:
+            raise ValueError("sigma_z2 must be nonnegative")
+        if self.pilot_lambda < 0:
+            raise ValueError("pilot_lambda must be nonnegative")
+        self.power_vector()
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if not 1 <= self.t_pilot < self.t_len:
@@ -229,7 +236,7 @@ def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
     sigma_z2 = _noise_variance(cfg, g)
     channel = _draw_channel(cfg, rng)
     frame = build_frame(cfg.k_users, cfg.t_len, c, rng)
-    received = synthesize_received(channel, frame, g, p, sigma_z2, rng)
+    y_bar = synthesize_received(channel, frame, g, p, sigma_z2, rng)
     theta_used = cfg.theta if cfg.channel_model == "bernoulli_gaussian" else channel.theta_effective
     return Scenario(
         channel=channel,
@@ -237,7 +244,7 @@ def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
         g_diag=g,
         p_diag=p,
         sigma_z2=sigma_z2,
-        y_bar=received.y_bar,
+        y_bar=y_bar,
         theta_used=theta_used,
     )
 
@@ -295,11 +302,9 @@ def _run_method(
         # on a sane scale.
         idx = rng.integers(0, c.size, size=(cfg.k_users, cfg.t_pilot))
         x_pilot = c.points[idx] * np.sqrt(scenario.p_diag)[:, np.newaxis]
-        noise = (
-            rng.standard_normal((cfg.m, cfg.t_pilot))
-            + 1j * rng.standard_normal((cfg.m, cfg.t_pilot))
-        ) * np.sqrt(scenario.sigma_z2 / 2.0)
-        y_train = (scenario.channel.h_bar * np.sqrt(scenario.g_diag)[np.newaxis, :]) @ x_pilot + noise
+        y_train = synthesize_received(
+            scenario.channel, x_pilot, scenario.g_diag, np.ones(cfg.k_users), scenario.sigma_z2, rng
+        )
         t0 = time.perf_counter()
         x_hat = detector.pilot_zf_baseline(
             y_train, x_pilot, scenario.y_bar, scenario.g_diag, cfg.pilot_lambda
@@ -392,6 +397,12 @@ def run_sweep(
                 )
 
 
+def _concentration_delta(threshold: float, s_infinity: float) -> float:
+    """The delta whose level (1/ln 2) * S_inf^2 * max(delta, delta^2) equals ``threshold``."""
+    tau = threshold * np.log(2.0) / s_infinity**2
+    return tau if tau <= 1.0 else np.sqrt(tau)
+
+
 def concentration_tail_bound(
     t_len: int, k_users: int, threshold: float, c_const: float, s_infinity: float = 1.0
 ) -> float:
@@ -402,8 +413,7 @@ def concentration_tail_bound(
     requested threshold gives the delta that enters the exponent
     2 exp(-(delta sqrt(T) / C - sqrt(K))^2).
     """
-    tau = threshold * np.log(2.0) / s_infinity**2
-    delta = tau if tau <= 1.0 else np.sqrt(tau)
+    delta = _concentration_delta(threshold, s_infinity)
     return float(2.0 * np.exp(-((delta * np.sqrt(t_len) / c_const - np.sqrt(k_users)) ** 2)))
 
 
@@ -411,8 +421,7 @@ def concentration_crossover(
     k_users: int, threshold: float, c_const: float, s_infinity: float = 1.0
 ) -> float:
     """Smallest T at which the tail bound drops below 1 (becomes informative)."""
-    tau = threshold * np.log(2.0) / s_infinity**2
-    delta = tau if tau <= 1.0 else np.sqrt(tau)
+    delta = _concentration_delta(threshold, s_infinity)
     return float((c_const * (np.sqrt(k_users) + np.sqrt(np.log(2.0))) / delta) ** 2)
 
 
@@ -422,25 +431,24 @@ def run_concentration_experiment(
     delta_sq: float,
     trials: int,
     constellation: str = "qpsk",
-    c_by_k: Optional[Dict[int, float]] = None,
     base_seed: int = 0,
 ) -> List[dict]:
     """Empirical vs. theoretical Gram-concentration tail over i.i.d. frames.
 
     Counts the frequency of ||XX^H - I||_F / sqrt(K) exceeding sqrt(delta_sq)
     for i.i.d. constellation matrices normalized by 1/sqrt(T), next to the
-    exponential tail bound with the supplied (or default) curve constant C.
+    exponential tail bound with the fitted curve constant C of
+    ``DEFAULT_CONCENTRATION_C`` (K = 4 and K = 8).
     """
     if trials < 100:
         raise ValueError("need at least 100 trials per point")
     c = build_constellation(constellation)
-    c_by_k = {**DEFAULT_CONCENTRATION_C, **(c_by_k or {})}
     threshold = math.sqrt(delta_sq)
     rows = []
     for k in k_list:
-        if k not in c_by_k:
-            raise ValueError(f"no curve constant supplied for K={k}")
-        c_const = c_by_k[k]
+        if k not in DEFAULT_CONCENTRATION_C:
+            raise ValueError(f"no curve constant for K={k}")
+        c_const = DEFAULT_CONCENTRATION_C[k]
         for t in t_list:
             rng = _stream(base_seed, "concentration", k, t)
             exceed = 0
@@ -489,7 +497,7 @@ def run_convergence_experiment(
             rng = _stream(base_seed, "convergence", trial)
             x = random_stiefel(cfg.t_len, cfg.k_users, rng).a.conj().T
             channel = bernoulli_gaussian_channel(cfg.m, cfg.k_users, cfg.theta, rng)
-            y_bar = synthesize_received(channel, x, ones, ones, sigma, rng).y_bar
+            y_bar = synthesize_received(channel, x, ones, ones, sigma, rng)
             _, trace = detector.solve(y_bar, ones, cfg.solver, rng)
             traces.append(trace.objective_per_iter / upper)
         out[name] = {"upper_bound": upper, "traces": traces, "sigma_z2": sigma}
@@ -521,6 +529,14 @@ def _ci95_halfwidth(values: np.ndarray) -> float:
     if n < 2:
         return 0.0
     return float(stats.t.ppf(0.975, n - 1) * values.std(ddof=1) / math.sqrt(n))
+
+
+def _write_dat(path, header: str, rows: Iterable[Sequence[float]]) -> None:
+    """Write a whitespace-delimited plot file: ints as written, every other value as repr(float)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# {header}\n")
+        for row in rows:
+            fh.write(" ".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) + "\n")
 
 
 def emit_report(records: Iterable[TrialRecord], out_dir) -> List[str]:
@@ -587,9 +603,6 @@ def emit_report(records: Iterable[TrialRecord], out_dir) -> List[str]:
 
     for method, rows in sorted(rows_by_method.items()):
         path = os.path.join(out_dir, f"plot_evm_{method}.dat")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# sweep_value mean_evm ci95_halfwidth\n")
-            for value, mean, ci in sorted(rows):
-                fh.write(f"{value!r} {mean!r} {ci!r}\n")
+        _write_dat(path, "sweep_value mean_evm ci95_halfwidth", sorted(rows))
         written.append(path)
     return written

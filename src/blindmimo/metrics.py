@@ -61,23 +61,8 @@ class TrialMetrics:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def evm(x_hat: np.ndarray, x_true: np.ndarray) -> float:
-    """Average per-user normalized squared error.
-
-    (1/K) * sum_k ||xhat_k - x_k||^2 / ||x_k||^2 over rows.
-    """
-    a = np.asarray(x_hat)
-    b = np.asarray(x_true)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ref = np.sum(np.abs(b) ** 2, axis=1)
-    if not np.all(ref > 0):
-        raise ValueError("true frame has an all-zero row")
-    err = np.sum(np.abs(a - b) ** 2, axis=1)
-    return float(np.mean(err / ref))
-
-
-def _row_sinr(x_hat: np.ndarray, x_true: np.ndarray) -> np.ndarray:
+def _row_energies(x_hat: np.ndarray, x_true: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row error energy ||xhat_k - x_k||^2 and signal energy ||x_k||^2."""
     a = np.asarray(x_hat)
     b = np.asarray(x_true)
     if a.shape != b.shape:
@@ -85,7 +70,20 @@ def _row_sinr(x_hat: np.ndarray, x_true: np.ndarray) -> np.ndarray:
     sig = np.sum(np.abs(b) ** 2, axis=1)
     if not np.all(sig > 0):
         raise ValueError("true frame has an all-zero row")
-    err = np.sum(np.abs(a - b) ** 2, axis=1)
+    return np.sum(np.abs(a - b) ** 2, axis=1), sig
+
+
+def evm(x_hat: np.ndarray, x_true: np.ndarray) -> float:
+    """Average per-user normalized squared error.
+
+    (1/K) * sum_k ||xhat_k - x_k||^2 / ||x_k||^2 over rows.
+    """
+    err, sig = _row_energies(x_hat, x_true)
+    return float(np.mean(err / sig))
+
+
+def _row_sinr(x_hat: np.ndarray, x_true: np.ndarray) -> np.ndarray:
+    err, sig = _row_energies(x_hat, x_true)
     return sig / np.maximum(err, SINR_FLOOR * sig)
 
 

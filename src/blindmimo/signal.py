@@ -21,7 +21,6 @@ __all__ = [
     "Constellation",
     "TransmitFrame",
     "FrameMeta",
-    "ReceivedSignal",
     "build_constellation",
     "header_length",
     "build_frame",
@@ -210,25 +209,6 @@ def build_frame(
     )
 
 
-@dataclass(frozen=True)
-class ReceivedSignal:
-    """Angular-domain received block with its generating parameters."""
-
-    y_bar: np.ndarray
-    noise_variance: float
-    g_diag: np.ndarray
-    p_diag: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be nonnegative")
-        for name in ("g_diag", "p_diag"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.ndim != 1 or not np.all(v > 0):
-                raise ValueError(f"{name} must be a strictly positive vector")
-            object.__setattr__(self, name, v)
-
-
 def synthesize_received(
     hb: Union[ChannelRealization, np.ndarray],
     frame: Union[TransmitFrame, np.ndarray],
@@ -236,11 +216,12 @@ def synthesize_received(
     p_diag: np.ndarray,
     sigma_z2: float,
     rng: np.random.Generator,
-) -> ReceivedSignal:
-    """Synthesize Y = Hbar G^(1/2) P^(1/2) X + Z in the angular domain.
+) -> np.ndarray:
+    """Synthesize the M x T block Y = Hbar G^(1/2) P^(1/2) X + Z in the angular domain.
 
     Noise entries are i.i.d. circularly symmetric complex Gaussian with
     variance ``sigma_z2`` (real and imaginary parts each sigma_z2 / 2).
+    G and P must be strictly positive length-K vectors.
     """
     h = hb.h_bar if isinstance(hb, ChannelRealization) else np.asarray(hb)
     x = frame.x if isinstance(frame, TransmitFrame) else np.asarray(frame)
@@ -249,6 +230,8 @@ def synthesize_received(
     k = x.shape[0]
     if h.shape[1] != k or g.shape != (k,) or p.shape != (k,):
         raise ValueError("channel, frame, G and P disagree on the number of users")
+    if not (np.all(g > 0) and np.all(p > 0)):
+        raise ValueError("G and P must be strictly positive")
     if sigma_z2 < 0:
         raise ValueError("noise variance must be nonnegative")
     scale = np.sqrt(g * p)
@@ -256,8 +239,7 @@ def synthesize_received(
         rng.standard_normal((h.shape[0], x.shape[1]))
         + 1j * rng.standard_normal((h.shape[0], x.shape[1]))
     ) * np.sqrt(sigma_z2 / 2.0)
-    y_bar = (h * scale[np.newaxis, :]) @ x + noise
-    return ReceivedSignal(y_bar, float(sigma_z2), g, p)
+    return (h * scale[np.newaxis, :]) @ x + noise
 
 
 def snr_to_noise_variance(snr_db: float, k_users: int, t_len: int) -> float:

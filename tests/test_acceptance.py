@@ -57,7 +57,7 @@ def grid_runs():
                         chan = bm.bernoulli_gaussian_channel(m, k, theta, rng)
                         g = np.ones(k)
                         sigma = bm.snr_to_noise_variance(snr, k, t_len)
-                        rx = bm.synthesize_received(chan, frame, g, g, sigma, rng)
+                        y_bar = bm.synthesize_received(chan, frame, g, g, sigma, rng)
                         feas = []
 
                         def hook(pt, j, feas=feas):
@@ -66,7 +66,7 @@ def grid_runs():
                                     pt.a.conj().T @ pt.a - np.eye(pt.k_dim)))
                             )
 
-                        _, tr = bm.solve(rx.y_bar, g, SolverOptions(max_iters=150),
+                        _, tr = bm.solve(y_bar, g, SolverOptions(max_iters=150),
                                          rng, on_iterate=hook)
                         drops = np.diff(tr.objective_per_iter)
                         if drops.size:
@@ -209,15 +209,15 @@ def test_criterion_07_noiseless_recovery():
         rng = np.random.default_rng(44_000 + trial)
         frame = bm.build_frame(4, 100, c, rng)
         chan = bm.bernoulli_gaussian_channel(256, 4, 0.1, rng)
-        rx = bm.synthesize_received(chan, frame, g, g, 0.0, rng)
-        res = bm.detect(rx.y_bar, g, frame.meta, c, opts, rng)
+        y_bar = bm.synthesize_received(chan, frame, g, g, 0.0, rng)
+        res = bm.detect(y_bar, g, frame.meta, c, opts, rng)
         start = frame.payload_start
         ser = bm.symbol_error_rate(res.symbol_indices[:, start:],
                                    frame.symbol_indices[:, start:])
         # Near-optimal reference: the objective at the data-aligned feasible
         # point (the realized channel's own spike mass), vs. the large-M
         # expected level gamma1*M*K*theta.
-        planted = bm.objective(rx.y_bar, bm.polar_retract(frame.x.conj().T), g)
+        planted = bm.objective(y_bar, bm.polar_retract(frame.x.conj().T), g)
         expected_level = bm.GAMMA1 * 256 * 4 * 0.1
         final = res.trace.final_objective
         if ser == 0.0 and final >= 0.9 * planted:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 from blindmimo.cli import main
 
 
@@ -93,6 +95,7 @@ class TestConcentrationCommand:
         lines = (out / "plot_concentration_k4.dat").read_text().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) == 3
+        assert np.loadtxt(out / "plot_concentration_k4.dat").shape == (2, 4)
 
 
 class TestConvergenceCommand:
@@ -107,8 +110,9 @@ class TestConvergenceCommand:
         out = tmp_path / "conv"
         assert main(["convergence", "--config", str(cfg), "--out", str(out),
                      "--trials", "4"]) == 0
-        assert (out / "plot_convergence_base.dat").exists()
-        assert (out / "plot_convergence_theta_half.dat").exists()
+        for name in ("base", "theta_half"):
+            curve = np.loadtxt(out / f"plot_convergence_{name}.dat")
+            assert curve.ndim == 2 and curve.shape[1] == 2
         summary = json.loads((out / "convergence_summary.json").read_text())
         assert set(summary) == {"base", "theta_half"}
 

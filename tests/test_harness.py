@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from blindmimo import (
@@ -51,6 +53,15 @@ class TestSystemConfig:
             tiny_config(channel_model="rayleigh")
         with pytest.raises(ValueError):
             tiny_config(theta=0.0)
+        for power in (0.0, -1.0, (1.0, 1.0, 1.0), (1.0, 1.0, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="power"):
+                tiny_config(power=power)
+        with pytest.raises(ValueError, match="sigma_z2"):
+            tiny_config(sigma_z2=-1e-3)
+        with pytest.raises(ValueError, match="n_paths"):
+            tiny_config(n_paths=0)
+        with pytest.raises(ValueError, match="pilot_lambda"):
+            tiny_config(pilot_lambda=-0.5)
 
     def test_fewer_antennas_than_users_rejected(self):
         with pytest.raises(ValueError, match="M=4 < K=8"):
@@ -149,6 +160,26 @@ class TestRunSweep:
             assert r.error is None, r.error
             assert r.stop_reason in ("eta_tol", "obj_tol", "max_iters")
 
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        k=st.integers(1, 4),
+        t_len=st.integers(8, 16),
+        methods=st.sampled_from([("l3", "pilot"), ("l4", "rgd", "pilot")]),
+        fading=st.sampled_from(["identity", "log_distance"]),
+        precondition_on=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reruns_byte_identical(self, k, t_len, methods, fading, precondition_on, seed):
+        cfg = tiny_config(
+            k_users=k, t_len=t_len, n_h=16, trials=1, t_pilot=4, fading_model=fading,
+            base_seed=seed, solver=SolverOptions(max_iters=20, precondition=precondition_on),
+        )
+
+        def lines():
+            return [r.to_json() for r in run_sweep(cfg, "snr_db", [10.0, 30.0], methods)]
+
+        assert lines() == lines()
+
     def test_error_records_have_error_stop_reason(self):
         # Six pilots for eight users: the pilot baseline is rank deficient.
         cfg = tiny_config(k_users=8, n_h=256, t_len=40, trials=2, theta=0.1,
@@ -246,6 +277,7 @@ class TestEmitReport:
         dat = (tmp_path / "plot_evm_l3.dat").read_text().splitlines()
         assert dat[0].startswith("#")
         assert len(dat) == 3  # header + two sweep points
+        assert np.loadtxt(tmp_path / "plot_evm_l3.dat").shape == (2, 3)
 
 
 class TestConcentrationExperiment:

@@ -120,17 +120,17 @@ class TestSynthesizeReceived:
         f = build_frame(1, 16, c, np.random.default_rng(0))
         h = np.zeros((6, 1), dtype=complex)
         h[0, 0] = 1.0
-        rx = synthesize_received(h, f, np.ones(1), np.ones(1), 0.0, np.random.default_rng(1))
-        assert np.allclose(rx.y_bar[0], f.x[0])
-        assert np.abs(rx.y_bar[1:]).max() == 0.0
+        y_bar = synthesize_received(h, f, np.ones(1), np.ones(1), 0.0, np.random.default_rng(1))
+        assert np.allclose(y_bar[0], f.x[0])
+        assert np.abs(y_bar[1:]).max() == 0.0
 
     def test_noise_variance_moment(self):
         c = build_constellation("qpsk")
         f = build_frame(2, 500, c, np.random.default_rng(0))
         h = np.zeros((1000, 2), dtype=complex)
         sigma = 0.37
-        rx = synthesize_received(h, f, np.ones(2), np.ones(2), sigma, np.random.default_rng(1))
-        v = np.abs(rx.y_bar.ravel()) ** 2  # pure noise since the channel is zero
+        y_bar = synthesize_received(h, f, np.ones(2), np.ones(2), sigma, np.random.default_rng(1))
+        v = np.abs(y_bar.ravel()) ** 2  # pure noise since the channel is zero
         se = v.std(ddof=1) / np.sqrt(v.size)
         assert abs(v.mean() - sigma) < 3 * se
 
@@ -140,6 +140,14 @@ class TestSynthesizeReceived:
         with pytest.raises(ValueError):
             synthesize_received(np.zeros((4, 2), complex), f, np.ones(2), np.ones(2), -1.0,
                                 np.random.default_rng(0))
+
+    def test_nonpositive_gains_rejected(self):
+        c = build_constellation("qpsk")
+        f = build_frame(2, 16, c, np.random.default_rng(0))
+        h = np.zeros((4, 2), complex)
+        for g, p in ((np.array([1.0, 0.0]), np.ones(2)), (np.ones(2), np.array([1.0, -1.0]))):
+            with pytest.raises(ValueError, match="strictly positive"):
+                synthesize_received(h, f, g, p, 0.0, np.random.default_rng(0))
 
     def test_snr_mapping(self):
         assert snr_to_noise_variance(0.0, 8, 240) == pytest.approx(8 / 240)
