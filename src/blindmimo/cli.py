@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -46,14 +45,14 @@ def _load_config(path: str) -> dict:
 
 
 def _build_config(raw: dict, args: argparse.Namespace) -> SystemConfig:
-    cfg = SystemConfig.from_dict(raw)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    if getattr(args, "trials", None) is not None:
-        cfg = replace(cfg, trials=args.trials)
+    """The config of ``raw`` with the command-line overrides applied, built once."""
+    raw = dict(raw)
+    for key, arg in (("base_seed", "seed"), ("trials", "trials")):
+        if getattr(args, arg, None) is not None:
+            raw[key] = getattr(args, arg)
     if getattr(args, "precondition", None) is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, precondition=args.precondition))
-    return cfg
+        raw["solver"] = {**(raw.get("solver") or {}), "precondition": args.precondition}
+    return SystemConfig.from_dict(raw)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -376,23 +376,24 @@ class AmbiguityResolution:
 
 
 def resolve_ambiguity(
-    a_final: Union[StiefelPoint, np.ndarray],
+    x_est: np.ndarray,
     frame_meta: FrameMeta,
     c: Constellation,
 ) -> Tuple[np.ndarray, AmbiguityResolution]:
     """Undo the per-row phase and the row permutation of a blind estimate.
 
-    Step 1 rotates each row of ``a_final^H`` so its first entry aligns with
-    the known common reference symbol.  Step 2 compares each corrected row's
-    header segment with every user's known ID header and solves the minimum
-    cost assignment, which always yields a true permutation; rows are then
+    ``x_est`` is the K x T frame estimate: the conjugate transpose of the
+    solver's T x K point, or its reprojection after preconditioning.  Step 1
+    rotates each row so its first entry aligns with the known common
+    reference symbol.  Step 2 compares each corrected row's header segment
+    with every user's known ID header and solves the minimum cost
+    assignment, which always yields a true permutation; rows are then
     reordered so row k is user k.
 
     Rows whose reference entry has magnitude at most 1e-12 cannot anchor a
     phase; they are flagged and left unrotated.
     """
-    am = _as_matrix(a_final)
-    x_tilde = am.conj().T
+    x_tilde = np.asarray(x_est, dtype=np.complex128)
     k, t = x_tilde.shape
     if frame_meta.k_users != k:
         raise ValueError("estimate and frame metadata disagree on K")
@@ -528,11 +529,10 @@ def detect(
     else:
         y_in = y_bar
     a_final, trace = solver(y_in, g_diag, opts, rng)
+    x_est = a_final.a.conj().T
     if opts.precondition:
-        x_est = postprocess(y_in, a_final.a.conj().T, y_bar)
-        x_hat, resolution = resolve_ambiguity(x_est.conj().T, frame_meta, c)
-    else:
-        x_hat, resolution = resolve_ambiguity(a_final, frame_meta, c)
+        x_est = postprocess(y_in, x_est, y_bar)
+    x_hat, resolution = resolve_ambiguity(x_est, frame_meta, c)
     demod = demodulate(x_hat, c)
     return DetectionResult(
         x_hat=x_hat,
@@ -577,8 +577,8 @@ def riemannian_gd_baseline(
     return _ascend(y, isg, a, opts, line_search)
 
 
-def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """Complex soft-thresholding: shrink magnitudes by ``tau``, keep phases."""
+def _soft_threshold(v: np.ndarray, tau: Union[float, np.ndarray]) -> np.ndarray:
+    """Complex soft-thresholding: shrink magnitudes by ``tau`` (scalar or per column), keep phases."""
     mag = np.abs(v)
     scale = np.maximum(0.0, 1.0 - tau / np.where(mag == 0, 1.0, mag))
     return v * scale
@@ -596,10 +596,12 @@ def pilot_zf_baseline(
     The angular channel is estimated from pilots by proximal-gradient
     iterations (soft thresholding) on
 
-        min_H  (1/2) ||Ytrain - H G^(1/2) Xtrain||_F^2 + lam ||H||_1
+        min_H  (1/2) ||Ytrain - H G^(1/2) Xtrain||_F^2 + lam * sum_k g_k ||h_k||_1
 
     with step 1 / L, L the squared spectral norm of the pilot operator, run
-    for 500 iterations or until the relative update drops below 1e-8.  Data
+    for 500 iterations or until the relative update drops below 1e-8.  The
+    weight lam * g_k makes the estimate independent of the scale of G (an
+    unweighted lam zeroes it under log-distance fading, g_k ~ 1e-10).  Data
     is then detected by least squares against the estimated effective
     channel.
     """
@@ -608,7 +610,8 @@ def pilot_zf_baseline(
     if x_t.shape[1] < 1:
         raise ValueError("need at least one pilot symbol")
     k = x_t.shape[0]
-    sqrt_g = np.sqrt(_positive_g(g_diag, k))
+    g = _positive_g(g_diag, k)
+    sqrt_g = np.sqrt(g)
     b = x_t * sqrt_g[:, np.newaxis]
     lip = float(np.linalg.norm(b, 2)) ** 2
     if lip == 0.0:
@@ -617,7 +620,7 @@ def pilot_zf_baseline(
     h = np.zeros((y_t.shape[0], k), dtype=np.complex128)
     for _ in range(_PILOT_MAX_ITERS):
         resid = h @ b - y_t
-        h_new = _soft_threshold(h - step * (resid @ b.conj().T), lam * step)
+        h_new = _soft_threshold(h - step * (resid @ b.conj().T), lam * step * g)
         change = np.linalg.norm(h_new - h)
         h = h_new
         if change <= _PILOT_REL_TOL * max(np.linalg.norm(h), 1e-300):

@@ -29,7 +29,7 @@ from .channel import (
     bernoulli_gaussian_channel,
     clustered_channel,
 )
-from .detector import SolverOptions, SolveTrace
+from .detector import SolverOptions
 from .manifold import RankDeficientError, random_stiefel
 from .metrics import TrialMetrics, theoretical_objective_bound
 from .signal import (
@@ -76,6 +76,10 @@ class SystemConfig:
     identity fading and sum(G) / (T * SNR) under log-distance fading; set
     ``sigma_z2`` to bypass the mapping with an explicit variance.  ``theta``
     drives the Bernoulli-Gaussian model and ``n_paths`` the clustered model.
+
+    With fewer pilots than users (``t_pilot < k_users``, as in the defaults)
+    the pilot baseline's channel estimate is underdetermined and some trials
+    end as rank-deficient error records; such configs are still accepted.
     """
 
     k_users: int = 8
@@ -147,23 +151,16 @@ class SystemConfig:
     def from_dict(cls, d: dict) -> "SystemConfig":
         d = dict(d)
         d.pop("sweep", None)
-        solver = d.pop("solver", None)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        solver = SolverOptions(**(d.pop("solver", None) or {}))
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "power" in d and isinstance(d["power"], list):
+        if isinstance(d.get("power"), list):
             d["power"] = tuple(d["power"])
-        cfg = cls(**d)
-        if solver is not None:
-            cfg = replace(cfg, solver=SolverOptions(**solver))
-        return cfg
+        return cls(**d, solver=solver)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if isinstance(d["power"], tuple):
-            d["power"] = list(d["power"])
-        return d
+        return asdict(self)
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -271,14 +268,11 @@ class TrialRecord:
     error: Optional[str] = None
     restarts: int = 0
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         d = asdict(self)
         if d["metrics"] is not None:
             d["metrics"].pop("wall_time")  # excluded: timings would break bit-reproducibility
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
@@ -290,11 +284,10 @@ class TrialRecord:
 
 def _run_method(
     cfg: SystemConfig, scenario: Scenario, method: str, rng: np.random.Generator
-) -> Tuple[TrialMetrics, Optional[SolveTrace]]:
-    """Run one method on a scenario; the trace is None for the pilot baseline."""
+) -> dict:
+    """Run one method on a scenario; returns the record fields its outcome determines."""
     c = build_constellation(cfg.constellation)
     frame = scenario.frame
-    trace = None
     if method == "pilot":
         # Training phase: random unit-power pilot symbols with their own
         # noise.  The 1/sqrt(T) frame scaling is a data-concentration device
@@ -310,8 +303,13 @@ def _run_method(
             y_train, x_pilot, scenario.y_bar, scenario.g_diag, cfg.pilot_lambda
         )
         elapsed = time.perf_counter() - t0
-        demod = detector.demodulate(x_hat, c)
-        indices, bits = demod.indices, demod.bits
+        indices, bits = detector.demodulate(x_hat, c)
+        fields = dict(iters=0, stop_reason="obj_tol", final_eta=0.0, restarts=0)
+        rates = dict(
+            rate_blind=None,
+            rate_training=metrics.achievable_rate_training(x_hat, frame.x, cfg.t_len, cfg.t_pilot),
+            normalized_objective=None,
+        )
     else:
         name, p = _BLIND_METHODS[method]
         opts = replace(cfg.solver, p_exponent=p)
@@ -324,20 +322,24 @@ def _run_method(
         x_hat, indices, bits, trace = result.x_hat, result.symbol_indices, result.bits, result.trace
         inv_snr = scenario.sigma_z2 / scenario.g_diag
         _, upper = theoretical_objective_bound(cfg.m, cfg.k_users, scenario.theta_used, inv_snr)
+        fields = dict(iters=trace.iters_run, stop_reason=trace.stop_reason,
+                      final_eta=trace.final_eta, restarts=trace.restarts)
+        rates = dict(
+            rate_blind=metrics.achievable_rate_blind(x_hat, frame.x, cfg.t_len),
+            rate_training=None,
+            # The envelope bounds sum |W|^3; l4's fourth-power objective has none.
+            normalized_objective=trace.final_objective / upper if p == 3 else None,
+        )
     start = frame.payload_start
-    return TrialMetrics(
+    tm = TrialMetrics(
         evm=metrics.evm(x_hat, frame.x),
         ser=metrics.symbol_error_rate(indices[:, start:], frame.symbol_indices[:, start:]),
         ber=metrics.bit_error_rate(bits[:, start:], frame.payload_bits),
-        rate_blind=None if trace is None else metrics.achievable_rate_blind(x_hat, frame.x, cfg.t_len),
-        rate_training=(
-            metrics.achievable_rate_training(x_hat, frame.x, cfg.t_len, cfg.t_pilot)
-            if trace is None else None
-        ),
-        normalized_objective=None if trace is None else trace.final_objective / upper,
-        iters=0 if trace is None else trace.iters_run,
+        iters=fields["iters"],
         wall_time=elapsed,
-    ), trace
+        **rates,
+    )
+    return dict(metrics=tm, **fields)
 
 
 def run_sweep(
@@ -351,13 +353,16 @@ def run_sweep(
     Per-trial solver failures (DegenerateGradientError, RankDeficientError)
     are captured in the record (``error`` set, ``stop_reason == "error"``)
     rather than raised; any other exception propagates.  The stream is
-    deterministic given the config and base seed.
+    deterministic given the config and base seed.  ``solver.p_exponent``
+    must be 3, since each method sets its own.
     """
     for m in methods:
         if m not in KNOWN_METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
     if sweep_param not in SystemConfig.__dataclass_fields__:
         raise ValueError(f"unknown sweep parameter {sweep_param!r}")
+    if cfg.solver.p_exponent != 3:
+        raise ValueError("a sweep sets solver.p_exponent per method; leave it at 3 and run l4 for p = 4")
     fingerprint = cfg.fingerprint()
     for si, value in enumerate(sweep_values):
         cfg_i = replace(cfg, **{sweep_param: value})
@@ -366,19 +371,12 @@ def run_sweep(
             digest = scenario.digest
             for method in methods:
                 seq = _seed_sequence(cfg.base_seed, si, trial, method)
-                error, trace = None, None
-                iters, stop_reason, final_eta, restarts = 0, "obj_tol", 0.0, 0
                 try:
-                    tm, trace = _run_method(cfg_i, scenario, method, np.random.default_rng(seq))
+                    outcome = _run_method(cfg_i, scenario, method, np.random.default_rng(seq))
                 except (detector.DegenerateGradientError, RankDeficientError) as exc:
-                    tm, stop_reason, final_eta = None, "error", float("nan")
-                    error = f"{type(exc).__name__}: {exc}"
-                if trace is not None:
-                    iters, stop_reason, final_eta, restarts = (
-                        trace.iters_run,
-                        trace.stop_reason,
-                        trace.final_eta,
-                        trace.restarts,
+                    outcome = dict(
+                        metrics=None, iters=0, stop_reason="error", final_eta=float("nan"),
+                        error=f"{type(exc).__name__}: {exc}",
                     )
                 yield TrialRecord(
                     fingerprint=fingerprint,
@@ -388,12 +386,7 @@ def run_sweep(
                     trial=trial,
                     seed=int(seq.generate_state(1)[0]),
                     scenario_digest=digest,
-                    metrics=tm,
-                    iters=iters,
-                    stop_reason=stop_reason,
-                    final_eta=final_eta,
-                    error=error,
-                    restarts=restarts,
+                    **outcome,
                 )
 
 
@@ -477,16 +470,24 @@ def run_convergence_experiment(
     """Normalized per-iteration objective traces for each config variant.
 
     Data is drawn with an exactly orthonormal frame (X^H on the Stiefel
-    manifold) and a Bernoulli-Gaussian channel so the expected-objective
-    upper envelope is the correct normalizer; traces are objective divided
-    by that envelope.  Trials share one derived stream per trial index
-    across variants, so equal-shape variants see identical draws (and a
-    smaller theta sees a nested channel support): comparisons are paired.
+    manifold), a Bernoulli-Gaussian channel and unit fading and power, so
+    the expected-objective upper envelope is the correct normalizer; traces
+    are objective divided by that envelope.  A config that sets
+    ``solver.precondition``, ``fading_model`` or ``power`` is rejected,
+    since none of them would take effect.  Trials share one derived stream
+    per trial index across variants, so equal-shape variants see identical
+    draws (and a smaller theta sees a nested channel support): comparisons
+    are paired.
     """
     out: Dict[str, dict] = {}
     for name, cfg in variants.items():
         if cfg.channel_model != "bernoulli_gaussian":
             raise ValueError("convergence experiment expects the bernoulli_gaussian model")
+        if cfg.solver.precondition or cfg.fading_model != "identity" or np.any(cfg.power_vector() != 1.0):
+            raise ValueError(
+                "convergence experiment runs the plain solver with unit fading and power; "
+                "solver.precondition, fading_model and power must keep their defaults"
+            )
         ones = np.ones(cfg.k_users)
         sigma = _noise_variance(cfg, ones)
         _, upper = theoretical_objective_bound(
@@ -560,45 +561,38 @@ def emit_report(records: Iterable[TrialRecord], out_dir) -> List[str]:
 
     groups: Dict[Tuple[str, str, float], List[TrialRecord]] = {}
     for rec in records:
-        if rec.error is None and rec.metrics is not None:
-            groups.setdefault((rec.method, rec.sweep_param, rec.sweep_value), []).append(rec)
+        groups.setdefault((rec.method, rec.sweep_param, rec.sweep_value), []).append(rec)
 
     header = ["method", "sweep_param", "sweep_value", "n", "n_errors"]
     for f in _SUMMARY_FIELDS:
         header += [f"{f}_mean", f"{f}_median", f"{f}_ci95"]
     header += ["iters_mean"]
 
-    n_errors: Dict[Tuple[str, str, float], int] = {}
-    for rec in records:
-        if rec.error is not None:
-            key = (rec.method, rec.sweep_param, rec.sweep_value)
-            n_errors[key] = n_errors.get(key, 0) + 1
-
     summary_path = os.path.join(out_dir, "summary.csv")
     rows_by_method: Dict[str, List[Tuple[float, float, float]]] = {}
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for key in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
-            method, param, value = key
-            recs = groups[key]
-            row: List[object] = [method, param, repr(value), len(recs), n_errors.get(key, 0)]
+        for (method, param, value), recs in sorted(groups.items()):
+            done = [r.metrics for r in recs if r.error is None and r.metrics is not None]
+            if not done:
+                continue  # a sweep point with no successful trial writes no row
+            n_errors = sum(r.error is not None for r in recs)
+            row: List[object] = [method, param, repr(value), len(done), n_errors]
+            stats = {}
             for f in _SUMMARY_FIELDS:
                 vals = np.array(
-                    [getattr(r.metrics, f) for r in recs if getattr(r.metrics, f) is not None],
+                    [getattr(m, f) for m in done if getattr(m, f) is not None],
                     dtype=np.float64,
                 )
                 if vals.size:
-                    row += [repr(float(vals.mean())), repr(float(np.median(vals))), repr(_ci95_halfwidth(vals))]
-                else:
-                    row += ["", "", ""]
-            iters = np.array([r.metrics.iters for r in recs], dtype=np.float64)
+                    stats[f] = (float(vals.mean()), float(np.median(vals)), _ci95_halfwidth(vals))
+                row += [repr(v) for v in stats[f]] if f in stats else ["", "", ""]
+            iters = np.array([m.iters for m in done], dtype=np.float64)
             row.append(repr(float(iters.mean())))
             writer.writerow(row)
-            evm_vals = np.array([r.metrics.evm for r in recs], dtype=np.float64)
-            rows_by_method.setdefault(method, []).append(
-                (value, float(evm_vals.mean()), _ci95_halfwidth(evm_vals))
-            )
+            evm_mean, _, evm_ci = stats["evm"]
+            rows_by_method.setdefault(method, []).append((value, evm_mean, evm_ci))
     written.append(summary_path)
 
     for method, rows in sorted(rows_by_method.items()):

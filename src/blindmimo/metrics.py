@@ -39,7 +39,9 @@ class TrialMetrics:
     ``rate_training`` is only meaningful for training-based detection and is
     None otherwise.  ``normalized_objective`` is the final solver objective
     divided by the expected-objective upper envelope for the trial's
-    parameters.  ``wall_time`` is kept in memory for profiling but excluded
+    parameters; that envelope bounds the third-power objective, so it is
+    None for the l4 baseline (no fourth-power envelope exists here) and for
+    pilot.  ``wall_time`` is kept in memory for profiling but excluded
     from serialized records so outputs stay bit-reproducible.
     """
 

@@ -352,7 +352,7 @@ def test_criterion_12_ambiguity_round_trip():
         phases = np.exp(2j * np.pi * rng.random(k))
         perm = rng.permutation(k)
         distorted = phases[:, np.newaxis] * frame.x[perm]
-        x_hat, _ = bm.resolve_ambiguity(distorted.conj().T, frame.meta, c)
+        x_hat, _ = bm.resolve_ambiguity(distorted, frame.meta, c)
         worst = max(worst, float(np.abs(x_hat - frame.x).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 10.0

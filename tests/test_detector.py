@@ -327,14 +327,14 @@ class TestResolveAmbiguity:
         phases = np.exp(2j * np.pi * rng.random(6))
         perm = rng.permutation(6)
         distorted = phases[:, None] * frame.x[perm]  # Sigma @ Pi @ X
-        x_hat, res = resolve_ambiguity(distorted.conj().T, frame.meta, c)
+        x_hat, res = resolve_ambiguity(distorted, frame.meta, c)
         assert np.abs(x_hat - frame.x).max() < 1e-9
         assert sorted(res.permutation.tolist()) == list(range(6))
 
     def test_identity_distortion(self):
         c = build_constellation("qpsk")
         frame = build_frame(4, 20, c, np.random.default_rng(1))
-        x_hat, res = resolve_ambiguity(frame.x.conj().T, frame.meta, c)
+        x_hat, res = resolve_ambiguity(frame.x, frame.meta, c)
         assert np.array_equal(res.permutation, np.arange(4))
         assert np.abs(res.phase_corrections - 1.0).max() < 1e-9
         assert np.abs(x_hat - frame.x).max() < 1e-12
@@ -345,7 +345,7 @@ class TestResolveAmbiguity:
         frame = build_frame(5, 30, c, rng)
         true_phases = np.exp(2j * np.pi * rng.random(5))
         distorted = true_phases[:, None] * frame.x
-        x_hat, res = resolve_ambiguity(distorted.conj().T, frame.meta, c)
+        x_hat, res = resolve_ambiguity(distorted, frame.meta, c)
         assert np.abs(res.phase_corrections * true_phases - 1.0).max() < 1e-9
         assert np.abs(x_hat - frame.x).max() < 1e-9
 
@@ -363,7 +363,7 @@ class TestResolveAmbiguity:
         phases = np.exp(2j * np.pi * rng.random(k))
         perm = rng.permutation(k)
         distorted = phases[:, None] * frame.x[perm]
-        x_hat, res = resolve_ambiguity(distorted.conj().T, frame.meta, c)
+        x_hat, res = resolve_ambiguity(distorted, frame.meta, c)
         assert np.abs(x_hat - frame.x).max() < 1e-9
         assert np.array_equal(res.permutation, np.argsort(perm))
         assert np.abs(res.phase_corrections * phases - 1.0).max() < 1e-9
@@ -374,7 +374,7 @@ class TestResolveAmbiguity:
         frame = build_frame(3, 20, c, np.random.default_rng(3))
         broken = frame.x.copy()
         broken[1, 0] = 0.0
-        x_hat, res = resolve_ambiguity(broken.conj().T, frame.meta, c)
+        x_hat, res = resolve_ambiguity(broken, frame.meta, c)
         assert res.flagged_rows == (1,)
         assert res.phase_corrections[1] == 1.0 + 0.0j
 

@@ -160,6 +160,30 @@ class TestRunSweep:
             assert r.error is None, r.error
             assert r.stop_reason in ("eta_tol", "obj_tol", "max_iters")
 
+    def test_pilot_runs_under_log_distance_fading(self):
+        # The l1 weight scales with g_k (about 1e-10 here); an absolute weight
+        # zeroes the whole channel estimate.  With t_pilot >= K every trial works.
+        cfg = tiny_config(k_users=8, n_h=256, t_len=40, trials=3, theta=0.1, t_pilot=16,
+                          fading_model="log_distance")
+        records = list(run_sweep(cfg, "snr_db", [20.0], ("pilot",)))
+        assert len(records) == 3
+        for r in records:
+            assert r.error is None, r.error
+            assert r.metrics.ser < 0.1
+
+    def test_l4_has_no_normalized_objective(self):
+        # The envelope bounds the third-power objective only.
+        records = list(run_sweep(tiny_config(trials=1), "snr_db", [20.0], ("l3", "l4", "rgd")))
+        normalized = {r.method: r.metrics.normalized_objective for r in records}
+        assert normalized["l4"] is None
+        assert normalized["l3"] > 0 and normalized["rgd"] > 0
+
+    def test_p_exponent_rejected(self):
+        # Each method sets the exponent, so a configured one would be ignored.
+        cfg = tiny_config(solver=SolverOptions(p_exponent=4))
+        with pytest.raises(ValueError, match="run l4"):
+            list(run_sweep(cfg, "snr_db", [20.0], ("l3",)))
+
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         k=st.integers(1, 4),
@@ -181,8 +205,8 @@ class TestRunSweep:
         assert lines() == lines()
 
     def test_error_records_have_error_stop_reason(self):
-        # Six pilots for eight users: the pilot baseline is rank deficient.
-        cfg = tiny_config(k_users=8, n_h=256, t_len=40, trials=2, theta=0.1,
+        # A noiseless all-zero channel: the pilot baseline is rank deficient.
+        cfg = tiny_config(k_users=8, n_h=256, t_len=40, trials=2, theta=1e-9, sigma_z2=0.0,
                           fading_model="log_distance",
                           solver=SolverOptions(precondition=True))
         records = list(run_sweep(cfg, "snr_db", [10.0], ("pilot",)))
@@ -270,6 +294,26 @@ class TestEmitReport:
         want_ci = stats.t.ppf(0.975, 1) * np.std([0.1, 0.2], ddof=1) / math.sqrt(2)
         assert float(rows[0]["evm_ci95"]) == pytest.approx(want_ci)
 
+    def test_error_counts(self, tmp_path):
+        def rec(value, trial, ok):
+            tm = TrialMetrics(evm=0.1, ser=0.0, ber=0.0, rate_blind=1.0, rate_training=None,
+                              normalized_objective=None, iters=5)
+            return TrialRecord(
+                fingerprint="f", sweep_param="snr_db", sweep_value=value, method="l3",
+                trial=trial, seed=trial, scenario_digest="d",
+                metrics=tm if ok else None, iters=5 if ok else 0,
+                stop_reason="eta_tol" if ok else "error", final_eta=0.0 if ok else float("nan"),
+                error=None if ok else "RankDeficientError: test",
+            )
+
+        records = [rec(10.0, 0, True), rec(10.0, 1, False), rec(10.0, 2, True),
+                   rec(20.0, 0, False), rec(20.0, 1, False)]
+        emit_report(records, tmp_path)
+        with open(tmp_path / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # The all-error sweep point writes no row.
+        assert [(r["sweep_value"], r["n"], r["n_errors"]) for r in rows] == [("10.0", "2", "1")]
+
     def test_plot_files_written(self, tmp_path):
         cfg = tiny_config(trials=2)
         records = list(run_sweep(cfg, "snr_db", [10.0, 30.0], ("l3",)))
@@ -335,6 +379,18 @@ class TestConvergenceExperiment:
         med = {n: np.median([iterations_to_level(t, 0.9) for t in r["traces"]])
                for n, r in out.items()}
         assert med["half"] <= med["base"]
+
+    @pytest.mark.parametrize("over", [
+        {"solver": SolverOptions(precondition=True)},
+        {"fading_model": "log_distance"},
+        {"power": 2.0},
+    ])
+    def test_ignored_fields_rejected(self, over):
+        # The experiment solves with unit fading and power and no preconditioning.
+        cfg = SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
+                           channel_model="bernoulli_gaussian", sigma_z2=1e-3, **over)
+        with pytest.raises(ValueError, match="must keep their defaults"):
+            run_convergence_experiment({"base": cfg}, trials=1)
 
     def test_iterations_to_level_censoring(self):
         assert iterations_to_level(np.array([0.1, 0.5, 0.95]), 0.9) == 2
