@@ -69,16 +69,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
-    if raw.get("sigma_z2") is not None:
-        noise_variant = {"sigma_z2": raw["sigma_z2"] / 10.0}
+    variant_overrides = raw.pop("variants", None)
+    base = _build_config(raw, args)
+    if base.sigma_z2 is not None:
+        noise_variant = {"sigma_z2": base.sigma_z2 / 10.0}
     else:
-        noise_variant = {"snr_db": raw.get("snr_db", 0.0) + 10.0}
-    variant_overrides = raw.pop("variants", None) or {
-        "theta_half": {"theta": raw.get("theta", 0.2) / 2.0},
-        "k_half": {"k_users": max(1, raw.get("k_users", 8) // 2)},
+        noise_variant = {"snr_db": base.snr_db + 10.0}
+    variant_overrides = variant_overrides or {
+        "theta_half": {"theta": base.theta / 2.0},
+        "k_half": {"k_users": max(1, base.k_users // 2)},
         "noise_tenth": noise_variant,
     }
-    base = _build_config(raw, args)
     variants = {"base": base}
     for name, over in variant_overrides.items():
         variants[name] = SystemConfig.from_dict({**base.to_dict(), **over})

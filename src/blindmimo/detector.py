@@ -78,28 +78,24 @@ class DegenerateGradientError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the manifold solvers.
+    """Knobs for the manifold solvers; the exponent is each solver's ``p_exponent``.
 
-    ``p_exponent`` selects the objective exponent: 3 is the proposed
-    detector, 4 the higher-order baseline.  The iteration stops at relative
-    first-order optimality eta(A_j) < eta_tol * max(eta(A_0), 1), or when the
-    relative objective increase drops below ``obj_rel_tol``, or after
-    ``max_iters`` update steps, whichever happens first.
+    The iteration stops at relative first-order optimality
+    eta(A_j) < eta_tol * max(eta(A_0), 1), or when the relative objective
+    increase drops below ``obj_rel_tol``, or after ``max_iters`` update
+    steps, whichever happens first.
 
     Zero tolerances keep iterating at the converged plateau, where float64
     objective evaluations fluctuate by ~eps * objective * log(T); keep
     obj_rel_tol >= 1e-12 if the trace's monotone invariant matters.
     """
 
-    p_exponent: int = 3
     max_iters: int = 200
     eta_tol: float = 1e-6
     obj_rel_tol: float = 1e-10
     precondition: bool = False
 
     def __post_init__(self) -> None:
-        if self.p_exponent not in (3, 4):
-            raise ValueError("p_exponent must be 3 or 4")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.eta_tol < 0 or self.obj_rel_tol < 0:
@@ -246,7 +242,9 @@ def optimality_eta(a: Union[StiefelPoint, np.ndarray], grad: np.ndarray) -> floa
     return _gap(nuclear_norm(g), am, g)
 
 
-def _solver_inputs(y_bar: np.ndarray, g_diag: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _solver_inputs(y_bar: np.ndarray, g_diag: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    if p not in (3, 4):
+        raise ValueError("p_exponent must be 3 or 4")
     y = np.asarray(y_bar, dtype=np.complex128)
     k = np.asarray(g_diag).shape[0]
     t = y.shape[1]
@@ -262,6 +260,7 @@ def _ascend(
     isg: np.ndarray,
     a: StiefelPoint,
     opts: SolverOptions,
+    p: int,
     step: Callable[..., Tuple[Optional[StiefelPoint], int]],
     on_iterate: Optional[Callable[[StiefelPoint, int], None]] = None,
 ) -> Tuple[StiefelPoint, SolveTrace]:
@@ -282,7 +281,7 @@ def _ascend(
     etas: list[float] = []
     n_evals = 0
     for j in range(opts.max_iters + 1):
-        obj, grad = _evaluate(y, a.a, isg, opts.p_exponent, yh)
+        obj, grad = _evaluate(y, a.a, isg, p, yh)
         s, polar = _polar(grad)
         if s[0] == 0.0:
             raise RankDeficientError("the gradient vanishes")
@@ -315,6 +314,7 @@ def solve(
     rng: np.random.Generator,
     a0: Optional[StiefelPoint] = None,
     on_iterate: Optional[Callable[[StiefelPoint, int], None]] = None,
+    p_exponent: int = 3,
 ) -> Tuple[StiefelPoint, SolveTrace]:
     """Run the parameter-free fixed-point iteration from a random start.
 
@@ -331,14 +331,16 @@ def solve(
     on_iterate
         Optional hook called as ``on_iterate(point, j)`` at every visited
         iterate, including the initial one.
+    p_exponent
+        The objective exponent: 3 is the proposed detector, 4 the
+        higher-order baseline; any other value raises ValueError.
     """
-    y, isg = _solver_inputs(y_bar, g_diag)
+    y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
     for restarts, start in enumerate((a0, None)):
         a = start if start is not None else random_stiefel(y.shape[1], isg.size, rng)
         try:
-            a, trace = _ascend(
-                y, isg, a, opts, lambda *_, polar: (StiefelPoint(polar()), 0), on_iterate
-            )
+            a, trace = _ascend(y, isg, a, opts, p_exponent,
+                               lambda *_, polar: (StiefelPoint(polar()), 0), on_iterate)
         except RankDeficientError:
             continue
         return a, replace(trace, restarts=restarts)
@@ -464,10 +466,10 @@ def postprocess(
     return x_hat / norms
 
 
-def _least_squares(d: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
-    """(D^H D)^(-1) D^H Y; a wide or rank-deficient D raises RankDeficientError."""
+def _least_squares(d: np.ndarray, y: np.ndarray, name: str, cause: str = "") -> np.ndarray:
+    """(D^H D)^(-1) D^H Y; a wide or rank-deficient D raises RankDeficientError citing ``cause``."""
     if d.shape[0] < d.shape[1] or _rank_deficient(np.linalg.svd(d, compute_uv=False)):
-        raise RankDeficientError(f"{name} is rank deficient")
+        raise RankDeficientError(f"{name} is rank deficient{cause}")
     dh = d.conj().T
     return np.linalg.solve(dh @ d, dh @ y)
 
@@ -516,19 +518,21 @@ def detect(
     opts: SolverOptions,
     rng: np.random.Generator,
     solver: Callable[..., Tuple[StiefelPoint, SolveTrace]] = solve,
+    p_exponent: int = 3,
 ) -> DetectionResult:
     """End-to-end blind detection: solve, resolve ambiguity, demodulate.
 
-    With ``opts.precondition`` the solver runs on the polar factor of the
-    received block and the estimate is reprojected onto the raw block before
-    ambiguity resolution.
+    ``solver`` (``solve`` or ``riemannian_gd_baseline``) maximizes the
+    ``p_exponent`` objective (3 or 4).  With ``opts.precondition`` the
+    solver runs on the polar factor of the received block and the estimate
+    is reprojected onto the raw block before ambiguity resolution.
     """
     k = np.asarray(g_diag).shape[0]
     if opts.precondition:
         y_in = precondition(y_bar, k_users=k)
     else:
         y_in = y_bar
-    a_final, trace = solver(y_in, g_diag, opts, rng)
+    a_final, trace = solver(y_in, g_diag, opts, rng, p_exponent=p_exponent)
     x_est = a_final.a.conj().T
     if opts.precondition:
         x_est = postprocess(y_in, x_est, y_bar)
@@ -549,16 +553,18 @@ def riemannian_gd_baseline(
     opts: SolverOptions,
     rng: np.random.Generator,
     a0: Optional[StiefelPoint] = None,
+    p_exponent: int = 3,
 ) -> Tuple[StiefelPoint, SolveTrace]:
     """Projected-gradient ascent over the Stiefel manifold with backtracking.
 
     Each step retracts A + tau * grad_R with tau found by halving from 1
     until the objective increases (at most 30 halvings, else it stops with
     ``obj_tol``); that step is all it changes in ``solve``'s ascent loop.
-    Kept as a reference solver: it reaches the same stationary values as
-    ``solve`` but spends extra evaluations on the line search.
+    Kept as a reference solver: for the same ``p_exponent`` (3 or 4) it
+    reaches the same stationary values as ``solve`` but spends extra
+    evaluations on the line search.
     """
-    y, isg = _solver_inputs(y_bar, g_diag)
+    y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
 
     def line_search(a, obj, grad, polar):
         direction = riemannian_grad(a, grad).xi
@@ -569,12 +575,12 @@ def riemannian_gd_baseline(
             except RankDeficientError:
                 continue
             spent += 1
-            if objective(y, cand, g_diag, opts.p_exponent) > obj:
+            if objective(y, cand, g_diag, p_exponent) > obj:
                 return cand, spent
         return None, spent
 
     a = a0 if a0 is not None else random_stiefel(y.shape[1], isg.size, rng)
-    return _ascend(y, isg, a, opts, line_search)
+    return _ascend(y, isg, a, opts, p_exponent, line_search)
 
 
 def _soft_threshold(v: np.ndarray, tau: Union[float, np.ndarray]) -> np.ndarray:
@@ -625,5 +631,7 @@ def pilot_zf_baseline(
         h = h_new
         if change <= _PILOT_REL_TOL * max(np.linalg.norm(h), 1e-300):
             break
-    return _least_squares(h * sqrt_g[np.newaxis, :], np.asarray(y_bar_data), "zero-forcing matrix")
+    zeroed = np.flatnonzero(~h.any(axis=0)).tolist()  # a weak user can fall below lam * g_k
+    cause = f"; the channel estimates of users {zeroed} are all zero" if zeroed else ""
+    return _least_squares(h * sqrt_g, np.asarray(y_bar_data), "zero-forcing matrix", cause)
 

@@ -80,6 +80,8 @@ class SystemConfig:
     With fewer pilots than users (``t_pilot < k_users``, as in the defaults)
     the pilot baseline's channel estimate is underdetermined and some trials
     end as rank-deficient error records; such configs are still accepted.
+    With enough pilots, the l1 weight ``pilot_lambda`` can still zero a weak
+    user's whole channel estimate; that error record names the user.
     """
 
     k_users: int = 8
@@ -151,13 +153,14 @@ class SystemConfig:
     def from_dict(cls, d: dict) -> "SystemConfig":
         d = dict(d)
         d.pop("sweep", None)
-        solver = SolverOptions(**(d.pop("solver", None) or {}))
-        unknown = set(d) - set(cls.__dataclass_fields__)
+        solver = d.pop("solver", None) or {}
+        unknown = [k for k in d if k not in cls.__dataclass_fields__]
+        unknown += [f"solver.{k}" for k in solver if k not in SolverOptions.__dataclass_fields__]
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if isinstance(d.get("power"), list):
             d["power"] = tuple(d["power"])
-        return cls(**d, solver=solver)
+        return cls(**d, solver=SolverOptions(**solver))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -190,7 +193,6 @@ class Scenario:
     p_diag: np.ndarray
     sigma_z2: float
     y_bar: np.ndarray
-    theta_used: float
 
     @property
     def digest(self) -> str:
@@ -234,16 +236,8 @@ def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
     channel = _draw_channel(cfg, rng)
     frame = build_frame(cfg.k_users, cfg.t_len, c, rng)
     y_bar = synthesize_received(channel, frame, g, p, sigma_z2, rng)
-    theta_used = cfg.theta if cfg.channel_model == "bernoulli_gaussian" else channel.theta_effective
-    return Scenario(
-        channel=channel,
-        frame=frame,
-        g_diag=g,
-        p_diag=p,
-        sigma_z2=sigma_z2,
-        y_bar=y_bar,
-        theta_used=theta_used,
-    )
+    return Scenario(channel=channel, frame=frame, g_diag=g, p_diag=p, sigma_z2=sigma_z2,
+                    y_bar=y_bar)
 
 
 @dataclass(frozen=True)
@@ -251,7 +245,8 @@ class TrialRecord:
     """One (method, sweep value, trial) outcome, flat enough to serialize.
 
     ``restarts`` is the solver's restart count (0 for pilot and for errors);
-    it defaults to 0 so records written before it existed still load.
+    it defaults to 0 so records written before it existed still load, as do
+    records with a top-level ``iters`` and metrics ``rate_blind``/``rate_training``.
     """
 
     fingerprint: str
@@ -262,7 +257,6 @@ class TrialRecord:
     seed: int
     scenario_digest: str
     metrics: Optional[TrialMetrics]
-    iters: int
     stop_reason: str
     final_eta: float
     error: Optional[str] = None
@@ -277,9 +271,18 @@ class TrialRecord:
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
         d = json.loads(line)
+        d.pop("iters", None)
         m = d.pop("metrics")
-        rec_metrics = TrialMetrics(**m) if m is not None else None
-        return cls(metrics=rec_metrics, **d)
+        if m is not None and "rate" not in m:
+            blind, training = m.pop("rate_blind"), m.pop("rate_training")
+            m["rate"] = blind if blind is not None else training
+        return cls(metrics=TrialMetrics(**m) if m is not None else None, **d)
+
+
+def _envelope_holds(cfg: SystemConfig) -> bool:
+    """Whether the l3 envelope holds: Bernoulli-Gaussian, unit G and P, no preconditioning."""
+    return (cfg.channel_model == "bernoulli_gaussian" and cfg.fading_model == "identity"
+            and not cfg.solver.precondition and bool(np.all(cfg.power_vector() == 1.0)))
 
 
 def _run_method(
@@ -304,40 +307,33 @@ def _run_method(
         )
         elapsed = time.perf_counter() - t0
         indices, bits = detector.demodulate(x_hat, c)
-        fields = dict(iters=0, stop_reason="obj_tol", final_eta=0.0, restarts=0)
-        rates = dict(
-            rate_blind=None,
-            rate_training=metrics.achievable_rate_training(x_hat, frame.x, cfg.t_len, cfg.t_pilot),
-            normalized_objective=None,
-        )
+        fields = dict(stop_reason="obj_tol", final_eta=0.0, restarts=0)
+        own = dict(rate=metrics.achievable_rate_training(x_hat, frame.x, cfg.t_len, cfg.t_pilot),
+                   normalized_objective=None, iters=0)
     else:
         name, p = _BLIND_METHODS[method]
-        opts = replace(cfg.solver, p_exponent=p)
         t0 = time.perf_counter()
         result = detector.detect(
-            scenario.y_bar, scenario.g_diag, frame.meta, c, opts, rng,
-            solver=getattr(detector, name),
+            scenario.y_bar, scenario.g_diag, frame.meta, c, cfg.solver, rng,
+            solver=getattr(detector, name), p_exponent=p,
         )
         elapsed = time.perf_counter() - t0
         x_hat, indices, bits, trace = result.x_hat, result.symbol_indices, result.bits, result.trace
-        inv_snr = scenario.sigma_z2 / scenario.g_diag
-        _, upper = theoretical_objective_bound(cfg.m, cfg.k_users, scenario.theta_used, inv_snr)
-        fields = dict(iters=trace.iters_run, stop_reason=trace.stop_reason,
-                      final_eta=trace.final_eta, restarts=trace.restarts)
-        rates = dict(
-            rate_blind=metrics.achievable_rate_blind(x_hat, frame.x, cfg.t_len),
-            rate_training=None,
-            # The envelope bounds sum |W|^3; l4's fourth-power objective has none.
-            normalized_objective=trace.final_objective / upper if p == 3 else None,
-        )
+        fields = dict(stop_reason=trace.stop_reason, final_eta=trace.final_eta,
+                      restarts=trace.restarts)
+        own = dict(rate=metrics.achievable_rate_blind(x_hat, frame.x, cfg.t_len),
+                   normalized_objective=None, iters=trace.iters_run)
+        if p == 3 and _envelope_holds(cfg):  # l4's fourth-power objective has no envelope
+            inv_snr = scenario.sigma_z2 / scenario.g_diag
+            _, upper = theoretical_objective_bound(cfg.m, cfg.k_users, cfg.theta, inv_snr)
+            own["normalized_objective"] = trace.final_objective / upper
     start = frame.payload_start
     tm = TrialMetrics(
         evm=metrics.evm(x_hat, frame.x),
         ser=metrics.symbol_error_rate(indices[:, start:], frame.symbol_indices[:, start:]),
         ber=metrics.bit_error_rate(bits[:, start:], frame.payload_bits),
-        iters=fields["iters"],
         wall_time=elapsed,
-        **rates,
+        **own,
     )
     return dict(metrics=tm, **fields)
 
@@ -353,16 +349,15 @@ def run_sweep(
     Per-trial solver failures (DegenerateGradientError, RankDeficientError)
     are captured in the record (``error`` set, ``stop_reason == "error"``)
     rather than raised; any other exception propagates.  The stream is
-    deterministic given the config and base seed.  ``solver.p_exponent``
-    must be 3, since each method sets its own.
+    deterministic given the config and base seed.  Each method sets its own
+    objective exponent; ``normalized_objective`` is set only for l3 and rgd
+    where the l3 envelope holds (see ``_envelope_holds``), else None.
     """
     for m in methods:
         if m not in KNOWN_METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
     if sweep_param not in SystemConfig.__dataclass_fields__:
         raise ValueError(f"unknown sweep parameter {sweep_param!r}")
-    if cfg.solver.p_exponent != 3:
-        raise ValueError("a sweep sets solver.p_exponent per method; leave it at 3 and run l4 for p = 4")
     fingerprint = cfg.fingerprint()
     for si, value in enumerate(sweep_values):
         cfg_i = replace(cfg, **{sweep_param: value})
@@ -374,10 +369,8 @@ def run_sweep(
                 try:
                     outcome = _run_method(cfg_i, scenario, method, np.random.default_rng(seq))
                 except (detector.DegenerateGradientError, RankDeficientError) as exc:
-                    outcome = dict(
-                        metrics=None, iters=0, stop_reason="error", final_eta=float("nan"),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                    outcome = dict(metrics=None, stop_reason="error", final_eta=float("nan"),
+                                   error=f"{type(exc).__name__}: {exc}")
                 yield TrialRecord(
                     fingerprint=fingerprint,
                     sweep_param=sweep_param,
@@ -472,21 +465,19 @@ def run_convergence_experiment(
     Data is drawn with an exactly orthonormal frame (X^H on the Stiefel
     manifold), a Bernoulli-Gaussian channel and unit fading and power, so
     the expected-objective upper envelope is the correct normalizer; traces
-    are objective divided by that envelope.  A config that sets
-    ``solver.precondition``, ``fading_model`` or ``power`` is rejected,
-    since none of them would take effect.  Trials share one derived stream
-    per trial index across variants, so equal-shape variants see identical
+    are objective divided by that envelope.  A config where the envelope
+    does not hold (``_envelope_holds``) is rejected.  Trials share one
+    derived stream per trial index across variants, so equal-shape variants see identical
     draws (and a smaller theta sees a nested channel support): comparisons
     are paired.
     """
     out: Dict[str, dict] = {}
     for name, cfg in variants.items():
-        if cfg.channel_model != "bernoulli_gaussian":
-            raise ValueError("convergence experiment expects the bernoulli_gaussian model")
-        if cfg.solver.precondition or cfg.fading_model != "identity" or np.any(cfg.power_vector() != 1.0):
+        if not _envelope_holds(cfg):
             raise ValueError(
-                "convergence experiment runs the plain solver with unit fading and power; "
-                "solver.precondition, fading_model and power must keep their defaults"
+                "convergence experiment normalizes by the l3 envelope: channel_model must be "
+                "bernoulli_gaussian, and solver.precondition, fading_model and power must keep "
+                "their defaults"
             )
         ones = np.ones(cfg.k_users)
         sigma = _noise_variance(cfg, ones)
@@ -522,7 +513,7 @@ def read_records(path) -> List[TrialRecord]:
     return records
 
 
-_SUMMARY_FIELDS = ("evm", "ser", "ber", "rate_blind", "rate_training", "normalized_objective")
+_SUMMARY_FIELDS = ("evm", "ser", "ber", "rate", "normalized_objective")
 
 
 def _ci95_halfwidth(values: np.ndarray) -> float:
@@ -544,9 +535,9 @@ def emit_report(records: Iterable[TrialRecord], out_dir) -> List[str]:
     """Persist records and their aggregates; returns the written paths.
 
     Writes ``trials.jsonl`` (one record per line), ``summary.csv`` (mean,
-    median, and 95% t-interval half-width per sweep point and method), and
-    one ``plot_<metric>_<method>.dat`` whitespace-delimited file per method
-    for the headline metrics.
+    median, and 95% t-interval half-width per sweep point and method; a
+    column is empty where no record sets it), and one whitespace-delimited
+    ``plot_evm_<method>.dat`` file per method with the EVM mean and interval.
     """
     records = list(records)
     os.makedirs(out_dir, exist_ok=True)

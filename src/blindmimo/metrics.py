@@ -36,20 +36,20 @@ SINR_FLOOR = 1e-12
 class TrialMetrics:
     """Per-trial summary of one detection run.
 
-    ``rate_training`` is only meaningful for training-based detection and is
-    None otherwise.  ``normalized_objective`` is the final solver objective
-    divided by the expected-objective upper envelope for the trial's
-    parameters; that envelope bounds the third-power objective, so it is
-    None for the l4 baseline (no fourth-power envelope exists here) and for
-    pilot.  ``wall_time`` is kept in memory for profiling but excluded
-    from serialized records so outputs stay bit-reproducible.
+    ``rate`` is the method's own protocol rate (``achievable_rate_blind``, or
+    ``achievable_rate_training`` for pilot).  ``normalized_objective`` is the
+    final solver objective over the expected-objective upper envelope, which
+    bounds the third-power objective of an unpreconditioned Bernoulli-Gaussian
+    block with unit fading and power; it is None for l4, pilot and any trial
+    outside that setting.  ``iters`` counts solver update steps (0 for pilot).
+    ``wall_time`` is kept in memory for profiling but excluded from
+    serialized records so outputs stay bit-reproducible.
     """
 
     evm: float
     ser: float
     ber: float
-    rate_blind: Optional[float]
-    rate_training: Optional[float]
+    rate: float
     normalized_objective: Optional[float]
     iters: int
     wall_time: float = 0.0

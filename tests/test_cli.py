@@ -1,10 +1,32 @@
+import csv
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from blindmimo import SystemConfig, theoretical_objective_bound
 from blindmimo.cli import main
+
+# trials.jsonl lines as written while a record carried a top-level copy of
+# metrics.iters and the metrics carried rate_blind and rate_training.
+TWO_RATE_LINES = [
+    '{"error":null,"final_eta":0.00038504210533574224,"fingerprint":"d89a497fc65f","iters":85,'
+    '"method":"l3","metrics":{"ber":0.0893987341772152,"evm":0.22139603946621325,"iters":85,'
+    '"normalized_objective":10.337952950083954,"rate_blind":33.70345247280908,'
+    '"rate_training":null,"ser":0.15242616033755274},"restarts":0,"scenario_digest":"c9e65f7925e5",'
+    '"seed":290470259,"stop_reason":"eta_tol","sweep_param":"snr_db","sweep_value":10.0,"trial":0}',
+    '{"error":null,"final_eta":0.0,"fingerprint":"d89a497fc65f","iters":0,"method":"pilot",'
+    '"metrics":{"ber":0.0,"evm":0.0346293371495028,"iters":0,"normalized_objective":null,'
+    '"rate_blind":null,"rate_training":40.10770469764275,"ser":0.0},"restarts":0,'
+    '"scenario_digest":"c9e65f7925e5","seed":1011679418,"stop_reason":"obj_tol",'
+    '"sweep_param":"snr_db","sweep_value":10.0,"trial":0}',
+    '{"error":"RankDeficientError: zero-forcing matrix is rank deficient","final_eta":NaN,'
+    '"fingerprint":"d89a497fc65f","iters":0,"method":"pilot","metrics":null,"restarts":0,'
+    '"scenario_digest":"ba1afd402d0a","seed":2678594503,"stop_reason":"error",'
+    '"sweep_param":"snr_db","sweep_value":10.0,"trial":4}',
+]
 
 
 def write_config(path, **over):
@@ -86,6 +108,19 @@ class TestReport:
         assert (re_out / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
         assert (re_out / "trials.jsonl").read_bytes() == (out / "trials.jsonl").read_bytes()
 
+    def test_records_with_two_rate_fields_load(self, tmp_path):
+        old = tmp_path / "old.jsonl"
+        old.write_text("\n".join(TWO_RATE_LINES) + "\n")
+        assert main(["report", "--records", str(old), "--out", str(tmp_path / "re")]) == 0
+        with open(tmp_path / "re" / "summary.csv") as fh:
+            rows = {r["method"]: r for r in csv.DictReader(fh)}
+        assert [(m, r["n"], r["n_errors"], r["iters_mean"]) for m, r in sorted(rows.items())] == [
+            ("l3", "1", "0", "85.0"), ("pilot", "1", "1", "0.0")]
+        for method, rate in (("l3", 33.70345247280908), ("pilot", 40.10770469764275)):
+            rate_means = [v for k, v in rows[method].items()
+                          if k.startswith("rate") and k.endswith("_mean") and v]
+            assert rate_means == [repr(rate)]
+
 
 class TestConcentrationCommand:
     def test_writes_plot_data(self, tmp_path):
@@ -115,6 +150,34 @@ class TestConvergenceCommand:
             assert curve.ndim == 2 and curve.shape[1] == 2
         summary = json.loads((out / "convergence_summary.json").read_text())
         assert set(summary) == {"base", "theta_half"}
+
+    def test_default_variants_follow_the_config(self, tmp_path):
+        # theta and snr_db are left at SystemConfig's defaults (0.1, 20 dB).
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian",
+        }))
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out),
+                     "--trials", "2"]) == 0
+        summary = json.loads((out / "convergence_summary.json").read_text())
+        theta, sigma = SystemConfig().theta, summary["base"]["sigma_z2"]
+        assert sigma == pytest.approx(4 / (100 * 60))
+        assert summary["noise_tenth"]["sigma_z2"] == pytest.approx(sigma / 10)
+        for name, theta_used in (("base", theta), ("theta_half", theta / 2)):
+            want = theoretical_objective_bound(64, 4, theta_used, sigma)[1]
+            assert summary[name]["upper_bound"] == pytest.approx(want)
+
+    def test_p_exponent_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "k_users": 4, "t_len": 60, "n_h": 64, "theta": 0.2,
+            "channel_model": "bernoulli_gaussian", "sigma_z2": 1e-3,
+            "solver": {"max_iters": 80, "p_exponent": 4},
+        }))
+        assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "conv"),
+                     "--trials", "4"]) != 0
+        assert "unknown config keys: ['solver.p_exponent']" in capsys.readouterr().err
 
 
 class TestConsoleEntryPoint:

@@ -593,6 +593,16 @@ class TestPilotZf:
         x_hat = pilot_zf_baseline(y_train, pilots, y_data, g, lam=0.0)
         assert evm(x_hat, x) < 1e-8
 
+    def test_zeroed_user_named(self):
+        # With orthonormal pilot rows the estimate is the soft threshold of
+        # Y X^H at lam: a weak user's whole column falls below it.
+        rng = np.random.default_rng(5)
+        k, m = 3, 16
+        pilots = random_stiefel(8, k, rng).a.conj().T
+        h = crandn(rng, m, k) * np.array([1.0, 1.0, 1e-3])
+        with pytest.raises(RankDeficientError, match=r"rank deficient; .* users \[2\] are all zero"):
+            pilot_zf_baseline(h @ pilots, pilots, h @ crandn(rng, k, 30), np.ones(k), lam=0.5)
+
     def test_underdetermined_needs_regularization(self):
         # Six pilots for eight users: unregularized least squares cannot
         # produce a full-rank detector, the l1-regularized pass can.
@@ -634,8 +644,8 @@ class TestSharedAscentLoop:
         y = y + 1e-3 * crandn(rng, *y.shape)
         g = rng.uniform(0.5, 2.0, 3)
         points = []
-        _, tr = solve(y, g, SolverOptions(p_exponent=p), np.random.default_rng(4),
-                      on_iterate=lambda a, j: points.append(a))
+        _, tr = solve(y, g, SolverOptions(), np.random.default_rng(4),
+                      on_iterate=lambda a, j: points.append(a), p_exponent=p)
         assert len(points) == tr.iters_run + 1 >= 3
         for j, a in enumerate(points):
             assert objective(y, a, g, p) == tr.objective_per_iter[j]

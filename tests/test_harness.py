@@ -83,6 +83,11 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             SystemConfig.from_dict({"k_user": 4})
 
+    def test_p_exponent_rejected(self):
+        # Each method sets its exponent; the solver options have none.
+        with pytest.raises(ValueError, match=r"unknown config keys: \['solver.p_exponent'\]"):
+            SystemConfig.from_dict({"solver": {"p_exponent": 4}})
+
     def test_fingerprint_stable_and_sensitive(self):
         cfg = tiny_config()
         assert cfg.fingerprint() == tiny_config().fingerprint()
@@ -135,8 +140,7 @@ class TestRunSweep:
         for r in records:
             assert r.error is None
             assert r.metrics.ser <= 0.5
-            assert r.metrics.rate_blind is not None
-            assert r.metrics.rate_training is None
+            assert r.metrics.rate is not None
             assert r.stop_reason in ("eta_tol", "obj_tol", "max_iters")
 
     def test_pilot_records(self):
@@ -145,8 +149,7 @@ class TestRunSweep:
         records = list(run_sweep(cfg, "snr_db", [30.0], ("pilot",)))
         for r in records:
             assert r.error is None
-            assert r.metrics.rate_training is not None
-            assert r.metrics.rate_blind is None
+            assert r.metrics.rate is not None
 
     def test_rgd_runs_under_log_distance_fading(self):
         # Gradients scale with G^(-1/2) (about 1e5 here); the tangency check
@@ -178,11 +181,18 @@ class TestRunSweep:
         assert normalized["l4"] is None
         assert normalized["l3"] > 0 and normalized["rgd"] > 0
 
-    def test_p_exponent_rejected(self):
-        # Each method sets the exponent, so a configured one would be ignored.
-        cfg = tiny_config(solver=SolverOptions(p_exponent=4))
-        with pytest.raises(ValueError, match="run l4"):
-            list(run_sweep(cfg, "snr_db", [20.0], ("l3",)))
+    @pytest.mark.parametrize("over, want", [
+        ({}, [0.5856608994985563, 0.5719310801852623]),
+        (dict(channel_model="clustered"), [None, None]),
+        (dict(fading_model="log_distance"), [None, None]),
+        (dict(solver=SolverOptions(max_iters=60, precondition=True)), [None, None]),
+    ])
+    def test_normalized_objective_only_where_the_envelope_holds(self, over, want):
+        # The l3 envelope assumes a Bernoulli-Gaussian channel, unit G and P
+        # and the raw block; elsewhere the ratio is not a fraction of anything.
+        records = list(run_sweep(tiny_config(trials=1, **over), "snr_db", [20.0], ("l3", "rgd")))
+        assert [r.error for r in records] == [None, None]
+        assert [r.metrics.normalized_objective for r in records] == pytest.approx(want, rel=1e-9)
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -214,7 +224,7 @@ class TestRunSweep:
         for r in records:
             assert r.error is not None and "RankDeficientError" in r.error
             assert r.stop_reason == "error"
-            assert r.metrics is None and r.iters == 0 and math.isnan(r.final_eta)
+            assert r.metrics is None and math.isnan(r.final_eta)
 
     def test_plain_value_error_propagates(self, monkeypatch):
         # Only solver failures become error records; anything else is a bug.
@@ -281,9 +291,9 @@ class TestEmitReport:
             return TrialRecord(
                 fingerprint="f", sweep_param="snr_db", sweep_value=10.0, method="l3",
                 trial=trial, seed=trial, scenario_digest="d",
-                metrics=TrialMetrics(evm=evm_val, ser=0.0, ber=0.0, rate_blind=1.0,
-                                     rate_training=None, normalized_objective=None, iters=5),
-                iters=5, stop_reason="eta_tol", final_eta=0.0,
+                metrics=TrialMetrics(evm=evm_val, ser=0.0, ber=0.0, rate=1.0,
+                                     normalized_objective=None, iters=5),
+                stop_reason="eta_tol", final_eta=0.0,
             )
 
         emit_report([rec(0, 0.1), rec(1, 0.2)], tmp_path)
@@ -296,12 +306,12 @@ class TestEmitReport:
 
     def test_error_counts(self, tmp_path):
         def rec(value, trial, ok):
-            tm = TrialMetrics(evm=0.1, ser=0.0, ber=0.0, rate_blind=1.0, rate_training=None,
+            tm = TrialMetrics(evm=0.1, ser=0.0, ber=0.0, rate=1.0,
                               normalized_objective=None, iters=5)
             return TrialRecord(
                 fingerprint="f", sweep_param="snr_db", sweep_value=value, method="l3",
                 trial=trial, seed=trial, scenario_digest="d",
-                metrics=tm if ok else None, iters=5 if ok else 0,
+                metrics=tm if ok else None,
                 stop_reason="eta_tol" if ok else "error", final_eta=0.0 if ok else float("nan"),
                 error=None if ok else "RankDeficientError: test",
             )
