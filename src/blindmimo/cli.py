@@ -96,18 +96,18 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             mean_curve[j] = float(np.mean(vals))
         path = os.path.join(args.out, f"plot_convergence_{name}.dat")
         _write_dat(path, "iteration mean_normalized_objective", enumerate(mean_curve))
-        crossings = [iterations_to_level(t, args.level) for t in traces]
+        median = float(np.median([iterations_to_level(t, args.level) for t in traces]))
         summary[name] = {
             "upper_bound": res["upper_bound"],
             "sigma_z2": res["sigma_z2"],
-            "median_iters_to_level": float(np.median(crossings)),
+            "median_iters_to_level": median if np.isfinite(median) else None,  # never reached
             "level": args.level,
             "trials": trials,
         }
         print(path)
     summary_path = os.path.join(args.out, "convergence_summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
+        json.dump(summary, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     print(summary_path)
     return 0

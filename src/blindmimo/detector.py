@@ -14,6 +14,10 @@ objective is convex in A.  The conjugate transpose of the solution estimates
 the frame up to a per-row phase and a row permutation; both are resolved
 from the reference symbol and the user-ID headers.
 
+A block is the dense M x T matrix Ybar or ``precondition``'s pair (u, vh) of
+its rank-K factors, which is never multiplied out; every function that takes
+a block takes either form.
+
 The iteration and its projected-gradient baseline share one ascent loop;
 they differ only in their step: the polar factor of the gradient, or a
 backtracking line search along the Riemannian gradient.  The gradient's
@@ -161,23 +165,40 @@ def _inv_sqrt_g(g_diag: np.ndarray, k: int) -> np.ndarray:
     return 1.0 / np.sqrt(_positive_g(g_diag, k))
 
 
+Block = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
+Factors = Tuple[np.ndarray, ...]
+
+
+def _factors(y_bar: Block) -> Factors:
+    """The block as the factors whose product it is: (Ybar,), or the pair (u, vh) as given."""
+    return tuple(np.asarray(f, dtype=np.complex128)
+                 for f in (y_bar if isinstance(y_bar, tuple) else (y_bar,)))
+
+
+def _apply(fs: Factors, x: np.ndarray) -> np.ndarray:
+    """The product of the factors ``fs`` with ``x``, formed right to left: (M + T) K^2 on a pair."""
+    for f in reversed(fs):
+        x = f @ x
+    return x
+
+
 def _point_inputs(
-    y_bar: np.ndarray, a: Union[StiefelPoint, np.ndarray], g_diag: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    y_bar: Block, a: Union[StiefelPoint, np.ndarray], g_diag: np.ndarray
+) -> Tuple[Factors, np.ndarray, np.ndarray]:
     am = _as_matrix(a)
-    y = np.asarray(y_bar, dtype=np.complex128)
-    if y.shape[1] != am.shape[0]:
-        raise ValueError(f"dimension mismatch: y_bar {y.shape} vs a {am.shape}")
+    y = _factors(y_bar)
+    if y[-1].shape[1] != am.shape[0]:
+        raise ValueError(f"dimension mismatch: y_bar has {y[-1].shape[1]} columns, a is {am.shape}")
     return y, am, _inv_sqrt_g(g_diag, am.shape[1])
 
 
 def _evaluate(
-    y: np.ndarray, a: np.ndarray, isg: np.ndarray, p: int, yh: Optional[np.ndarray] = None
+    y: Factors, a: np.ndarray, isg: np.ndarray, p: int, yh: Optional[Factors] = None
 ) -> Tuple[float, Optional[np.ndarray]]:
-    """The objective at ``a`` and, given ``yh`` = Ybar^H, the Euclidean gradient there."""
-    w = (y @ a) * isg[np.newaxis, :]
+    """The objective at ``a`` and, given the adjoint's factors ``yh``, the gradient there."""
+    w = _apply(y, a) * isg[np.newaxis, :]
     mag = np.abs(w)
-    grad = None if yh is None else p * (yh @ (mag ** (p - 2) * w)) * isg[np.newaxis, :]
+    grad = None if yh is None else p * _apply(yh, mag ** (p - 2) * w) * isg[np.newaxis, :]
     return float((mag**p).sum()), grad
 
 
@@ -186,7 +207,7 @@ def _gap(nuclear: float, a: np.ndarray, grad: np.ndarray) -> float:
 
 
 def objective(
-    y_bar: np.ndarray,
+    y_bar: Block,
     a: Union[StiefelPoint, np.ndarray],
     g_diag: np.ndarray,
     p_exponent: int = 3,
@@ -197,7 +218,7 @@ def objective(
 
 
 def euclid_grad(
-    y_bar: np.ndarray,
+    y_bar: Block,
     a: Union[StiefelPoint, np.ndarray],
     g_diag: np.ndarray,
     p_exponent: int = 3,
@@ -209,12 +230,12 @@ def euclid_grad(
     the objective along that direction.
     """
     y, am, isg = _point_inputs(y_bar, a, g_diag)
-    return _evaluate(y, am, isg, p_exponent, y.conj().T)[1]
+    return _evaluate(y, am, isg, p_exponent, tuple(f.conj().T for f in reversed(y)))[1]
 
 
 def iterate(
     a_j: StiefelPoint,
-    y_bar: np.ndarray,
+    y_bar: Block,
     g_diag: np.ndarray,
     p_exponent: int = 3,
 ) -> StiefelPoint:
@@ -242,21 +263,21 @@ def optimality_eta(a: Union[StiefelPoint, np.ndarray], grad: np.ndarray) -> floa
     return _gap(nuclear_norm(g), am, g)
 
 
-def _solver_inputs(y_bar: np.ndarray, g_diag: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray]:
     if p not in (3, 4):
         raise ValueError("p_exponent must be 3 or 4")
-    y = np.asarray(y_bar, dtype=np.complex128)
+    y = _factors(y_bar)
     k = np.asarray(g_diag).shape[0]
-    t = y.shape[1]
+    t = y[-1].shape[1]
     if t < k:
         raise ValueError(f"need T >= K, got T={t}, K={k}")
-    if not np.linalg.norm(y) > 0:
+    if not all(np.linalg.norm(f) > 0 for f in y):
         raise ValueError("received block is identically zero")
     return y, _inv_sqrt_g(g_diag, k)
 
 
 def _ascend(
-    y: np.ndarray,
+    y: Factors,
     isg: np.ndarray,
     a: StiefelPoint,
     opts: SolverOptions,
@@ -276,7 +297,7 @@ def _ascend(
     all-zero gradient raises RankDeficientError at once: its eta of 0 would
     otherwise pass the stop rule at objective 0, the minimum.
     """
-    yh = y.conj().T
+    yh = tuple(f.conj().T for f in reversed(y))  # the adjoint's factors
     objs: list[float] = []
     etas: list[float] = []
     n_evals = 0
@@ -308,7 +329,7 @@ def _ascend(
 
 
 def solve(
-    y_bar: np.ndarray,
+    y_bar: Block,
     g_diag: np.ndarray,
     opts: SolverOptions,
     rng: np.random.Generator,
@@ -326,6 +347,8 @@ def solve(
 
     Parameters
     ----------
+    y_bar
+        The dense block, or ``precondition``'s pair (u, vh) of its factors.
     a0
         Optional initial point (default: Haar-uniform draw from ``rng``).
     on_iterate
@@ -337,7 +360,7 @@ def solve(
     """
     y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
     for restarts, start in enumerate((a0, None)):
-        a = start if start is not None else random_stiefel(y.shape[1], isg.size, rng)
+        a = start if start is not None else random_stiefel(y[-1].shape[1], isg.size, rng)
         try:
             a, trace = _ascend(y, isg, a, opts, p_exponent,
                                lambda *_, polar: (StiefelPoint(polar()), 0), on_iterate)
@@ -426,17 +449,18 @@ def resolve_ambiguity(
     return x_hat, resolution
 
 
-def precondition(y_bar: np.ndarray, k_users: int) -> np.ndarray:
-    """Replace Ybar by the polar factor of its top K singular directions.
+def precondition(y_bar: np.ndarray, k_users: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Replace the dense Ybar by the polar factor of its top K singular directions.
 
     Useful when the frame is too short for its Gram matrix to concentrate:
-    the result U_K V_K^H has K unit singular values and restores an exactly
+    the block U_K V_K^H has K unit singular values and restores an exactly
     orthonormal row space for the solver to work against.  The procedure's
     whole premise is that the preconditioned block is a rank-K signal factor
     plus a small error; keeping the trailing noise-only directions at unit
     gain instead plants dense spurious attractors that derail the solver.
 
-    The factor comes from ``_polar(Ybar, K)``.  A block whose K-th singular
+    Returns that block as the pair u = Ybar V_K Sigma_K^-1 (M x K) and
+    vh = V_K^H (K x T), from ``_polar(Ybar, K)``.  A block whose K-th singular
     value is at most 1e-10 of the largest (or that has fewer than K) raises
     RankDeficientError; ``k_users`` below 1 raises ValueError.
     """
@@ -448,17 +472,16 @@ def precondition(y_bar: np.ndarray, k_users: int) -> np.ndarray:
     return factor()
 
 
-def postprocess(
-    y_bar_pre: np.ndarray, x_hat_pre: np.ndarray, y_bar: np.ndarray
-) -> np.ndarray:
+def postprocess(y_bar_pre: Block, x_hat_pre: np.ndarray, y_bar: np.ndarray) -> np.ndarray:
     """Map a preconditioned-domain estimate back to the data domain.
 
     Least-squares reprojection Xhat = (D^H D)^(-1) D^H Ybar with
     D = Ybar_pre Xhat_pre^H, followed by row normalization to unit l2 norm,
     which removes the unknown scalar left over from preconditioning (frame
-    rows have unit norm by construction).
+    rows have unit norm by construction).  ``y_bar_pre`` is either block
+    form, so a pair gives D = u (vh Xhat_pre^H); ``y_bar`` is dense.
     """
-    d = np.asarray(y_bar_pre) @ np.asarray(x_hat_pre).conj().T
+    d = _apply(_factors(y_bar_pre), np.asarray(x_hat_pre).conj().T)
     x_hat = _least_squares(d, np.asarray(y_bar), "reprojection matrix D")
     norms = np.linalg.norm(x_hat, axis=1, keepdims=True)
     if not np.all(norms > 0):
@@ -523,9 +546,9 @@ def detect(
     """End-to-end blind detection: solve, resolve ambiguity, demodulate.
 
     ``solver`` (``solve`` or ``riemannian_gd_baseline``) maximizes the
-    ``p_exponent`` objective (3 or 4).  With ``opts.precondition`` the
-    solver runs on the polar factor of the received block and the estimate
-    is reprojected onto the raw block before ambiguity resolution.
+    ``p_exponent`` objective (3 or 4) on the dense block ``y_bar``, or with
+    ``opts.precondition`` on ``precondition``'s pair, whose estimate is
+    reprojected onto ``y_bar`` before ambiguity resolution.
     """
     k = np.asarray(g_diag).shape[0]
     if opts.precondition:
@@ -548,7 +571,7 @@ def detect(
 
 
 def riemannian_gd_baseline(
-    y_bar: np.ndarray,
+    y_bar: Block,
     g_diag: np.ndarray,
     opts: SolverOptions,
     rng: np.random.Generator,
@@ -579,7 +602,7 @@ def riemannian_gd_baseline(
                 return cand, spent
         return None, spent
 
-    a = a0 if a0 is not None else random_stiefel(y.shape[1], isg.size, rng)
+    a = a0 if a0 is not None else random_stiefel(y[-1].shape[1], isg.size, rng)
     return _ascend(y, isg, a, opts, p_exponent, line_search)
 
 

@@ -247,6 +247,7 @@ class TrialRecord:
     ``restarts`` is the solver's restart count (0 for pilot and for errors);
     it defaults to 0 so records written before it existed still load, as do
     records with a top-level ``iters`` and metrics ``rate_blind``/``rate_training``.
+    An error record's NaN ``final_eta`` is written as null (strict JSON) and loads back as NaN.
     """
 
     fingerprint: str
@@ -266,11 +267,13 @@ class TrialRecord:
         d = asdict(self)
         if d["metrics"] is not None:
             d["metrics"].pop("wall_time")  # excluded: timings would break bit-reproducibility
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        d["final_eta"] = d["final_eta"] if math.isfinite(d["final_eta"]) else None  # strict JSON
+        return json.dumps(d, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
         d = json.loads(line)
+        d["final_eta"] = float("nan") if d["final_eta"] is None else d["final_eta"]
         d.pop("iters", None)
         m = d.pop("metrics")
         if m is not None and "rate" not in m:

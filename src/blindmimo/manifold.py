@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -186,39 +187,45 @@ def _rank_deficient(s: np.ndarray) -> bool:
 
 def _gram_polar(
     m: np.ndarray, r: Optional[int] = None
-) -> Optional[Tuple[np.ndarray, Callable[[], np.ndarray]]]:
+) -> Optional[Tuple[np.ndarray, Callable]]:
     """Top ``r`` (default all) singular values of ``m`` and its polar factor, from eigh(m^H m).
 
     Returns the descending singular values and a function that forms
-    m V Sigma^-1 V^H from the kept eigenpairs, so callers that only need
-    the singular values skip that product.  Returns None when the r-th
-    eigenvalue is at most ``_GRAM_RTOL`` of the largest; ``_polar`` then
-    takes the SVD route.  With all eigenpairs kept, a Gram diagonal spread
-    past that cut proves it without the eigendecomposition, since the
-    extreme eigenvalues bracket the diagonal.
+    m V Sigma^-1 V^H from the kept eigenpairs, or with ``r`` given its factors
+    (m V Sigma^-1, V^H), so callers that only need the singular values skip
+    those products; with ``r`` only the top r eigenpairs are computed.
+    Returns None when the r-th eigenvalue is at most ``_GRAM_RTOL`` of the
+    largest; ``_polar`` then takes the SVD route.  With all eigenpairs kept,
+    a Gram diagonal spread past that cut proves it without the
+    eigendecomposition, since the extreme eigenvalues bracket the diagonal.
     """
     gram = m.conj().T @ m
-    diag = gram.diagonal().real
-    if r is None and not diag.min() > _GRAM_RTOL * diag.max():
+    if r is not None:
+        lam, v = scipy.linalg.eigh(gram, subset_by_index=[max(m.shape[1] - r, 0), m.shape[1] - 1])
+    elif gram.diagonal().real.min() > _GRAM_RTOL * gram.diagonal().real.max():
+        lam, v = np.linalg.eigh(gram)
+    else:
         return None
-    lam, v = np.linalg.eigh(gram)
-    lam, v = lam[::-1][:r], v[:, ::-1][:, :r]
+    lam, v = lam[::-1], v[:, ::-1]
     if not lam[-1] > _GRAM_RTOL * lam[0]:
         return None
     s = np.sqrt(lam)
-    return s, lambda: m @ ((v / s) @ v.conj().T)
+    if r is None:
+        return s, lambda: m @ ((v / s) @ v.conj().T)
+    return s, lambda: (m @ (v / s), v.conj().T)
 
 
 def _polar(
     m: np.ndarray, r: Optional[int] = None
-) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
+) -> Tuple[np.ndarray, Callable]:
     """Top ``r`` (default all) singular values of ``m`` and a function forming its polar factor.
 
     A tall ``m`` takes ``_gram_polar`` when that accepts; anything else takes
-    the compact SVD, whose function forms U V^H from the kept singular
-    vectors and raises RankDeficientError when the kept singular values fail
-    the 1e-12 rank test.  Callers that need only the singular values never
-    call the function.
+    the compact SVD, whose function forms U V^H, or with ``r`` given returns
+    the factors (U, V^H), from the kept singular vectors and raises
+    RankDeficientError when the kept singular values fail the 1e-12 rank
+    test.  Callers that need only the singular values never call the
+    function.
     """
     if m.shape[1] <= m.shape[0]:
         fast = _gram_polar(m, r)
@@ -227,12 +234,12 @@ def _polar(
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     u, s, vh = u[:, :r], s[:r], vh[:r]
 
-    def factor() -> np.ndarray:
+    def factor():
         if _rank_deficient(s):
             raise RankDeficientError(
                 f"rank-deficient input: singular values span [{s[-1]:.3e}, {s[0]:.3e}]"
             )
-        return u @ vh
+        return u @ vh if r is None else (u, vh)
 
     return s, factor
 

@@ -1,12 +1,13 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from blindmimo import SystemConfig, theoretical_objective_bound
+from blindmimo import SystemConfig, read_records, theoretical_objective_bound
 from blindmimo.cli import main
 
 # trials.jsonl lines as written while a record carried a top-level copy of
@@ -27,6 +28,13 @@ TWO_RATE_LINES = [
     '"scenario_digest":"ba1afd402d0a","seed":2678594503,"stop_reason":"error",'
     '"sweep_param":"snr_db","sweep_value":10.0,"trial":4}',
 ]
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN and Infinity, as strict JSON parsers do."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def write_config(path, **over):
@@ -178,6 +186,30 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "conv"),
                      "--trials", "4"]) != 0
         assert "unknown config keys: ['solver.p_exponent']" in capsys.readouterr().err
+
+
+class TestStrictJson:
+    def test_error_records_write_null_final_eta(self, tmp_path):
+        # A noiseless all-zero channel: every pilot trial is rank deficient.
+        cfg = write_config(tmp_path / "cfg.json", theta=1e-9, sigma_z2=0.0,
+                           sweep={"param": "snr_db", "values": [10.0]})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--methods", "pilot"]) == 0
+        lines = (out / "trials.jsonl").read_text().splitlines()
+        assert [strict_loads(line)["final_eta"] for line in lines] == [None, None]
+        assert all(math.isnan(r.final_eta) for r in read_records(str(out / "trials.jsonl")))
+
+    def test_unreached_level_writes_null(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian",
+        }))
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out),
+                     "--trials", "2"]) == 0
+        summary = strict_loads((out / "convergence_summary.json").read_text())
+        assert summary["k_half"]["median_iters_to_level"] is None
 
 
 class TestConsoleEntryPoint:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -384,19 +386,21 @@ class TestPrecondition:
         rng = np.random.default_rng(0)
         u, _, vh = np.linalg.svd(crandn(rng, 10, 6), full_matrices=False)
         y = u @ vh
-        assert np.abs(precondition(y, 6) - y).max() < 1e-10
+        u_k, vh_k = precondition(y, 6)
+        assert np.abs(u_k @ vh_k - y).max() < 1e-10
 
     def test_output_singular_values_one(self):
         rng = np.random.default_rng(1)
         y = crandn(rng, 12, 7)
-        s = np.linalg.svd(precondition(y, 7), compute_uv=False)
+        u, vh = precondition(y, 7)
+        s = np.linalg.svd(u @ vh, compute_uv=False)
         assert np.abs(s - 1.0).max() < 1e-10
 
     def test_top_k_truncation(self):
         rng = np.random.default_rng(2)
         y = crandn(rng, 12, 7)
-        pre = precondition(y, k_users=3)
-        s = np.linalg.svd(pre, compute_uv=False)
+        u, vh = precondition(y, k_users=3)
+        s = np.linalg.svd(u @ vh, compute_uv=False)
         assert np.abs(s[:3] - 1.0).max() < 1e-10
         assert s[3:].max() < 1e-10
 
@@ -406,7 +410,8 @@ class TestPrecondition:
         y = h @ crandn(rng, 4, 20) + 1e-2 * crandn(rng, 64, 20)
         assert manifold._gram_polar(y, 4) is not None
         u, _, vh = np.linalg.svd(y, full_matrices=False)
-        assert np.abs(precondition(y, k_users=4) - u[:, :4] @ vh[:4]).max() < 1e-12
+        u_k, vh_k = precondition(y, k_users=4)
+        assert np.abs(u_k @ vh_k - u[:, :4] @ vh[:4]).max() < 1e-12
 
     def test_ill_conditioned_block_takes_svd(self):
         # The 4th singular value clears 1e-10 of the largest but not the
@@ -417,7 +422,8 @@ class TestPrecondition:
         y = (q * np.array([1.0, 0.5, 0.2, 1e-4, 1e-6, 1e-7])) @ w.conj().T
         assert manifold._gram_polar(y, 4) is None
         u, _, vh = np.linalg.svd(y, full_matrices=False)
-        assert np.array_equal(precondition(y, k_users=4), u[:, :4] @ vh[:4])
+        u_k, vh_k = precondition(y, k_users=4)
+        assert np.array_equal(u_k @ vh_k, u[:, :4] @ vh[:4])
 
     def test_kth_direction_below_1e_10_rejected(self):
         rng = np.random.default_rng(6)
@@ -426,7 +432,8 @@ class TestPrecondition:
         y = (q * np.array([1.0, 0.5, 0.2, 1e-11, 1e-12, 1e-13])) @ w.conj().T
         with pytest.raises(RankDeficientError, match="usable directions"):
             precondition(y, k_users=4)
-        assert np.linalg.matrix_rank(precondition(y, k_users=3)) == 3
+        u, vh = precondition(y, k_users=3)
+        assert np.linalg.matrix_rank(u @ vh) == 3
 
     def test_rank_deficiency_detected(self):
         rng = np.random.default_rng(3)
@@ -435,6 +442,23 @@ class TestPrecondition:
             precondition(y, k_users=2)
         with pytest.raises(RankDeficientError):
             precondition(np.zeros((4, 3), complex), 3)
+        with pytest.raises(RankDeficientError, match="usable directions"):
+            precondition(crandn(rng, 8, 3), 5)  # more users than columns
+
+    @pytest.mark.parametrize("gram_route", [True, False])
+    def test_factors_orthonormal_on_both_routes(self, gram_route):
+        # A 4th singular value of 1e-4 of the largest fails the Gram route's
+        # cut, so the SVD answers.
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(crandn(rng, 30, 6))
+        w, _ = np.linalg.qr(crandn(rng, 6, 6))
+        fourth = 0.1 if gram_route else 1e-4
+        y = (q * np.array([1.0, 0.5, 0.2, fourth, 1e-6, 1e-7])) @ w.conj().T
+        assert (manifold._gram_polar(y, 4) is not None) == gram_route
+        u, vh = precondition(y, k_users=4)
+        assert u.shape == (30, 4) and vh.shape == (4, 6)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
+        assert np.linalg.norm(vh @ vh.conj().T - np.eye(4)) < 1e-10
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_nonpositive_k_rejected(self, k):
@@ -489,6 +513,56 @@ class TestPostprocess:
         y_pre, x_pre = crandn(rng, 2, 6), crandn(rng, 3, 6)
         with pytest.raises(RankDeficientError, match="reprojection matrix D is rank deficient"):
             postprocess(y_pre, x_pre, crandn(rng, 2, 6))
+
+
+class TestFactoredBlock:
+    """``precondition``'s pair (u, vh) against the dense block u @ vh it stands for."""
+
+    def test_kernels_match_dense_block(self):
+        rng = np.random.default_rng(11)
+        y = crandn(rng, 64, 4) @ crandn(rng, 4, 40) + 1e-2 * crandn(rng, 64, 40)
+        pair = precondition(y, k_users=4)
+        dense = pair[0] @ pair[1]
+        a = random_stiefel(40, 4, rng)
+        g = np.array([1.0, 0.3, 2.0, 0.7])
+
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        for p in (3, 4):
+            assert objective(pair, a, g, p) == pytest.approx(objective(dense, a, g, p), rel=1e-12)
+            assert close(euclid_grad(pair, a, g, p), euclid_grad(dense, a, g, p))
+            assert close(iterate(a, pair, g, p).a, iterate(a, dense, g, p).a)
+        x_pre = random_stiefel(40, 4, rng).a.conj().T
+        assert close(postprocess(pair, x_pre, y), postprocess(dense, x_pre, y))
+
+    def test_solve_and_postprocess_never_form_the_block(self):
+        rng = np.random.default_rng(12)
+        y = crandn(rng, 512, 4) @ crandn(rng, 4, 200) + 1e-2 * crandn(rng, 512, 200)
+        pair = precondition(y, k_users=4)
+        tracemalloc.start()
+        try:
+            a, _ = solve(pair, np.ones(4), SolverOptions(max_iters=5), rng)
+            postprocess(pair, a.a.conj().T, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes / 4  # u @ vh would take y.nbytes
+
+    def test_preconditioned_detect_keeps_its_iterations(self):
+        # (iters_run, stop_reason) as the dense preconditioned block gave them.
+        cfg = SystemConfig(
+            k_users=4, n_h=64, t_len=40, channel_model="bernoulli_gaussian",
+            fading_model="log_distance", solver=SolverOptions(precondition=True),
+        )
+        c = build_constellation(cfg.constellation)
+        got = []
+        for seed in range(6):
+            sc = build_scenario(cfg, np.random.default_rng(seed))
+            res = detect(sc.y_bar, sc.g_diag, sc.frame.meta, c, cfg.solver,
+                         np.random.default_rng(seed + 10))
+            got.append((res.trace.iters_run, res.trace.stop_reason))
+        assert got == [(n, "eta_tol") for n in (12, 28, 10, 8, 7, 10)]
 
 
 class TestDemodulate:

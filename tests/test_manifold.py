@@ -182,7 +182,8 @@ class TestGramPolar:
         s_gram, polar = _gram_polar(y, 4)
         assert s_gram.shape == (4,)
         assert np.abs(s_gram - s[:4]).max() <= 1e-12 * s[0]
-        assert np.abs(polar() - u[:, :4] @ vh[:4]).max() <= 1e-12
+        left, right = polar()
+        assert np.abs(left @ right - u[:, :4] @ vh[:4]).max() <= 1e-12
 
 
 class TestPolar:
@@ -193,7 +194,11 @@ class TestPolar:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
         s_got, polar = _polar(m, r)
         assert np.array_equal(s_got, s[:r])
-        assert np.array_equal(polar(), u[:, :r] @ vh[:r])
+        if r is None:
+            assert np.array_equal(polar(), u @ vh)
+        else:
+            left, right = polar()
+            assert np.array_equal(left, u[:, :r]) and np.array_equal(right, vh[:r])
 
     def test_well_conditioned_takes_gram(self):
         m = with_condition(np.random.default_rng(7), 40, 8, 10.0)
