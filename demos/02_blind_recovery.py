@@ -21,9 +21,10 @@ def main():
     chan = bm.bernoulli_gaussian_channel(M, K, THETA, rng)
     g = np.ones(K)
     sigma = bm.snr_to_noise_variance(SNR_DB, K, T)
-    y_bar = bm.synthesize_received(chan, frame, g, g, sigma, rng)
-    print(f"channel: {M}x{K}, {np.count_nonzero(chan.h_bar)} nonzero entries "
-          f"(theta_effective {chan.theta_effective:.3f}), noise variance {sigma:.2e}")
+    y_bar = bm.synthesize_received(chan, frame.x, g, g, sigma, rng)
+    theta_effective = np.mean(np.abs(chan) > 0.01 * np.abs(chan).max())  # above 1% of peak
+    print(f"channel: {M}x{K}, {np.count_nonzero(chan)} nonzero entries "
+          f"(theta_effective {theta_effective:.3f}), noise variance {sigma:.2e}")
 
     res = bm.detect(y_bar, g, frame.meta, c, bm.SolverOptions(), rng)
     tr = res.trace

@@ -2,17 +2,17 @@
 
 Two generative models are provided: a clustered multipath model for a
 uniform rectangular planar array (URPA), and the Bernoulli-Gaussian model
-used for analysis-style experiments.  Spatial channels are mapped to the
-angular (beamspace) domain, where few scatterers make the channel
-approximately sparse, by the orthonormal 2-D inverse FFT over the element
-grid.  That is the adjoint of the Kronecker-DFT steering matrix, which
-``steering_matrix`` still builds explicitly for ``to_angular`` and as a
-test oracle.
+used for analysis-style experiments.  Both return the M x K complex
+angular-domain (beamspace) channel matrix, where few scatterers make the
+channel approximately sparse.  Clustered channels reach the angular domain
+through the orthonormal 2-D inverse FFT over the element grid.  That is the
+adjoint of the Kronecker-DFT steering matrix, which ``steering_matrix``
+still builds explicitly for ``to_angular`` and as a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,19 +21,12 @@ from scipy.linalg import dft
 __all__ = [
     "ArrayGeometry",
     "PathSet",
-    "ChannelRealization",
     "steering_matrix",
     "array_response",
     "clustered_channel",
     "bernoulli_gaussian_channel",
     "to_angular",
 ]
-
-# Entries below this fraction of the peak magnitude count as zero when
-# reporting the effective sparsity.  Reporting statistic only; never used
-# by any solver.
-EFFECTIVE_ZERO_FRACTION = 0.01
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -84,40 +77,6 @@ class PathSet:
             if v.shape != (self.n_paths,):
                 raise ValueError(f"{name} must have shape ({self.n_paths},)")
             object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Angular-domain channel matrix (M x K) with its effective sparsity.
-
-    ``theta_effective`` is the fraction of entries whose magnitude exceeds
-    1% of the peak magnitude; it is recomputed on construction.
-    """
-
-    h_bar: np.ndarray
-    model: str
-    theta_effective: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        h = np.array(self.h_bar, dtype=np.complex128, copy=True, order="C")
-        if h.ndim != 2:
-            raise ValueError("h_bar must be a 2-d matrix")
-        if self.model not in ("clustered", "bernoulli_gaussian"):
-            raise ValueError(f"unknown channel model tag {self.model!r}")
-        mag = np.abs(h)
-        peak = mag.max()
-        frac = float(np.count_nonzero(mag > EFFECTIVE_ZERO_FRACTION * peak)) / h.size
-        h.setflags(write=False)
-        object.__setattr__(self, "h_bar", h)
-        object.__setattr__(self, "theta_effective", frac)
-
-    @property
-    def m(self) -> int:
-        return self.h_bar.shape[0]
-
-    @property
-    def k_users(self) -> int:
-        return self.h_bar.shape[1]
 
 
 def steering_matrix(geom: ArrayGeometry) -> np.ndarray:
@@ -182,8 +141,8 @@ def clustered_channel(
     path_sets: Sequence[PathSet],
     geom: ArrayGeometry,
     rng: np.random.Generator,
-) -> ChannelRealization:
-    """Clustered multipath channel, returned in the angular domain.
+) -> np.ndarray:
+    """Clustered multipath channel: the M x K complex angular-domain matrix.
 
     The spatial column for user k is sqrt(M / N_paths) times the gain-weighted
     sum of array responses over that user's paths.  The angular matrix is
@@ -201,20 +160,20 @@ def clustered_channel(
         resp = _responses(p.azimuths, p.zeniths, geom)
         h[k] = np.sqrt(m / p.n_paths) * np.tensordot(p.gains, resp, axes=1)
     h_bar = np.fft.ifft2(h, axes=(1, 2), norm="ortho").reshape(len(path_sets), m)
-    return ChannelRealization(h_bar.T, "clustered")
+    return h_bar.T
 
 
 def bernoulli_gaussian_channel(
     m: int, k: int, theta: float, rng: np.random.Generator
-) -> ChannelRealization:
-    """I.i.d. Bernoulli(theta) mask times standard complex Gaussian entries."""
+) -> np.ndarray:
+    """M x K complex matrix: i.i.d. Bernoulli(theta) mask times standard complex Gaussians."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if m < 1 or k < 1:
         raise ValueError("dimensions must be positive")
     mask = rng.random((m, k)) < theta
     g = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2.0)
-    return ChannelRealization(mask * g, "bernoulli_gaussian")
+    return mask * g
 
 
 def to_angular(y: np.ndarray, u_m: np.ndarray) -> np.ndarray:

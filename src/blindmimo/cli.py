@@ -70,6 +70,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
     variant_overrides = raw.pop("variants", None)
+    raw.setdefault("trials", 30)
     base = _build_config(raw, args)
     if base.sigma_z2 is not None:
         noise_variant = {"sigma_z2": base.sigma_z2 / 10.0}
@@ -83,8 +84,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     variants = {"base": base}
     for name, over in variant_overrides.items():
         variants[name] = SystemConfig.from_dict({**base.to_dict(), **over})
-    trials = args.trials if args.trials is not None else 30
-    results = run_convergence_experiment(variants, trials=trials, base_seed=base.base_seed)
+    results = run_convergence_experiment(variants, trials=base.trials, base_seed=base.base_seed)
     os.makedirs(args.out, exist_ok=True)
     summary = {}
     for name, res in results.items():
@@ -102,7 +102,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             "sigma_z2": res["sigma_z2"],
             "median_iters_to_level": median if np.isfinite(median) else None,  # never reached
             "level": args.level,
-            "trials": trials,
+            "trials": base.trials,
         }
         print(path)
     summary_path = os.path.join(args.out, "convergence_summary.json")
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--config", required=True)
     conv.add_argument("--out", required=True)
     conv.add_argument("--seed", type=int, default=None)
-    conv.add_argument("--trials", type=int, default=None)
+    conv.add_argument("--trials", type=int, default=None, help="else the config's trials, else 30")
     conv.add_argument("--level", type=float, default=0.9)
     conv.set_defaults(func=_cmd_convergence)
 

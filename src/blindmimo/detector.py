@@ -111,17 +111,17 @@ class SolveTrace:
     """Per-iteration diagnostics of one solver run.
 
     ``objective_per_iter[j]`` and ``eta_per_iter[j]`` are measured at the
-    j-th iterate, including the returned one; ``iters_run`` counts update
-    steps.  The objective sequence must be non-decreasing (guaranteed ascent)
-    up to 1e-12 absolute slack.  ``n_evals`` counts objective/gradient
-    evaluations, the dominant cost, for cross-solver comparisons.
+    j-th iterate, including the returned one, so ``iters_run`` (update
+    steps) is the trace length minus one.  The objective sequence must be
+    non-decreasing (guaranteed ascent) up to 1e-12 absolute slack.
+    ``n_evals`` counts objective/gradient evaluations, the dominant cost, for
+    cross-solver comparisons.
     ``restarts`` counts fresh random starts after a rank-deficient gradient
     (``solve`` makes at most one).
     """
 
     objective_per_iter: np.ndarray
     eta_per_iter: np.ndarray
-    iters_run: int
     stop_reason: str
     n_evals: int = 0
     restarts: int = 0
@@ -140,6 +140,10 @@ class SolveTrace:
             )
         object.__setattr__(self, "objective_per_iter", obj)
         object.__setattr__(self, "eta_per_iter", eta)
+
+    @property
+    def iters_run(self) -> int:
+        return len(self.objective_per_iter) - 1
 
     @property
     def final_objective(self) -> float:
@@ -325,7 +329,7 @@ def _ascend(
                 continue
             stop_reason = "obj_tol"
         break
-    return a, SolveTrace(np.array(objs), np.array(etas), len(objs) - 1, stop_reason, n_evals)
+    return a, SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals)
 
 
 def solve(

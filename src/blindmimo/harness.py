@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import time
 import zlib
@@ -22,13 +23,7 @@ import numpy as np
 from scipy import stats
 
 from . import detector, metrics
-from .channel import (
-    ArrayGeometry,
-    ChannelRealization,
-    PathSet,
-    bernoulli_gaussian_channel,
-    clustered_channel,
-)
+from .channel import ArrayGeometry, PathSet, bernoulli_gaussian_channel, clustered_channel
 from .detector import SolverOptions
 from .manifold import RankDeficientError, random_stiefel
 from .metrics import TrialMetrics, theoretical_objective_bound
@@ -103,6 +98,13 @@ class SystemConfig:
     sigma_z2: Optional[float] = None
 
     def __post_init__(self) -> None:
+        names = ("k_users", "t_len", "n_h", "n_v", "n_paths", "trials", "base_seed", "t_pilot")
+        counts = {**{f: getattr(self, f) for f in names}, "solver.max_iters": self.solver.max_iters}
+        for name, v in counts.items():
+            try:
+                operator.index(v)  # numpy integers pass, 40.0 does not
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {v!r}") from None
         if min(self.k_users, self.t_len, self.n_h, self.n_v) < 1:
             raise ValueError("dimensions must be positive")
         if self.m < self.k_users:
@@ -119,10 +121,12 @@ class SystemConfig:
             raise ValueError("theta must lie in (0, 1]")
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
-        if self.sigma_z2 is not None and self.sigma_z2 < 0:
-            raise ValueError("sigma_z2 must be nonnegative")
-        if self.pilot_lambda < 0:
-            raise ValueError("pilot_lambda must be nonnegative")
+        if self.sigma_z2 is not None and not 0 <= self.sigma_z2 < math.inf:
+            raise ValueError(f"sigma_z2 must be finite and >= 0, got {self.sigma_z2}")
+        if not 0 <= self.pilot_lambda < math.inf:
+            raise ValueError(f"pilot_lambda must be finite and >= 0, got {self.pilot_lambda}")
+        if not self.snr_db > -math.inf:  # NaN fails too; +inf means noiseless
+            raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
         self.power_vector()
         if self.trials < 1:
             raise ValueError("trials must be positive")
@@ -145,8 +149,8 @@ class SystemConfig:
         p = np.asarray(self.power, dtype=np.float64)
         if p.ndim == 0:
             p = np.full(self.k_users, float(p))
-        if p.shape != (self.k_users,) or not np.all(p > 0):
-            raise ValueError("power must be positive (scalar or length-K vector)")
+        if p.shape != (self.k_users,) or not np.all((p > 0) & (p < np.inf)):
+            raise ValueError("power must be finite and positive (scalar or length-K vector)")
         return p
 
     @classmethod
@@ -185,12 +189,15 @@ def _stream(base_seed: int, *tags: Union[int, str]) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything all methods share within one trial."""
+    """Everything all methods share within one trial.
 
-    channel: ChannelRealization
+    ``channel`` is the M x K angular-domain matrix; the power vector is the
+    config's (``SystemConfig.power_vector``).
+    """
+
+    channel: np.ndarray
     frame: TransmitFrame
     g_diag: np.ndarray
-    p_diag: np.ndarray
     sigma_z2: float
     y_bar: np.ndarray
 
@@ -220,7 +227,7 @@ def _noise_variance(cfg: SystemConfig, g_diag: np.ndarray) -> float:
     return float(g_diag.sum()) / (cfg.t_len * snr_lin)
 
 
-def _draw_channel(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
+def _draw_channel(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     if cfg.channel_model == "bernoulli_gaussian":
         return bernoulli_gaussian_channel(cfg.m, cfg.k_users, cfg.theta, rng)
     paths = [PathSet(cfg.n_paths) for _ in range(cfg.k_users)]
@@ -231,13 +238,11 @@ def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
     """Draw fading, channel, frame, and noise for one trial."""
     c = build_constellation(cfg.constellation)
     g = _draw_fading(cfg, rng)
-    p = cfg.power_vector()
     sigma_z2 = _noise_variance(cfg, g)
     channel = _draw_channel(cfg, rng)
     frame = build_frame(cfg.k_users, cfg.t_len, c, rng)
-    y_bar = synthesize_received(channel, frame, g, p, sigma_z2, rng)
-    return Scenario(channel=channel, frame=frame, g_diag=g, p_diag=p, sigma_z2=sigma_z2,
-                    y_bar=y_bar)
+    y_bar = synthesize_received(channel, frame.x, g, cfg.power_vector(), sigma_z2, rng)
+    return Scenario(channel=channel, frame=frame, g_diag=g, sigma_z2=sigma_z2, y_bar=y_bar)
 
 
 @dataclass(frozen=True)
@@ -300,7 +305,7 @@ def _run_method(
         # and does not apply to pilots; unit symbol power keeps the l1 weight
         # on a sane scale.
         idx = rng.integers(0, c.size, size=(cfg.k_users, cfg.t_pilot))
-        x_pilot = c.points[idx] * np.sqrt(scenario.p_diag)[:, np.newaxis]
+        x_pilot = c.points[idx] * np.sqrt(cfg.power_vector())[:, np.newaxis]
         y_train = synthesize_received(
             scenario.channel, x_pilot, scenario.g_diag, np.ones(cfg.k_users), scenario.sigma_z2, rng
         )

@@ -11,11 +11,8 @@ permutation); the rest is payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
-
-from .channel import ChannelRealization
 
 __all__ = [
     "Constellation",
@@ -111,13 +108,13 @@ def header_length(k_users: int, alphabet_size: int) -> int:
 class FrameMeta:
     """Receiver-side frame knowledge: reference symbol and user-ID codebook.
 
-    ``ref_value`` and ``id_headers`` are in constellation units (before the
-    1/sqrt(T) frame scaling); ``id_headers[k]`` holds user k's header labels.
+    This is the receiver's only side information.  ``ref_value`` and
+    ``id_headers`` are in constellation units (before the 1/sqrt(T) frame
+    scaling); ``id_headers[k]`` holds user k's header labels.
     """
 
     ref_value: complex
     id_headers: np.ndarray
-    t_len: int
 
     @property
     def k_users(self) -> int:
@@ -130,22 +127,24 @@ class FrameMeta:
 
 @dataclass(frozen=True)
 class TransmitFrame:
-    """Transmitted K x T frame with its symbol labels and payload bits."""
+    """Transmitted K x T frame with its receiver metadata, symbol labels and payload bits.
+
+    ``x[:, 0]`` must carry ``meta.ref_value`` / sqrt(T), and ``meta`` must
+    hold one header per user, pairwise distinct.
+    """
 
     x: np.ndarray
-    ref_value: complex
-    id_headers: np.ndarray
+    meta: FrameMeta
     symbol_indices: np.ndarray
     payload_bits: np.ndarray
-    constellation: str
 
     def __post_init__(self) -> None:
         x = np.array(self.x, dtype=np.complex128, copy=True, order="C")
         k, t = x.shape
-        ref_scaled = self.ref_value / np.sqrt(t)
+        ref_scaled = self.meta.ref_value / np.sqrt(t)
         if not np.allclose(x[:, 0], ref_scaled, rtol=0.0, atol=1e-12):
             raise ValueError("first column must carry the common reference symbol")
-        headers = np.asarray(self.id_headers)
+        headers = np.asarray(self.meta.id_headers)
         if headers.shape[0] != k:
             raise ValueError("one ID header per user required")
         if len({tuple(row) for row in headers.tolist()}) != k:
@@ -154,25 +153,9 @@ class TransmitFrame:
         object.__setattr__(self, "x", x)
 
     @property
-    def k_users(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def t_len(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def header_len(self) -> int:
-        return self.id_headers.shape[1]
-
-    @property
     def payload_start(self) -> int:
         """First payload column (reference plus header columns precede it)."""
-        return 1 + self.header_len
-
-    @property
-    def meta(self) -> FrameMeta:
-        return FrameMeta(self.ref_value, self.id_headers, self.t_len)
+        return 1 + self.meta.header_len
 
 
 def build_frame(
@@ -201,17 +184,15 @@ def build_frame(
     payload_bits = c.bits_of(idx[:, 1 + hlen :])
     return TransmitFrame(
         x=x,
-        ref_value=complex(c.points[0]),
-        id_headers=idx[:, 1 : 1 + hlen].copy(),
+        meta=FrameMeta(complex(c.points[0]), idx[:, 1 : 1 + hlen].copy()),
         symbol_indices=idx,
         payload_bits=payload_bits,
-        constellation=c.name,
     )
 
 
 def synthesize_received(
-    hb: Union[ChannelRealization, np.ndarray],
-    frame: Union[TransmitFrame, np.ndarray],
+    h_bar: np.ndarray,
+    x: np.ndarray,
     g_diag: np.ndarray,
     p_diag: np.ndarray,
     sigma_z2: float,
@@ -219,12 +200,13 @@ def synthesize_received(
 ) -> np.ndarray:
     """Synthesize the M x T block Y = Hbar G^(1/2) P^(1/2) X + Z in the angular domain.
 
-    Noise entries are i.i.d. circularly symmetric complex Gaussian with
-    variance ``sigma_z2`` (real and imaginary parts each sigma_z2 / 2).
-    G and P must be strictly positive length-K vectors.
+    ``h_bar`` is the M x K channel matrix and ``x`` the K x T symbols (a
+    frame's ``x``, or pilots).  Noise entries are i.i.d. circularly symmetric
+    complex Gaussian with variance ``sigma_z2`` (real and imaginary parts
+    each sigma_z2 / 2).  G and P must be strictly positive length-K vectors.
     """
-    h = hb.h_bar if isinstance(hb, ChannelRealization) else np.asarray(hb)
-    x = frame.x if isinstance(frame, TransmitFrame) else np.asarray(frame)
+    h = np.asarray(h_bar)
+    x = np.asarray(x)
     g = np.asarray(g_diag, dtype=np.float64)
     p = np.asarray(p_diag, dtype=np.float64)
     k = x.shape[0]
@@ -247,14 +229,14 @@ def snr_to_noise_variance(snr_db: float, k_users: int, t_len: int) -> float:
     return k_users / (10.0 ** (snr_db / 10.0) * t_len)
 
 
-def concentration_statistic(frame: Union[TransmitFrame, np.ndarray]) -> float:
-    """Distance of the frame Gram matrix from identity: ||X X^H - I||_F / sqrt(K).
+def concentration_statistic(x: np.ndarray) -> float:
+    """Distance of the K x T frame's Gram matrix from identity: ||X X^H - I||_F / sqrt(K).
 
     Small values mean X^H sits near the Stiefel manifold, which is what the
     blind formulation relies on; the statistic concentrates exponentially
     fast as T grows.
     """
-    x = frame.x if isinstance(frame, TransmitFrame) else np.asarray(frame)
+    x = np.asarray(x)
     k = x.shape[0]
     gram = x @ x.conj().T
     return float(np.linalg.norm(gram - np.eye(k)) / np.sqrt(k))

@@ -57,7 +57,7 @@ def grid_runs():
                         chan = bm.bernoulli_gaussian_channel(m, k, theta, rng)
                         g = np.ones(k)
                         sigma = bm.snr_to_noise_variance(snr, k, t_len)
-                        y_bar = bm.synthesize_received(chan, frame, g, g, sigma, rng)
+                        y_bar = bm.synthesize_received(chan, frame.x, g, g, sigma, rng)
                         feas = []
 
                         def hook(pt, j, feas=feas):
@@ -188,7 +188,7 @@ def test_criterion_06_eta_stationarity():
         rng = np.random.default_rng(43_100 + i)
         x = bm.random_stiefel(t, k, rng).a.conj().T
         chan = bm.bernoulli_gaussian_channel(m, k, theta, rng)
-        y = chan.h_bar @ x + crandn(rng, m, t) * np.sqrt(sig)
+        y = chan @ x + crandn(rng, m, t) * np.sqrt(sig)
         a, tr = bm.solve(y, np.ones(k), opts, rng)
         assert tr.stop_reason != "max_iters"
         g = bm.euclid_grad(y, a, np.ones(k))
@@ -209,7 +209,7 @@ def test_criterion_07_noiseless_recovery():
         rng = np.random.default_rng(44_000 + trial)
         frame = bm.build_frame(4, 100, c, rng)
         chan = bm.bernoulli_gaussian_channel(256, 4, 0.1, rng)
-        y_bar = bm.synthesize_received(chan, frame, g, g, 0.0, rng)
+        y_bar = bm.synthesize_received(chan, frame.x, g, g, 0.0, rng)
         res = bm.detect(y_bar, g, frame.meta, c, opts, rng)
         start = frame.payload_start
         ser = bm.symbol_error_rate(res.symbol_indices[:, start:],
@@ -243,7 +243,7 @@ def test_criterion_08_noisy_bound_consistency():
         rng = np.random.default_rng(45_000 + trial)
         x = bm.random_stiefel(t, k, rng).a.conj().T
         chan = bm.bernoulli_gaussian_channel(m, k, theta, rng)
-        y = chan.h_bar @ x + crandn(rng, m, t) * np.sqrt(sig)
+        y = chan @ x + crandn(rng, m, t) * np.sqrt(sig)
         phases = np.exp(2j * np.pi * rng.random(k))
         perm = rng.permutation(k)
         xi = np.zeros((k, k), dtype=complex)

@@ -31,6 +31,12 @@ def dense_angular(geom, paths):
     return steering_matrix(geom).conj().T @ spatial
 
 
+def effective_fraction(h):
+    """Fraction of entries above 1% of the peak magnitude (effective sparsity)."""
+    mag = np.abs(h)
+    return np.count_nonzero(mag > 0.01 * mag.max()) / h.size
+
+
 class TestSteeringMatrix:
     def test_single_element(self):
         u = steering_matrix(ArrayGeometry(1, 1))
@@ -86,11 +92,11 @@ class TestClusteredChannel:
                          zeniths=np.array([np.pi / 2]))]
         chan = clustered_channel(paths, geom, np.random.default_rng(0))
         # Spatial column is all ones; its angular image is sqrt(M) e1.
-        spatial = steering_matrix(geom) @ chan.h_bar
+        spatial = steering_matrix(geom) @ chan
         assert np.abs(spatial[:, 0] - 1.0).max() < 1e-9
         expected = np.zeros(8, dtype=complex)
         expected[0] = np.sqrt(8)
-        assert np.abs(chan.h_bar[:, 0] - expected).max() < 1e-9
+        assert np.abs(chan[:, 0] - expected).max() < 1e-9
 
     def test_on_grid_path_exactly_sparse(self):
         geom = ArrayGeometry(8, 1)
@@ -99,7 +105,7 @@ class TestClusteredChannel:
         paths = [PathSet(1, gains=np.array([1.0 + 0j]), azimuths=np.array([0.0]),
                          zeniths=np.array([theta]))]
         chan = clustered_channel(paths, geom, np.random.default_rng(0))
-        assert chan.theta_effective == pytest.approx(1 / 8)
+        assert effective_fraction(chan) == pytest.approx(1 / 8)
 
     def test_mean_column_energy(self):
         geom = ArrayGeometry(16, 1)
@@ -108,7 +114,7 @@ class TestClusteredChannel:
         energies = np.empty(n)
         for i in range(n):
             chan = clustered_channel([PathSet(5)], geom, rng)
-            energies[i] = np.linalg.norm(chan.h_bar[:, 0]) ** 2
+            energies[i] = np.linalg.norm(chan[:, 0]) ** 2
         se = energies.std(ddof=1) / np.sqrt(n)
         assert abs(energies.mean() - 16.0) < 3 * se
 
@@ -124,7 +130,7 @@ class TestClusteredChannel:
         for l in range(n_l):
             acc = acc + array_response(az[l], zen[l], geom)
         expected = (geom.m_total / n_l) * np.linalg.norm(acc) ** 2
-        assert np.linalg.norm(chan.h_bar[:, 0]) ** 2 == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.norm(chan[:, 0]) ** 2 == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("nh,nv,d", [(1, 1, 0.5), (2, 1, 0.5), (5, 3, 0.5),
                                          (16, 16, 0.5), (256, 1, 0.5), (6, 4, 0.37)])
@@ -136,7 +142,7 @@ class TestClusteredChannel:
                  for n_l in (1, 3, 5)]
         expected = dense_angular(geom, paths)
         path_sets = [PathSet(len(g), gains=g, azimuths=az, zeniths=zen) for g, az, zen in paths]
-        got = clustered_channel(path_sets, geom, rng).h_bar
+        got = clustered_channel(path_sets, geom, rng)
         assert got.shape == expected.shape
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -155,7 +161,7 @@ class TestClusteredChannel:
             zen = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n_l)
             paths.append((gains, az, zen))
         expected = dense_angular(geom, paths)
-        assert np.linalg.norm(chan.h_bar - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(chan - expected) <= 1e-12 * np.linalg.norm(expected)
         # The generator is left exactly where the replayed draws leave it.
         assert chan_rng.random() == rng.random()
 
@@ -165,7 +171,12 @@ class TestClusteredChannel:
         geom = ArrayGeometry(16, 16)
         chan = clustered_channel([PathSet(5) for _ in range(8)], geom,
                                  np.random.default_rng(7))
-        assert 8 * 5 / chan.h_bar.size < chan.theta_effective < 1.0
+        assert 8 * 5 / chan.size < effective_fraction(chan) < 1.0
+
+    def test_returns_plain_matrix(self):
+        chan = clustered_channel([PathSet(3) for _ in range(3)], ArrayGeometry(4, 2),
+                                 np.random.default_rng(0))
+        assert type(chan) is np.ndarray and chan.shape == (8, 3) and chan.dtype == np.complex128
 
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):
@@ -183,30 +194,29 @@ class TestBernoulliGaussian:
 
     def test_tiny_theta_all_zero(self):
         chan = bernoulli_gaussian_channel(10, 10, 1e-9, np.random.default_rng(0))
-        assert np.all(chan.h_bar == 0)
-        assert chan.theta_effective == 0.0
+        assert np.all(chan == 0)
+        assert effective_fraction(chan) == 0.0
 
     def test_unit_variance_at_theta_one(self):
         chan = bernoulli_gaussian_channel(400, 250, 1.0, np.random.default_rng(1))
-        v = np.abs(chan.h_bar.ravel()) ** 2
+        v = np.abs(chan.ravel()) ** 2
         se = v.std(ddof=1) / np.sqrt(v.size)
         assert abs(v.mean() - 1.0) < 3 * se
 
     def test_nonzero_fraction(self):
         theta = 0.2
         chan = bernoulli_gaussian_channel(500, 200, theta, np.random.default_rng(2))
-        frac = np.count_nonzero(chan.h_bar) / chan.h_bar.size
-        sigma = np.sqrt(theta * (1 - theta) / chan.h_bar.size)
+        frac = np.count_nonzero(chan) / chan.size
+        sigma = np.sqrt(theta * (1 - theta) / chan.size)
         assert abs(frac - theta) < 3 * sigma
 
-    def test_theta_effective_tracks_theta(self):
-        chan = bernoulli_gaussian_channel(500, 200, 0.3, np.random.default_rng(3))
-        sigma = np.sqrt(0.3 * 0.7 / chan.h_bar.size)
-        assert abs(chan.theta_effective - 0.3) < 3 * sigma
+    def test_returns_plain_matrix(self):
+        chan = bernoulli_gaussian_channel(7, 3, 0.5, np.random.default_rng(0))
+        assert type(chan) is np.ndarray and chan.shape == (7, 3) and chan.dtype == np.complex128
 
     def test_seeded_bit_identical(self):
-        a = bernoulli_gaussian_channel(20, 5, 0.4, np.random.default_rng(9)).h_bar
-        b = bernoulli_gaussian_channel(20, 5, 0.4, np.random.default_rng(9)).h_bar
+        a = bernoulli_gaussian_channel(20, 5, 0.4, np.random.default_rng(9))
+        b = bernoulli_gaussian_channel(20, 5, 0.4, np.random.default_rng(9))
         assert a.tobytes() == b.tobytes()
 
 

@@ -176,6 +176,21 @@ class TestConvergenceCommand:
             want = theoretical_objective_bound(64, 4, theta_used, sigma)[1]
             assert summary[name]["upper_bound"] == pytest.approx(want)
 
+    def test_trials_follow_the_config_without_the_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "k_users": 2, "t_len": 30, "n_h": 16, "channel_model": "bernoulli_gaussian",
+            "trials": 3,
+        }))
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "convergence_summary.json").read_text())
+        assert {v["trials"] for v in summary.values()} == {3}
+        assert main(["convergence", "--config", str(cfg), "--out", str(out),
+                     "--trials", "2"]) == 0
+        summary = json.loads((out / "convergence_summary.json").read_text())
+        assert {v["trials"] for v in summary.values()} == {2}
+
     def test_p_exponent_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -63,6 +63,39 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="pilot_lambda"):
             tiny_config(pilot_lambda=-0.5)
 
+    @pytest.mark.parametrize("override, message", [
+        ('{"t_len": 40.5}', "t_len must be an integer"),
+        ('{"t_len": 40.0}', "t_len must be an integer"),
+        ('{"k_users": 4.0}', "k_users must be an integer"),
+        ('{"n_h": 32.0}', "n_h must be an integer"),
+        ('{"n_v": 1.5}', "n_v must be an integer"),
+        ('{"n_paths": 5.0}', "n_paths must be an integer"),
+        ('{"trials": 3.0}', "trials must be an integer"),
+        ('{"base_seed": 1.5}', "base_seed must be an integer"),
+        ('{"t_pilot": 6.0}', "t_pilot must be an integer"),
+        ('{"solver": {"max_iters": 60.5}}', "solver.max_iters must be an integer"),
+        ('{"sigma_z2": Infinity}', "sigma_z2 must be finite"),
+        ('{"sigma_z2": NaN}', "sigma_z2 must be finite"),
+        ('{"pilot_lambda": NaN}', "pilot_lambda must be finite"),
+        ('{"pilot_lambda": Infinity}', "pilot_lambda must be finite"),
+        ('{"snr_db": NaN}', "snr_db must be a number"),
+        ('{"snr_db": -Infinity}', "snr_db must be a number"),
+        ('{"power": Infinity}', "power must be finite"),
+    ])
+    def test_json_values_that_cannot_work_rejected(self, override, message):
+        # json.load accepts NaN and Infinity, and 40.0 loads as a float.
+        base = tiny_config().to_dict()
+        with pytest.raises(ValueError, match=message):
+            SystemConfig.from_dict({**base, **json.loads(override)})
+
+    def test_numpy_integers_and_noiseless_snr_accepted(self):
+        cfg = tiny_config(t_len=np.int64(60), k_users=np.int32(4), snr_db=math.inf)
+        assert _noise_variance(cfg, np.ones(4)) == 0.0
+
+    def test_sweep_values_checked_at_the_boundary(self):
+        with pytest.raises(ValueError, match="t_len must be an integer"):
+            next(run_sweep(tiny_config(), "t_len", [40.0]))
+
     def test_fewer_antennas_than_users_rejected(self):
         with pytest.raises(ValueError, match="M=4 < K=8"):
             tiny_config(n_h=4, k_users=8)

@@ -125,7 +125,7 @@ class TestTheoreticalObjectiveBound:
             x = random_stiefel(t, k, rng).a.conj().T
             chan = bernoulli_gaussian_channel(m, k, theta, rng)
             noise = crandn(rng, m, t) * np.sqrt(sig)
-            y = chan.h_bar @ x + noise
+            y = chan @ x + noise
             w = y @ x.conj().T
             vals.append(float((np.abs(w) ** 3).sum()))
         assert abs(np.mean(vals) / upper - 1.0) < 0.05

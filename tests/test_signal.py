@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindmimo import (
+    FrameMeta,
+    TransmitFrame,
     build_constellation,
     demodulate,
     build_frame,
@@ -81,13 +83,13 @@ class TestBuildFrame:
     def test_reference_column_shared(self):
         c = build_constellation("qpsk")
         f = build_frame(8, 32, c, np.random.default_rng(0))
-        assert np.allclose(f.x[:, 0], f.ref_value / np.sqrt(32))
+        assert np.allclose(f.x[:, 0], f.meta.ref_value / np.sqrt(32))
 
     def test_headers_distinct_and_injective(self):
         c = build_constellation("qpsk")
         f = build_frame(8, 32, c, np.random.default_rng(0))
-        assert f.header_len == 2
-        headers = {tuple(row) for row in f.id_headers.tolist()}
+        assert f.meta.header_len == 2
+        headers = {tuple(row) for row in f.meta.id_headers.tolist()}
         assert len(headers) == 8
 
     def test_too_short_frame_rejected(self):
@@ -113,6 +115,24 @@ class TestBuildFrame:
         b = build_frame(4, 50, c, np.random.default_rng(5)).x
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("broken, message", [
+        ("reference", "reference symbol"),
+        ("header_count", "one ID header per user"),
+        ("repeated_header", "pairwise distinct"),
+    ])
+    def test_frame_checked_against_meta(self, broken, message):
+        c = build_constellation("qpsk")
+        f = build_frame(4, 16, c, np.random.default_rng(0))
+        x, ref, headers = f.x, f.meta.ref_value, f.meta.id_headers
+        if broken == "reference":
+            ref = complex(c.points[1])
+        elif broken == "header_count":
+            headers = headers[:3]
+        else:
+            headers = np.vstack([headers[:3], headers[:1]])
+        with pytest.raises(ValueError, match=message):
+            TransmitFrame(x, FrameMeta(ref, headers), f.symbol_indices, f.payload_bits)
+
 
 class TestSynthesizeReceived:
     def test_noiseless_single_user_passthrough(self):
@@ -120,7 +140,7 @@ class TestSynthesizeReceived:
         f = build_frame(1, 16, c, np.random.default_rng(0))
         h = np.zeros((6, 1), dtype=complex)
         h[0, 0] = 1.0
-        y_bar = synthesize_received(h, f, np.ones(1), np.ones(1), 0.0, np.random.default_rng(1))
+        y_bar = synthesize_received(h, f.x, np.ones(1), np.ones(1), 0.0, np.random.default_rng(1))
         assert np.allclose(y_bar[0], f.x[0])
         assert np.abs(y_bar[1:]).max() == 0.0
 
@@ -129,7 +149,7 @@ class TestSynthesizeReceived:
         f = build_frame(2, 500, c, np.random.default_rng(0))
         h = np.zeros((1000, 2), dtype=complex)
         sigma = 0.37
-        y_bar = synthesize_received(h, f, np.ones(2), np.ones(2), sigma, np.random.default_rng(1))
+        y_bar = synthesize_received(h, f.x, np.ones(2), np.ones(2), sigma, np.random.default_rng(1))
         v = np.abs(y_bar.ravel()) ** 2  # pure noise since the channel is zero
         se = v.std(ddof=1) / np.sqrt(v.size)
         assert abs(v.mean() - sigma) < 3 * se
@@ -138,7 +158,7 @@ class TestSynthesizeReceived:
         c = build_constellation("qpsk")
         f = build_frame(2, 16, c, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            synthesize_received(np.zeros((4, 2), complex), f, np.ones(2), np.ones(2), -1.0,
+            synthesize_received(np.zeros((4, 2), complex), f.x, np.ones(2), np.ones(2), -1.0,
                                 np.random.default_rng(0))
 
     def test_nonpositive_gains_rejected(self):
@@ -147,7 +167,7 @@ class TestSynthesizeReceived:
         h = np.zeros((4, 2), complex)
         for g, p in ((np.array([1.0, 0.0]), np.ones(2)), (np.ones(2), np.array([1.0, -1.0]))):
             with pytest.raises(ValueError, match="strictly positive"):
-                synthesize_received(h, f, g, p, 0.0, np.random.default_rng(0))
+                synthesize_received(h, f.x, g, p, 0.0, np.random.default_rng(0))
 
     def test_snr_mapping(self):
         assert snr_to_noise_variance(0.0, 8, 240) == pytest.approx(8 / 240)
@@ -166,7 +186,7 @@ class TestConcentrationStatistic:
     def test_statistic_shrinks_with_t(self):
         c = build_constellation("qpsk")
         rng = np.random.default_rng(3)
-        short = [concentration_statistic(build_frame(8, 100, c, rng)) for _ in range(200)]
+        short = [concentration_statistic(build_frame(8, 100, c, rng).x) for _ in range(200)]
         rng = np.random.default_rng(3)
-        long = [concentration_statistic(build_frame(8, 800, c, rng)) for _ in range(200)]
+        long = [concentration_statistic(build_frame(8, 800, c, rng).x) for _ in range(200)]
         assert np.median(long) < np.median(short)
