@@ -37,6 +37,7 @@ from scipy.optimize import linear_sum_assignment
 from .manifold import (
     RankDeficientError,
     StiefelPoint,
+    _check_orthonormal,
     _polar,
     _rank_deficient,
     nuclear_norm,
@@ -200,9 +201,10 @@ def _evaluate(
     y: Factors, a: np.ndarray, isg: np.ndarray, p: int, yh: Optional[Factors] = None
 ) -> Tuple[float, Optional[np.ndarray]]:
     """The objective at ``a`` and, given the adjoint's factors ``yh``, the gradient there."""
-    w = _apply(y, a) * isg[np.newaxis, :]
+    w = _apply(y, a) * isg
     mag = np.abs(w)
-    grad = None if yh is None else p * _apply(yh, mag ** (p - 2) * w) * isg[np.newaxis, :]
+    # |W|^(p-2) as mag or mag * mag: bit-identical to the power, without its overhead
+    grad = None if yh is None else p * _apply(yh, (mag if p == 3 else mag * mag) * w) * isg
     return float((mag**p).sum()), grad
 
 
@@ -283,10 +285,10 @@ def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, n
 def _ascend(
     y: Factors,
     isg: np.ndarray,
-    a: StiefelPoint,
+    a: np.ndarray,
     opts: SolverOptions,
     p: int,
-    step: Callable[..., Tuple[Optional[StiefelPoint], int]],
+    step: Callable[..., Tuple[Optional[np.ndarray], int]],
     on_iterate: Optional[Callable[[StiefelPoint, int], None]] = None,
 ) -> Tuple[StiefelPoint, SolveTrace]:
     """The ascent loop both solvers share; only ``step`` differs.
@@ -299,22 +301,25 @@ def _ascend(
     evaluations it spent; ``polar()`` forms the gradient's polar factor,
     raising RankDeficientError when the gradient is rank deficient.  An
     all-zero gradient raises RankDeficientError at once: its eta of 0 would
-    otherwise pass the stop rule at objective 0, the minimum.
+    otherwise pass the stop rule at objective 0, the minimum.  Iterates are
+    plain arrays, each checked by ``_check_orthonormal`` as ``step`` returns it
+    (drift raises ValueError, never a restart); only ``on_iterate`` and the
+    returned point get a ``StiefelPoint``.
     """
     yh = tuple(f.conj().T for f in reversed(y))  # the adjoint's factors
     objs: list[float] = []
     etas: list[float] = []
     n_evals = 0
     for j in range(opts.max_iters + 1):
-        obj, grad = _evaluate(y, a.a, isg, p, yh)
+        obj, grad = _evaluate(y, a, isg, p, yh)
         s, polar = _polar(grad)
         if s[0] == 0.0:
             raise RankDeficientError("the gradient vanishes")
         objs.append(obj)
-        etas.append(_gap(float(s.sum()), a.a, grad))
+        etas.append(_gap(float(s.sum()), a, grad))
         n_evals += 1
         if on_iterate is not None:
-            on_iterate(a, j)
+            on_iterate(StiefelPoint(a), j)
         if etas[-1] < opts.eta_tol * max(etas[0], 1.0):
             stop_reason = "eta_tol"
         elif j >= 1 and objs[-1] - objs[-2] < opts.obj_rel_tol * max(objs[-2], 1e-300):
@@ -325,11 +330,11 @@ def _ascend(
             nxt, spent = step(a, obj, grad, polar=polar)
             n_evals += spent
             if nxt is not None:
-                a = nxt
+                a = _check_orthonormal(nxt)
                 continue
             stop_reason = "obj_tol"
         break
-    return a, SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals)
+    return StiefelPoint(a), SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals)
 
 
 def solve(
@@ -366,8 +371,7 @@ def solve(
     for restarts, start in enumerate((a0, None)):
         a = start if start is not None else random_stiefel(y[-1].shape[1], isg.size, rng)
         try:
-            a, trace = _ascend(y, isg, a, opts, p_exponent,
-                               lambda *_, polar: (StiefelPoint(polar()), 0), on_iterate)
+            a, trace = _ascend(y, isg, a.a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate)
         except RankDeficientError:
             continue
         return a, replace(trace, restarts=restarts)
@@ -587,27 +591,28 @@ def riemannian_gd_baseline(
     Each step retracts A + tau * grad_R with tau found by halving from 1
     until the objective increases (at most 30 halvings, else it stops with
     ``obj_tol``); that step is all it changes in ``solve``'s ascent loop.
-    Kept as a reference solver: for the same ``p_exponent`` (3 or 4) it
-    reaches the same stationary values as ``solve`` but spends extra
-    evaluations on the line search.
+    Under identity fading it reaches ``solve``'s stationary values at extra
+    line-search cost; under log-distance fading it does not.  Preconditioned,
+    ||grad_R|| starts near 2e14, so 2^-29 still overshoots and it stops after
+    one step at ~0.4 of ``solve``'s objective; else it runs to ``max_iters``.
     """
     y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
 
     def line_search(a, obj, grad, polar):
-        direction = riemannian_grad(a, grad).xi
+        direction = riemannian_grad(StiefelPoint(a), grad).xi
         spent = 0
         for halvings in range(30):
             try:
-                cand = polar_retract(a.a + 0.5**halvings * direction)
+                cand = polar_retract(a + 0.5**halvings * direction)
             except RankDeficientError:
                 continue
             spent += 1
             if objective(y, cand, g_diag, p_exponent) > obj:
-                return cand, spent
+                return cand.a, spent
         return None, spent
 
     a = a0 if a0 is not None else random_stiefel(y[-1].shape[1], isg.size, rng)
-    return _ascend(y, isg, a, opts, p_exponent, line_search)
+    return _ascend(y, isg, a.a, opts, p_exponent, line_search)
 
 
 def _soft_threshold(v: np.ndarray, tau: Union[float, np.ndarray]) -> np.ndarray:

@@ -33,7 +33,6 @@ from .signal import (
     build_frame,
     concentration_statistic,
     header_length,
-    snr_to_noise_variance,
     synthesize_received,
 )
 
@@ -61,6 +60,8 @@ DEFAULT_CONCENTRATION_C = {4: 0.416, 8: 0.464}
 
 # Carrier frequency (GHz) for the log-distance fading model.
 _FADING_FC_GHZ = 28.0
+
+_MAX_SCALE = 1e30  # largest power or sigma_z2; l4 overflows past 1e60 (K=4, T=60, M=32)
 
 
 @dataclass(frozen=True)
@@ -121,12 +122,16 @@ class SystemConfig:
             raise ValueError("theta must lie in (0, 1]")
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
-        if self.sigma_z2 is not None and not 0 <= self.sigma_z2 < math.inf:
-            raise ValueError(f"sigma_z2 must be finite and >= 0, got {self.sigma_z2}")
+        if self.sigma_z2 is not None and not 0 <= self.sigma_z2 <= _MAX_SCALE:
+            raise ValueError(f"sigma_z2 must be finite, >= 0 and at most {_MAX_SCALE:g}, got {self.sigma_z2}")
         if not 0 <= self.pilot_lambda < math.inf:
             raise ValueError(f"pilot_lambda must be finite and >= 0, got {self.pilot_lambda}")
         if not self.snr_db > -math.inf:  # NaN fails too; +inf means noiseless
             raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
+        try:
+            10.0 ** (self.snr_db / 10.0)  # the linear SNR the noise variance divides by
+        except OverflowError:
+            raise ValueError(f"snr_db={self.snr_db} overflows as linear SNR; use inf for noiseless") from None
         self.power_vector()
         if self.trials < 1:
             raise ValueError("trials must be positive")
@@ -149,8 +154,8 @@ class SystemConfig:
         p = np.asarray(self.power, dtype=np.float64)
         if p.ndim == 0:
             p = np.full(self.k_users, float(p))
-        if p.shape != (self.k_users,) or not np.all((p > 0) & (p < np.inf)):
-            raise ValueError("power must be finite and positive (scalar or length-K vector)")
+        if p.shape != (self.k_users,) or not np.all((p > 0) & (p <= _MAX_SCALE)):
+            raise ValueError(f"power must be finite, positive and at most {_MAX_SCALE:g} (scalar or K-vector)")
         return p
 
     @classmethod
@@ -221,10 +226,7 @@ def _draw_fading(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 def _noise_variance(cfg: SystemConfig, g_diag: np.ndarray) -> float:
     if cfg.sigma_z2 is not None:
         return float(cfg.sigma_z2)
-    if cfg.fading_model == "identity":
-        return snr_to_noise_variance(cfg.snr_db, cfg.k_users, cfg.t_len)
-    snr_lin = 10.0 ** (cfg.snr_db / 10.0)
-    return float(g_diag.sum()) / (cfg.t_len * snr_lin)
+    return float(g_diag.sum()) / (cfg.t_len * 10.0 ** (cfg.snr_db / 10.0))  # sum(g) is K unfaded
 
 
 def _draw_channel(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:

@@ -67,13 +67,24 @@ def real_inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.real(np.vdot(x, y)))
 
 
+def _check_orthonormal(a: np.ndarray) -> np.ndarray:
+    """Return ``a`` if ||a^H a - I_K||_F < 1e-9, else raise ValueError."""
+    gram = a.conj().T @ a
+    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
+    err = np.linalg.norm(gram)
+    if not err < ORTHONORMALITY_TOL:
+        raise ValueError(f"columns not orthonormal: ||A^H A - I||_F = {err:.3e}")
+    return a
+
+
 @dataclass(frozen=True)
 class StiefelPoint:
     """A T x K complex matrix with orthonormal columns.
 
-    Orthonormality (``a^H a = I_K`` to Frobenius tolerance 1e-9, every column
-    unit norm to 1e-9) is checked on construction; the stored array is made
-    read-only so points are safe to share between threads.
+    Orthonormality (||a^H a - I_K||_F < 1e-9, which holds every column norm
+    within 1e-9 of 1) is checked on construction by ``_check_orthonormal``, as
+    the ascent loop checks its plain-array iterates; the stored array is a
+    read-only copy, so points are safe to share between threads.
     """
 
     a: np.ndarray
@@ -87,15 +98,7 @@ class StiefelPoint:
             raise ValueError("dimensions must be positive")
         if k_dim > t_dim:
             raise ValueError(f"need k_dim <= t_dim, got {k_dim} > {t_dim}")
-        gram = a.conj().T @ a
-        gram_err = np.linalg.norm(gram - np.eye(k_dim))
-        if not gram_err < ORTHONORMALITY_TOL:
-            raise ValueError(
-                f"columns not orthonormal: ||A^H A - I||_F = {gram_err:.3e}"
-            )
-        col_err = np.abs(np.linalg.norm(a, axis=0) - 1.0).max()
-        if not col_err < ORTHONORMALITY_TOL:
-            raise ValueError(f"column norms deviate from 1 by {col_err:.3e}")
+        _check_orthonormal(a)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
@@ -202,7 +205,7 @@ def _gram_polar(
     gram = m.conj().T @ m
     if r is not None:
         lam, v = scipy.linalg.eigh(gram, subset_by_index=[max(m.shape[1] - r, 0), m.shape[1] - 1])
-    elif gram.diagonal().real.min() > _GRAM_RTOL * gram.diagonal().real.max():
+    elif (d := gram.diagonal().real).min() > _GRAM_RTOL * d.max():
         lam, v = np.linalg.eigh(gram)
     else:
         return None

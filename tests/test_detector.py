@@ -31,10 +31,11 @@ from blindmimo import (
     resolve_ambiguity,
     riemannian_gd_baseline,
     riemannian_grad,
+    run_sweep,
     solve,
     synthesize_received,
 )
-from blindmimo import manifold
+from blindmimo import detector, manifold
 from blindmimo.detector import MONOTONE_SLACK, _soft_threshold
 from blindmimo.signal import header_length
 
@@ -105,6 +106,19 @@ class TestEuclidGrad:
                   - objective(y, a.a - h * delta, g_diag, p)) / (2 * h)
             an = float(np.real(np.vdot(grad, delta)))
             assert abs(fd - an) / max(abs(fd), 1e-12) < 1e-4
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_bit_identical_to_the_power_formula(self, p):
+        # The gradient forms |W|^(p-2) by products, not by a power; records
+        # stay byte-identical only while the two agree bit for bit.
+        rng = np.random.default_rng(40 + p)
+        y = crandn(rng, 30, 12)
+        a = random_stiefel(12, 4, rng)
+        g_diag = rng.uniform(0.5, 2.0, 4)
+        isg = 1.0 / np.sqrt(g_diag)
+        w = (y @ a.a) * isg[np.newaxis, :]
+        ref = p * (y.conj().T @ (np.abs(w) ** (p - 2) * w)) * isg[np.newaxis, :]
+        assert np.array_equal(euclid_grad(y, a, g_diag, p), ref)
 
     def test_column_phase_invariance(self):
         rng = np.random.default_rng(5)
@@ -280,6 +294,32 @@ class TestSolve:
         assert tr.restarts == 1
         assert tr.objective_per_iter[0] > 0.0
         assert np.linalg.norm(a.a.conj().T @ a.a - np.eye(2)) < 1e-9
+
+    def test_drift_off_the_manifold_is_fatal(self, monkeypatch):
+        # A polar factor 1e-8 off the manifold fails the check on the first
+        # drifted iterate.  The plain ValueError neither restarts the solve
+        # (a RankDeficientError would) nor becomes a per-trial error record.
+        real_polar = detector._polar
+        drifted = []
+
+        def drifting_polar(m, r=None):
+            s, factor = real_polar(m, r)
+
+            def factor_off_manifold():
+                drifted.append(1)
+                return factor() * (1.0 + 1e-8)
+
+            return s, factor_off_manifold
+
+        monkeypatch.setattr(detector, "_polar", drifting_polar)
+        y, _, _ = noiseless_instance(np.random.default_rng(14))
+        with pytest.raises(ValueError, match="not orthonormal") as info:
+            solve(y, np.ones(3), SolverOptions(), np.random.default_rng(1))
+        assert type(info.value) is ValueError
+        assert len(drifted) == 1
+        cfg = SystemConfig(k_users=4, t_len=60, n_h=32, channel_model="bernoulli_gaussian", trials=1)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            list(run_sweep(cfg, "snr_db", [20.0], ("l3",)))
 
     def test_rank_one_block_is_degenerate(self):
         rng = np.random.default_rng(12)

@@ -81,6 +81,10 @@ class TestSystemConfig:
         ('{"snr_db": NaN}', "snr_db must be a number"),
         ('{"snr_db": -Infinity}', "snr_db must be a number"),
         ('{"power": Infinity}', "power must be finite"),
+        ('{"snr_db": 4000.0}', "inf for noiseless"),
+        ('{"power": 1e300}', r"at most 1e\+30"),
+        ('{"power": [1.0, 1.0, 1e300, 1.0]}', r"at most 1e\+30"),
+        ('{"sigma_z2": 1e300}', r"at most 1e\+30"),
     ])
     def test_json_values_that_cannot_work_rejected(self, override, message):
         # json.load accepts NaN and Infinity, and 40.0 loads as a float.
@@ -91,6 +95,16 @@ class TestSystemConfig:
     def test_numpy_integers_and_noiseless_snr_accepted(self):
         cfg = tiny_config(t_len=np.int64(60), k_users=np.int32(4), snr_db=math.inf)
         assert _noise_variance(cfg, np.ones(4)) == 0.0
+
+    def test_largest_accepted_values_run_cleanly(self):
+        # A floating-point warning fails the test, so all four methods must
+        # run at the power and noise bound without overflow; 3000 dB still
+        # maps to a finite linear SNR.
+        assert _noise_variance(tiny_config(snr_db=3000.0), np.ones(4)) > 0.0
+        for over in (dict(power=1e30), dict(sigma_z2=1e30)):
+            cfg = tiny_config(trials=1, theta=1.0, **over)
+            records = list(run_sweep(cfg, "snr_db", [20.0], ("l3", "l4", "rgd", "pilot")))
+            assert [r.error for r in records] == [None] * 4
 
     def test_sweep_values_checked_at_the_boundary(self):
         with pytest.raises(ValueError, match="t_len must be an integer"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindmimo import (
     RankDeficientError,
@@ -12,7 +14,7 @@ from blindmimo import (
     real_inner,
     riemannian_grad,
 )
-from blindmimo.manifold import _GRAM_RTOL, _gram_polar, _polar
+from blindmimo.manifold import ORTHONORMALITY_TOL, _GRAM_RTOL, _check_orthonormal, _gram_polar, _polar
 
 
 def crandn(rng, *shape):
@@ -32,6 +34,41 @@ class TestStiefelPoint:
         p = StiefelPoint(np.eye(5, 2))
         assert p.t_dim == 5 and p.k_dim == 2
         assert not p.a.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        extra_t=st.integers(0, 32),
+        log_eps=st.floats(-11.0, -8.0),
+        one_column=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loop_check_accepts_what_the_point_accepts(self, k, extra_t, log_eps, one_column, seed):
+        # Perturbations around the 1e-9 tolerance, of one column's norm or of
+        # the whole matrix.  The reference bounds each column norm as well as
+        # the Gram residual; the Gram bound alone implies the column bound,
+        # since |n - 1| <= |n^2 - 1| <= ||A^H A - I||_F.
+        rng = np.random.default_rng(seed)
+        a = random_stiefel(k + extra_t, k, rng).a.copy()
+        eps = 10.0**log_eps
+        if one_column:
+            a[:, rng.integers(k)] *= 1.0 + eps * rng.choice([-1.0, 1.0])
+        else:
+            e = crandn(rng, k + extra_t, k)
+            a += eps * e / np.linalg.norm(e)
+        gram_err = np.linalg.norm(a.conj().T @ a - np.eye(k))
+        col_err = np.abs(np.linalg.norm(a, axis=0) - 1.0).max()
+        expected = gram_err < ORTHONORMALITY_TOL and col_err < ORTHONORMALITY_TOL
+
+        def accepts(check):
+            try:
+                check(a)
+            except ValueError:
+                return False
+            return True
+
+        assert accepts(_check_orthonormal) == expected
+        assert accepts(StiefelPoint) == expected
 
     def test_tangent_invariant_enforced(self):
         base = StiefelPoint(np.eye(4, 2))
