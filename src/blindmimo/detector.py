@@ -16,7 +16,8 @@ from the reference symbol and the user-ID headers.
 
 A block is the dense M x T matrix Ybar or ``precondition``'s pair (u, vh) of
 its rank-K factors, which is never multiplied out; every function that takes
-a block takes either form.
+a block takes either form.  The gradient reads the block through transposed
+views of those same factors, so no conjugate copy of it is ever made.
 
 The iteration and its projected-gradient baseline share one ascent loop;
 they differ only in their step: the polar factor of the gradient, or a
@@ -198,13 +199,21 @@ def _point_inputs(
 
 
 def _evaluate(
-    y: Factors, a: np.ndarray, isg: np.ndarray, p: int, yh: Optional[Factors] = None
+    y: Factors, a: np.ndarray, isg: np.ndarray, p: int, with_grad: bool = False
 ) -> Tuple[float, Optional[np.ndarray]]:
-    """The objective at ``a`` and, given the adjoint's factors ``yh``, the gradient there."""
+    """The objective at ``a`` and, ``with_grad``, the gradient there.
+
+    Ybar^H F is formed as conj(Ybar^T conj(F)) through transposed views of the
+    block's own factors, with no conjugate copy; it is bit-identical, since
+    negating imaginary parts commutes exactly with every multiply and add.
+    """
     w = _apply(y, a) * isg
     mag = np.abs(w)
-    # |W|^(p-2) as mag or mag * mag: bit-identical to the power, without its overhead
-    grad = None if yh is None else p * _apply(yh, (mag if p == 3 else mag * mag) * w) * isg
+    grad = None
+    if with_grad:
+        # |W|^(p-2) as mag or mag * mag: bit-identical to the power, without its overhead
+        f = (mag if p == 3 else mag * mag) * w
+        grad = p * _apply(tuple(x.T for x in reversed(y)), f.conj()).conj() * isg
     return float((mag**p).sum()), grad
 
 
@@ -233,10 +242,11 @@ def euclid_grad(
 
     Returns p * Ybar^H (|W|^(p-2) . W) G^(-1/2) with W = Ybar A G^(-1/2);
     its real inner product with a direction equals the first-order change of
-    the objective along that direction.
+    the objective along that direction.  Ybar^H is read through transposed
+    views of the block's factors, so the call copies no block.
     """
     y, am, isg = _point_inputs(y_bar, a, g_diag)
-    return _evaluate(y, am, isg, p_exponent, tuple(f.conj().T for f in reversed(y)))[1]
+    return _evaluate(y, am, isg, p_exponent, with_grad=True)[1]
 
 
 def iterate(
@@ -293,12 +303,13 @@ def _ascend(
 ) -> Tuple[StiefelPoint, SolveTrace]:
     """The ascent loop both solvers share; only ``step`` differs.
 
-    Each iterate costs one objective/gradient evaluation and one
-    factorization of the gradient through ``_polar``, which gives eta; then
-    come ``on_iterate`` and the stop rule (``eta_tol``, ``obj_tol``,
-    ``max_iters``).  Otherwise ``step(a, obj, grad, polar)`` returns the next
-    iterate, or None (no ascent: stop with ``obj_tol``), and the objective
-    evaluations it spent; ``polar()`` forms the gradient's polar factor,
+    Each iterate costs one objective/gradient evaluation, whose two products
+    both read the one stored block, and one factorization of the gradient
+    through ``_polar``, which gives eta; then come ``on_iterate`` and the
+    stop rule (``eta_tol``, ``obj_tol``, ``max_iters``).  Otherwise
+    ``step(a, obj, grad, polar)`` returns the next iterate, or None (no
+    ascent: stop with ``obj_tol``), and the objective evaluations it spent;
+    ``polar()`` forms the gradient's polar factor,
     raising RankDeficientError when the gradient is rank deficient.  An
     all-zero gradient raises RankDeficientError at once: its eta of 0 would
     otherwise pass the stop rule at objective 0, the minimum.  Iterates are
@@ -306,12 +317,11 @@ def _ascend(
     (drift raises ValueError, never a restart); only ``on_iterate`` and the
     returned point get a ``StiefelPoint``.
     """
-    yh = tuple(f.conj().T for f in reversed(y))  # the adjoint's factors
     objs: list[float] = []
     etas: list[float] = []
     n_evals = 0
     for j in range(opts.max_iters + 1):
-        obj, grad = _evaluate(y, a, isg, p, yh)
+        obj, grad = _evaluate(y, a, isg, p, with_grad=True)
         s, polar = _polar(grad)
         if s[0] == 0.0:
             raise RankDeficientError("the gradient vanishes")

@@ -62,6 +62,7 @@ DEFAULT_CONCENTRATION_C = {4: 0.416, 8: 0.464}
 _FADING_FC_GHZ = 28.0
 
 _MAX_SCALE = 1e30  # largest power or sigma_z2; l4 overflows past 1e60 (K=4, T=60, M=32)
+_MIN_SNR_DB = -300.0  # linear SNR 1e-30, the mirror of _MAX_SCALE; -3200 dB ended in LinAlgError
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,8 @@ class SystemConfig:
             raise ValueError(f"sigma_z2 must be finite, >= 0 and at most {_MAX_SCALE:g}, got {self.sigma_z2}")
         if not 0 <= self.pilot_lambda < math.inf:
             raise ValueError(f"pilot_lambda must be finite and >= 0, got {self.pilot_lambda}")
-        if not self.snr_db > -math.inf:  # NaN fails too; +inf means noiseless
-            raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
+        if not self.snr_db >= _MIN_SNR_DB:  # NaN fails too; +inf means noiseless
+            raise ValueError(f"snr_db must be a number >= {_MIN_SNR_DB:g} dB, got {self.snr_db}")
         try:
             10.0 ** (self.snr_db / 10.0)  # the linear SNR the noise variance divides by
         except OverflowError:

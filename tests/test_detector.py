@@ -120,6 +120,20 @@ class TestEuclidGrad:
         ref = p * (y.conj().T @ (np.abs(w) ** (p - 2) * w)) * isg[np.newaxis, :]
         assert np.array_equal(euclid_grad(y, a, g_diag, p), ref)
 
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_pair_bit_identical_to_the_adjoint_product(self, p):
+        # The gradient reads the pair through its transposes and conjugates
+        # twice; that must equal the adjoint's factors applied bit for bit.
+        rng = np.random.default_rng(50 + p)
+        u, vh = precondition(crandn(rng, 40, 24), 4)
+        a = random_stiefel(24, 4, rng)
+        g_diag = rng.uniform(0.5, 2.0, 4)
+        isg = 1.0 / np.sqrt(g_diag)
+        w = (u @ (vh @ a.a)) * isg
+        f = np.abs(w) ** (p - 2) * w
+        ref = p * (vh.conj().T @ (u.conj().T @ f)) * isg
+        assert np.array_equal(euclid_grad((u, vh), a, g_diag, p), ref)
+
     def test_column_phase_invariance(self):
         rng = np.random.default_rng(5)
         y = crandn(rng, 15, 8)

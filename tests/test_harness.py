@@ -82,6 +82,8 @@ class TestSystemConfig:
         ('{"snr_db": -Infinity}', "snr_db must be a number"),
         ('{"power": Infinity}', "power must be finite"),
         ('{"snr_db": 4000.0}', "inf for noiseless"),
+        ('{"snr_db": -4000.0}', "snr_db must be a number >= -300 dB"),
+        ('{"snr_db": -3200.0}', "snr_db must be a number >= -300 dB"),
         ('{"power": 1e300}', r"at most 1e\+30"),
         ('{"power": [1.0, 1.0, 1e300, 1.0]}', r"at most 1e\+30"),
         ('{"sigma_z2": 1e300}', r"at most 1e\+30"),
@@ -98,12 +100,12 @@ class TestSystemConfig:
 
     def test_largest_accepted_values_run_cleanly(self):
         # A floating-point warning fails the test, so all four methods must
-        # run at the power and noise bound without overflow; 3000 dB still
+        # run at the power and noise bounds without overflow; 3000 dB still
         # maps to a finite linear SNR.
         assert _noise_variance(tiny_config(snr_db=3000.0), np.ones(4)) > 0.0
-        for over in (dict(power=1e30), dict(sigma_z2=1e30)):
+        for over in (dict(power=1e30), dict(sigma_z2=1e30), dict(snr_db=-300.0)):
             cfg = tiny_config(trials=1, theta=1.0, **over)
-            records = list(run_sweep(cfg, "snr_db", [20.0], ("l3", "l4", "rgd", "pilot")))
+            records = list(run_sweep(cfg, "snr_db", [cfg.snr_db], ("l3", "l4", "rgd", "pilot")))
             assert [r.error for r in records] == [None] * 4
 
     def test_sweep_values_checked_at_the_boundary(self):

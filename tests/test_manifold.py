@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from blindmimo import (
     real_inner,
     riemannian_grad,
 )
+from blindmimo import manifold
 from blindmimo.manifold import ORTHONORMALITY_TOL, _GRAM_RTOL, _check_orthonormal, _gram_polar, _polar
 
 
@@ -255,6 +257,73 @@ class TestPolar:
         assert not s.any()
         with pytest.raises(RankDeficientError):
             polar()
+
+
+class TestLapackRoute:
+    """``_polar`` calls LAPACK's zheevd and zgesdd directly; NumPy's eigh and svd are the reference."""
+
+    @staticmethod
+    def through_numpy(monkeypatch, m, r=None):
+        with monkeypatch.context() as mp:
+            mp.setattr(manifold, "_eigh", np.linalg.eigh)
+            mp.setattr(manifold, "_svd", lambda x: np.linalg.svd(x, full_matrices=False))
+            s, factor = _polar(m, r)
+            return s, factor()
+
+    def assert_bit_for_bit(self, monkeypatch, m, r=None):
+        s_ref, f_ref = self.through_numpy(monkeypatch, m, r)
+        s, factor = _polar(m, r)
+        f = factor()
+        assert np.array_equal(s, s_ref)
+        for got, ref in zip(f if r else (f,), f_ref if r else (f_ref,)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape", [(240, 8), (40, 8)])
+    @pytest.mark.parametrize("kappa", [1.0, 10.0])
+    def test_gram_route(self, monkeypatch, shape, kappa):
+        rng = np.random.default_rng(20 + shape[0] + int(kappa))
+        for _ in range(20):
+            m = with_condition(rng, *shape, kappa, scale=rng.uniform(0.5, 2.0))
+            assert _gram_polar(m) is not None
+            self.assert_bit_for_bit(monkeypatch, m)
+
+    @pytest.mark.parametrize("shape", [(240, 8), (40, 8)])
+    @pytest.mark.parametrize("kappa", [1e3, 1e8])
+    def test_svd_route(self, monkeypatch, shape, kappa):
+        rng = np.random.default_rng(30 + shape[0] + int(np.log10(kappa)))
+        for _ in range(5):
+            m = with_condition(rng, *shape, kappa)
+            assert _gram_polar(m) is None
+            self.assert_bit_for_bit(monkeypatch, m)
+
+    def test_top_k_of_a_dense_block(self, monkeypatch):
+        # A 256 x 40 block whose top 8 directions are too spread for the Gram
+        # takes the SVD and keeps its top 8 singular vectors.
+        m = with_condition(np.random.default_rng(9), 256, 40, 1e20)
+        assert _gram_polar(m, 8) is None
+        self.assert_bit_for_bit(monkeypatch, m, 8)
+
+    def test_svd_workspace_is_queried(self):
+        # At 300 x 64 zgesdd's default workspace blocks differently and moves
+        # the last bits of U and V^H; the queried one, which NumPy and
+        # scipy.linalg.svd also use, does not.
+        m = crandn(np.random.default_rng(11), 300, 64)
+        ref = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesdd")
+        assert all(np.array_equal(got, want) for got, want in zip(manifold._svd(m), ref))
+
+    @pytest.mark.parametrize("routine, kappa, message", [
+        ("zheevd", 1.0, "Eigenvalues did not converge"),
+        ("zgesdd", 1e8, "SVD did not converge"),
+    ])
+    def test_nonzero_info_raises(self, monkeypatch, routine, kappa, message):
+        real = getattr(manifold.lapack, routine)
+        monkeypatch.setattr(manifold.lapack, routine, lambda *a, **kw: (*real(*a, **kw)[:-1], 1))
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            _polar(with_condition(np.random.default_rng(10), 40, 8, kappa))
+
+    def test_nan_gradient_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            _polar(np.full((40, 8), np.nan, dtype=complex))
 
 
 class TestRiemannianGrad:
