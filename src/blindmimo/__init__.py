@@ -49,7 +49,6 @@ from .harness import (
 from .manifold import (
     RankDeficientError,
     StiefelPoint,
-    TangentDirection,
     nuclear_norm,
     polar_retract,
     random_stiefel,

@@ -30,7 +30,7 @@ matrix and its compact SVD.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -38,6 +38,7 @@ from scipy.optimize import linear_sum_assignment
 from .manifold import (
     RankDeficientError,
     StiefelPoint,
+    _as_matrix,
     _check_orthonormal,
     _polar,
     _rank_deficient,
@@ -54,7 +55,6 @@ __all__ = [
     "SolveTrace",
     "AmbiguityResolution",
     "DetectionResult",
-    "DemodResult",
     "DegenerateGradientError",
     "objective",
     "euclid_grad",
@@ -156,10 +156,6 @@ class SolveTrace:
         return float(self.eta_per_iter[-1])
 
 
-def _as_matrix(a: Union[StiefelPoint, np.ndarray]) -> np.ndarray:
-    return a.a if isinstance(a, StiefelPoint) else np.asarray(a, dtype=np.complex128)
-
-
 def _positive_g(g_diag: np.ndarray, k: int) -> np.ndarray:
     g = np.asarray(g_diag, dtype=np.float64)
     if g.shape != (k,) or not np.all(g > 0):
@@ -188,9 +184,16 @@ def _apply(fs: Factors, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_exponent(p: int) -> None:
+    """Reject any exponent but 3 and 4, the only two ``_evaluate`` forms |W|^(p-2) for."""
+    if p not in (3, 4):
+        raise ValueError(f"p_exponent must be 3 or 4, got {p!r}")
+
+
 def _point_inputs(
-    y_bar: Block, a: Union[StiefelPoint, np.ndarray], g_diag: np.ndarray
+    y_bar: Block, a: Union[StiefelPoint, np.ndarray], g_diag: np.ndarray, p: int
 ) -> Tuple[Factors, np.ndarray, np.ndarray]:
+    _check_exponent(p)
     am = _as_matrix(a)
     y = _factors(y_bar)
     if y[-1].shape[1] != am.shape[0]:
@@ -227,8 +230,8 @@ def objective(
     g_diag: np.ndarray,
     p_exponent: int = 3,
 ) -> float:
-    """Entrywise p-norm objective sum |Ybar A G^(-1/2)|^p."""
-    y, am, isg = _point_inputs(y_bar, a, g_diag)
+    """Entrywise p-norm objective sum |Ybar A G^(-1/2)|^p, for p = 3 or 4."""
+    y, am, isg = _point_inputs(y_bar, a, g_diag, p_exponent)
     return _evaluate(y, am, isg, p_exponent)[0]
 
 
@@ -245,7 +248,7 @@ def euclid_grad(
     the objective along that direction.  Ybar^H is read through transposed
     views of the block's factors, so the call copies no block.
     """
-    y, am, isg = _point_inputs(y_bar, a, g_diag)
+    y, am, isg = _point_inputs(y_bar, a, g_diag, p_exponent)
     return _evaluate(y, am, isg, p_exponent, with_grad=True)[1]
 
 
@@ -280,8 +283,7 @@ def optimality_eta(a: Union[StiefelPoint, np.ndarray], grad: np.ndarray) -> floa
 
 
 def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray]:
-    if p not in (3, 4):
-        raise ValueError("p_exponent must be 3 or 4")
+    _check_exponent(p)
     y = _factors(y_bar)
     k = np.asarray(g_diag).shape[0]
     t = y[-1].shape[1]
@@ -515,24 +517,17 @@ def _least_squares(d: np.ndarray, y: np.ndarray, name: str, cause: str = "") -> 
     return np.linalg.solve(dh @ d, dh @ y)
 
 
-class DemodResult(NamedTuple):
-    """Nearest-point decisions: labels and Gray-decoded bits."""
-
-    indices: np.ndarray
-    bits: np.ndarray
-
-
-def demodulate(x_hat: np.ndarray, c: Constellation) -> DemodResult:
+def demodulate(x_hat: np.ndarray, c: Constellation) -> Tuple[np.ndarray, np.ndarray]:
     """Map sqrt(T) * x_hat entrywise to the nearest constellation point.
 
-    Ties break toward the smallest Gray label.  Bits are recovered through
-    the Gray map.
+    Returns (indices, bits): the Gray labels, ties broken toward the
+    smallest, and the bits they carry through the Gray map.
     """
     x = np.asarray(x_hat, dtype=np.complex128)
     v = x * np.sqrt(x.shape[1])
     dist = np.abs(v[..., np.newaxis] - c.points[np.newaxis, np.newaxis, :])
     indices = np.argmin(dist, axis=-1)
-    return DemodResult(indices, c.bits_of(indices))
+    return indices, c.bits_of(indices)
 
 
 @dataclass(frozen=True)
@@ -578,11 +573,11 @@ def detect(
     if opts.precondition:
         x_est = postprocess(y_in, x_est, y_bar)
     x_hat, resolution = resolve_ambiguity(x_est, frame_meta, c)
-    demod = demodulate(x_hat, c)
+    indices, bits = demodulate(x_hat, c)
     return DetectionResult(
         x_hat=x_hat,
-        symbol_indices=demod.indices,
-        bits=demod.bits,
+        symbol_indices=indices,
+        bits=bits,
         trace=trace,
         resolution=resolution,
     )
@@ -593,14 +588,14 @@ def riemannian_gd_baseline(
     g_diag: np.ndarray,
     opts: SolverOptions,
     rng: np.random.Generator,
-    a0: Optional[StiefelPoint] = None,
     p_exponent: int = 3,
 ) -> Tuple[StiefelPoint, SolveTrace]:
     """Projected-gradient ascent over the Stiefel manifold with backtracking.
 
-    Each step retracts A + tau * grad_R with tau found by halving from 1
-    until the objective increases (at most 30 halvings, else it stops with
-    ``obj_tol``); that step is all it changes in ``solve``'s ascent loop.
+    From a Haar-uniform start, each step retracts A + tau * grad_R with tau
+    found by halving from 1 until the objective increases (at most 30
+    halvings, else it stops with ``obj_tol``); that step is all it changes
+    in ``solve``'s ascent loop.
     Under identity fading it reaches ``solve``'s stationary values at extra
     line-search cost; under log-distance fading it does not.  Preconditioned,
     ||grad_R|| starts near 2e14, so 2^-29 still overshoots and it stops after
@@ -609,7 +604,7 @@ def riemannian_gd_baseline(
     y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
 
     def line_search(a, obj, grad, polar):
-        direction = riemannian_grad(StiefelPoint(a), grad).xi
+        direction = riemannian_grad(a, grad)
         spent = 0
         for halvings in range(30):
             try:
@@ -621,7 +616,7 @@ def riemannian_gd_baseline(
                 return cand.a, spent
         return None, spent
 
-    a = a0 if a0 is not None else random_stiefel(y[-1].shape[1], isg.size, rng)
+    a = random_stiefel(y[-1].shape[1], isg.size, rng)
     return _ascend(y, isg, a.a, opts, p_exponent, line_search)
 
 

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import operator
 import os
 import time
@@ -363,15 +364,22 @@ def run_sweep(
     deterministic given the config and base seed.  Each method sets its own
     objective exponent; ``normalized_objective`` is set only for l3 and rgd
     where the l3 envelope holds (see ``_envelope_holds``), else None.
+    A record holds its sweep value as a float, so the values must be real
+    numbers (not bools) and ``solver`` is not a sweep parameter; every
+    value's config is built, and so checked, before the first trial.
     """
     for m in methods:
         if m not in KNOWN_METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
-    if sweep_param not in SystemConfig.__dataclass_fields__:
-        raise ValueError(f"unknown sweep parameter {sweep_param!r}")
+    if sweep_param not in SystemConfig.__dataclass_fields__ or sweep_param == "solver":
+        raise ValueError(f"{sweep_param!r} is not a sweep parameter")
+    points = []
+    for value in sweep_values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"sweep values of {sweep_param!r} must be real numbers, got {value!r}")
+        points.append((value, replace(cfg, **{sweep_param: value})))
     fingerprint = cfg.fingerprint()
-    for si, value in enumerate(sweep_values):
-        cfg_i = replace(cfg, **{sweep_param: value})
+    for si, (value, cfg_i) in enumerate(points):
         for trial in range(cfg_i.trials):
             scenario = build_scenario(cfg_i, _stream(cfg.base_seed, si, trial, "scenario"))
             digest = scenario.digest
@@ -439,6 +447,10 @@ def run_concentration_experiment(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials per point")
+    if not 0 < delta_sq < math.inf:
+        raise ValueError(f"delta_sq must be finite and positive, got {delta_sq}")
+    if min(t_list, default=1) < 1:
+        raise ValueError(f"every t_len must be at least 1, got {min(t_list)}")
     c = build_constellation(constellation)
     threshold = math.sqrt(delta_sq)
     rows = []

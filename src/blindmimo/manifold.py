@@ -4,7 +4,8 @@ The complex Stiefel manifold St_K(C^T) is the set of T x K complex matrices
 with orthonormal columns (A^H A = I_K).  This module provides the small set
 of operations every solver in the package is built on: Haar-uniform sampling,
 the polar-decomposition retraction, tangent-space projection of a Euclidean
-gradient, and the nuclear norm.
+gradient, and the nuclear norm.  A point is a ``StiefelPoint`` or a plain array
+its caller has checked (``_as_matrix`` reads either); a direction is an array.
 
 ``_polar`` is the only place that chooses how singular values and polar
 factors are computed: a tall matrix goes through the eigendecomposition of
@@ -19,7 +20,7 @@ All functions are pure; random state is owned by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -27,10 +28,8 @@ from scipy.linalg import lapack
 
 __all__ = [
     "ORTHONORMALITY_TOL",
-    "TANGENCY_TOL",
     "RankDeficientError",
     "StiefelPoint",
-    "TangentDirection",
     "random_stiefel",
     "polar_retract",
     "riemannian_grad",
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 ORTHONORMALITY_TOL = 1e-9
-TANGENCY_TOL = 1e-8
 
 # Singular values below this fraction of the largest count as zero.
 _RANK_RTOL = 1e-12
@@ -113,36 +111,8 @@ class StiefelPoint:
         return self.a.shape[1]
 
 
-@dataclass(frozen=True)
-class TangentDirection:
-    """A direction xi in the tangent space of the Stiefel manifold at ``base``.
-
-    Tangency means base^H xi + xi^H base = 0; the Frobenius norm of that
-    Hermitian combination must be below 1e-8 * max(1, ||xi||_F), so the
-    rounding of large directions (e.g. gradients under strong fading) is
-    not mistaken for a departure from the tangent space.
-    """
-
-    xi: np.ndarray
-    base: StiefelPoint
-
-    def __post_init__(self) -> None:
-        xi = np.array(self.xi, dtype=np.complex128, copy=True, order="C")
-        if xi.shape != self.base.a.shape:
-            raise ValueError(
-                f"shape mismatch: xi {xi.shape} vs base {self.base.a.shape}"
-            )
-        sym = self.base.a.conj().T @ xi
-        sym = sym + sym.conj().T
-        err = np.linalg.norm(sym)
-        if not err < TANGENCY_TOL * max(1.0, float(np.linalg.norm(xi))):
-            raise ValueError(f"direction not tangent: symmetry residual {err:.3e}")
-        xi.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.xi))
+def _as_matrix(a: Union[StiefelPoint, np.ndarray]) -> np.ndarray:
+    return a.a if isinstance(a, StiefelPoint) else np.asarray(a, dtype=np.complex128)
 
 
 def random_stiefel(t_dim: int, k_dim: int, rng: np.random.Generator) -> StiefelPoint:
@@ -271,20 +241,22 @@ def _polar(
     return s, factor
 
 
-def riemannian_grad(a: StiefelPoint, euclid_grad: np.ndarray) -> TangentDirection:
+def riemannian_grad(a: Union[StiefelPoint, np.ndarray], euclid_grad: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at ``a``.
 
-    Returns (I - a a^H) g + a (a^H g - g^H a) / 2, the steepest ascent
-    direction on the manifold under the real trace inner product.  It
-    vanishes exactly when a^H g is Hermitian and g lies in the column space
-    of ``a``, the first-order stationarity condition.
+    Returns the T x K array (I - a a^H) g + a (a^H g - g^H a) / 2, the
+    steepest ascent direction on the manifold under the real trace inner
+    product; with b = a^H g, a^H xi = (b - b^H) / 2 is skew-Hermitian, so it
+    is tangent by construction.  It vanishes exactly when a^H g is Hermitian
+    and g lies in the column space of ``a``, the first-order stationarity
+    condition.  A plain-array ``a`` is not checked.
     """
+    am = _as_matrix(a)
     g = np.asarray(euclid_grad, dtype=np.complex128)
-    if g.shape != a.a.shape:
-        raise ValueError(f"shape mismatch: grad {g.shape} vs point {a.a.shape}")
-    b = a.a.conj().T @ g
-    xi = g - a.a @ ((b + b.conj().T) / 2.0)
-    return TangentDirection(xi, a)
+    if g.shape != am.shape:
+        raise ValueError(f"shape mismatch: grad {g.shape} vs point {am.shape}")
+    b = am.conj().T @ g
+    return g - am @ ((b + b.conj().T) / 2.0)
 
 
 def nuclear_norm(m: np.ndarray) -> float:

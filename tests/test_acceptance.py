@@ -176,7 +176,7 @@ def test_criterion_06_eta_stationarity():
         eta = bm.optimality_eta(a, grad)
         if not eta < 1e-9 * bm.nuclear_norm(grad):
             fixed_ok = False
-        if not bm.riemannian_grad(a, grad).norm < 1e-9 * np.linalg.norm(grad):
+        if not np.linalg.norm(bm.riemannian_grad(a, grad)) < 1e-9 * np.linalg.norm(grad):
             rgrad_zero_ok = False
     # converged solves: residual Riemannian gradient is tiny
     worst_ratio = 0.0
@@ -192,7 +192,7 @@ def test_criterion_06_eta_stationarity():
         a, tr = bm.solve(y, np.ones(k), opts, rng)
         assert tr.stop_reason != "max_iters"
         g = bm.euclid_grad(y, a, np.ones(k))
-        worst_ratio = max(worst_ratio, bm.riemannian_grad(a, g).norm / np.linalg.norm(g))
+        worst_ratio = max(worst_ratio, np.linalg.norm(bm.riemannian_grad(a, g)) / np.linalg.norm(g))
     ok = nonneg and fixed_ok and rgrad_zero_ok and worst_ratio < 1e-3
     report(6, ok, f"eta >= 0 everywhere; eta < 1e-9*||grad||_* at fixed points; "
                   f"converged ||grad_R||/||grad|| worst {worst_ratio:.2e} < 1e-3")

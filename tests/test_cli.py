@@ -140,6 +140,15 @@ class TestConcentrationCommand:
         assert len(lines) == 3
         assert np.loadtxt(out / "plot_concentration_k4.dat").shape == (2, 4)
 
+    @pytest.mark.parametrize("args, message", [
+        (["--delta-sq", "-1"], "delta_sq"), (["--delta-sq", "0"], "delta_sq"), (["--t-list", "0"], "t_len"),
+    ])
+    def test_inputs_that_cannot_work_rejected(self, tmp_path, capsys, args, message):
+        out = tmp_path / "conc"
+        assert main(["concentration", "--k-list", "4", "--trials", "100", "--out", str(out), *args]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConvergenceCommand:
     def test_writes_traces_and_summary(self, tmp_path):

@@ -182,6 +182,19 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             list(run_sweep(tiny_config(), "snr", [0.0]))
 
+    @pytest.mark.parametrize("param, values", [
+        ("channel_model", ["bernoulli_gaussian"]),
+        ("snr_db", [10.0, True]),
+        ("solver", [SolverOptions(max_iters=5)]),
+        ("t_len", [60, 40.0]),
+    ])
+    def test_sweeps_a_record_cannot_hold_rejected(self, param, values, monkeypatch):
+        # A record's sweep value is a float, and every value's config is
+        # checked: the sweep fails before any trial.
+        monkeypatch.setattr("blindmimo.harness.build_scenario", None)
+        with pytest.raises(ValueError, match=param):
+            next(run_sweep(tiny_config(), param, values))
+
     def test_record_contents(self):
         cfg = tiny_config(trials=2)
         records = list(run_sweep(cfg, "snr_db", [30.0], ("l3",)))
@@ -387,6 +400,14 @@ class TestConcentrationExperiment:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
             run_concentration_experiment([4], [50], 0.1, 50)
+
+    @pytest.mark.parametrize("t_list, delta_sq, message", [
+        ([50], -1.0, "delta_sq"), ([50], 0.0, "delta_sq"), ([50], math.inf, "delta_sq"),
+        ([50], math.nan, "delta_sq"), ([36, 0], 0.1, "t_len"),
+    ])
+    def test_inputs_that_cannot_work_rejected(self, t_list, delta_sq, message):
+        with pytest.raises(ValueError, match=message):
+            run_concentration_experiment([4], t_list, delta_sq, 100)
 
     def test_tail_behaviour(self):
         rows = run_concentration_experiment([4], [30, 60, 120, 2000], 0.1, 200, base_seed=1)

@@ -64,9 +64,9 @@ class TestConstellation:
         weights = 2 ** np.arange(c.bits_per_symbol - 1, -1, -1)
         assert np.array_equal(bits @ weights, labels)
         if labels.ndim == 2:
-            demod = demodulate(c.points[labels] / np.sqrt(labels.shape[1]), c)
-            assert np.array_equal(demod.indices, labels)
-            assert np.array_equal(demod.bits, bits)
+            got_labels, got_bits = demodulate(c.points[labels] / np.sqrt(labels.shape[1]), c)
+            assert np.array_equal(got_labels, labels)
+            assert np.array_equal(got_bits, bits)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
