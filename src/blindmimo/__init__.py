@@ -8,7 +8,6 @@ ambiguity from one reference symbol and short user-ID headers.
 
 from .channel import (
     ArrayGeometry,
-    PathSet,
     array_response,
     bernoulli_gaussian_channel,
     clustered_channel,

@@ -1,7 +1,8 @@
 """Sparse angular-domain channel generation.
 
 Two generative models are provided: a clustered multipath model for a
-uniform rectangular planar array (URPA), and the Bernoulli-Gaussian model
+uniform rectangular planar array (URPA) with half-wavelength element
+spacing, drawn from each user's path count, and the Bernoulli-Gaussian model
 used for analysis-style experiments.  Both return the M x K complex
 angular-domain (beamspace) channel matrix, where few scatterers make the
 channel approximately sparse.  Clustered channels reach the angular domain
@@ -13,14 +14,13 @@ still builds explicitly for ``to_angular`` and as a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import dft
 
 __all__ = [
     "ArrayGeometry",
-    "PathSet",
     "steering_matrix",
     "array_response",
     "clustered_channel",
@@ -30,53 +30,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform rectangular planar array with n_h x n_v elements.
+    """Uniform rectangular planar array of n_h x n_v half-wavelength-spaced elements.
 
-    ``d_over_lambda`` is the element spacing in wavelengths (default half
-    wavelength).  A uniform linear array is simply n_v = 1.
+    A uniform linear array is simply n_v = 1.
     """
 
     n_h: int
     n_v: int = 1
-    d_over_lambda: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_h < 1 or self.n_v < 1:
             raise ValueError("array dimensions must be positive")
-        if not self.d_over_lambda > 0:
-            raise ValueError("element spacing must be positive")
 
     @property
     def m_total(self) -> int:
         return self.n_h * self.n_v
-
-
-@dataclass(frozen=True)
-class PathSet:
-    """Multipath parameters for one user.
-
-    Any of ``gains`` (complex path gains), ``azimuths`` (radians, [0, 2pi))
-    and ``zeniths`` (radians, [-pi/2, pi/2)) may be omitted; missing vectors
-    are drawn i.i.d. when the channel is generated (gains standard complex
-    Gaussian, angles uniform over their ranges).
-    """
-
-    n_paths: int
-    gains: Optional[np.ndarray] = None
-    azimuths: Optional[np.ndarray] = None
-    zeniths: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.n_paths < 1:
-            raise ValueError("need at least one path per user")
-        for name in ("gains", "azimuths", "zeniths"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.asarray(v)
-            if v.shape != (self.n_paths,):
-                raise ValueError(f"{name} must have shape ({self.n_paths},)")
-            object.__setattr__(self, name, v)
 
 
 def steering_matrix(geom: ArrayGeometry) -> np.ndarray:
@@ -91,7 +59,7 @@ def steering_matrix(geom: ArrayGeometry) -> np.ndarray:
 
 
 def _responses(phi, theta, geom: ArrayGeometry) -> np.ndarray:
-    """Unit-norm URPA responses on the (n_v, n_h) element grid.
+    """Unit-norm URPA responses on the (n_v, n_h) element grid, half a wavelength apart.
 
     ``phi`` and ``theta`` are scalars or equal-length 1-d arrays; the result
     has shape ``np.shape(phi) + (n_v, n_h)``.
@@ -100,14 +68,8 @@ def _responses(phi, theta, geom: ArrayGeometry) -> np.ndarray:
     theta = np.asarray(theta)[..., np.newaxis, np.newaxis]
     iv = np.arange(geom.n_v)
     ih = np.arange(geom.n_h)
-    phase = (
-        2.0
-        * np.pi
-        * geom.d_over_lambda
-        * (
-            iv[:, np.newaxis] * (np.sin(phi) * np.sin(theta))
-            + ih[np.newaxis, :] * np.cos(theta)
-        )
+    phase = np.pi * (  # half-wavelength spacing: 2*pi*(1/2)
+        iv[:, np.newaxis] * (np.sin(phi) * np.sin(theta)) + ih[np.newaxis, :] * np.cos(theta)
     )
     return np.exp(1j * phase) / np.sqrt(geom.m_total)
 
@@ -115,52 +77,54 @@ def _responses(phi, theta, geom: ArrayGeometry) -> np.ndarray:
 def array_response(phi: float, theta: float, geom: ArrayGeometry) -> np.ndarray:
     """Unit-norm URPA response vector for azimuth ``phi`` and zenith ``theta``.
 
-    Element (n_v, n_h) carries phase 2*pi*(d/lambda) * (n_v sin(phi) sin(theta)
-    + n_h cos(theta)); the flattening order (n_v outer, n_h inner) matches
-    ``steering_matrix``.
+    Element (n_v, n_h) carries the half-wavelength phase pi * (n_v sin(phi)
+    sin(theta) + n_h cos(theta)); the flattening order (n_v outer, n_h inner)
+    matches ``steering_matrix``.
     """
     return _responses(phi, theta, geom).reshape(-1)
 
 
-def _complete_paths(p: PathSet, rng: np.random.Generator) -> PathSet:
-    gains = p.gains
-    if gains is None:
-        gains = (
-            rng.standard_normal(p.n_paths) + 1j * rng.standard_normal(p.n_paths)
-        ) / np.sqrt(2.0)
-    azimuths = p.azimuths
-    if azimuths is None:
-        azimuths = rng.uniform(0.0, 2.0 * np.pi, p.n_paths)
-    zeniths = p.zeniths
-    if zeniths is None:
-        zeniths = rng.uniform(-np.pi / 2.0, np.pi / 2.0, p.n_paths)
-    return PathSet(p.n_paths, np.asarray(gains), np.asarray(azimuths), np.asarray(zeniths))
-
-
-def clustered_channel(
-    path_sets: Sequence[PathSet],
-    geom: ArrayGeometry,
-    rng: np.random.Generator,
+def _angular_channel(
+    paths: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], geom: ArrayGeometry
 ) -> np.ndarray:
-    """Clustered multipath channel: the M x K complex angular-domain matrix.
+    """The M x K angular channel of explicit per-user (gains, azimuths, zeniths).
 
     The spatial column for user k is sqrt(M / N_paths) times the gain-weighted
     sum of array responses over that user's paths.  The angular matrix is
     U_M^H applied to the spatial matrix, computed as the orthonormal 2-D
     inverse FFT over the (n_v, n_h) element grid; ``steering_matrix`` is never
-    built.  Angles are continuous, so off-grid energy leakage is present by
+    built.
+    """
+    m = geom.m_total
+    h = np.empty((len(paths), geom.n_v, geom.n_h), dtype=np.complex128)
+    for k, (gains, azimuths, zeniths) in enumerate(paths):
+        resp = _responses(azimuths, zeniths, geom)
+        h[k] = np.sqrt(m / len(gains)) * np.tensordot(gains, resp, axes=1)
+    return np.fft.ifft2(h, axes=(1, 2), norm="ortho").reshape(len(paths), m).T
+
+
+def clustered_channel(
+    n_paths: Sequence[int], geom: ArrayGeometry, rng: np.random.Generator
+) -> np.ndarray:
+    """Clustered multipath channel: the M x K complex angular-domain matrix.
+
+    User k has ``n_paths[k]`` paths.  Its path parameters are drawn user by
+    user: gains i.i.d. standard complex Gaussian (real then imaginary parts),
+    then azimuths uniform on [0, 2pi), then zeniths uniform on [-pi/2, pi/2).
+    Angles are continuous, so off-grid energy leakage is present by
     construction.
     """
-    if len(path_sets) < 1:
+    if len(n_paths) < 1:
         raise ValueError("need at least one user")
-    m = geom.m_total
-    h = np.empty((len(path_sets), geom.n_v, geom.n_h), dtype=np.complex128)
-    for k, p in enumerate(path_sets):
-        p = _complete_paths(p, rng)
-        resp = _responses(p.azimuths, p.zeniths, geom)
-        h[k] = np.sqrt(m / p.n_paths) * np.tensordot(p.gains, resp, axes=1)
-    h_bar = np.fft.ifft2(h, axes=(1, 2), norm="ortho").reshape(len(path_sets), m)
-    return h_bar.T
+    if min(n_paths) < 1:
+        raise ValueError("need at least one path per user")
+    paths = []
+    for n in n_paths:
+        gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+        azimuths = rng.uniform(0.0, 2.0 * np.pi, n)
+        zeniths = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
+        paths.append((gains, azimuths, zeniths))
+    return _angular_channel(paths, geom)
 
 
 def bernoulli_gaussian_channel(

@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import detector, metrics
-from .channel import ArrayGeometry, PathSet, bernoulli_gaussian_channel, clustered_channel
+from .channel import ArrayGeometry, bernoulli_gaussian_channel, clustered_channel
 from .detector import SolverOptions
 from .manifold import RankDeficientError, random_stiefel
 from .metrics import TrialMetrics, theoretical_objective_bound
@@ -34,6 +34,7 @@ from .signal import (
     build_frame,
     concentration_statistic,
     header_length,
+    snr_to_noise_variance,
     synthesize_received,
 )
 
@@ -228,14 +229,13 @@ def _draw_fading(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 def _noise_variance(cfg: SystemConfig, g_diag: np.ndarray) -> float:
     if cfg.sigma_z2 is not None:
         return float(cfg.sigma_z2)
-    return float(g_diag.sum()) / (cfg.t_len * 10.0 ** (cfg.snr_db / 10.0))  # sum(g) is K unfaded
+    return snr_to_noise_variance(cfg.snr_db, float(g_diag.sum()), cfg.t_len)
 
 
 def _draw_channel(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     if cfg.channel_model == "bernoulli_gaussian":
         return bernoulli_gaussian_channel(cfg.m, cfg.k_users, cfg.theta, rng)
-    paths = [PathSet(cfg.n_paths) for _ in range(cfg.k_users)]
-    return clustered_channel(paths, cfg.geometry, rng)
+    return clustered_channel([cfg.n_paths] * cfg.k_users, cfg.geometry, rng)
 
 
 def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
@@ -381,10 +381,10 @@ def run_sweep(
     fingerprint = cfg.fingerprint()
     for si, (value, cfg_i) in enumerate(points):
         for trial in range(cfg_i.trials):
-            scenario = build_scenario(cfg_i, _stream(cfg.base_seed, si, trial, "scenario"))
+            scenario = build_scenario(cfg_i, _stream(cfg_i.base_seed, si, trial, "scenario"))
             digest = scenario.digest
             for method in methods:
-                seq = _seed_sequence(cfg.base_seed, si, trial, method)
+                seq = _seed_sequence(cfg_i.base_seed, si, trial, method)
                 try:
                     outcome = _run_method(cfg_i, scenario, method, np.random.default_rng(seq))
                 except (detector.DegenerateGradientError, RankDeficientError) as exc:
@@ -543,7 +543,7 @@ def _ci95_halfwidth(values: np.ndarray) -> float:
     n = values.size
     if n < 2:
         return 0.0
-    return float(stats.t.ppf(0.975, n - 1) * values.std(ddof=1) / math.sqrt(n))
+    return float(stdtrit(n - 1, 0.975) * values.std(ddof=1) / math.sqrt(n))
 
 
 def _write_dat(path, header: str, rows: Iterable[Sequence[float]]) -> None:

@@ -224,9 +224,9 @@ def synthesize_received(
     return (h * scale[np.newaxis, :]) @ x + noise
 
 
-def snr_to_noise_variance(snr_db: float, k_users: int, t_len: int) -> float:
-    """Per-entry noise variance K / (SNR * T) for unit-power users."""
-    return k_users / (10.0 ** (snr_db / 10.0) * t_len)
+def snr_to_noise_variance(snr_db: float, gain_sum: float, t_len: int) -> float:
+    """Per-entry noise variance sum(G) / (SNR * T); ``gain_sum`` is K for unit-gain users."""
+    return gain_sum / (10.0 ** (snr_db / 10.0) * t_len)
 
 
 def concentration_statistic(x: np.ndarray) -> float:

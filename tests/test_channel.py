@@ -3,13 +3,13 @@ import pytest
 
 from blindmimo import (
     ArrayGeometry,
-    PathSet,
     array_response,
     bernoulli_gaussian_channel,
     clustered_channel,
     steering_matrix,
     to_angular,
 )
+from blindmimo.channel import _angular_channel
 
 
 def dft_matrix(n):
@@ -74,7 +74,7 @@ class TestArrayResponse:
             assert abs(np.linalg.norm(a) - 1.0) < 1e-12
 
     def test_scalar_loop_oracle(self):
-        geom = ArrayGeometry(2, 2, d_over_lambda=0.5)
+        geom = ArrayGeometry(2, 2)
         phi, theta = 0.7, 1.1
         a = array_response(phi, theta, geom)
         m = geom.m_total
@@ -85,12 +85,13 @@ class TestArrayResponse:
                 assert abs(a[nv * geom.n_h + nh] - want) < 1e-12
 
 
+GEOMETRIES = [(1, 1), (2, 1), (5, 3), (16, 16), (256, 1)]
+
+
 class TestClusteredChannel:
     def test_single_broadside_path(self):
         geom = ArrayGeometry(8, 1)
-        paths = [PathSet(1, gains=np.array([1.0 + 0j]), azimuths=np.array([0.0]),
-                         zeniths=np.array([np.pi / 2]))]
-        chan = clustered_channel(paths, geom, np.random.default_rng(0))
+        chan = _angular_channel([(np.array([1.0 + 0j]), np.array([0.0]), np.array([np.pi / 2]))], geom)
         # Spatial column is all ones; its angular image is sqrt(M) e1.
         spatial = steering_matrix(geom) @ chan
         assert np.abs(spatial[:, 0] - 1.0).max() < 1e-9
@@ -102,9 +103,7 @@ class TestClusteredChannel:
         geom = ArrayGeometry(8, 1)
         # cos(theta) = 2*m/N_h lands exactly on DFT bin m.
         theta = np.arccos(2 * 2 / 8)
-        paths = [PathSet(1, gains=np.array([1.0 + 0j]), azimuths=np.array([0.0]),
-                         zeniths=np.array([theta]))]
-        chan = clustered_channel(paths, geom, np.random.default_rng(0))
+        chan = _angular_channel([(np.array([1.0 + 0j]), np.array([0.0]), np.array([theta]))], geom)
         assert effective_fraction(chan) == pytest.approx(1 / 8)
 
     def test_mean_column_energy(self):
@@ -113,7 +112,7 @@ class TestClusteredChannel:
         n = 10**4
         energies = np.empty(n)
         for i in range(n):
-            chan = clustered_channel([PathSet(5)], geom, rng)
+            chan = clustered_channel([5], geom, rng)
             energies[i] = np.linalg.norm(chan[:, 0]) ** 2
         se = energies.std(ddof=1) / np.sqrt(n)
         assert abs(energies.mean() - 16.0) < 3 * se
@@ -124,35 +123,33 @@ class TestClusteredChannel:
         n_l = 4
         az = rng.uniform(0, 2 * np.pi, n_l)
         zen = rng.uniform(-np.pi / 2, np.pi / 2, n_l)
-        paths = [PathSet(n_l, gains=np.ones(n_l, dtype=complex), azimuths=az, zeniths=zen)]
-        chan = clustered_channel(paths, geom, rng)
+        chan = _angular_channel([(np.ones(n_l, dtype=complex), az, zen)], geom)
         acc = np.zeros(geom.m_total, dtype=complex)
         for l in range(n_l):
             acc = acc + array_response(az[l], zen[l], geom)
         expected = (geom.m_total / n_l) * np.linalg.norm(acc) ** 2
         assert np.linalg.norm(chan[:, 0]) ** 2 == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("nh,nv,d", [(1, 1, 0.5), (2, 1, 0.5), (5, 3, 0.5),
-                                         (16, 16, 0.5), (256, 1, 0.5), (6, 4, 0.37)])
-    def test_fft_matches_dense_steering_adjoint(self, nh, nv, d):
-        geom = ArrayGeometry(nh, nv, d_over_lambda=d)
+    # Ids read n_h-n_v-spacing; every array is half-wavelength spaced.
+    @pytest.mark.parametrize("nh,nv", GEOMETRIES, ids=[f"{nh}-{nv}-0.5" for nh, nv in GEOMETRIES])
+    def test_fft_matches_dense_steering_adjoint(self, nh, nv):
+        geom = ArrayGeometry(nh, nv)
         rng = np.random.default_rng(5)
         paths = [(rng.standard_normal(n_l) + 1j * rng.standard_normal(n_l),
                   rng.uniform(0, 2 * np.pi, n_l), rng.uniform(-np.pi / 2, np.pi / 2, n_l))
                  for n_l in (1, 3, 5)]
         expected = dense_angular(geom, paths)
-        path_sets = [PathSet(len(g), gains=g, azimuths=az, zeniths=zen) for g, az, zen in paths]
-        got = clustered_channel(path_sets, geom, rng)
+        got = _angular_channel(paths, geom)
         assert got.shape == expected.shape
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_path_draw_order_pinned(self):
-        # Missing path parameters are drawn user by user: gains (real then
-        # imaginary parts), then azimuths, then zeniths.
+        # Path parameters are drawn user by user: gains (real then imaginary
+        # parts), then azimuths, then zeniths.
         geom = ArrayGeometry(8, 2)
         n_paths = (2, 4)
         chan_rng = np.random.default_rng(11)
-        chan = clustered_channel([PathSet(n) for n in n_paths], geom, chan_rng)
+        chan = clustered_channel(n_paths, geom, chan_rng)
         rng = np.random.default_rng(11)
         paths = []
         for n_l in n_paths:
@@ -169,20 +166,18 @@ class TestClusteredChannel:
         # Continuous angles leak energy across bins: effective sparsity is
         # neither one-bin-per-path nor full.
         geom = ArrayGeometry(16, 16)
-        chan = clustered_channel([PathSet(5) for _ in range(8)], geom,
-                                 np.random.default_rng(7))
+        chan = clustered_channel([5] * 8, geom, np.random.default_rng(7))
         assert 8 * 5 / chan.size < effective_fraction(chan) < 1.0
 
     def test_returns_plain_matrix(self):
-        chan = clustered_channel([PathSet(3) for _ in range(3)], ArrayGeometry(4, 2),
-                                 np.random.default_rng(0))
+        chan = clustered_channel([3] * 3, ArrayGeometry(4, 2), np.random.default_rng(0))
         assert type(chan) is np.ndarray and chan.shape == (8, 3) and chan.dtype == np.complex128
 
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):
             clustered_channel([], ArrayGeometry(4, 1), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            PathSet(0)
+            clustered_channel([0], ArrayGeometry(4, 1), np.random.default_rng(0))
 
 
 class TestBernoulliGaussian:

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
 
@@ -23,6 +26,7 @@ from blindmimo import (
     run_convergence_experiment,
     run_sweep,
 )
+import blindmimo
 from blindmimo import detector
 from blindmimo.harness import (
     _draw_fading,
@@ -194,6 +198,18 @@ class TestRunSweep:
         monkeypatch.setattr("blindmimo.harness.build_scenario", None)
         with pytest.raises(ValueError, match=param):
             next(run_sweep(tiny_config(), param, values))
+
+    def test_base_seed_sweep_reaches_the_draws(self):
+        def outcomes(records):  # the record fields a seed decides; wall_time is left out
+            return [(r.scenario_digest, r.seed, json.loads(r.to_json())["metrics"]) for r in records]
+
+        cfg = tiny_config(trials=2)
+        swept_1 = outcomes(run_sweep(cfg, "base_seed", [1]))
+        plain_1 = outcomes(run_sweep(replace(cfg, base_seed=1), "snr_db", [cfg.snr_db]))
+        swept_2 = outcomes(run_sweep(cfg, "base_seed", [2]))
+        assert swept_1 == plain_1
+        for a, b in zip(swept_1, swept_2):
+            assert a[0] != b[0] and a[1] != b[1] and a[2] != b[2]
 
     def test_record_contents(self):
         cfg = tiny_config(trials=2)
@@ -515,3 +531,12 @@ class TestStreamDerivation:
         assert seed == int(np.random.SeedSequence(words).generate_state(1)[0])
         expected = np.random.default_rng(np.random.SeedSequence(words)).standard_normal(4)
         assert np.array_equal(_stream(7, 0, 3, "l3").standard_normal(4), expected)
+
+
+def test_import_does_not_load_scipy_stats():
+    # Loading scipy.stats nearly doubled the package's import time, and nothing here needs it.
+    src = os.path.dirname(os.path.dirname(blindmimo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, blindmimo; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
