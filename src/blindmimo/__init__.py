@@ -38,8 +38,8 @@ from .harness import (
     SystemConfig,
     TrialRecord,
     build_scenario,
+    convergence_variants,
     emit_report,
-    iterations_to_level,
     read_records,
     run_concentration_experiment,
     run_convergence_experiment,

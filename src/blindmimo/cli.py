@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from .harness import (
     SystemConfig,
     _write_dat,
+    convergence_variants,
     emit_report,
-    iterations_to_level,
     read_records,
     run_concentration_experiment,
     run_convergence_experiment,
@@ -69,38 +68,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
-    variant_overrides = raw.pop("variants", None)
+    overrides = raw.pop("variants", None)
     raw.setdefault("trials", 30)
     base = _build_config(raw, args)
-    if base.sigma_z2 is not None:
-        noise_variant = {"sigma_z2": base.sigma_z2 / 10.0}
-    else:
-        noise_variant = {"snr_db": base.snr_db + 10.0}
-    variant_overrides = variant_overrides or {
-        "theta_half": {"theta": base.theta / 2.0},
-        "k_half": {"k_users": max(1, base.k_users // 2)},
-        "noise_tenth": noise_variant,
-    }
-    variants = {"base": base}
-    for name, over in variant_overrides.items():
-        variants[name] = SystemConfig.from_dict({**base.to_dict(), **over})
-    results = run_convergence_experiment(variants, trials=base.trials, base_seed=base.base_seed)
+    variants = convergence_variants(base, overrides)
+    for name in variants:  # each name becomes part of a file name
+        if "\0" in name or any(sep and sep in name for sep in (os.sep, os.altsep)):
+            raise ValueError(f"variant name {name!r} holds a path separator or NUL")
+    results = run_convergence_experiment(
+        variants, trials=base.trials, base_seed=base.base_seed, level=args.level
+    )
     os.makedirs(args.out, exist_ok=True)
     summary = {}
     for name, res in results.items():
-        traces = res["traces"]
-        max_len = max(len(t) for t in traces)
-        mean_curve = np.full(max_len, np.nan)
-        for j in range(max_len):
-            vals = [t[min(j, len(t) - 1)] for t in traces]
-            mean_curve[j] = float(np.mean(vals))
         path = os.path.join(args.out, f"plot_convergence_{name}.dat")
-        _write_dat(path, "iteration mean_normalized_objective", enumerate(mean_curve))
-        median = float(np.median([iterations_to_level(t, args.level) for t in traces]))
+        _write_dat(path, "iteration mean_normalized_objective", enumerate(res["mean_curve"]))
+        median = res["median_iters_to_level"]
         summary[name] = {
             "upper_bound": res["upper_bound"],
             "sigma_z2": res["sigma_z2"],
-            "median_iters_to_level": median if np.isfinite(median) else None,  # never reached
+            "median_iters_to_level": median if math.isfinite(median) else None,  # never reached
             "level": args.level,
             "trials": base.trials,
         }

@@ -511,7 +511,7 @@ def postprocess(y_bar_pre: Block, x_hat_pre: np.ndarray, y_bar: np.ndarray) -> n
 
 def _least_squares(d: np.ndarray, y: np.ndarray, name: str, cause: str = "") -> np.ndarray:
     """(D^H D)^(-1) D^H Y; a wide or rank-deficient D raises RankDeficientError citing ``cause``."""
-    if d.shape[0] < d.shape[1] or _rank_deficient(np.linalg.svd(d, compute_uv=False)):
+    if d.shape[0] < d.shape[1] or _rank_deficient(_polar(d)[0]):
         raise RankDeficientError(f"{name} is rank deficient{cause}")
     dh = d.conj().T
     return np.linalg.solve(dh @ d, dh @ y)

@@ -46,7 +46,7 @@ __all__ = [
     "run_sweep",
     "run_concentration_experiment",
     "run_convergence_experiment",
-    "iterations_to_level",
+    "convergence_variants",
     "emit_report",
     "read_records",
     "concentration_tail_bound",
@@ -291,10 +291,13 @@ class TrialRecord:
         return cls(metrics=TrialMetrics(**m) if m is not None else None, **d)
 
 
-def _envelope_holds(cfg: SystemConfig) -> bool:
-    """Whether the l3 envelope holds: Bernoulli-Gaussian, unit G and P, no preconditioning."""
-    return (cfg.channel_model == "bernoulli_gaussian" and cfg.fading_model == "identity"
-            and not cfg.solver.precondition and bool(np.all(cfg.power_vector() == 1.0)))
+def _l3_envelope(cfg: SystemConfig) -> Optional[float]:
+    """The expected-l3 upper envelope; None unless Bernoulli-Gaussian, unit G and P, unpreconditioned."""
+    if not (cfg.channel_model == "bernoulli_gaussian" and cfg.fading_model == "identity"
+            and not cfg.solver.precondition and bool(np.all(cfg.power_vector() == 1.0))):
+        return None
+    sigma = _noise_variance(cfg, np.ones(cfg.k_users))
+    return theoretical_objective_bound(cfg.m, cfg.k_users, cfg.theta, np.full(cfg.k_users, sigma))[1]
 
 
 def _run_method(
@@ -335,9 +338,8 @@ def _run_method(
                       restarts=trace.restarts)
         own = dict(rate=metrics.achievable_rate_blind(x_hat, frame.x, cfg.t_len),
                    normalized_objective=None, iters=trace.iters_run)
-        if p == 3 and _envelope_holds(cfg):  # l4's fourth-power objective has no envelope
-            inv_snr = scenario.sigma_z2 / scenario.g_diag
-            _, upper = theoretical_objective_bound(cfg.m, cfg.k_users, cfg.theta, inv_snr)
+        upper = _l3_envelope(cfg) if p == 3 else None  # l4's fourth-power objective has no envelope
+        if upper is not None:
             own["normalized_objective"] = trace.final_objective / upper
     start = frame.payload_start
     tm = TrialMetrics(
@@ -363,7 +365,7 @@ def run_sweep(
     rather than raised; any other exception propagates.  The stream is
     deterministic given the config and base seed.  Each method sets its own
     objective exponent; ``normalized_objective`` is set only for l3 and rgd
-    where the l3 envelope holds (see ``_envelope_holds``), else None.
+    where the l3 envelope holds (see ``_l3_envelope``), else None.
     A record holds its sweep value as a float, so the values must be real
     numbers (not bools) and ``solver`` is not a sweep parameter; every
     value's config is built, and so checked, before the first trial.
@@ -478,35 +480,63 @@ def run_concentration_experiment(
     return rows
 
 
+def convergence_variants(
+    base: SystemConfig, overrides: Optional[Dict[str, dict]] = None
+) -> Dict[str, SystemConfig]:
+    """``base`` plus one config per named override of its fields.
+
+    No or empty overrides give ``theta_half`` (theta / 2), ``k_half`` (K // 2,
+    at least 1) and ``noise_tenth`` (sigma_z2 / 10 when set, else SNR + 10 dB).
+    """
+    if not overrides:
+        noise = ({"sigma_z2": base.sigma_z2 / 10.0} if base.sigma_z2 is not None
+                 else {"snr_db": base.snr_db + 10.0})
+        overrides = {"theta_half": {"theta": base.theta / 2.0},
+                     "k_half": {"k_users": max(1, base.k_users // 2)},
+                     "noise_tenth": noise}
+    variants = {"base": base}
+    for name, over in overrides.items():
+        variants[name] = SystemConfig.from_dict({**base.to_dict(), **over})
+    return variants
+
+
 def run_convergence_experiment(
     variants: Dict[str, SystemConfig],
     trials: int = 30,
     base_seed: int = 0,
+    level: float = 0.9,
 ) -> Dict[str, dict]:
-    """Normalized per-iteration objective traces for each config variant.
+    """Normalized per-iteration objective traces for each config variant, and their summary.
 
     Data is drawn with an exactly orthonormal frame (X^H on the Stiefel
     manifold), a Bernoulli-Gaussian channel and unit fading and power, so
     the expected-objective upper envelope is the correct normalizer; traces
     are objective divided by that envelope.  A config where the envelope
-    does not hold (``_envelope_holds``) is rejected.  Trials share one
+    does not hold (``_l3_envelope``) is rejected, as are ``trials < 1`` and
+    a non-finite ``level``, all before the first trial.  Trials share one
     derived stream per trial index across variants, so equal-shape variants see identical
     draws (and a smaller theta sees a nested channel support): comparisons
     are paired.
+
+    Each entry holds ``upper_bound``, ``sigma_z2``, the ``traces``, their
+    per-iterate ``mean_curve`` (a stopped trace held at its last value) and
+    ``median_iters_to_level``, inf where half or more never reach ``level``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
+    uppers = {name: _l3_envelope(cfg) for name, cfg in variants.items()}
+    if None in uppers.values():
+        raise ValueError(
+            "convergence experiment normalizes by the l3 envelope: channel_model must be "
+            "bernoulli_gaussian, and solver.precondition, fading_model and power must keep "
+            "their defaults"
+        )
     out: Dict[str, dict] = {}
     for name, cfg in variants.items():
-        if not _envelope_holds(cfg):
-            raise ValueError(
-                "convergence experiment normalizes by the l3 envelope: channel_model must be "
-                "bernoulli_gaussian, and solver.precondition, fading_model and power must keep "
-                "their defaults"
-            )
         ones = np.ones(cfg.k_users)
         sigma = _noise_variance(cfg, ones)
-        _, upper = theoretical_objective_bound(
-            cfg.m, cfg.k_users, cfg.theta, np.full(cfg.k_users, sigma)
-        )
         traces = []
         for trial in range(trials):
             rng = _stream(base_seed, "convergence", trial)
@@ -514,12 +544,17 @@ def run_convergence_experiment(
             channel = bernoulli_gaussian_channel(cfg.m, cfg.k_users, cfg.theta, rng)
             y_bar = synthesize_received(channel, x, ones, ones, sigma, rng)
             _, trace = detector.solve(y_bar, ones, cfg.solver, rng)
-            traces.append(trace.objective_per_iter / upper)
-        out[name] = {"upper_bound": upper, "traces": traces, "sigma_z2": sigma}
+            traces.append(trace.objective_per_iter / uppers[name])
+        # np.mean per iterate: an axis-0 mean sums in another order and moves the last bits.
+        mean_curve = np.array([np.mean([t[min(j, len(t) - 1)] for t in traces])
+                               for j in range(max(len(t) for t in traces))])
+        median = float(np.median([_iterations_to_level(t, level) for t in traces]))
+        out[name] = {"upper_bound": uppers[name], "sigma_z2": sigma, "traces": traces,
+                     "mean_curve": mean_curve, "median_iters_to_level": median}
     return out
 
 
-def iterations_to_level(trace: np.ndarray, level: float) -> float:
+def _iterations_to_level(trace: np.ndarray, level: float) -> float:
     """First iteration index at which a trace reaches ``level``; inf if it never does."""
     above = np.flatnonzero(np.asarray(trace) >= level)
     return float(above[0]) if above.size else float("inf")

@@ -17,7 +17,6 @@ import blindmimo as bm
 from blindmimo import SolverOptions, SystemConfig
 from blindmimo.cli import main as cli_main
 from blindmimo.harness import (
-    iterations_to_level,
     run_concentration_experiment,
     run_convergence_experiment,
     run_sweep,
@@ -270,8 +269,7 @@ def test_criterion_09_convergence_directional_checks():
         "sigma_tenth": replace(base, sigma_z2=0.005),
     }
     out = run_convergence_experiment(variants, trials=30, base_seed=9)
-    med = {name: float(np.median([iterations_to_level(tr, 0.9) for tr in r["traces"]]))
-           for name, r in out.items()}
+    med = {name: r["median_iters_to_level"] for name, r in out.items()}
     elapsed = time.perf_counter() - t0
     ok = (med["theta_half"] <= med["base"]
           and med["k_half"] <= med["base"]

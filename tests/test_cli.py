@@ -211,6 +211,23 @@ class TestConvergenceCommand:
                      "--trials", "4"]) != 0
         assert "unknown config keys: ['solver.p_exponent']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, variants, message", [
+        (["--level", "nan"], None, "level"),
+        (["--level", "inf"], None, "level"),
+        ([], {"a/b": {"theta": 0.1}}, "'a/b'"),  # would name plot_convergence_a/b.dat
+        ([], {"a\0b": {"theta": 0.1}}, "'a\\x00b'"),
+    ])
+    def test_inputs_that_cannot_work_rejected(self, tmp_path, capsys, args, variants, message):
+        # Rejected before the first trial: nothing is written.
+        raw = {"k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**raw, "variants": variants} if variants else raw))
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out),
+                     "--trials", "2", *args]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStrictJson:
     def test_error_records_write_null_final_eta(self, tmp_path):

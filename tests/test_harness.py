@@ -19,8 +19,8 @@ from blindmimo import (
     SystemConfig,
     TrialMetrics,
     TrialRecord,
+    convergence_variants,
     emit_report,
-    iterations_to_level,
     read_records,
     run_concentration_experiment,
     run_convergence_experiment,
@@ -30,6 +30,7 @@ import blindmimo
 from blindmimo import detector
 from blindmimo.harness import (
     _draw_fading,
+    _iterations_to_level,
     _noise_variance,
     _seed_sequence,
     _stream,
@@ -472,8 +473,7 @@ class TestConvergenceExperiment:
         out = run_convergence_experiment(
             {"base": cfg, "half": replace(cfg, theta=0.15)}, trials=12, base_seed=3
         )
-        med = {n: np.median([iterations_to_level(t, 0.9) for t in r["traces"]])
-               for n, r in out.items()}
+        med = {n: r["median_iters_to_level"] for n, r in out.items()}
         assert med["half"] <= med["base"]
 
     @pytest.mark.parametrize("over", [
@@ -488,9 +488,43 @@ class TestConvergenceExperiment:
         with pytest.raises(ValueError, match="must keep their defaults"):
             run_convergence_experiment({"base": cfg}, trials=1)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        cfg = SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
+                           channel_model="bernoulli_gaussian", sigma_z2=1e-3)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            run_convergence_experiment({"base": cfg}, trials=trials)
+
+    def test_summary_matches_the_traces(self):
+        cfg = SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
+                           channel_model="bernoulli_gaussian", sigma_z2=1e-3,
+                           solver=SolverOptions(max_iters=80))
+        r = run_convergence_experiment({"base": cfg}, trials=9, base_seed=2, level=0.8)["base"]
+        traces = r["traces"]
+        assert len({len(t) for t in traces}) > 1  # some traces stop early and are held
+        longest = max(len(t) for t in traces)
+        want = [np.mean([t[min(j, len(t) - 1)] for t in traces]) for j in range(longest)]
+        assert r["mean_curve"].tolist() == want
+        assert r["median_iters_to_level"] == np.median([_iterations_to_level(t, 0.8) for t in traces])
+
+    def test_default_variants(self):
+        base = SystemConfig(k_users=5, theta=0.2, snr_db=15.0,
+                            channel_model="bernoulli_gaussian")
+        for overrides in (None, {}):
+            v = convergence_variants(base, overrides)
+            assert list(v) == ["base", "theta_half", "k_half", "noise_tenth"]
+            assert v["base"] is base
+            assert (v["theta_half"].theta, v["k_half"].k_users) == (0.1, 2)
+            assert (v["noise_tenth"].snr_db, v["noise_tenth"].sigma_z2) == (25.0, None)
+        v = convergence_variants(replace(base, sigma_z2=0.05))
+        assert (v["noise_tenth"].snr_db, v["noise_tenth"].sigma_z2) == (15.0, 0.005)
+        v = convergence_variants(base, {"big": {"n_h": 512}})
+        assert list(v) == ["base", "big"]
+        assert v["big"] == replace(base, n_h=512)
+
     def test_iterations_to_level_censoring(self):
-        assert iterations_to_level(np.array([0.1, 0.5, 0.95]), 0.9) == 2
-        assert math.isinf(iterations_to_level(np.array([0.1, 0.2]), 0.9))
+        assert _iterations_to_level(np.array([0.1, 0.5, 0.95]), 0.9) == 2
+        assert math.isinf(_iterations_to_level(np.array([0.1, 0.2]), 0.9))
 
 
 class TestStreamDerivation:
