@@ -13,13 +13,12 @@ and C = 0.464 (K=8).
 
 import os
 
-from blindmimo import run_concentration_experiment
+from blindmimo import emit_concentration, run_concentration_experiment
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output", "concentration")
 
 
 def main():
-    os.makedirs(OUT_DIR, exist_ok=True)
     t_grid = [20, 30, 45, 65, 90, 120, 160]
     rows = run_concentration_experiment([4, 8], t_grid, delta_sq=0.1,
                                         trials=1000, base_seed=0)
@@ -28,13 +27,7 @@ def main():
         print(f"{r['k_users']:>3} {r['t_len']:>5} {r['empirical']:>10.4f} "
               f"{min(r['theoretical'], 1.0):>10.4f} {r['crossover_t']:>12.1f}")
 
-    for k in (4, 8):
-        path = os.path.join(OUT_DIR, f"concentration_k{k}.dat")
-        with open(path, "w") as fh:
-            fh.write("# t_len empirical envelope\n")
-            for r in rows:
-                if r["k_users"] == k:
-                    fh.write(f"{r['t_len']} {r['empirical']} {min(r['theoretical'], 1.0)}\n")
+    for path in emit_concentration(rows, OUT_DIR):
         print(f"wrote {path}")
 
     try:

@@ -10,13 +10,12 @@ of the noise variance.  Smaller theta, K, or noise should not slow convergence.
 import os
 
 from blindmimo import SolverOptions, SystemConfig
-from blindmimo.harness import convergence_variants, run_convergence_experiment
+from blindmimo.harness import convergence_variants, emit_convergence, run_convergence_experiment
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output", "convergence")
 
 
 def main():
-    os.makedirs(OUT_DIR, exist_ok=True)
     # A large array keeps the normalizer honest: at small M the solver can
     # overshoot the expected level by fitting noise, which blurs the
     # noise-variance comparison.
@@ -31,12 +30,8 @@ def main():
     for name, r in out.items():
         # The curve holds each stopped trace at its last value, so its end is the mean final level.
         print(f"{name:>12} {r['median_iters_to_level']:>20.1f} {r['mean_curve'][-1]:>17.3f}")
-        path = os.path.join(OUT_DIR, f"trace_{name}.dat")
-        with open(path, "w") as fh:
-            fh.write("# iteration mean_normalized_objective\n")
-            for j, v in enumerate(r["mean_curve"]):
-                fh.write(f"{j} {v}\n")
-    print(f"wrote traces under {OUT_DIR}")
+    for path in emit_convergence(out, OUT_DIR):
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -39,6 +39,8 @@ from .harness import (
     TrialRecord,
     build_scenario,
     convergence_variants,
+    emit_concentration,
+    emit_convergence,
     emit_report,
     read_records,
     run_concentration_experiment,

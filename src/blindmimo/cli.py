@@ -3,22 +3,23 @@
 Subcommands: ``simulate`` (Monte Carlo sweep), ``convergence`` (normalized
 objective traces under parameter variations), ``concentration`` (Gram-matrix
 tail frequencies), and ``report`` (re-aggregate a trials.jsonl file).
-Exit status is 0 on success and nonzero on any hard error.
+Each subcommand prints the paths the harness wrote, one per line, in write
+order.  Exit status is 0 on success and nonzero on any hard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
+import pathlib
 import sys
 from typing import List, Optional
 
 from .harness import (
     SystemConfig,
-    _write_dat,
     convergence_variants,
+    emit_concentration,
+    emit_convergence,
     emit_report,
     read_records,
     run_concentration_experiment,
@@ -39,8 +40,7 @@ def _str2bool(s: str) -> bool:
 
 
 def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
 
 
 def _build_config(raw: dict, args: argparse.Namespace) -> SystemConfig:
@@ -54,53 +54,29 @@ def _build_config(raw: dict, args: argparse.Namespace) -> SystemConfig:
     return SystemConfig.from_dict(raw)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> List[str]:
     raw = _load_config(args.config)
     sweep = raw.get("sweep", _DEFAULT_SWEEP)
+    if not (isinstance(sweep, dict) and set(sweep) == {"param", "values"}
+            and isinstance(sweep["param"], str) and isinstance(sweep["values"], list)):
+        raise ValueError(f'"sweep" must hold exactly a string "param" and a list "values", got {sweep!r}')
     cfg = _build_config(raw, args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     records = run_sweep(cfg, sweep["param"], sweep["values"], methods)
-    written = emit_report(records, args.out)
-    for path in written:
-        print(path)
-    return 0
+    return emit_report(records, args.out)
 
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
+def _cmd_convergence(args: argparse.Namespace) -> List[str]:
     raw = _load_config(args.config)
     overrides = raw.pop("variants", None)
     raw.setdefault("trials", 30)
     base = _build_config(raw, args)
-    variants = convergence_variants(base, overrides)
-    for name in variants:  # each name becomes part of a file name
-        if "\0" in name or any(sep and sep in name for sep in (os.sep, os.altsep)):
-            raise ValueError(f"variant name {name!r} holds a path separator or NUL")
-    results = run_convergence_experiment(
-        variants, trials=base.trials, base_seed=base.base_seed, level=args.level
-    )
-    os.makedirs(args.out, exist_ok=True)
-    summary = {}
-    for name, res in results.items():
-        path = os.path.join(args.out, f"plot_convergence_{name}.dat")
-        _write_dat(path, "iteration mean_normalized_objective", enumerate(res["mean_curve"]))
-        median = res["median_iters_to_level"]
-        summary[name] = {
-            "upper_bound": res["upper_bound"],
-            "sigma_z2": res["sigma_z2"],
-            "median_iters_to_level": median if math.isfinite(median) else None,  # never reached
-            "level": args.level,
-            "trials": base.trials,
-        }
-        print(path)
-    summary_path = os.path.join(args.out, "convergence_summary.json")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-    print(summary_path)
-    return 0
+    results = run_convergence_experiment(convergence_variants(base, overrides), trials=base.trials,
+                                         base_seed=base.base_seed, level=args.level)
+    return emit_convergence(results, args.out)
 
 
-def _cmd_concentration(args: argparse.Namespace) -> int:
+def _cmd_concentration(args: argparse.Namespace) -> List[str]:
     k_list = [int(v) for v in args.k_list.split(",") if v.strip()]
     t_list = [int(v) for v in args.t_list.split(",") if v.strip()]
     rows = run_concentration_experiment(
@@ -111,28 +87,11 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
         constellation=args.constellation,
         base_seed=args.seed or 0,
     )
-    os.makedirs(args.out, exist_ok=True)
-    for k in k_list:
-        path = os.path.join(args.out, f"plot_concentration_k{k}.dat")
-        _write_dat(
-            path,
-            "t_len empirical theoretical crossover_t",
-            [
-                (row["t_len"], row["empirical"], row["theoretical"], row["crossover_t"])
-                for row in rows
-                if row["k_users"] == k
-            ],
-        )
-        print(path)
-    return 0
+    return emit_concentration(rows, args.out)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    records = read_records(args.records)
-    written = emit_report(records, args.out)
-    for path in written:
-        print(path)
-    return 0
+def _cmd_report(args: argparse.Namespace) -> List[str]:
+    return emit_report(read_records(args.records), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,10 +139,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        written = args.func(args)
     except Exception as exc:  # hard errors surface as nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for path in written:
+        print(path)
+    return 0
 
 
 if __name__ == "__main__":

@@ -48,6 +48,8 @@ __all__ = [
     "run_convergence_experiment",
     "convergence_variants",
     "emit_report",
+    "emit_convergence",
+    "emit_concentration",
     "read_records",
     "concentration_tail_bound",
     "concentration_crossover",
@@ -445,20 +447,23 @@ def run_concentration_experiment(
     Counts the frequency of ||XX^H - I||_F / sqrt(K) exceeding sqrt(delta_sq)
     for i.i.d. constellation matrices normalized by 1/sqrt(T), next to the
     exponential tail bound with the fitted curve constant C of
-    ``DEFAULT_CONCENTRATION_C`` (K = 4 and K = 8).
+    ``DEFAULT_CONCENTRATION_C`` (K = 4 and K = 8), checked for every K before the first trial.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials per point")
     if not 0 < delta_sq < math.inf:
         raise ValueError(f"delta_sq must be finite and positive, got {delta_sq}")
-    if min(t_list, default=1) < 1:
+    if not k_list or not t_list:
+        raise ValueError(f"k_list and t_list must each hold a value, got {list(k_list)}, {list(t_list)}")
+    if min(t_list) < 1:
         raise ValueError(f"every t_len must be at least 1, got {min(t_list)}")
+    for k in k_list:
+        if k not in DEFAULT_CONCENTRATION_C:
+            raise ValueError(f"no curve constant for K={k}")
     c = build_constellation(constellation)
     threshold = math.sqrt(delta_sq)
     rows = []
     for k in k_list:
-        if k not in DEFAULT_CONCENTRATION_C:
-            raise ValueError(f"no curve constant for K={k}")
         c_const = DEFAULT_CONCENTRATION_C[k]
         for t in t_list:
             rng = _stream(base_seed, "concentration", k, t)
@@ -483,7 +488,7 @@ def run_concentration_experiment(
 def convergence_variants(
     base: SystemConfig, overrides: Optional[Dict[str, dict]] = None
 ) -> Dict[str, SystemConfig]:
-    """``base`` plus one config per named override of its fields.
+    """``base`` plus one config per named override of its fields; no override may be named ``base``.
 
     No or empty overrides give ``theta_half`` (theta / 2), ``k_half`` (K // 2,
     at least 1) and ``noise_tenth`` (sigma_z2 / 10 when set, else SNR + 10 dB).
@@ -494,6 +499,8 @@ def convergence_variants(
         overrides = {"theta_half": {"theta": base.theta / 2.0},
                      "k_half": {"k_users": max(1, base.k_users // 2)},
                      "noise_tenth": noise}
+    elif "base" in overrides:
+        raise ValueError("variant name 'base' is the config's own; rename that override")
     variants = {"base": base}
     for name, over in overrides.items():
         variants[name] = SystemConfig.from_dict({**base.to_dict(), **over})
@@ -512,20 +519,25 @@ def run_convergence_experiment(
     manifold), a Bernoulli-Gaussian channel and unit fading and power, so
     the expected-objective upper envelope is the correct normalizer; traces
     are objective divided by that envelope.  A config where the envelope
-    does not hold (``_l3_envelope``) is rejected, as are ``trials < 1`` and
-    a non-finite ``level``, all before the first trial.  Trials share one
-    derived stream per trial index across variants, so equal-shape variants see identical
-    draws (and a smaller theta sees a nested channel support): comparisons
-    are paired.
+    does not hold (``_l3_envelope``) is rejected, as are ``trials < 1``, a
+    non-finite ``level`` and a variant name that holds a path separator or
+    NUL (it names a file in ``emit_convergence``), all before the first
+    trial.  Trials share one derived stream per trial index across variants,
+    so equal-shape variants see identical draws (and a smaller theta sees a
+    nested channel support): comparisons are paired.
 
     Each entry holds ``upper_bound``, ``sigma_z2``, the ``traces``, their
-    per-iterate ``mean_curve`` (a stopped trace held at its last value) and
-    ``median_iters_to_level``, inf where half or more never reach ``level``.
+    per-iterate ``mean_curve`` (a stopped trace held at its last value),
+    ``median_iters_to_level`` (inf where half or more never reach ``level``),
+    and the ``level`` and ``trials`` it was run with.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
+    for name in variants:
+        if "\0" in name or any(sep and sep in name for sep in (os.sep, os.altsep)):
+            raise ValueError(f"variant name {name!r} holds a path separator or NUL")
     uppers = {name: _l3_envelope(cfg) for name, cfg in variants.items()}
     if None in uppers.values():
         raise ValueError(
@@ -550,7 +562,8 @@ def run_convergence_experiment(
                                for j in range(max(len(t) for t in traces))])
         median = float(np.median([_iterations_to_level(t, level) for t in traces]))
         out[name] = {"upper_bound": uppers[name], "sigma_z2": sigma, "traces": traces,
-                     "mean_curve": mean_curve, "median_iters_to_level": median}
+                     "mean_curve": mean_curve, "median_iters_to_level": median,
+                     "level": level, "trials": trials}
     return out
 
 
@@ -648,4 +661,36 @@ def emit_report(records: Iterable[TrialRecord], out_dir) -> List[str]:
         path = os.path.join(out_dir, f"plot_evm_{method}.dat")
         _write_dat(path, "sweep_value mean_evm ci95_halfwidth", sorted(rows))
         written.append(path)
+    return written
+
+
+def emit_convergence(results: Dict[str, dict], out_dir) -> List[str]:
+    """Write each variant's ``plot_convergence_<name>.dat``, then ``convergence_summary.json``.
+
+    Returns the written paths.  The summary is strict JSON: a level never reached is written as null.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    written, summary = [], {}
+    for name, res in results.items():
+        written.append(os.path.join(out_dir, f"plot_convergence_{name}.dat"))
+        _write_dat(written[-1], "iteration mean_normalized_objective", enumerate(res["mean_curve"]))
+        summary[name] = {key: res[key] for key in ("upper_bound", "sigma_z2", "level", "trials")}
+        median = res["median_iters_to_level"]
+        summary[name]["median_iters_to_level"] = median if math.isfinite(median) else None
+    written.append(os.path.join(out_dir, "convergence_summary.json"))
+    with open(written[-1], "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(summary, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+    return written
+
+
+def emit_concentration(rows: Sequence[dict], out_dir) -> List[str]:
+    """Write one ``plot_concentration_k<K>.dat`` per K of ``rows``, in order; returns the paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    columns = ("t_len", "empirical", "theoretical", "crossover_t")
+    for k in dict.fromkeys(row["k_users"] for row in rows):
+        written.append(os.path.join(out_dir, f"plot_concentration_k{k}.dat"))
+        _write_dat(written[-1], " ".join(columns),
+                   [[row[c] for c in columns] for row in rows if row["k_users"] == k])
     return written

@@ -89,6 +89,23 @@ class TestSimulate:
         methods = {json.loads(l)["method"] for l in lines}
         assert methods == {"l3", "pilot"}
 
+    @pytest.mark.parametrize("sweep", [
+        {"values": [10.0]},
+        {"param": "snr_db"},
+        [10.0, 20.0],
+        {"param": "snr_db", "values": 10.0},
+        {"param": "snr_db", "values": "10"},
+        {"param": 3, "values": [10.0]},
+        {"param": "snr_db", "values": [10.0], "step": 1},
+        None,
+    ])
+    def test_malformed_sweep_rejected(self, tmp_path, capsys, sweep):
+        cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert '"sweep" must hold' in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"k_users": -1}))
@@ -142,6 +159,7 @@ class TestConcentrationCommand:
 
     @pytest.mark.parametrize("args, message", [
         (["--delta-sq", "-1"], "delta_sq"), (["--delta-sq", "0"], "delta_sq"), (["--t-list", "0"], "t_len"),
+        (["--k-list", "4,5"], "K=5"), (["--k-list", ""], "k_list"), (["--t-list", ""], "t_list"),
     ])
     def test_inputs_that_cannot_work_rejected(self, tmp_path, capsys, args, message):
         out = tmp_path / "conc"
@@ -211,6 +229,18 @@ class TestConvergenceCommand:
                      "--trials", "4"]) != 0
         assert "unknown config keys: ['solver.p_exponent']" in capsys.readouterr().err
 
+    def test_variant_named_base_rejected(self, tmp_path, capsys):
+        # Taken as a variant, it would replace the config's own base: only theta = 0.05 would run.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "k_users": 4, "t_len": 60, "n_h": 64, "theta": 0.2, "sigma_z2": 0.001,
+            "channel_model": "bernoulli_gaussian", "variants": {"base": {"theta": 0.05}},
+        }))
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 1
+        assert "'base'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, variants, message", [
         (["--level", "nan"], None, "level"),
         (["--level", "inf"], None, "level"),
@@ -251,6 +281,42 @@ class TestStrictJson:
                      "--trials", "2"]) == 0
         summary = strict_loads((out / "convergence_summary.json").read_text())
         assert summary["k_half"]["median_iters_to_level"] is None
+
+
+class TestPrintedPaths:
+    """Each subcommand prints exactly the paths it wrote, one per line, in write order."""
+
+    @staticmethod
+    def check(capsys, argv, out, names):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+    def test_simulate_and_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", t_pilot=8)
+        names = ["trials.jsonl", "summary.csv", "plot_evm_l3.dat", "plot_evm_pilot.dat"]
+        out, re_out = tmp_path / "out", tmp_path / "re"
+        self.check(capsys, ["simulate", "--config", str(cfg), "--out", str(out),
+                            "--methods", "pilot,l3"], out, names)
+        self.check(capsys, ["report", "--records", str(out / "trials.jsonl"),
+                            "--out", str(re_out)], re_out, names)
+
+    def test_convergence(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian",
+            "variants": {"theta_half": {"theta": 0.05}},
+        }))
+        out = tmp_path / "conv"
+        self.check(capsys, ["convergence", "--config", str(cfg), "--out", str(out), "--trials", "2"],
+                   out, ["plot_convergence_base.dat", "plot_convergence_theta_half.dat",
+                         "convergence_summary.json"])
+
+    def test_concentration(self, tmp_path, capsys):
+        out = tmp_path / "conc"
+        self.check(capsys, ["concentration", "--k-list", "8,4", "--t-list", "36",
+                            "--trials", "100", "--out", str(out)],
+                   out, ["plot_concentration_k8.dat", "plot_concentration_k4.dat"])
 
 
 class TestConsoleEntryPoint:

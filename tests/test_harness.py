@@ -20,6 +20,8 @@ from blindmimo import (
     TrialMetrics,
     TrialRecord,
     convergence_variants,
+    emit_concentration,
+    emit_convergence,
     emit_report,
     read_records,
     run_concentration_experiment,
@@ -27,7 +29,7 @@ from blindmimo import (
     run_sweep,
 )
 import blindmimo
-from blindmimo import detector
+from blindmimo import detector, harness
 from blindmimo.harness import (
     _draw_fading,
     _iterations_to_level,
@@ -413,6 +415,34 @@ class TestEmitReport:
         assert np.loadtxt(tmp_path / "plot_evm_l3.dat").shape == (2, 3)
 
 
+class TestEmitExperiments:
+    def test_convergence_files_and_strict_summary(self, tmp_path):
+        res = {"upper_bound": 2.0, "sigma_z2": 0.01, "mean_curve": np.array([0.25, 0.5]),
+               "level": 0.9, "trials": 3}
+        results = {"b": {**res, "median_iters_to_level": math.inf},
+                   "a": {**res, "median_iters_to_level": 1.0}}
+        paths = emit_convergence(results, tmp_path / "out")
+        assert paths == [str(tmp_path / "out" / n) for n in
+                         ("plot_convergence_b.dat", "plot_convergence_a.dat", "convergence_summary.json")]
+        assert (tmp_path / "out" / "plot_convergence_b.dat").read_text() == (
+            "# iteration mean_normalized_objective\n0 0.25\n1 0.5\n")
+        summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text(),
+                             parse_constant=lambda name: pytest.fail(f"not strict JSON: {name}"))
+        assert summary["b"] == {"upper_bound": 2.0, "sigma_z2": 0.01, "level": 0.9, "trials": 3,
+                                "median_iters_to_level": None}
+        assert summary["a"]["median_iters_to_level"] == 1.0
+
+    def test_concentration_file_per_k_in_row_order(self, tmp_path):
+        rows = run_concentration_experiment([8, 4], [36, 54], 0.1, 100, base_seed=3)
+        paths = emit_concentration(rows, tmp_path)
+        assert paths == [str(tmp_path / "plot_concentration_k8.dat"),
+                         str(tmp_path / "plot_concentration_k4.dat")]
+        table = np.loadtxt(paths[1])
+        want = [[r["t_len"], r["empirical"], r["theoretical"], r["crossover_t"]]
+                for r in rows if r["k_users"] == 4]
+        assert table.tolist() == want
+
+
 class TestConcentrationExperiment:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
@@ -420,11 +450,19 @@ class TestConcentrationExperiment:
 
     @pytest.mark.parametrize("t_list, delta_sq, message", [
         ([50], -1.0, "delta_sq"), ([50], 0.0, "delta_sq"), ([50], math.inf, "delta_sq"),
-        ([50], math.nan, "delta_sq"), ([36, 0], 0.1, "t_len"),
+        ([50], math.nan, "delta_sq"), ([36, 0], 0.1, "t_len"), ([], 0.1, "t_list"),
     ])
     def test_inputs_that_cannot_work_rejected(self, t_list, delta_sq, message):
         with pytest.raises(ValueError, match=message):
             run_concentration_experiment([4], t_list, delta_sq, 100)
+
+    def test_unknown_k_rejected_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "concentration_statistic",
+                            lambda x: calls.append(x) or 0.0)
+        with pytest.raises(ValueError, match="no curve constant for K=5"):
+            run_concentration_experiment([4, 5], [36], 0.1, 100)
+        assert calls == []
 
     def test_tail_behaviour(self):
         rows = run_concentration_experiment([4], [30, 60, 120, 2000], 0.1, 200, base_seed=1)
@@ -506,6 +544,17 @@ class TestConvergenceExperiment:
         want = [np.mean([t[min(j, len(t) - 1)] for t in traces]) for j in range(longest)]
         assert r["mean_curve"].tolist() == want
         assert r["median_iters_to_level"] == np.median([_iterations_to_level(t, 0.8) for t in traces])
+        assert (r["level"], r["trials"]) == (0.8, 9)
+
+    @pytest.mark.parametrize("name", ["a/b", "a\0b"])
+    def test_file_unsafe_variant_names_rejected_before_any_trial(self, monkeypatch, name):
+        cfg = SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
+                           channel_model="bernoulli_gaussian", sigma_z2=1e-3)
+        calls = []
+        monkeypatch.setattr(detector, "solve", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="path separator or NUL"):
+            run_convergence_experiment({"base": cfg, name: cfg}, trials=2)
+        assert calls == []
 
     def test_default_variants(self):
         base = SystemConfig(k_users=5, theta=0.2, snr_db=15.0,
@@ -521,6 +570,13 @@ class TestConvergenceExperiment:
         v = convergence_variants(base, {"big": {"n_h": 512}})
         assert list(v) == ["base", "big"]
         assert v["big"] == replace(base, n_h=512)
+
+    def test_override_named_base_rejected(self):
+        # It would replace the config itself: only theta = 0.05 would run, under the name base.
+        base = SystemConfig(k_users=4, t_len=60, n_h=64, theta=0.2, sigma_z2=0.001,
+                            channel_model="bernoulli_gaussian")
+        with pytest.raises(ValueError, match="'base'"):
+            convergence_variants(base, {"base": {"theta": 0.05}})
 
     def test_iterations_to_level_censoring(self):
         assert _iterations_to_level(np.array([0.1, 0.5, 0.95]), 0.9) == 2
