@@ -84,7 +84,6 @@ def _cmd_concentration(args: argparse.Namespace) -> List[str]:
         t_list,
         args.delta_sq,
         args.trials,
-        constellation=args.constellation,
         base_seed=args.seed or 0,
     )
     return emit_concentration(rows, args.out)
@@ -123,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     conc.add_argument("--t-list", default="30,36,44,54,64,80,100,125")
     conc.add_argument("--delta-sq", type=float, default=0.1)
     conc.add_argument("--trials", type=int, default=1000)
-    conc.add_argument("--constellation", default="qpsk")
     conc.add_argument("--seed", type=int, default=None)
     conc.add_argument("--out", required=True)
     conc.set_defaults(func=_cmd_concentration)

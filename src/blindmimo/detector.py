@@ -38,7 +38,6 @@ from scipy.optimize import linear_sum_assignment
 from .manifold import (
     RankDeficientError,
     StiefelPoint,
-    _as_matrix,
     _check_orthonormal,
     _polar,
     _rank_deficient,
@@ -191,10 +190,10 @@ def _check_exponent(p: int) -> None:
 
 
 def _point_inputs(
-    y_bar: Block, a: Union[StiefelPoint, np.ndarray], g_diag: np.ndarray, p: int
+    y_bar: Block, a: np.ndarray, g_diag: np.ndarray, p: int
 ) -> Tuple[Factors, np.ndarray, np.ndarray]:
     _check_exponent(p)
-    am = _as_matrix(a)
+    am = np.asarray(a, dtype=np.complex128)
     y = _factors(y_bar)
     if y[-1].shape[1] != am.shape[0]:
         raise ValueError(f"dimension mismatch: y_bar has {y[-1].shape[1]} columns, a is {am.shape}")
@@ -224,23 +223,13 @@ def _gap(nuclear: float, a: np.ndarray, grad: np.ndarray) -> float:
     return max(nuclear - real_inner(a, grad), 0.0)
 
 
-def objective(
-    y_bar: Block,
-    a: Union[StiefelPoint, np.ndarray],
-    g_diag: np.ndarray,
-    p_exponent: int = 3,
-) -> float:
+def objective(y_bar: Block, a: np.ndarray, g_diag: np.ndarray, p_exponent: int = 3) -> float:
     """Entrywise p-norm objective sum |Ybar A G^(-1/2)|^p, for p = 3 or 4."""
     y, am, isg = _point_inputs(y_bar, a, g_diag, p_exponent)
     return _evaluate(y, am, isg, p_exponent)[0]
 
 
-def euclid_grad(
-    y_bar: Block,
-    a: Union[StiefelPoint, np.ndarray],
-    g_diag: np.ndarray,
-    p_exponent: int = 3,
-) -> np.ndarray:
+def euclid_grad(y_bar: Block, a: np.ndarray, g_diag: np.ndarray, p_exponent: int = 3) -> np.ndarray:
     """Euclidean (Wirtinger) gradient of the objective at ``a``.
 
     Returns p * Ybar^H (|W|^(p-2) . W) G^(-1/2) with W = Ybar A G^(-1/2);
@@ -252,12 +241,7 @@ def euclid_grad(
     return _evaluate(y, am, isg, p_exponent, with_grad=True)[1]
 
 
-def iterate(
-    a_j: StiefelPoint,
-    y_bar: Block,
-    g_diag: np.ndarray,
-    p_exponent: int = 3,
-) -> StiefelPoint:
+def iterate(a_j: np.ndarray, y_bar: Block, g_diag: np.ndarray, p_exponent: int = 3) -> np.ndarray:
     """One ascent step: polar retraction of the Euclidean gradient.
 
     The step never decreases the objective.  A rank-deficient gradient
@@ -266,7 +250,7 @@ def iterate(
     return polar_retract(euclid_grad(y_bar, a_j, g_diag, p_exponent))
 
 
-def optimality_eta(a: Union[StiefelPoint, np.ndarray], grad: np.ndarray) -> float:
+def optimality_eta(a: np.ndarray, grad: np.ndarray) -> float:
     """First-order optimality gap eta = ||grad||_* - Re<a, grad>.
 
     This equals the largest linearized improvement max_A Re<A - a, grad>
@@ -275,7 +259,7 @@ def optimality_eta(a: Union[StiefelPoint, np.ndarray], grad: np.ndarray) -> floa
     points.  Tiny negative round-off is clamped to honor the nonnegative
     contract.
     """
-    am = _as_matrix(a)
+    am = np.asarray(a, dtype=np.complex128)
     g = np.asarray(grad, dtype=np.complex128)
     if g.shape != am.shape:
         raise ValueError(f"shape mismatch: grad {g.shape} vs point {am.shape}")
@@ -301,8 +285,8 @@ def _ascend(
     opts: SolverOptions,
     p: int,
     step: Callable[..., Tuple[Optional[np.ndarray], int]],
-    on_iterate: Optional[Callable[[StiefelPoint, int], None]] = None,
-) -> Tuple[StiefelPoint, SolveTrace]:
+    on_iterate: Optional[Callable[[np.ndarray, int], None]] = None,
+) -> Tuple[np.ndarray, SolveTrace]:
     """The ascent loop both solvers share; only ``step`` differs.
 
     Each iterate costs one objective/gradient evaluation, whose two products
@@ -315,10 +299,11 @@ def _ascend(
     raising RankDeficientError when the gradient is rank deficient.  An
     all-zero gradient raises RankDeficientError at once: its eta of 0 would
     otherwise pass the stop rule at objective 0, the minimum.  Iterates are
-    plain arrays, each checked by ``_check_orthonormal`` as ``step`` returns it
-    (drift raises ValueError, never a restart); only ``on_iterate`` and the
-    returned point get a ``StiefelPoint``.
+    plain arrays, checked by ``_check_orthonormal`` once at the start and as
+    ``step`` returns each (drift raises ValueError, never a restart);
+    ``on_iterate`` gets a read-only view of each.
     """
+    a = _check_orthonormal(a)
     objs: list[float] = []
     etas: list[float] = []
     n_evals = 0
@@ -331,7 +316,9 @@ def _ascend(
         etas.append(_gap(float(s.sum()), a, grad))
         n_evals += 1
         if on_iterate is not None:
-            on_iterate(StiefelPoint(a), j)
+            view = a.view()
+            view.setflags(write=False)
+            on_iterate(view, j)
         if etas[-1] < opts.eta_tol * max(etas[0], 1.0):
             stop_reason = "eta_tol"
         elif j >= 1 and objs[-1] - objs[-2] < opts.obj_rel_tol * max(objs[-2], 1e-300):
@@ -346,7 +333,7 @@ def _ascend(
                 continue
             stop_reason = "obj_tol"
         break
-    return StiefelPoint(a), SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals)
+    return a, SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals)
 
 
 def solve(
@@ -354,10 +341,10 @@ def solve(
     g_diag: np.ndarray,
     opts: SolverOptions,
     rng: np.random.Generator,
-    a0: Optional[StiefelPoint] = None,
-    on_iterate: Optional[Callable[[StiefelPoint, int], None]] = None,
+    a0: Optional[np.ndarray] = None,
+    on_iterate: Optional[Callable[[np.ndarray, int], None]] = None,
     p_exponent: int = 3,
-) -> Tuple[StiefelPoint, SolveTrace]:
+) -> Tuple[np.ndarray, SolveTrace]:
     """Run the parameter-free fixed-point iteration from a random start.
 
     Each step computes the gradient, factors it once, reads the optimality
@@ -371,19 +358,29 @@ def solve(
     y_bar
         The dense block, or ``precondition``'s pair (u, vh) of its factors.
     a0
-        Optional initial point (default: Haar-uniform draw from ``rng``).
+        Optional T x K initial point with orthonormal columns (default:
+        Haar-uniform draw from ``rng``); any other raises ValueError before
+        the first evaluation.
     on_iterate
-        Optional hook called as ``on_iterate(point, j)`` at every visited
-        iterate, including the initial one.
+        Optional hook called as ``on_iterate(point, j)`` with a read-only
+        view of every visited iterate, including the initial one.
     p_exponent
         The objective exponent: 3 is the proposed detector, 4 the
         higher-order baseline; any other value raises ValueError.
     """
     y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
-    for restarts, start in enumerate((a0, None)):
-        a = start if start is not None else random_stiefel(y[-1].shape[1], isg.size, rng)
+    t, k = y[-1].shape[1], isg.size
+    if a0 is not None:
+        if np.shape(a0) != (t, k):
+            raise ValueError(f"a0 must be a {t} x {k} matrix, got shape {np.shape(a0)}")
         try:
-            a, trace = _ascend(y, isg, a.a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate)
+            a0 = StiefelPoint(a0).a
+        except ValueError as exc:
+            raise ValueError(f"a0: {exc}") from None
+    for restarts, start in enumerate((a0, None)):
+        a = start if start is not None else random_stiefel(t, k, rng)
+        try:
+            a, trace = _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate)
         except RankDeficientError:
             continue
         return a, replace(trace, restarts=restarts)
@@ -553,7 +550,7 @@ def detect(
     c: Constellation,
     opts: SolverOptions,
     rng: np.random.Generator,
-    solver: Callable[..., Tuple[StiefelPoint, SolveTrace]] = solve,
+    solver: Callable[..., Tuple[np.ndarray, SolveTrace]] = solve,
     p_exponent: int = 3,
 ) -> DetectionResult:
     """End-to-end blind detection: solve, resolve ambiguity, demodulate.
@@ -569,7 +566,7 @@ def detect(
     else:
         y_in = y_bar
     a_final, trace = solver(y_in, g_diag, opts, rng, p_exponent=p_exponent)
-    x_est = a_final.a.conj().T
+    x_est = a_final.conj().T
     if opts.precondition:
         x_est = postprocess(y_in, x_est, y_bar)
     x_hat, resolution = resolve_ambiguity(x_est, frame_meta, c)
@@ -589,7 +586,7 @@ def riemannian_gd_baseline(
     opts: SolverOptions,
     rng: np.random.Generator,
     p_exponent: int = 3,
-) -> Tuple[StiefelPoint, SolveTrace]:
+) -> Tuple[np.ndarray, SolveTrace]:
     """Projected-gradient ascent over the Stiefel manifold with backtracking.
 
     From a Haar-uniform start, each step retracts A + tau * grad_R with tau
@@ -613,11 +610,10 @@ def riemannian_gd_baseline(
                 continue
             spent += 1
             if objective(y, cand, g_diag, p_exponent) > obj:
-                return cand.a, spent
+                return cand, spent
         return None, spent
 
-    a = random_stiefel(y[-1].shape[1], isg.size, rng)
-    return _ascend(y, isg, a.a, opts, p_exponent, line_search)
+    return _ascend(y, isg, random_stiefel(y[-1].shape[1], isg.size, rng), opts, p_exponent, line_search)
 
 
 def _soft_threshold(v: np.ndarray, tau: Union[float, np.ndarray]) -> np.ndarray:

@@ -369,14 +369,17 @@ def run_sweep(
     objective exponent; ``normalized_objective`` is set only for l3 and rgd
     where the l3 envelope holds (see ``_l3_envelope``), else None.
     A record holds its sweep value as a float, so the values must be real
-    numbers (not bools) and ``solver`` is not a sweep parameter; every
-    value's config is built, and so checked, before the first trial.
+    numbers (not bools), at least one, and ``solver`` is not a sweep
+    parameter; every value's config is built, and so checked, before the
+    first trial.
     """
     for m in methods:
         if m not in KNOWN_METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
     if sweep_param not in SystemConfig.__dataclass_fields__ or sweep_param == "solver":
         raise ValueError(f"{sweep_param!r} is not a sweep parameter")
+    if not sweep_values:
+        raise ValueError(f"sweep of {sweep_param!r} has no values")
     points = []
     for value in sweep_values:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -439,15 +442,15 @@ def run_concentration_experiment(
     t_list: Sequence[int],
     delta_sq: float,
     trials: int,
-    constellation: str = "qpsk",
     base_seed: int = 0,
 ) -> List[dict]:
-    """Empirical vs. theoretical Gram-concentration tail over i.i.d. frames.
+    """Empirical vs. theoretical Gram-concentration tail over i.i.d. QPSK frames.
 
     Counts the frequency of ||XX^H - I||_F / sqrt(K) exceeding sqrt(delta_sq)
-    for i.i.d. constellation matrices normalized by 1/sqrt(T), next to the
-    exponential tail bound with the fitted curve constant C of
-    ``DEFAULT_CONCENTRATION_C`` (K = 4 and K = 8), checked for every K before the first trial.
+    for i.i.d. QPSK matrices normalized by 1/sqrt(T), next to the
+    exponential tail bound with the curve constant C of
+    ``DEFAULT_CONCENTRATION_C`` (fitted for QPSK at K = 4 and K = 8).  Every
+    K and T is checked, and a repeated one rejected, before the first trial.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials per point")
@@ -457,10 +460,14 @@ def run_concentration_experiment(
         raise ValueError(f"k_list and t_list must each hold a value, got {list(k_list)}, {list(t_list)}")
     if min(t_list) < 1:
         raise ValueError(f"every t_len must be at least 1, got {min(t_list)}")
+    for name, values in (("k_list", k_list), ("t_list", t_list)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{name} repeats {repeated[0]}")
     for k in k_list:
         if k not in DEFAULT_CONCENTRATION_C:
             raise ValueError(f"no curve constant for K={k}")
-    c = build_constellation(constellation)
+    c = build_constellation("qpsk")
     threshold = math.sqrt(delta_sq)
     rows = []
     for k in k_list:
@@ -477,8 +484,8 @@ def run_concentration_experiment(
                     "t_len": t,
                     "trials": trials,
                     "empirical": exceed / trials,
-                    "theoretical": concentration_tail_bound(t, k, threshold, c_const, c.s_infinity),
-                    "crossover_t": concentration_crossover(k, threshold, c_const, c.s_infinity),
+                    "theoretical": concentration_tail_bound(t, k, threshold, c_const),
+                    "crossover_t": concentration_crossover(k, threshold, c_const),
                     "c_const": c_const,
                 }
             )
@@ -552,7 +559,7 @@ def run_convergence_experiment(
         traces = []
         for trial in range(trials):
             rng = _stream(base_seed, "convergence", trial)
-            x = random_stiefel(cfg.t_len, cfg.k_users, rng).a.conj().T
+            x = random_stiefel(cfg.t_len, cfg.k_users, rng).conj().T
             channel = bernoulli_gaussian_channel(cfg.m, cfg.k_users, cfg.theta, rng)
             y_bar = synthesize_received(channel, x, ones, ones, sigma, rng)
             _, trace = detector.solve(y_bar, ones, cfg.solver, rng)

@@ -4,8 +4,8 @@ The complex Stiefel manifold St_K(C^T) is the set of T x K complex matrices
 with orthonormal columns (A^H A = I_K).  This module provides the small set
 of operations every solver in the package is built on: Haar-uniform sampling,
 the polar-decomposition retraction, tangent-space projection of a Euclidean
-gradient, and the nuclear norm.  A point is a ``StiefelPoint`` or a plain array
-its caller has checked (``_as_matrix`` reads either); a direction is an array.
+gradient, and the nuclear norm.  A point is its plain T x K array, as a
+direction is; ``StiefelPoint`` only checks a point that a caller supplies.
 
 ``_polar`` is the only place that chooses how singular values and polar
 factors are computed: a tall matrix goes through the eigendecomposition of
@@ -20,7 +20,7 @@ All functions are pure; random state is owned by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -79,12 +79,14 @@ def _check_orthonormal(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StiefelPoint:
-    """A T x K complex matrix with orthonormal columns.
+    """A caller's T x K complex matrix, checked to have orthonormal columns.
 
-    Orthonormality (||a^H a - I_K||_F < 1e-9, which holds every column norm
-    within 1e-9 of 1) is checked on construction by ``_check_orthonormal``, as
-    the ascent loop checks its plain-array iterates; the stored array is a
-    read-only copy, so points are safe to share between threads.
+    Points are plain arrays everywhere in the package; this class is the
+    check at the boundary where a caller hands one in (``solve``'s ``a0``).
+    Construction requires a 2-d matrix with 1 <= K <= T and
+    ||a^H a - I_K||_F < 1e-9 (``_check_orthonormal``, which holds every
+    column norm within 1e-9 of 1), and stores a read-only C-ordered
+    complex128 copy as ``a``.
     """
 
     a: np.ndarray
@@ -102,20 +104,8 @@ class StiefelPoint:
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
-    @property
-    def t_dim(self) -> int:
-        return self.a.shape[0]
 
-    @property
-    def k_dim(self) -> int:
-        return self.a.shape[1]
-
-
-def _as_matrix(a: Union[StiefelPoint, np.ndarray]) -> np.ndarray:
-    return a.a if isinstance(a, StiefelPoint) else np.asarray(a, dtype=np.complex128)
-
-
-def random_stiefel(t_dim: int, k_dim: int, rng: np.random.Generator) -> StiefelPoint:
+def random_stiefel(t_dim: int, k_dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a Haar-uniform point on St_K(C^T).
 
     A t_dim x k_dim matrix with i.i.d. standard complex Gaussian entries is
@@ -131,10 +121,10 @@ def random_stiefel(t_dim: int, k_dim: int, rng: np.random.Generator) -> StiefelP
     q, r = np.linalg.qr(g / np.sqrt(2.0), mode="reduced")
     d = np.diagonal(r)
     phase = np.where(d == 0, 1.0, d / np.abs(np.where(d == 0, 1.0, d)))
-    return StiefelPoint(q * phase[np.newaxis, :])
+    return q * phase[np.newaxis, :]
 
 
-def polar_retract(m: np.ndarray) -> StiefelPoint:
+def polar_retract(m: np.ndarray) -> np.ndarray:
     """Orthonormal polar factor U V^H of the compact SVD of ``m``.
 
     For full-column-rank input this is the unique maximiser of Re<m, A> over
@@ -152,7 +142,7 @@ def polar_retract(m: np.ndarray) -> StiefelPoint:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[1] > m.shape[0]:
         raise ValueError(f"expected a tall matrix, got shape {m.shape}")
-    return StiefelPoint(_polar(m)[1]())
+    return _polar(m)[1]()
 
 
 def _rank_deficient(s: np.ndarray) -> bool:
@@ -241,7 +231,7 @@ def _polar(
     return s, factor
 
 
-def riemannian_grad(a: Union[StiefelPoint, np.ndarray], euclid_grad: np.ndarray) -> np.ndarray:
+def riemannian_grad(a: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at ``a``.
 
     Returns the T x K array (I - a a^H) g + a (a^H g - g^H a) / 2, the
@@ -249,9 +239,9 @@ def riemannian_grad(a: Union[StiefelPoint, np.ndarray], euclid_grad: np.ndarray)
     product; with b = a^H g, a^H xi = (b - b^H) / 2 is skew-Hermitian, so it
     is tangent by construction.  It vanishes exactly when a^H g is Hermitian
     and g lies in the column space of ``a``, the first-order stationarity
-    condition.  A plain-array ``a`` is not checked.
+    condition.  ``a`` is not checked.
     """
-    am = _as_matrix(a)
+    am = np.asarray(a, dtype=np.complex128)
     g = np.asarray(euclid_grad, dtype=np.complex128)
     if g.shape != am.shape:
         raise ValueError(f"shape mismatch: grad {g.shape} vs point {am.shape}")

@@ -106,6 +106,13 @@ class TestSimulate:
         assert '"sweep" must hold' in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_sweep_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", sweep={"param": "snr_db", "values": []})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "sweep of 'snr_db' has no values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"k_users": -1}))
@@ -160,11 +167,21 @@ class TestConcentrationCommand:
     @pytest.mark.parametrize("args, message", [
         (["--delta-sq", "-1"], "delta_sq"), (["--delta-sq", "0"], "delta_sq"), (["--t-list", "0"], "t_len"),
         (["--k-list", "4,5"], "K=5"), (["--k-list", ""], "k_list"), (["--t-list", ""], "t_list"),
+        (["--k-list", "4,4"], "k_list repeats 4"), (["--t-list", "36,54,36"], "t_list repeats 36"),
     ])
     def test_inputs_that_cannot_work_rejected(self, tmp_path, capsys, args, message):
         out = tmp_path / "conc"
         assert main(["concentration", "--k-list", "4", "--trials", "100", "--out", str(out), *args]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constellation_option_removed(self, tmp_path):
+        # The curve constants are fitted for QPSK only, so no other constellation is offered.
+        out = tmp_path / "conc"
+        with pytest.raises(SystemExit) as exc:
+            main(["concentration", "--k-list", "4", "--t-list", "36", "--trials", "100",
+                  "--constellation", "qam16", "--out", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
 
 

@@ -10,7 +10,6 @@ from blindmimo import (
     RankDeficientError,
     SolverOptions,
     SolveTrace,
-    StiefelPoint,
     SystemConfig,
     bernoulli_gaussian_channel,
     build_constellation,
@@ -46,7 +45,7 @@ def crandn(rng, *shape):
 
 def noiseless_instance(rng, m=64, k=3, t=50, theta=0.15):
     """Orthonormal-row data through a sparse channel, no noise."""
-    x = random_stiefel(t, k, rng).a.conj().T
+    x = random_stiefel(t, k, rng).conj().T
     chan = bernoulli_gaussian_channel(m, k, theta, rng)
     return chan @ x, chan, x
 
@@ -80,7 +79,7 @@ class TestObjective:
         a = random_stiefel(8, 3, rng)
         q, _ = np.linalg.qr(crandn(rng, 8, 8))
         g_diag = np.ones(3)
-        assert objective(y @ q, q.conj().T @ a.a, g_diag) == pytest.approx(
+        assert objective(y @ q, q.conj().T @ a, g_diag) == pytest.approx(
             objective(y, a, g_diag), rel=1e-12
         )
 
@@ -102,8 +101,8 @@ class TestEuclidGrad:
             grad = euclid_grad(y, a, g_diag, p)
             delta = crandn(rng, 10, 2)
             h = 1e-5
-            fd = (objective(y, a.a + h * delta, g_diag, p)
-                  - objective(y, a.a - h * delta, g_diag, p)) / (2 * h)
+            fd = (objective(y, a + h * delta, g_diag, p)
+                  - objective(y, a - h * delta, g_diag, p)) / (2 * h)
             an = float(np.real(np.vdot(grad, delta)))
             assert abs(fd - an) / max(abs(fd), 1e-12) < 1e-4
 
@@ -116,7 +115,7 @@ class TestEuclidGrad:
         a = random_stiefel(12, 4, rng)
         g_diag = rng.uniform(0.5, 2.0, 4)
         isg = 1.0 / np.sqrt(g_diag)
-        w = (y @ a.a) * isg[np.newaxis, :]
+        w = (y @ a) * isg[np.newaxis, :]
         ref = p * (y.conj().T @ (np.abs(w) ** (p - 2) * w)) * isg[np.newaxis, :]
         assert np.array_equal(euclid_grad(y, a, g_diag, p), ref)
 
@@ -129,7 +128,7 @@ class TestEuclidGrad:
         a = random_stiefel(24, 4, rng)
         g_diag = rng.uniform(0.5, 2.0, 4)
         isg = 1.0 / np.sqrt(g_diag)
-        w = (u @ (vh @ a.a)) * isg
+        w = (u @ (vh @ a)) * isg
         f = np.abs(w) ** (p - 2) * w
         ref = p * (vh.conj().T @ (u.conj().T @ f)) * isg
         assert np.array_equal(euclid_grad((u, vh), a, g_diag, p), ref)
@@ -153,13 +152,13 @@ class TestEuclidGrad:
         a = random_stiefel(8, 3, rng)
         g_diag = np.ones(3)
         phases = np.exp(2j * np.pi * rng.random(3))
-        assert objective(y, a.a * phases, g_diag) == pytest.approx(
+        assert objective(y, a * phases, g_diag) == pytest.approx(
             objective(y, a, g_diag), rel=1e-12
         )
         grad = euclid_grad(y, a, g_diag)
         for k in range(3):
             # moving along the phase orbit of one column changes nothing
-            d = float(np.real(np.vdot(grad[:, k], 1j * a.a[:, k])))
+            d = float(np.real(np.vdot(grad[:, k], 1j * a[:, k])))
             assert abs(d) < 1e-8 * np.linalg.norm(grad[:, k])
 
 
@@ -169,9 +168,9 @@ class TestIterate:
         t, k = 6, 2
         y = np.zeros((k, t), dtype=complex)
         y[0, 0], y[1, 1] = 1.5, 0.7
-        a = StiefelPoint(np.eye(t, k))
+        a = np.eye(t, k)
         nxt = iterate(a, y, np.ones(k))
-        assert np.abs(nxt.a - a.a).max() < 1e-9
+        assert np.abs(nxt - a).max() < 1e-9
 
     def test_ascent_step(self):
         rng = np.random.default_rng(3)
@@ -189,7 +188,7 @@ class TestIterate:
             g_diag = np.ones(3)
             s = polar_retract(euclid_grad(y, a, g_diag))
             grid = np.linspace(0.0, 1.0, 21)
-            vals = [objective(y, (1 - u) * a.a + u * s.a, g_diag) for u in grid]
+            vals = [objective(y, (1 - u) * a + u * s, g_diag) for u in grid]
             assert int(np.argmax(vals)) == len(grid) - 1
 
 
@@ -216,11 +215,11 @@ class TestOptimalityEta:
         a = random_stiefel(8, 2, rng)
         g = crandn(rng, 8, 2)
         eta = optimality_eta(a, g)
-        base = float(np.real(np.vdot(a.a, g)))
+        base = float(np.real(np.vdot(a, g)))
         best = -np.inf
         for _ in range(1000):
             s = random_stiefel(8, 2, rng)
-            best = max(best, float(np.real(np.vdot(s.a, g))) - base)
+            best = max(best, float(np.real(np.vdot(s, g))) - base)
         assert best <= eta + 1e-9
 
 
@@ -231,7 +230,7 @@ class TestSolve:
         feas = []
 
         def hook(pt, j):
-            feas.append(np.linalg.norm(pt.a.conj().T @ pt.a - np.eye(pt.k_dim)))
+            feas.append(np.linalg.norm(pt.conj().T @ pt - np.eye(pt.shape[1])))
 
         a, tr = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(1), on_iterate=hook)
         assert np.all(np.diff(tr.objective_per_iter) >= -1e-12)
@@ -261,7 +260,7 @@ class TestSolve:
         y, _, _ = noiseless_instance(rng)
         a1, t1 = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(7))
         a2, t2 = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(7))
-        assert a1.a.tobytes() == a2.a.tobytes()
+        assert a1.tobytes() == a2.tobytes()
         assert np.array_equal(t1.objective_per_iter, t2.objective_per_iter)
 
     def test_phase_rotated_start_same_trace(self):
@@ -269,7 +268,7 @@ class TestSolve:
         y, _, _ = noiseless_instance(rng)
         a0 = random_stiefel(50, 3, rng)
         phases = np.exp(2j * np.pi * rng.random(3))
-        a0_rot = StiefelPoint(a0.a * phases)
+        a0_rot = a0 * phases
         _, t1 = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(0), a0=a0)
         _, t2 = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(0), a0=a0_rot)
         assert len(t1.objective_per_iter) == len(t2.objective_per_iter)
@@ -281,6 +280,33 @@ class TestSolve:
             solve(np.zeros((4, 2), complex), np.ones(3), SolverOptions(), np.random.default_rng(0))
         with pytest.raises(ValueError):
             solve(np.zeros((4, 8), complex), np.ones(3), SolverOptions(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("a0, message", [
+        (np.eye(51, 3), r"a0 must be a 50 x 3 matrix, got shape \(51, 3\)"),
+        (np.eye(50, 2), r"a0 must be a 50 x 3 matrix, got shape \(50, 2\)"),
+        (np.ones(50), r"a0 must be a 50 x 3 matrix, got shape \(50,\)"),
+        (np.eye(3, 50), r"a0 must be a 50 x 3 matrix, got shape \(3, 50\)"),
+        (np.ones((50, 3)) / np.sqrt(50), "a0: columns not orthonormal"),
+    ], ids=["wrong_t", "wrong_k", "one_d", "k_above_t", "not_orthonormal"])
+    def test_bad_start_rejected_before_any_evaluation(self, monkeypatch, a0, message):
+        y, _, _ = noiseless_instance(np.random.default_rng(12))
+        calls = []
+        monkeypatch.setattr(detector, "_evaluate", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=message):
+            solve(y, np.ones(3), SolverOptions(), np.random.default_rng(0), a0=a0)
+        assert calls == []
+
+    def test_hook_gets_read_only_iterates(self):
+        y, _, _ = noiseless_instance(np.random.default_rng(13))
+        visited = []
+
+        def hook(a, j):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+            visited.append(j)
+
+        _, tr = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(1), on_iterate=hook)
+        assert visited == list(range(tr.iters_run + 1))
 
     def test_heuristic_stationarity_coupling(self):
         # At converged outputs the Riemannian gradient is small on the scale
@@ -315,12 +341,12 @@ class TestSolve:
         rng = np.random.default_rng(11)
         y = np.zeros((3, 8), dtype=complex)
         y[:, :3] = crandn(rng, 3, 3)
-        a0 = StiefelPoint(np.eye(8)[:, columns])
+        a0 = np.eye(8)[:, columns]
         assert not euclid_grad(y, a0, np.ones(2))[:, 1].any()
         a, tr = solve(y, np.ones(2), opts, np.random.default_rng(2), a0=a0)
         assert tr.restarts == 1
         assert tr.objective_per_iter[0] > 0.0
-        assert np.linalg.norm(a.a.conj().T @ a.a - np.eye(2)) < 1e-9
+        assert np.linalg.norm(a.conj().T @ a - np.eye(2)) < 1e-9
 
     def test_drift_off_the_manifold_is_fatal(self, monkeypatch):
         # A polar factor 1e-8 off the manifold fails the check on the first
@@ -376,7 +402,7 @@ class TestSolve:
                 a_tau, tr_tau = solve(y, sc.g_diag, cfg.solver, np.random.default_rng(seed + 10))
             assert (tr_tau.iters_run, tr_tau.stop_reason) == (tr.iters_run, tr.stop_reason)
             assert tr_tau.final_objective == pytest.approx(tr.final_objective, rel=1e-10)
-            assert np.abs(a_tau.a - a.a).max() < 1e-8
+            assert np.abs(a_tau - a).max() < 1e-8
 
 
 class TestSolveTraceInvariant:
@@ -542,7 +568,7 @@ class TestPostprocess:
         c = build_constellation("qpsk")
         rng = np.random.default_rng(0)
         frame = build_frame(4, 30, c, rng)
-        h = 2.5 * random_stiefel(64, 4, rng).a
+        h = 2.5 * random_stiefel(64, 4, rng)
         y = h @ frame.x
         y_pre = precondition(y, k_users=4)
         u, _, vh = np.linalg.svd(frame.x, full_matrices=False)
@@ -552,8 +578,8 @@ class TestPostprocess:
 
     def test_orthonormal_d_reduces_to_adjoint(self):
         rng = np.random.default_rng(1)
-        u = random_stiefel(10, 3, rng).a
-        x_pre = random_stiefel(8, 3, rng).a.conj().T
+        u = random_stiefel(10, 3, rng)
+        x_pre = random_stiefel(8, 3, rng).conj().T
         y_pre = u @ x_pre  # makes D = y_pre x_pre^H = u exactly
         y = crandn(rng, 10, 8)
         x_hat = postprocess(y_pre, x_pre, y)
@@ -599,8 +625,8 @@ class TestFactoredBlock:
         for p in (3, 4):
             assert objective(pair, a, g, p) == pytest.approx(objective(dense, a, g, p), rel=1e-12)
             assert close(euclid_grad(pair, a, g, p), euclid_grad(dense, a, g, p))
-            assert close(iterate(a, pair, g, p).a, iterate(a, dense, g, p).a)
-        x_pre = random_stiefel(40, 4, rng).a.conj().T
+            assert close(iterate(a, pair, g, p), iterate(a, dense, g, p))
+        x_pre = random_stiefel(40, 4, rng).conj().T
         assert close(postprocess(pair, x_pre, y), postprocess(dense, x_pre, y))
 
     def test_solve_and_postprocess_never_form_the_block(self):
@@ -610,7 +636,7 @@ class TestFactoredBlock:
         tracemalloc.start()
         try:
             a, _ = solve(pair, np.ones(4), SolverOptions(max_iters=5), rng)
-            postprocess(pair, a.a.conj().T, y)
+            postprocess(pair, a.conj().T, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -690,7 +716,7 @@ class TestDetectEndToEnd:
 class TestRiemannianGdBaseline:
     def test_matches_polar_solver_on_noiseless_instance(self):
         rng = np.random.default_rng(9)
-        x = random_stiefel(60, 4, rng).a.conj().T
+        x = random_stiefel(60, 4, rng).conj().T
         chan = bernoulli_gaussian_channel(128, 4, 0.15, rng)
         y = chan @ x
         opts = SolverOptions(max_iters=500, eta_tol=1e-7)
@@ -725,11 +751,11 @@ class TestPilotZf:
     def test_unregularized_exact_with_orthogonal_pilots(self):
         rng = np.random.default_rng(0)
         k, t_pilot, m = 4, 8, 64
-        pilots = random_stiefel(t_pilot, k, rng).a.conj().T  # orthonormal rows
+        pilots = random_stiefel(t_pilot, k, rng).conj().T  # orthonormal rows
         chan = bernoulli_gaussian_channel(m, k, 0.2, rng)
         g = np.ones(k)
         y_train = chan @ pilots
-        x = random_stiefel(30, k, rng).a.conj().T
+        x = random_stiefel(30, k, rng).conj().T
         y_data = chan @ x
         x_hat = pilot_zf_baseline(y_train, pilots, y_data, g, lam=0.0)
         assert evm(x_hat, x) < 1e-8
@@ -739,7 +765,7 @@ class TestPilotZf:
         # Y X^H at lam: a weak user's whole column falls below it.
         rng = np.random.default_rng(5)
         k, m = 3, 16
-        pilots = random_stiefel(8, k, rng).a.conj().T
+        pilots = random_stiefel(8, k, rng).conj().T
         h = crandn(rng, m, k) * np.array([1.0, 1.0, 1e-3])
         with pytest.raises(RankDeficientError, match=r"rank deficient; .* users \[2\] are all zero"):
             pilot_zf_baseline(h @ pilots, pilots, h @ crandn(rng, k, 30), np.ones(k), lam=0.5)
@@ -768,7 +794,7 @@ class TestPilotZf:
         # four healthy singular values but not full column rank.
         rng = np.random.default_rng(2)
         k, m = 8, 4
-        pilots = random_stiefel(16, k, rng).a.conj().T
+        pilots = random_stiefel(16, k, rng).conj().T
         h = crandn(rng, m, k)
         with pytest.raises(RankDeficientError, match="zero-forcing matrix is rank deficient"):
             pilot_zf_baseline(h @ pilots, pilots, h @ crandn(rng, k, 30), np.ones(k), lam=0.0)
@@ -822,5 +848,5 @@ class TestSharedAscentLoop:
             assert np.all(np.diff(tr.objective_per_iter) >= -MONOTONE_SLACK)
             assert tr.stop_reason in ("eta_tol", "obj_tol", "max_iters")
             assert np.all(tr.eta_per_iter >= 0.0)
-            assert np.linalg.norm(a.a.conj().T @ a.a - np.eye(k)) < 1e-9
+            assert np.linalg.norm(a.conj().T @ a - np.eye(k)) < 1e-9
             assert tr.n_evals >= tr.iters_run + 1

@@ -202,6 +202,11 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=param):
             next(run_sweep(tiny_config(), param, values))
 
+    def test_empty_sweep_rejected(self, monkeypatch):
+        monkeypatch.setattr("blindmimo.harness.build_scenario", None)
+        with pytest.raises(ValueError, match="sweep of 'snr_db' has no values"):
+            next(run_sweep(tiny_config(), "snr_db", []))
+
     def test_base_seed_sweep_reaches_the_draws(self):
         def outcomes(records):  # the record fields a seed decides; wall_time is left out
             return [(r.scenario_digest, r.seed, json.loads(r.to_json())["metrics"]) for r in records]
@@ -462,6 +467,18 @@ class TestConcentrationExperiment:
                             lambda x: calls.append(x) or 0.0)
         with pytest.raises(ValueError, match="no curve constant for K=5"):
             run_concentration_experiment([4, 5], [36], 0.1, 100)
+        assert calls == []
+
+    @pytest.mark.parametrize("k_list, t_list, message", [
+        ([4, 4], [36], "k_list repeats 4"), ([8, 4, 8], [36], "k_list repeats 8"),
+        ([4], [36, 54, 36], "t_list repeats 36"),
+    ])
+    def test_repeated_k_or_t_rejected_before_any_trial(self, monkeypatch, k_list, t_list, message):
+        calls = []
+        monkeypatch.setattr(harness, "concentration_statistic",
+                            lambda x: calls.append(x) or 0.0)
+        with pytest.raises(ValueError, match=message):
+            run_concentration_experiment(k_list, t_list, 0.1, 100)
         assert calls == []
 
     def test_tail_behaviour(self):

@@ -33,7 +33,7 @@ class TestStiefelPoint:
 
     def test_accepts_identity_frame(self):
         p = StiefelPoint(np.eye(5, 2))
-        assert p.t_dim == 5 and p.k_dim == 2
+        assert p.a.shape == (5, 2)
         assert not p.a.flags.writeable
 
     @settings(max_examples=300, deadline=None)
@@ -50,7 +50,7 @@ class TestStiefelPoint:
         # the Gram residual; the Gram bound alone implies the column bound,
         # since |n - 1| <= |n^2 - 1| <= ||A^H A - I||_F.
         rng = np.random.default_rng(seed)
-        a = random_stiefel(k + extra_t, k, rng).a.copy()
+        a = random_stiefel(k + extra_t, k, rng)
         eps = 10.0**log_eps
         if one_column:
             a[:, rng.integers(k)] *= 1.0 + eps * rng.choice([-1.0, 1.0])
@@ -75,13 +75,13 @@ class TestStiefelPoint:
 class TestRandomStiefel:
     def test_scalar_case_unit_modulus(self):
         p = random_stiefel(1, 1, np.random.default_rng(3))
-        assert abs(abs(p.a[0, 0]) - 1.0) < 1e-12
+        assert abs(abs(p[0, 0]) - 1.0) < 1e-12
 
     def test_orthonormality(self):
         rng = np.random.default_rng(0)
         for t, k in [(4, 1), (8, 3), (50, 10)]:
             p = random_stiefel(t, k, rng)
-            assert np.linalg.norm(p.a.conj().T @ p.a - np.eye(k)) < 1e-9
+            assert np.linalg.norm(p.conj().T @ p - np.eye(k)) < 1e-9
 
     def test_rejects_bad_dims(self):
         rng = np.random.default_rng(0)
@@ -90,9 +90,13 @@ class TestRandomStiefel:
         with pytest.raises(ValueError):
             random_stiefel(0, 0, rng)
 
+    def test_returns_c_contiguous_array(self):
+        p = random_stiefel(9, 4, np.random.default_rng(4))
+        assert type(p) is np.ndarray and p.dtype == np.complex128 and p.flags.c_contiguous
+
     def test_seeded_draws_bit_identical(self):
-        a = random_stiefel(6, 2, np.random.default_rng(123)).a
-        b = random_stiefel(6, 2, np.random.default_rng(123)).a
+        a = random_stiefel(6, 2, np.random.default_rng(123))
+        b = random_stiefel(6, 2, np.random.default_rng(123))
         assert a.tobytes() == b.tobytes()
 
     def test_haar_column_energy_uniform(self):
@@ -119,20 +123,20 @@ class TestRandomStiefel:
         q, r = np.linalg.qr(g / np.sqrt(2.0))
         d = np.diagonal(r)
         q = q * (d / np.abs(d))[np.newaxis, :]
-        assert np.allclose(p.a, q, atol=1e-15)
+        assert np.allclose(p, q, atol=1e-15)
 
 
 class TestPolarRetract:
     def test_fixed_point_on_manifold(self):
         rng = np.random.default_rng(1)
         p = random_stiefel(7, 3, rng)
-        again = polar_retract(p.a)
-        assert np.abs(again.a - p.a).max() < 1e-10
+        again = polar_retract(p)
+        assert np.abs(again - p).max() < 1e-10
 
     def test_positive_diagonal_case(self):
         m = np.zeros((4, 2), dtype=complex)
         m[0, 0], m[1, 1] = 2.0, 3.0
-        out = polar_retract(m).a
+        out = polar_retract(m)
         assert np.abs(out - np.eye(4, 2)).max() < 1e-12
 
     def test_matches_inverse_sqrt_oracle(self):
@@ -141,7 +145,14 @@ class TestPolarRetract:
             m = crandn(rng, 12, 4)
             w, v = np.linalg.eigh(m.conj().T @ m)
             oracle = m @ (v @ np.diag(w**-0.5) @ v.conj().T)
-            assert np.linalg.norm(polar_retract(m).a - oracle) < 1e-8
+            assert np.linalg.norm(polar_retract(m) - oracle) < 1e-8
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e8])
+    def test_returns_c_contiguous_array(self, kappa):
+        # kappa 1 takes the Gram route and 1e8 the SVD; the input is Fortran-ordered.
+        m = np.asfortranarray(with_condition(np.random.default_rng(6), 12, 4, kappa))
+        out = polar_retract(m)
+        assert type(out) is np.ndarray and out.dtype == np.complex128 and out.flags.c_contiguous
 
     def test_rank_deficient_rejected(self):
         m = np.zeros((5, 2), dtype=complex)
@@ -152,17 +163,17 @@ class TestPolarRetract:
     def test_idempotent(self):
         rng = np.random.default_rng(8)
         m = crandn(rng, 9, 3)
-        once = polar_retract(m).a
-        twice = polar_retract(once).a
+        once = polar_retract(m)
+        twice = polar_retract(once)
         assert np.abs(twice - once).max() < 1e-10
 
     def test_maximizes_real_inner_product(self):
         rng = np.random.default_rng(11)
         m = crandn(rng, 10, 3)
-        best = real_inner(m, polar_retract(m).a)
+        best = real_inner(m, polar_retract(m))
         for _ in range(1000):
             a = random_stiefel(10, 3, rng)
-            assert real_inner(m, a.a) <= best + 1e-12
+            assert real_inner(m, a) <= best + 1e-12
 
 
 def with_condition(rng, t, k, kappa, scale=1.0):
@@ -185,7 +196,7 @@ class TestGramPolar:
             s_gram, polar = fast
             assert np.abs(s_gram - s).max() <= 1e-12 * s[0]
             assert np.abs(polar() - u @ vh).max() <= 1e-12
-            assert np.abs(polar_retract(m).a - u @ vh).max() <= 1e-12
+            assert np.abs(polar_retract(m) - u @ vh).max() <= 1e-12
 
     @pytest.mark.parametrize("kappa", [1e4, 1e8])
     def test_ill_conditioned_takes_svd_bit_for_bit(self, kappa):
@@ -193,7 +204,7 @@ class TestGramPolar:
         m = with_condition(rng, 240, 8, kappa)
         assert _gram_polar(m) is None
         u, _, vh = np.linalg.svd(m, full_matrices=False)
-        assert np.array_equal(polar_retract(m).a, u @ vh)
+        assert np.array_equal(polar_retract(m), u @ vh)
 
     def test_zero_takes_svd_and_raises(self):
         m = np.zeros((6, 2), dtype=complex)
@@ -326,7 +337,7 @@ class TestRiemannianGrad:
         a = random_stiefel(8, 3, rng)
         s = crandn(rng, 3, 3)
         s = s + s.conj().T
-        out = riemannian_grad(a, a.a @ s)
+        out = riemannian_grad(a, a @ s)
         assert np.linalg.norm(out) < 1e-10
 
     def test_zero_gradient(self):
@@ -344,7 +355,7 @@ class TestRiemannianGrad:
             a = random_stiefel(12, 4, rng)
             g = crandn(rng, 12, 4)
             xi = riemannian_grad(a, g)
-            sym = a.a.conj().T @ xi
+            sym = a.conj().T @ xi
             assert np.linalg.norm(sym + sym.conj().T) < 1e-8
 
     @settings(max_examples=200, deadline=None)
@@ -360,11 +371,11 @@ class TestRiemannianGrad:
         # ~1e14 gradients of rgd on a preconditioned short frame.
         rng = np.random.default_rng(seed)
         a = random_stiefel(t, min(k, t), rng)
-        g = 10.0**log_scale * crandn(rng, *a.a.shape)
+        g = 10.0**log_scale * crandn(rng, *a.shape)
         xi = riemannian_grad(a, g)
-        sym = a.a.conj().T @ xi
+        sym = a.conj().T @ xi
         assert np.linalg.norm(sym + sym.conj().T) < 1e-8 * max(1.0, np.linalg.norm(xi))
-        assert np.array_equal(xi, riemannian_grad(a.a, g))
+        assert np.array_equal(xi, riemannian_grad(a, g))
 
     def test_directional_derivative_along_retracted_path(self):
         # d/dt Psi(polar(A + t*xi)) at t=0 equals Re<grad, xi> = ||xi||^2
@@ -373,11 +384,11 @@ class TestRiemannianGrad:
         y = crandn(rng, 20, 10)
         g_diag = np.ones(3)
         a = random_stiefel(10, 3, rng)
-        egrad = 3.0 * (y.conj().T @ (np.abs(y @ a.a) * (y @ a.a)))
+        egrad = 3.0 * (y.conj().T @ (np.abs(y @ a) * (y @ a)))
         xi = riemannian_grad(a, egrad)
         h = 1e-5
-        fp = objective(y, polar_retract(a.a + h * xi).a, g_diag)
-        fm = objective(y, polar_retract(a.a - h * xi).a, g_diag)
+        fp = objective(y, polar_retract(a + h * xi), g_diag)
+        fm = objective(y, polar_retract(a - h * xi), g_diag)
         fd = (fp - fm) / (2 * h)
         expected = float(np.linalg.norm(xi) ** 2)
         assert abs(fd - expected) / expected < 1e-4

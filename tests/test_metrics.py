@@ -122,7 +122,7 @@ class TestTheoreticalObjectiveBound:
         vals = []
         for trial in range(40):
             rng = np.random.default_rng(3000 + trial)
-            x = random_stiefel(t, k, rng).a.conj().T
+            x = random_stiefel(t, k, rng).conj().T
             chan = bernoulli_gaussian_channel(m, k, theta, rng)
             noise = crandn(rng, m, t) * np.sqrt(sig)
             y = chan @ x + noise
