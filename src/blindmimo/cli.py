@@ -3,8 +3,11 @@
 Subcommands: ``simulate`` (Monte Carlo sweep), ``convergence`` (normalized
 objective traces under parameter variations), ``concentration`` (Gram-matrix
 tail frequencies), and ``report`` (re-aggregate a trials.jsonl file).
-Each subcommand prints the paths the harness wrote, one per line, in write
-order.  Exit status is 0 on success and nonzero on any hard error.
+A ``simulate`` or ``convergence`` run takes every setting (seed, trials,
+solver options) from its JSON config; only ``--methods`` and ``--level``
+choose what the run reports.  Each subcommand prints the paths the harness
+wrote, one per line, in write order.  Exit status is 0 on success and
+nonzero on any hard error.
 """
 
 from __future__ import annotations
@@ -30,28 +33,8 @@ from .harness import (
 _DEFAULT_SWEEP = {"param": "snr_db", "values": [0.0, 10.0, 20.0, 30.0]}
 
 
-def _str2bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {s!r}")
-
-
 def _load_config(path: str) -> dict:
     return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-
-
-def _build_config(raw: dict, args: argparse.Namespace) -> SystemConfig:
-    """The config of ``raw`` with the command-line overrides applied, built once."""
-    raw = dict(raw)
-    for key, arg in (("base_seed", "seed"), ("trials", "trials")):
-        if getattr(args, arg, None) is not None:
-            raw[key] = getattr(args, arg)
-    if getattr(args, "precondition", None) is not None:
-        raw["solver"] = {**(raw.get("solver") or {}), "precondition": args.precondition}
-    return SystemConfig.from_dict(raw)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> List[str]:
@@ -60,7 +43,7 @@ def _cmd_simulate(args: argparse.Namespace) -> List[str]:
     if not (isinstance(sweep, dict) and set(sweep) == {"param", "values"}
             and isinstance(sweep["param"], str) and isinstance(sweep["values"], list)):
         raise ValueError(f'"sweep" must hold exactly a string "param" and a list "values", got {sweep!r}')
-    cfg = _build_config(raw, args)
+    cfg = SystemConfig.from_dict(raw)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     records = run_sweep(cfg, sweep["param"], sweep["values"], methods)
     return emit_report(records, args.out)
@@ -70,7 +53,7 @@ def _cmd_convergence(args: argparse.Namespace) -> List[str]:
     raw = _load_config(args.config)
     overrides = raw.pop("variants", None)
     raw.setdefault("trials", 30)
-    base = _build_config(raw, args)
+    base = SystemConfig.from_dict(raw)
     results = run_convergence_experiment(convergence_variants(base, overrides), trials=base.trials,
                                          base_seed=base.base_seed, level=args.level)
     return emit_convergence(results, args.out)
@@ -103,17 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte Carlo sweep over one parameter")
     sim.add_argument("--config", required=True, help="JSON config (SystemConfig fields)")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--seed", type=int, default=None, help="override base_seed")
-    sim.add_argument("--trials", type=int, default=None, help="override trials")
     sim.add_argument("--methods", default="l3", help="comma list from l3,l4,rgd,pilot")
-    sim.add_argument("--precondition", type=_str2bool, default=None)
     sim.set_defaults(func=_cmd_simulate)
 
     conv = sub.add_parser("convergence", help="normalized objective traces per variant")
-    conv.add_argument("--config", required=True)
+    conv.add_argument("--config", required=True, help="JSON config; trials default to 30")
     conv.add_argument("--out", required=True)
-    conv.add_argument("--seed", type=int, default=None)
-    conv.add_argument("--trials", type=int, default=None, help="else the config's trials, else 30")
     conv.add_argument("--level", type=float, default=0.9)
     conv.set_defaults(func=_cmd_convergence)
 

@@ -194,6 +194,8 @@ def _point_inputs(
 ) -> Tuple[Factors, np.ndarray, np.ndarray]:
     _check_exponent(p)
     am = np.asarray(a, dtype=np.complex128)
+    if am.ndim != 2:
+        raise ValueError(f"a must be a T x K matrix, got shape {am.shape}")
     y = _factors(y_bar)
     if y[-1].shape[1] != am.shape[0]:
         raise ValueError(f"dimension mismatch: y_bar has {y[-1].shape[1]} columns, a is {am.shape}")
@@ -269,13 +271,13 @@ def optimality_eta(a: np.ndarray, grad: np.ndarray) -> float:
 def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray]:
     _check_exponent(p)
     y = _factors(y_bar)
-    k = np.asarray(g_diag).shape[0]
-    t = y[-1].shape[1]
+    isg = _inv_sqrt_g(g_diag, np.size(g_diag))  # a vector of any length K
+    t, k = y[-1].shape[1], isg.size
     if t < k:
         raise ValueError(f"need T >= K, got T={t}, K={k}")
     if not all(np.linalg.norm(f) > 0 for f in y):
         raise ValueError("received block is identically zero")
-    return y, _inv_sqrt_g(g_diag, k)
+    return y, isg
 
 
 def _ascend(
@@ -560,7 +562,7 @@ def detect(
     ``opts.precondition`` on ``precondition``'s pair, whose estimate is
     reprojected onto ``y_bar`` before ambiguity resolution.
     """
-    k = np.asarray(g_diag).shape[0]
+    k = _positive_g(g_diag, np.size(g_diag)).size
     if opts.precondition:
         y_in = precondition(y_bar, k_users=k)
     else:

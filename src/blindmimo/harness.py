@@ -43,6 +43,7 @@ __all__ = [
     "TrialRecord",
     "Scenario",
     "DEFAULT_CONCENTRATION_C",
+    "build_scenario",
     "run_sweep",
     "run_concentration_experiment",
     "run_convergence_experiment",
@@ -370,8 +371,8 @@ def run_sweep(
     where the l3 envelope holds (see ``_l3_envelope``), else None.
     A record holds its sweep value as a float, so the values must be real
     numbers (not bools), at least one, and ``solver`` is not a sweep
-    parameter; every value's config is built, and so checked, before the
-    first trial.
+    parameter.  Every input is checked, and every value's config built, at
+    the call; the returned iterator then yields the records one at a time.
     """
     for m in methods:
         if m not in KNOWN_METHODS:
@@ -386,54 +387,55 @@ def run_sweep(
             raise ValueError(f"sweep values of {sweep_param!r} must be real numbers, got {value!r}")
         points.append((value, replace(cfg, **{sweep_param: value})))
     fingerprint = cfg.fingerprint()
-    for si, (value, cfg_i) in enumerate(points):
-        for trial in range(cfg_i.trials):
-            scenario = build_scenario(cfg_i, _stream(cfg_i.base_seed, si, trial, "scenario"))
-            digest = scenario.digest
-            for method in methods:
-                seq = _seed_sequence(cfg_i.base_seed, si, trial, method)
-                try:
-                    outcome = _run_method(cfg_i, scenario, method, np.random.default_rng(seq))
-                except (detector.DegenerateGradientError, RankDeficientError) as exc:
-                    outcome = dict(metrics=None, stop_reason="error", final_eta=float("nan"),
-                                   error=f"{type(exc).__name__}: {exc}")
-                yield TrialRecord(
-                    fingerprint=fingerprint,
-                    sweep_param=sweep_param,
-                    sweep_value=float(value),
-                    method=method,
-                    trial=trial,
-                    seed=int(seq.generate_state(1)[0]),
-                    scenario_digest=digest,
-                    **outcome,
-                )
+
+    def records() -> Iterator[TrialRecord]:
+        for si, (value, cfg_i) in enumerate(points):
+            for trial in range(cfg_i.trials):
+                scenario = build_scenario(cfg_i, _stream(cfg_i.base_seed, si, trial, "scenario"))
+                digest = scenario.digest
+                for method in methods:
+                    seq = _seed_sequence(cfg_i.base_seed, si, trial, method)
+                    try:
+                        outcome = _run_method(cfg_i, scenario, method, np.random.default_rng(seq))
+                    except (detector.DegenerateGradientError, RankDeficientError) as exc:
+                        outcome = dict(metrics=None, stop_reason="error", final_eta=float("nan"),
+                                       error=f"{type(exc).__name__}: {exc}")
+                    yield TrialRecord(
+                        fingerprint=fingerprint,
+                        sweep_param=sweep_param,
+                        sweep_value=float(value),
+                        method=method,
+                        trial=trial,
+                        seed=int(seq.generate_state(1)[0]),
+                        scenario_digest=digest,
+                        **outcome,
+                    )
+
+    return records()
 
 
-def _concentration_delta(threshold: float, s_infinity: float) -> float:
-    """The delta whose level (1/ln 2) * S_inf^2 * max(delta, delta^2) equals ``threshold``."""
-    tau = threshold * np.log(2.0) / s_infinity**2
+def _concentration_delta(threshold: float) -> float:
+    """The delta whose level (1/ln 2) * max(delta, delta^2) equals ``threshold``."""
+    tau = threshold * np.log(2.0)
     return tau if tau <= 1.0 else np.sqrt(tau)
 
 
-def concentration_tail_bound(
-    t_len: int, k_users: int, threshold: float, c_const: float, s_infinity: float = 1.0
-) -> float:
+def concentration_tail_bound(t_len: int, k_users: int, threshold: float, c_const: float) -> float:
     """Tail bound on Pr[||XX^H - I||_F / sqrt(K) > threshold].
 
     The exponential concentration statement bounds the tail at level
-    (1/ln 2) * S_inf^2 * max(delta, delta^2); inverting that level for the
+    (1/ln 2) * S_inf^2 * max(delta, delta^2), where S_inf = 1 for the QPSK
+    frames the curve constants are fitted to; inverting that level for the
     requested threshold gives the delta that enters the exponent
     2 exp(-(delta sqrt(T) / C - sqrt(K))^2).
     """
-    delta = _concentration_delta(threshold, s_infinity)
+    delta = _concentration_delta(threshold)
     return float(2.0 * np.exp(-((delta * np.sqrt(t_len) / c_const - np.sqrt(k_users)) ** 2)))
 
 
-def concentration_crossover(
-    k_users: int, threshold: float, c_const: float, s_infinity: float = 1.0
-) -> float:
+def concentration_crossover(k_users: int, threshold: float, c_const: float) -> float:
     """Smallest T at which the tail bound drops below 1 (becomes informative)."""
-    delta = _concentration_delta(threshold, s_infinity)
+    delta = _concentration_delta(threshold)
     return float((c_const * (np.sqrt(k_users) + np.sqrt(np.log(2.0))) / delta) ** 2)
 
 

@@ -76,15 +76,14 @@ def _pam4_level(gray2: int) -> float:
 
 
 def build_constellation(kind: str) -> Constellation:
-    """Build a supported constellation: ``"qpsk"`` or ``"qam16"``."""
-    tag = kind.strip().lower()
-    if tag == "qpsk":
+    """Build a supported constellation: exactly ``"qpsk"`` or ``"qam16"``."""
+    if kind == "qpsk":
         labels = np.arange(4)
         re = 1.0 - 2.0 * ((labels >> 1) & 1)
         im = 1.0 - 2.0 * (labels & 1)
         points = (re + 1j * im) / np.sqrt(2.0)
         return Constellation("qpsk", points, 2)
-    if tag in ("qam16", "16qam"):
+    if kind == "qam16":
         labels = np.arange(16)
         re = np.array([_pam4_level(int(g) >> 2) for g in labels])
         im = np.array([_pam4_level(int(g) & 3) for g in labels])

@@ -75,8 +75,9 @@ class TestSimulate:
     def test_seed_changes_stream(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out1, out2 = tmp_path / "a", tmp_path / "b"
+        cfg8 = write_config(tmp_path / "cfg8.json", base_seed=8)
         main(["simulate", "--config", str(cfg), "--out", str(out1)])
-        main(["simulate", "--config", str(cfg), "--out", str(out2), "--seed", "8"])
+        main(["simulate", "--config", str(cfg8), "--out", str(out2)])
         assert (out1 / "trials.jsonl").read_bytes() != (out2 / "trials.jsonl").read_bytes()
 
     def test_multiple_methods(self, tmp_path):
@@ -119,13 +120,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) != 0
 
     def test_precondition_flag_changes_results(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", t_len=30, n_h=64,
-                           sweep={"param": "snr_db", "values": [30.0]})
+        plain, pre = (write_config(tmp_path / f"{name}.json", t_len=30, n_h=64,
+                                   solver={"max_iters": 60, "precondition": on},
+                                   sweep={"param": "snr_db", "values": [30.0]})
+                      for name, on in (("plain", False), ("pre", True)))
         out1, out2 = tmp_path / "plain", tmp_path / "pre"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out1),
-                     "--precondition", "false"]) == 0
-        assert main(["simulate", "--config", str(cfg), "--out", str(out2),
-                     "--precondition", "true"]) == 0
+        assert main(["simulate", "--config", str(plain), "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", str(pre), "--out", str(out2)]) == 0
         assert (out1 / "trials.jsonl").read_bytes() != (out2 / "trials.jsonl").read_bytes()
 
 
@@ -191,12 +192,11 @@ class TestConvergenceCommand:
         cfg.write_text(json.dumps({
             "k_users": 4, "t_len": 60, "n_h": 64, "n_v": 1, "theta": 0.2,
             "channel_model": "bernoulli_gaussian", "sigma_z2": 1e-3,
-            "solver": {"max_iters": 80},
+            "solver": {"max_iters": 80}, "trials": 4,
             "variants": {"theta_half": {"theta": 0.1}},
         }))
         out = tmp_path / "conv"
-        assert main(["convergence", "--config", str(cfg), "--out", str(out),
-                     "--trials", "4"]) == 0
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
         for name in ("base", "theta_half"):
             curve = np.loadtxt(out / f"plot_convergence_{name}.dat")
             assert curve.ndim == 2 and curve.shape[1] == 2
@@ -207,11 +207,10 @@ class TestConvergenceCommand:
         # theta and snr_db are left at SystemConfig's defaults (0.1, 20 dB).
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian",
+            "k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian", "trials": 2,
         }))
         out = tmp_path / "conv"
-        assert main(["convergence", "--config", str(cfg), "--out", str(out),
-                     "--trials", "2"]) == 0
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "convergence_summary.json").read_text())
         theta, sigma = SystemConfig().theta, summary["base"]["sigma_z2"]
         assert sigma == pytest.approx(4 / (100 * 60))
@@ -230,20 +229,15 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "convergence_summary.json").read_text())
         assert {v["trials"] for v in summary.values()} == {3}
-        assert main(["convergence", "--config", str(cfg), "--out", str(out),
-                     "--trials", "2"]) == 0
-        summary = json.loads((out / "convergence_summary.json").read_text())
-        assert {v["trials"] for v in summary.values()} == {2}
 
     def test_p_exponent_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "k_users": 4, "t_len": 60, "n_h": 64, "theta": 0.2,
             "channel_model": "bernoulli_gaussian", "sigma_z2": 1e-3,
-            "solver": {"max_iters": 80, "p_exponent": 4},
+            "solver": {"max_iters": 80, "p_exponent": 4}, "trials": 4,
         }))
-        assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "conv"),
-                     "--trials", "4"]) != 0
+        assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "conv")]) != 0
         assert "unknown config keys: ['solver.p_exponent']" in capsys.readouterr().err
 
     def test_variant_named_base_rejected(self, tmp_path, capsys):
@@ -251,10 +245,10 @@ class TestConvergenceCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "k_users": 4, "t_len": 60, "n_h": 64, "theta": 0.2, "sigma_z2": 0.001,
-            "channel_model": "bernoulli_gaussian", "variants": {"base": {"theta": 0.05}},
+            "channel_model": "bernoulli_gaussian", "trials": 2, "variants": {"base": {"theta": 0.05}},
         }))
         out = tmp_path / "conv"
-        assert main(["convergence", "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 1
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 1
         assert "'base'" in capsys.readouterr().err
         assert not out.exists()
 
@@ -266,13 +260,27 @@ class TestConvergenceCommand:
     ])
     def test_inputs_that_cannot_work_rejected(self, tmp_path, capsys, args, variants, message):
         # Rejected before the first trial: nothing is written.
-        raw = {"k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian"}
+        raw = {"k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian", "trials": 2}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**raw, "variants": variants} if variants else raw))
         out = tmp_path / "conv"
-        assert main(["convergence", "--config", str(cfg), "--out", str(out),
-                     "--trials", "2", *args]) == 1
+        assert main(["convergence", "--config", str(cfg), "--out", str(out), *args]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRunSettingsComeFromTheConfig:
+    @pytest.mark.parametrize("command, option, value", [
+        ("simulate", "--seed", "8"), ("simulate", "--trials", "2"),
+        ("simulate", "--precondition", "true"),
+        ("convergence", "--seed", "8"), ("convergence", "--trials", "2"),
+    ])
+    def test_override_option_removed(self, tmp_path, command, option, value):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out), option, value])
+        assert exc.value.code == 2
         assert not out.exists()
 
 
@@ -291,11 +299,10 @@ class TestStrictJson:
     def test_unreached_level_writes_null(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian",
+            "k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian", "trials": 2,
         }))
         out = tmp_path / "conv"
-        assert main(["convergence", "--config", str(cfg), "--out", str(out),
-                     "--trials", "2"]) == 0
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
         summary = strict_loads((out / "convergence_summary.json").read_text())
         assert summary["k_half"]["median_iters_to_level"] is None
 
@@ -321,11 +328,11 @@ class TestPrintedPaths:
     def test_convergence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian",
+            "k_users": 4, "t_len": 60, "n_h": 64, "channel_model": "bernoulli_gaussian", "trials": 2,
             "variants": {"theta_half": {"theta": 0.05}},
         }))
         out = tmp_path / "conv"
-        self.check(capsys, ["convergence", "--config", str(cfg), "--out", str(out), "--trials", "2"],
+        self.check(capsys, ["convergence", "--config", str(cfg), "--out", str(out)],
                    out, ["plot_convergence_base.dat", "plot_convergence_theta_half.dat",
                          "convergence_summary.json"])
 

@@ -800,6 +800,29 @@ class TestPilotZf:
             pilot_zf_baseline(h @ pilots, pilots, h @ crandn(rng, k, 30), np.ones(k), lam=0.0)
 
 
+class TestInputRank:
+    @pytest.mark.parametrize("name, call", [
+        ("a", lambda y, a, g, meta, c: objective(y, a[:, 0], g)),
+        ("a", lambda y, a, g, meta, c: euclid_grad(y, a[:, 0], g)),
+        ("a", lambda y, a, g, meta, c: iterate(a[:, 0], y, g)),
+        ("g_diag", lambda y, a, g, meta, c: solve(y, g[0], SolverOptions(), np.random.default_rng(0))),
+        ("g_diag", lambda y, a, g, meta, c: riemannian_gd_baseline(
+            y, g[0], SolverOptions(), np.random.default_rng(0))),
+        ("g_diag", lambda y, a, g, meta, c: detect(
+            y, g[0], meta, c, SolverOptions(), np.random.default_rng(0))),
+    ], ids=["objective", "euclid_grad", "iterate", "solve", "riemannian_gd_baseline", "detect"])
+    def test_wrong_rank_rejected_by_name(self, name, call, monkeypatch):
+        # A 1-D point or a 0-d fading vector is rejected before any evaluation.
+        rng = np.random.default_rng(0)
+        c = build_constellation("qpsk")
+        frame = build_frame(1, 20, c, rng)
+        y = bernoulli_gaussian_channel(16, 1, 0.5, rng) @ frame.x
+        a, g = random_stiefel(20, 1, rng), np.ones(1)
+        monkeypatch.setattr(detector, "_evaluate", None)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(y, a, g, frame.meta, c)
+
+
 class TestSharedAscentLoop:
     @pytest.mark.parametrize("p", [3, 4])
     def test_trace_matches_public_kernels(self, p):
@@ -823,7 +846,7 @@ class TestSharedAscentLoop:
     @given(
         k=st.integers(1, 4),
         extra_t=st.sampled_from([0, 3, 12]),
-        constellation=st.sampled_from(["qpsk", "16qam"]),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
         fading=st.sampled_from(["identity", "log_distance"]),
         precondition_on=st.booleans(),
         seed=st.integers(0, 2**32 - 1),

@@ -117,7 +117,7 @@ class TestSystemConfig:
 
     def test_sweep_values_checked_at_the_boundary(self):
         with pytest.raises(ValueError, match="t_len must be an integer"):
-            next(run_sweep(tiny_config(), "t_len", [40.0]))
+            run_sweep(tiny_config(), "t_len", [40.0])
 
     def test_fewer_antennas_than_users_rejected(self):
         with pytest.raises(ValueError, match="M=4 < K=8"):
@@ -181,13 +181,14 @@ class TestRunSweep:
         records = list(run_sweep(cfg, "snr_db", [20.0], ("l3", "rgd")))
         assert records[0].seed != records[1].seed
 
+    # Every rejection raises at the call, before the caller iterates.
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            list(run_sweep(tiny_config(), "snr_db", [0.0], ("ml",)))
+        with pytest.raises(ValueError, match="unknown method 'ml'"):
+            run_sweep(tiny_config(), "snr_db", [0.0], ("ml",))
 
     def test_unknown_sweep_param_rejected(self):
-        with pytest.raises(ValueError):
-            list(run_sweep(tiny_config(), "snr", [0.0]))
+        with pytest.raises(ValueError, match="'snr' is not a sweep parameter"):
+            run_sweep(tiny_config(), "snr", [0.0])
 
     @pytest.mark.parametrize("param, values", [
         ("channel_model", ["bernoulli_gaussian"]),
@@ -200,12 +201,25 @@ class TestRunSweep:
         # checked: the sweep fails before any trial.
         monkeypatch.setattr("blindmimo.harness.build_scenario", None)
         with pytest.raises(ValueError, match=param):
-            next(run_sweep(tiny_config(), param, values))
+            run_sweep(tiny_config(), param, values)
 
     def test_empty_sweep_rejected(self, monkeypatch):
         monkeypatch.setattr("blindmimo.harness.build_scenario", None)
         with pytest.raises(ValueError, match="sweep of 'snr_db' has no values"):
-            next(run_sweep(tiny_config(), "snr_db", []))
+            run_sweep(tiny_config(), "snr_db", [])
+
+    def test_records_are_yielded_one_trial_at_a_time(self, monkeypatch):
+        calls = []
+
+        def counting(cfg, rng):
+            calls.append(cfg)
+            return build_scenario(cfg, rng)
+
+        monkeypatch.setattr("blindmimo.harness.build_scenario", counting)
+        records = run_sweep(tiny_config(), "snr_db", [10.0, 30.0])
+        assert calls == []
+        next(records)
+        assert len(calls) == 1
 
     def test_base_seed_sweep_reaches_the_draws(self):
         def outcomes(records):  # the record fields a seed decides; wall_time is left out

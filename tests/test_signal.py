@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from blindmimo import (
     FrameMeta,
+    SystemConfig,
     TransmitFrame,
     build_constellation,
     demodulate,
@@ -71,6 +72,15 @@ class TestConstellation:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             build_constellation("8psk")
+
+    @pytest.mark.parametrize("kind", ["QPSK", " qpsk", "16qam"])
+    def test_only_the_exact_names_accepted(self, kind):
+        # Another spelling of the same alphabet would run the same trials
+        # under a different config fingerprint.
+        with pytest.raises(ValueError, match="unsupported constellation"):
+            build_constellation(kind)
+        with pytest.raises(ValueError, match="unsupported constellation"):
+            SystemConfig(constellation=kind)
 
 
 class TestBuildFrame:
