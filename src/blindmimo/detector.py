@@ -25,6 +25,12 @@ backtracking line search along the Riemannian gradient.  The gradient's
 singular values (for eta) and its polar factor come from ``manifold._polar``,
 the only place that chooses between the eigendecomposition of its K x K Gram
 matrix and its compact SVD.
+
+On the pair, ``solve`` iterates in the K-dimensional row space of vh: every
+gradient there is vh^H C with C = p (u^H F) G^(-1/2), and
+polar(vh^H C) = vh^H polar(C), so after the start every iterate is vh^H B
+for a K x K unitary B.  The loop holds B, and each iteration costs two
+M x K x K products and the SVD of the K x K matrix C, independent of T.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .manifold import (
+    ORTHONORMALITY_TOL,
     RankDeficientError,
     StiefelPoint,
     _check_orthonormal,
@@ -171,9 +178,16 @@ Factors = Tuple[np.ndarray, ...]
 
 
 def _factors(y_bar: Block) -> Factors:
-    """The block as the factors whose product it is: (Ybar,), or the pair (u, vh) as given."""
-    return tuple(np.asarray(f, dtype=np.complex128)
-                 for f in (y_bar if isinstance(y_bar, tuple) else (y_bar,)))
+    """The block as the factors whose product it is: (Ybar,), or the pair (u, vh) as given.
+
+    A factor that is not a 2-d matrix raises ValueError naming the shapes.
+    """
+    fs = tuple(np.asarray(f, dtype=np.complex128)
+               for f in (y_bar if isinstance(y_bar, tuple) else (y_bar,)))
+    if any(f.ndim != 2 for f in fs):
+        shapes = " and ".join(str(f.shape) for f in fs)
+        raise ValueError(f"y_bar must be a 2-d matrix or a pair (u, vh) of them, got shape {shapes}")
+    return fs
 
 
 def _apply(fs: Factors, x: np.ndarray) -> np.ndarray:
@@ -288,6 +302,7 @@ def _ascend(
     p: int,
     step: Callable[..., Tuple[Optional[np.ndarray], int]],
     on_iterate: Optional[Callable[[np.ndarray, int], None]] = None,
+    vh: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, SolveTrace]:
     """The ascent loop both solvers share; only ``step`` differs.
 
@@ -304,21 +319,35 @@ def _ascend(
     plain arrays, checked by ``_check_orthonormal`` once at the start and as
     ``step`` returns each (drift raises ValueError, never a restart);
     ``on_iterate`` gets a read-only view of each.
+
+    With ``vh`` (K x T, orthonormal rows), ``y`` is the pair's left factor
+    (u,) and the loop works on x = vh A, exact because every quantity reads
+    A only through vh A: W = u x G^(-1/2), the gradient's coordinates
+    p (u^H F) G^(-1/2) (its singular values, and Re<x, coordinates> =
+    Re<A, gradient>), and the step, whose polar factor is the next x.  The
+    start stays the T x K point ``a``; each later iterate is formed as
+    vh^H x, and checked, only for ``on_iterate`` and once at return.
     """
     a = _check_orthonormal(a)
+    x = a if vh is None else vh @ a
+
+    def point(j: int) -> np.ndarray:
+        """Iterate j as a T x K array."""
+        return a if j == 0 else x if vh is None else _check_orthonormal(vh.conj().T @ x)
+
     objs: list[float] = []
     etas: list[float] = []
     n_evals = 0
     for j in range(opts.max_iters + 1):
-        obj, grad = _evaluate(y, a, isg, p, with_grad=True)
+        obj, grad = _evaluate(y, x, isg, p, with_grad=True)
         s, polar = _polar(grad)
         if s[0] == 0.0:
             raise RankDeficientError("the gradient vanishes")
         objs.append(obj)
-        etas.append(_gap(float(s.sum()), a, grad))
+        etas.append(_gap(float(s.sum()), x, grad))
         n_evals += 1
         if on_iterate is not None:
-            view = a.view()
+            view = point(j).view()
             view.setflags(write=False)
             on_iterate(view, j)
         if etas[-1] < opts.eta_tol * max(etas[0], 1.0):
@@ -328,14 +357,14 @@ def _ascend(
         elif j == opts.max_iters:
             stop_reason = "max_iters"
         else:
-            nxt, spent = step(a, obj, grad, polar=polar)
+            nxt, spent = step(x, obj, grad, polar=polar)
             n_evals += spent
             if nxt is not None:
-                a = _check_orthonormal(nxt)
+                x = _check_orthonormal(nxt)
                 continue
             stop_reason = "obj_tol"
         break
-    return a, SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals)
+    return point(j), SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals)
 
 
 def solve(
@@ -355,10 +384,16 @@ def solve(
     random point, counted in the trace's ``restarts``; a second failure
     raises DegenerateGradientError.
 
+    On the pair, the start is drawn and checked in T-space as on the dense
+    block; from there the loop iterates the K x K coordinates vh A (see
+    ``_ascend``), so an iteration costs two M x K x K products and a K x K
+    SVD, independent of T.
+
     Parameters
     ----------
     y_bar
-        The dense block, or ``precondition``'s pair (u, vh) of its factors.
+        The dense block, or ``precondition``'s pair (u, vh) of its factors;
+        vh must be K x T with orthonormal rows, else ValueError.
     a0
         Optional T x K initial point with orthonormal columns (default:
         Haar-uniform draw from ``rng``); any other raises ValueError before
@@ -379,10 +414,15 @@ def solve(
             a0 = StiefelPoint(a0).a
         except ValueError as exc:
             raise ValueError(f"a0: {exc}") from None
+    vh = None
+    if len(y) == 2:
+        y, vh = y[:1], y[1]
+        if vh.shape[0] != k or not np.linalg.norm(vh @ vh.conj().T - np.eye(k)) < ORTHONORMALITY_TOL:
+            raise ValueError(f"vh must be a {k} x {t} matrix with orthonormal rows, as precondition returns")
     for restarts, start in enumerate((a0, None)):
         a = start if start is not None else random_stiefel(t, k, rng)
         try:
-            a, trace = _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate)
+            a, trace = _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate, vh)
         except RankDeficientError:
             continue
         return a, replace(trace, restarts=restarts)
@@ -481,11 +521,15 @@ def precondition(y_bar: np.ndarray, k_users: int) -> Tuple[np.ndarray, np.ndarra
     Returns that block as the pair u = Ybar V_K Sigma_K^-1 (M x K) and
     vh = V_K^H (K x T), from ``_polar(Ybar, K)``.  A block whose K-th singular
     value is at most 1e-10 of the largest (or that has fewer than K) raises
-    RankDeficientError; ``k_users`` below 1 raises ValueError.
+    RankDeficientError; ``k_users`` below 1, or a ``y_bar`` that is not a
+    2-d matrix, raises ValueError.
     """
     if k_users < 1:
         raise ValueError(f"k_users must be at least 1, got {k_users}")
-    s, factor = _polar(np.asarray(y_bar, dtype=np.complex128), k_users)
+    y = np.asarray(y_bar, dtype=np.complex128)
+    if y.ndim != 2:
+        raise ValueError(f"y_bar must be an M x T matrix, got shape {y.shape}")
+    s, factor = _polar(y, k_users)
     if s.size < k_users or s[-1] <= 1e-10 * s[0]:
         raise RankDeficientError(f"received block does not carry {k_users} usable directions")
     return factor()

@@ -8,8 +8,9 @@ gradient, and the nuclear norm.  A point is its plain T x K array, as a
 direction is; ``StiefelPoint`` only checks a point that a caller supplies.
 
 ``_polar`` is the only place that chooses how singular values and polar
-factors are computed: a tall matrix goes through the eigendecomposition of
-its small K x K Gram matrix m^H m, and anything else, or a Gram too
+factors are computed: a strictly tall matrix goes through the
+eigendecomposition of its small K x K Gram matrix m^H m, and anything else
+(a square matrix, whose Gram is no smaller, or a wide one), or a Gram too
 ill-conditioned to trust (forming it squares the condition number of m),
 through the compact SVD.  Both call LAPACK's zheevd and zgesdd directly,
 the routines behind NumPy's eigh and svd, without NumPy's wrapper.
@@ -131,8 +132,9 @@ def polar_retract(m: np.ndarray) -> np.ndarray:
     the Stiefel manifold, and the nearest Stiefel point in Frobenius norm.
 
     The factor comes from ``_polar``: m (m^H m)^(-1/2) from the
-    eigendecomposition of the Gram, or U V^H from the SVD when the Gram's
-    smallest eigenvalue is at most 1e-5 of the largest.
+    eigendecomposition of the Gram of a strictly tall ``m``, or U V^H from
+    the SVD when ``m`` is square or the Gram's smallest eigenvalue is at
+    most 1e-5 of the largest.
 
     Raises
     ------
@@ -207,14 +209,14 @@ def _polar(
 ) -> Tuple[np.ndarray, Callable]:
     """Top ``r`` (default all) singular values of ``m`` and a function forming its polar factor.
 
-    A tall ``m`` takes ``_gram_polar`` when that accepts; anything else takes
-    the compact SVD, whose function forms U V^H, or with ``r`` given returns
-    the factors (U, V^H), from the kept singular vectors and raises
-    RankDeficientError when the kept singular values fail the 1e-12 rank
-    test.  Callers that need only the singular values never call the
-    function.
+    A strictly tall ``m`` takes ``_gram_polar`` when that accepts; anything
+    else, a square ``m`` included, takes the compact SVD, whose function
+    forms U V^H, or with ``r`` given returns the factors (U, V^H), from the
+    kept singular vectors and raises RankDeficientError when the kept
+    singular values fail the 1e-12 rank test.  Callers that need only the
+    singular values never call the function.
     """
-    if m.shape[1] <= m.shape[0]:
+    if m.shape[1] < m.shape[0]:
         fast = _gram_polar(m, r)
         if fast is not None:
             return fast

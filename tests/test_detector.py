@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -386,20 +387,21 @@ class TestSolve:
         # route existed; tau = 0 sends every one with a positive definite Gram
         # to the eigendecomposition.  On short frames under log-distance
         # fading tau = 0 takes gradients with cond ~1e3 and fails the Stiefel
-        # check, which is why the default cut exists.
-        cfg = SystemConfig()
+        # check, which is why the default cut exists.  The short frames are
+        # unpreconditioned: on the pair, solve factors only K x K matrices,
+        # which always take the SVD, so only a dense block sends T x K
+        # gradients through the cut.  At T = 40 every gradient passes it
+        # under identity fading and fails it under log-distance fading.
+        cfgs = [SystemConfig()]
         if short:
-            cfg = SystemConfig(
-                t_len=40, channel_model="bernoulli_gaussian", fading_model="log_distance",
-                solver=SolverOptions(precondition=True),
-            )
-        for seed in range(3):
+            cfgs = [SystemConfig(t_len=40, channel_model="bernoulli_gaussian", fading_model=fading)
+                    for fading in ("identity", "log_distance")]
+        for cfg, seed in itertools.product(cfgs, range(3)):
             sc = build_scenario(cfg, np.random.default_rng(seed))
-            y = precondition(sc.y_bar, k_users=cfg.k_users) if short else sc.y_bar
-            a, tr = solve(y, sc.g_diag, cfg.solver, np.random.default_rng(seed + 10))
+            a, tr = solve(sc.y_bar, sc.g_diag, cfg.solver, np.random.default_rng(seed + 10))
             with monkeypatch.context() as mp:
                 mp.setattr(manifold, "_GRAM_RTOL", tau)
-                a_tau, tr_tau = solve(y, sc.g_diag, cfg.solver, np.random.default_rng(seed + 10))
+                a_tau, tr_tau = solve(sc.y_bar, sc.g_diag, cfg.solver, np.random.default_rng(seed + 10))
             assert (tr_tau.iters_run, tr_tau.stop_reason) == (tr.iters_run, tr.stop_reason)
             assert tr_tau.final_objective == pytest.approx(tr.final_objective, rel=1e-10)
             assert np.abs(a_tau - a).max() < 1e-8
@@ -642,6 +644,62 @@ class TestFactoredBlock:
             tracemalloc.stop()
         assert peak < y.nbytes / 4  # u @ vh would take y.nbytes
 
+    @staticmethod
+    def short_pair(fading, seed):
+        cfg = SystemConfig(k_users=4, n_h=64, t_len=40, channel_model="bernoulli_gaussian",
+                           fading_model=fading)
+        sc = build_scenario(cfg, np.random.default_rng(seed))
+        return precondition(sc.y_bar, k_users=4), sc.g_diag
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("fading", ["identity", "log_distance"])
+    @pytest.mark.parametrize("start", ["haar", "a0", "restart"])
+    def test_solve_on_the_pair_matches_the_dense_block(self, p, fading, start):
+        # On the pair solve iterates K x K coordinates in vh's row space; on
+        # the dense u @ vh it iterates T x K points.  With the same rng both
+        # take the same steps and stop alike.  The "restart" start has one
+        # column orthogonal to vh's rows, so its gradient is rank deficient
+        # and both restart from the same fresh draw.
+        (u, vh), g = self.short_pair(fading, seed=p)
+        rng = np.random.default_rng(7)
+        a0 = {"haar": None, "a0": random_stiefel(40, 4, rng),
+              "restart": np.column_stack([np.linalg.svd(vh)[2][-1].conj(), vh[1:].conj().T])}[start]
+        runs = [solve(y, g, SolverOptions(), np.random.default_rng(3), a0=a0, p_exponent=p)
+                for y in ((u, vh), u @ vh)]
+        (a_pair, tr_pair), (a_dense, tr_dense) = runs
+        assert (tr_pair.iters_run, tr_pair.stop_reason) == (tr_dense.iters_run, tr_dense.stop_reason)
+        assert tr_pair.restarts == tr_dense.restarts == (start == "restart")
+        obj = tr_dense.objective_per_iter
+        assert np.all(np.abs(tr_pair.objective_per_iter - obj) <= 1e-12 * obj)
+        # eta is ||grad||_* - Re<A, grad>, a difference of two terms of
+        # size p * objective, so its rounding is relative to the objective.
+        assert np.all(np.abs(tr_pair.eta_per_iter - tr_dense.eta_per_iter) <= 1e-12 * obj)
+        assert np.abs(a_pair - a_dense).max() <= 1e-10
+
+    def test_hook_views_lie_in_the_row_space(self):
+        (u, vh), g = self.short_pair("log_distance", seed=5)
+        views = []
+        _, tr = solve((u, vh), g, SolverOptions(), np.random.default_rng(1),
+                      on_iterate=lambda a, j: views.append(a))
+        assert len(views) == tr.iters_run + 1 >= 3
+        for j, a in enumerate(views):
+            assert a.shape == (40, 4) and not a.flags.writeable
+            manifold._check_orthonormal(a)
+            if j >= 1:
+                assert np.linalg.norm(a - vh.conj().T @ (vh @ a)) <= 1e-12
+
+    @pytest.mark.parametrize("vh_of", [
+        lambda vh: 2.0 * vh,
+        lambda vh: vh[:3],
+        lambda vh: np.vstack([vh, vh[:1]]),
+    ], ids=["not_orthonormal", "too_few_rows", "too_many_rows"])
+    def test_pair_needs_k_orthonormal_rows(self, vh_of, monkeypatch):
+        (u, vh), g = self.short_pair("identity", seed=0)
+        vh = vh_of(vh)
+        monkeypatch.setattr(detector, "_evaluate", None)
+        with pytest.raises(ValueError, match="vh must be a 4 x 40 matrix with orthonormal rows"):
+            solve((u[:, : vh.shape[0]], vh), g, SolverOptions(), np.random.default_rng(0))
+
     def test_preconditioned_detect_keeps_its_iterations(self):
         # (iters_run, stop_reason) as the dense preconditioned block gave them.
         cfg = SystemConfig(
@@ -821,6 +879,18 @@ class TestInputRank:
         monkeypatch.setattr(detector, "_evaluate", None)
         with pytest.raises(ValueError, match=f"^{name} must be"):
             call(y, a, g, frame.meta, c)
+
+    @pytest.mark.parametrize("call", [
+        lambda: objective(np.ones(20), random_stiefel(20, 2, np.random.default_rng(0)), np.ones(2)),
+        lambda: solve(np.ones(20), np.ones(2), SolverOptions(), np.random.default_rng(0)),
+        lambda: precondition(np.ones(20), 2),
+        lambda: solve((np.ones((16, 2)), np.ones(20)), np.ones(2), SolverOptions(),
+                      np.random.default_rng(0)),
+    ], ids=["objective", "solve", "precondition", "pair_with_1d_vh"])
+    def test_non_2d_block_rejected_by_name(self, call, monkeypatch):
+        monkeypatch.setattr(detector, "_evaluate", None)
+        with pytest.raises(ValueError, match=r"^y_bar must be .*\(20,\)"):
+            call()
 
 
 class TestSharedAscentLoop:

@@ -256,6 +256,25 @@ class TestPolar:
         assert np.array_equal(s_got, s)
         assert np.array_equal(polar(), u @ vh)
 
+    @pytest.mark.parametrize("kappa", [1.0, 10.0, 1e8])
+    def test_square_takes_svd(self, kappa):
+        # A Gram is no smaller than a square matrix, so it takes the SVD even
+        # where the Gram route would accept it.
+        m = with_condition(np.random.default_rng(12), 8, 8, kappa)
+        u, s, vh = np.linalg.svd(m)
+        s_got, polar = _polar(m)
+        assert np.array_equal(s_got, s)
+        assert np.array_equal(polar(), u @ vh)
+        assert np.array_equal(polar_retract(m), u @ vh)
+
+    def test_rank_deficient_square_raises_from_the_factor(self):
+        rng = np.random.default_rng(13)
+        m = crandn(rng, 6, 3) @ crandn(rng, 3, 6)
+        s, polar = _polar(m)
+        assert s.shape == (6,) and s[-1] <= 1e-12 * s[0]
+        with pytest.raises(RankDeficientError):
+            polar()
+
     @pytest.mark.parametrize("shape", [(6, 2), (2, 6)])
     def test_zero_raises(self, shape):
         s, polar = _polar(np.zeros(shape, dtype=complex))
@@ -299,6 +318,21 @@ class TestLapackRoute:
         for _ in range(5):
             m = with_condition(rng, *shape, kappa)
             assert _gram_polar(m) is None
+            self.assert_bit_for_bit(monkeypatch, m)
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    @pytest.mark.parametrize("kappa", [1.0, 10.0])
+    def test_square_takes_the_svd_route(self, monkeypatch, k, kappa):
+        # The Gram route would accept each of these; the SVD answers instead,
+        # bit for bit against np.linalg.svd.
+        rng = np.random.default_rng(40 + k + int(kappa))
+        for _ in range(5):
+            m = with_condition(rng, k, k, kappa, scale=rng.uniform(0.5, 2.0))
+            assert _gram_polar(m) is not None
+            u, s, vh = np.linalg.svd(m)
+            s_got, factor = _polar(m)
+            assert np.array_equal(s_got, s)
+            assert np.array_equal(factor(), u @ vh)
             self.assert_bit_for_bit(monkeypatch, m)
 
     def test_top_k_of_a_dense_block(self, monkeypatch):
