@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .manifold import (
     ORTHONORMALITY_TOL,
@@ -225,13 +224,20 @@ def _evaluate(
     block's own factors, with no conjugate copy; it is bit-identical, since
     negating imaginary parts commutes exactly with every multiply and add.
     """
-    w = _apply(y, a) * isg
+    w = _apply(y, a)
+    w *= isg
     mag = np.abs(w)
     grad = None
     if with_grad:
         # |W|^(p-2) as mag or mag * mag: bit-identical to the power, without its overhead
         f = (mag if p == 3 else mag * mag) * w
-        grad = p * _apply(tuple(x.T for x in reversed(y)), f.conj()).conj() * isg
+        np.conjugate(f, out=f)
+        grad = f
+        for x in y:
+            grad = x.T @ grad
+        np.conjugate(grad, out=grad)
+        grad *= p
+        grad *= isg
     return float((mag**p).sum()), grad
 
 
@@ -459,6 +465,55 @@ class AmbiguityResolution:
         object.__setattr__(self, "phase_corrections", ph)
 
 
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost perfect matching of a square cost matrix: ``perm[k]`` is the row given column k.
+
+    Kuhn's Hungarian method as shortest augmenting paths with row and column
+    potentials (Jonker and Volgenant): column reduction sets each column's
+    potential to its least cost and hands the column to that row if it is
+    still free; every row left joins the matching along a Dijkstra path over
+    reduced costs, O(K^2) per row and O(K^3) in all, on plain lists, since K
+    is small.  A non-finite entry raises ValueError.
+    """
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix contains invalid numeric entries")
+    c = cost.tolist()
+    n = len(c)
+    u = [0.0] * n  # row potentials
+    v = cost.min(axis=0).tolist() + [0.0]  # column potentials; column n is where each search starts
+    match = [-1] * (n + 1)  # match[j]: the row on column j
+    for j, i in enumerate(cost.argmin(axis=0).tolist()):
+        if i not in match:
+            match[j] = i
+    for i in [i for i in range(n) if i not in match]:
+        match[n], j0 = i, n
+        dist = [float("inf")] * n
+        prev = [n] * n  # the column before j on the shortest path to j
+        free, tree = list(range(n)), [n]  # columns off and on the path tree
+        while match[j0] != -1:
+            row, ui = c[match[j0]], u[match[j0]]
+            delta, j1 = float("inf"), -1
+            for j in free:
+                r, d = row[j] - ui - v[j], dist[j]
+                if r < d:
+                    dist[j] = d = r
+                    prev[j] = j0
+                if d < delta:
+                    delta, j1 = d, j
+            for j in tree:
+                u[match[j]] += delta
+                v[j] -= delta
+            for j in free:
+                dist[j] -= delta
+            free.remove(j1)
+            tree.append(j1)
+            j0 = j1
+        while j0 != n:
+            match[j0] = match[prev[j0]]
+            j0 = prev[j0]
+    return np.array(match[:n], dtype=np.int64)
+
+
 def resolve_ambiguity(
     x_est: np.ndarray,
     frame_meta: FrameMeta,
@@ -471,8 +526,8 @@ def resolve_ambiguity(
     rotates each row so its first entry aligns with the known common
     reference symbol.  Step 2 compares each corrected row's header segment
     with every user's known ID header and solves the minimum cost
-    assignment, which always yields a true permutation; rows are then
-    reordered so row k is user k.
+    assignment (``_assign``, exact, O(K^3)), which always yields a true
+    permutation; rows are then reordered so row k is user k.
 
     Rows whose reference entry has magnitude at most 1e-12 cannot anchor a
     phase; they are flagged and left unrotated.
@@ -495,9 +550,7 @@ def resolve_ambiguity(
     # cost[i, k] = distance between solver row i's header and user k's header
     diff = got[:, np.newaxis, :] - known[np.newaxis, :, :]
     cost = np.linalg.norm(diff, axis=2)
-    rows, users = linear_sum_assignment(cost)
-    perm = np.empty(k, dtype=np.int64)
-    perm[users] = rows
+    perm = _assign(cost)
     x_hat = x_tilde[perm]
     resolution = AmbiguityResolution(
         phase_corrections=phases,

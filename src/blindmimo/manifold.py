@@ -14,17 +14,19 @@ eigendecomposition of its small K x K Gram matrix m^H m, and anything else
 ill-conditioned to trust (forming it squares the condition number of m),
 through the compact SVD.  Both call LAPACK's zheevd and zgesdd directly,
 the routines behind NumPy's eigh and svd, without NumPy's wrapper.
+Preconditioning, which needs only the top K eigenpairs of a Gram, calls
+zheevr for that index range, as scipy.linalg.eigh's ``subset_by_index`` does.
 
 All functions are pure; random state is owned by the caller.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 __all__ = [
@@ -160,15 +162,28 @@ def _eigh(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
+@functools.lru_cache(maxsize=64)
+def _svd_lwork(rows: int, cols: int) -> int:
+    """zgesdd's queried workspace for a rows x cols compact SVD."""
+    work, _ = lapack.zgesdd_lwork(rows, cols, full_matrices=0)
+    return max(int(work.real), 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _heevr_lwork(n: int) -> Tuple[int, int, int]:
+    """zheevr's queried workspaces (lwork, lrwork, liwork) for an n x n lower triangle, as eigh asks."""
+    work, rwork, iwork, _ = lapack.zheevr_lwork(n, lower=1)
+    return int(work.real), int(rwork), int(iwork)
+
+
 def _svd(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.linalg.svd(m, full_matrices=False)``: the same LAPACK zgesdd, without NumPy's wrapper.
 
-    The workspace comes from zgesdd's own query, as NumPy's does; the
-    wrapper's smaller default blocks differently and moves the last bits of
-    U and V^H (at 300 x 64 and 100 x 100, for two).
+    The workspace comes from zgesdd's own query, as NumPy's does, asked once
+    per shape; the wrapper's smaller default blocks differently and moves the
+    last bits of U and V^H (at 300 x 64 and 100 x 100, for two).
     """
-    work, _ = lapack.zgesdd_lwork(*m.shape, full_matrices=0)
-    u, s, vh, info = lapack.zgesdd(m, full_matrices=0, lwork=max(int(work.real), 1))
+    u, s, vh, info = lapack.zgesdd(m, full_matrices=0, lwork=_svd_lwork(*m.shape))
     if info != 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     return u, s, vh
@@ -190,7 +205,14 @@ def _gram_polar(
     """
     gram = m.conj().T @ m
     if r is not None:
-        lam, v = scipy.linalg.eigh(gram, subset_by_index=[max(m.shape[1] - r, 0), m.shape[1] - 1])
+        n = gram.shape[0]
+        lwork, lrwork, liwork = _heevr_lwork(n)
+        lam, v, found, _, info = lapack.zheevr(
+            gram, compute_v=1, range="I", il=max(n - r, 0) + 1, iu=n, lower=1,
+            lwork=lwork, lrwork=lrwork, liwork=liwork)
+        if info != 0 or found < min(r, n):  # a NaN Gram finds none
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        lam = lam[:found]
     elif (d := gram.diagonal().real).min() > _GRAM_RTOL * d.max():
         lam, v = _eigh(gram)
     else:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from blindmimo import (
     DegenerateGradientError,
@@ -474,6 +475,52 @@ class TestResolveAmbiguity:
         x_hat, res = resolve_ambiguity(broken, frame.meta, c)
         assert res.flagged_rows == (1,)
         assert res.phase_corrections[1] == 1.0 + 0.0j
+
+
+class TestAssign:
+    """``_assign`` against scipy's ``linear_sum_assignment``, a test-only oracle."""
+
+    @staticmethod
+    def oracle(cost):
+        rows, cols = linear_sum_assignment(cost)
+        perm = np.empty(cost.shape[0], dtype=np.int64)
+        perm[cols] = rows
+        return perm
+
+    @staticmethod
+    def total(cost, perm):
+        return cost[perm, np.arange(cost.shape[0])].sum()
+
+    def unique_optimum(self, cost):
+        # The optimum is unique iff forbidding any one of its pairs raises the cost:
+        # a second optimal matching avoids at least one of them.
+        perm = self.oracle(cost)
+        best = self.total(cost, perm)
+        for col, row in enumerate(perm):
+            barred = cost.copy()
+            barred[row, col] = 1e9
+            if self.total(barred, self.oracle(barred)) == best:
+                return False
+        return True
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_matches_the_oracle(self, k, seed, ties):
+        rng = np.random.default_rng(seed)
+        cost = rng.integers(0, 4, (k, k)).astype(float) if ties else rng.exponential(size=(k, k))
+        perm = detector._assign(cost)
+        assert perm.dtype == np.int64
+        assert sorted(perm.tolist()) == list(range(k))
+        assert self.total(cost, perm) == self.total(cost, self.oracle(cost))
+        if k == 1 or self.unique_optimum(cost):
+            assert np.array_equal(perm, self.oracle(cost))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        cost = np.random.default_rng(5).random((4, 4))
+        cost[2, 1] = bad
+        with pytest.raises(ValueError, match="cost matrix"):
+            detector._assign(cost)
 
 
 class TestPrecondition:

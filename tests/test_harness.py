@@ -654,10 +654,21 @@ class TestStreamDerivation:
         assert np.array_equal(_stream(7, 0, 3, "l3").standard_normal(4), expected)
 
 
-def test_import_does_not_load_scipy_stats():
-    # Loading scipy.stats nearly doubled the package's import time, and nothing here needs it.
+def test_import_does_not_load_scipy_stats(tmp_path):
+    # Loading scipy.stats nearly doubled the package's import time, and
+    # scipy.optimize cost a third of it; nothing in an import, a dense or a
+    # preconditioned sweep, or its report needs either.
     src = os.path.dirname(os.path.dirname(blindmimo.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, blindmimo; print('scipy.stats' in sys.modules)"
+    code = f"""
+import sys, blindmimo
+for i, solver in enumerate(({{}}, {{"precondition": True}})):
+    cfg = blindmimo.SystemConfig.from_dict({{"trials": 2, "solver": solver}})
+    records = list(blindmimo.run_sweep(cfg, "snr_db", [20.0], ["l3"]))
+    assert not any(r.error for r in records), records
+    blindmimo.emit_report(records, {str(tmp_path)!r} + f"/run{{i}}")
+print(sorted(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+    assert os.path.exists(tmp_path / "run1" / "trials.jsonl")

@@ -342,6 +342,21 @@ class TestLapackRoute:
         assert _gram_polar(m, 8) is None
         self.assert_bit_for_bit(monkeypatch, m, 8)
 
+    @pytest.mark.parametrize("shape", [(240, 40), (40, 40), (256, 24)])
+    def test_top_k_gram_matches_scipy_eigh(self, shape):
+        # Preconditioning's top-K eigenpairs come from zheevr with its queried
+        # workspace, as scipy.linalg.eigh's subset_by_index computes them.
+        rng = np.random.default_rng(50 + shape[1])
+        for _ in range(10):
+            m = crandn(rng, *shape)
+            n = shape[1]
+            lam, v = scipy.linalg.eigh(m.conj().T @ m, subset_by_index=[n - 8, n - 1])
+            s, factors = _gram_polar(m, 8)
+            left, vh = factors()
+            assert np.array_equal(s, np.sqrt(lam[::-1]))
+            assert np.array_equal(vh, v[:, ::-1].conj().T)
+            assert np.array_equal(left, m @ (v[:, ::-1] / s))
+
     def test_svd_workspace_is_queried(self):
         # At 300 x 64 zgesdd's default workspace blocks differently and moves
         # the last bits of U and V^H; the queried one, which NumPy and
@@ -353,12 +368,19 @@ class TestLapackRoute:
     @pytest.mark.parametrize("routine, kappa, message", [
         ("zheevd", 1.0, "Eigenvalues did not converge"),
         ("zgesdd", 1e8, "SVD did not converge"),
+        ("zheevr", 1.0, "Eigenvalues did not converge"),
     ])
     def test_nonzero_info_raises(self, monkeypatch, routine, kappa, message):
         real = getattr(manifold.lapack, routine)
         monkeypatch.setattr(manifold.lapack, routine, lambda *a, **kw: (*real(*a, **kw)[:-1], 1))
+        r = 4 if routine == "zheevr" else None  # only a top-r request reaches zheevr
         with pytest.raises(np.linalg.LinAlgError, match=message):
-            _polar(with_condition(np.random.default_rng(10), 40, 8, kappa))
+            _polar(with_condition(np.random.default_rng(10), 40, 8, kappa), r)
+
+    def test_non_finite_top_k_raises(self):
+        # zheevr finds no eigenvalue of a NaN Gram and reports success.
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            _polar(np.full((40, 8), np.nan, dtype=complex), 4)
 
     def test_nan_gradient_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
