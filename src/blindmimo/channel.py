@@ -90,16 +90,23 @@ def _angular_channel(
     """The M x K angular channel of explicit per-user (gains, azimuths, zeniths).
 
     The spatial column for user k is sqrt(M / N_paths) times the gain-weighted
-    sum of array responses over that user's paths.  The angular matrix is
+    sum of array responses over that user's paths.  Every path's response
+    comes from one ``_responses`` pass over all users' angles (each entry is
+    computed on its own, so batching moves no bit), and each user's sum is
+    one ``np.dot`` of its gains with its rows.  The angular matrix is
     U_M^H applied to the spatial matrix, computed as the orthonormal 2-D
     inverse FFT over the (n_v, n_h) element grid; ``steering_matrix`` is never
     built.
     """
     m = geom.m_total
-    h = np.empty((len(paths), geom.n_v, geom.n_h), dtype=np.complex128)
-    for k, (gains, azimuths, zeniths) in enumerate(paths):
-        resp = _responses(azimuths, zeniths, geom)
-        h[k] = np.sqrt(m / len(gains)) * np.tensordot(gains, resp, axes=1)
+    gains, azimuths, zeniths = zip(*paths)
+    resp = _responses(np.concatenate(azimuths), np.concatenate(zeniths), geom).reshape(-1, m)
+    h = np.empty((len(paths), m), dtype=np.complex128)
+    start = 0
+    for k, g in enumerate(gains):
+        h[k] = np.sqrt(m / len(g)) * np.dot(g, resp[start : start + len(g)])
+        start += len(g)
+    h = h.reshape(len(paths), geom.n_v, geom.n_h)
     return np.fft.ifft2(h, axes=(1, 2), norm="ortho").reshape(len(paths), m).T
 
 

@@ -35,13 +35,12 @@ M x K x K products and the SVD of the K x K matrix C, independent of T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .manifold import (
-    ORTHONORMALITY_TOL,
     RankDeficientError,
     StiefelPoint,
     _check_orthonormal,
@@ -124,7 +123,10 @@ class SolveTrace:
     ``n_evals`` counts objective/gradient evaluations, the dominant cost, for
     cross-solver comparisons.
     ``restarts`` counts fresh random starts after a rank-deficient gradient
-    (``solve`` makes at most one).
+    (``solve`` makes at most one).  ``stop_reason`` is ``eta_tol``,
+    ``obj_tol`` or ``max_iters`` (the stop rule), or ``no_ascent``: the step
+    found no point that raises the objective (only the line search of
+    ``riemannian_gd_baseline`` can fail so).
     """
 
     objective_per_iter: np.ndarray
@@ -138,7 +140,7 @@ class SolveTrace:
         eta = np.asarray(self.eta_per_iter, dtype=np.float64)
         if obj.shape != eta.shape or obj.ndim != 1 or obj.size < 1:
             raise ValueError("objective and eta traces must be equal-length vectors")
-        if self.stop_reason not in ("eta_tol", "obj_tol", "max_iters"):
+        if self.stop_reason not in ("eta_tol", "obj_tol", "max_iters", "no_ascent"):
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
         drops = np.diff(obj)
         if drops.size and drops.min() < -MONOTONE_SLACK:
@@ -169,7 +171,14 @@ def _positive_g(g_diag: np.ndarray, k: int) -> np.ndarray:
 
 
 def _inv_sqrt_g(g_diag: np.ndarray, k: int) -> np.ndarray:
-    return 1.0 / np.sqrt(_positive_g(g_diag, k))
+    """G^(-1/2) as a complex128 vector, cast once here rather than in every evaluation.
+
+    ``_evaluate`` scales complex arrays by it in place.  NumPy multiplies a
+    complex array by a float64 vector by casting the vector to complex128
+    (x + 0j) and running the complex multiply, so the cast done once here
+    gives the same bits.
+    """
+    return (1.0 / np.sqrt(_positive_g(g_diag, k))).astype(np.complex128)
 
 
 Block = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
@@ -220,6 +229,12 @@ def _evaluate(
 ) -> Tuple[float, Optional[np.ndarray]]:
     """The objective at ``a`` and, ``with_grad``, the gradient there.
 
+    ``isg`` is ``_inv_sqrt_g``'s complex128 G^(-1/2), so scaling W and the
+    gradient by it casts nothing.  F = |W|^(p-2) . W is formed in W's own
+    buffer, once |W| is taken, as W times mag (p = 3) or mag * mag (p = 4):
+    bit-identical to the power, and to mag times W, since a real factor
+    enters a complex product as x + 0j either way and both products commute
+    exactly.  The objective then raises mag to p in place.
     Ybar^H F is formed as conj(Ybar^T conj(F)) through transposed views of the
     block's own factors, with no conjugate copy; it is bit-identical, since
     negating imaginary parts commutes exactly with every multiply and add.
@@ -229,16 +244,15 @@ def _evaluate(
     mag = np.abs(w)
     grad = None
     if with_grad:
-        # |W|^(p-2) as mag or mag * mag: bit-identical to the power, without its overhead
-        f = (mag if p == 3 else mag * mag) * w
-        np.conjugate(f, out=f)
-        grad = f
+        w *= mag if p == 3 else mag * mag
+        grad = np.conjugate(w, out=w)
         for x in y:
             grad = x.T @ grad
         np.conjugate(grad, out=grad)
         grad *= p
         grad *= isg
-    return float((mag**p).sum()), grad
+    mag **= p
+    return float(mag.sum()), grad
 
 
 def _gap(nuclear: float, a: np.ndarray, grad: np.ndarray) -> float:
@@ -309,6 +323,7 @@ def _ascend(
     step: Callable[..., Tuple[Optional[np.ndarray], int]],
     on_iterate: Optional[Callable[[np.ndarray, int], None]] = None,
     vh: Optional[np.ndarray] = None,
+    restarts: int = 0,
 ) -> Tuple[np.ndarray, SolveTrace]:
     """The ascent loop both solvers share; only ``step`` differs.
 
@@ -316,8 +331,9 @@ def _ascend(
     both read the one stored block, and one factorization of the gradient
     through ``_polar``, which gives eta; then come ``on_iterate`` and the
     stop rule (``eta_tol``, ``obj_tol``, ``max_iters``).  Otherwise
-    ``step(a, obj, grad, polar)`` returns the next iterate, or None (no
-    ascent: stop with ``obj_tol``), and the objective evaluations it spent;
+    ``step(a, obj, grad, polar)`` returns the next iterate, or None (it
+    found no ascent: stop with ``no_ascent``), and the objective evaluations
+    it spent;
     ``polar()`` forms the gradient's polar factor,
     raising RankDeficientError when the gradient is rank deficient.  An
     all-zero gradient raises RankDeficientError at once: its eta of 0 would
@@ -333,6 +349,7 @@ def _ascend(
     Re<A, gradient>), and the step, whose polar factor is the next x.  The
     start stays the T x K point ``a``; each later iterate is formed as
     vh^H x, and checked, only for ``on_iterate`` and once at return.
+    The trace carries ``restarts``, the caller's count of earlier starts.
     """
     a = _check_orthonormal(a)
     x = a if vh is None else vh @ a
@@ -368,9 +385,9 @@ def _ascend(
             if nxt is not None:
                 x = _check_orthonormal(nxt)
                 continue
-            stop_reason = "obj_tol"
+            stop_reason = "no_ascent"
         break
-    return point(j), SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals)
+    return point(j), SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals, restarts)
 
 
 def solve(
@@ -423,15 +440,20 @@ def solve(
     vh = None
     if len(y) == 2:
         y, vh = y[:1], y[1]
-        if vh.shape[0] != k or not np.linalg.norm(vh @ vh.conj().T - np.eye(k)) < ORTHONORMALITY_TOL:
-            raise ValueError(f"vh must be a {k} x {t} matrix with orthonormal rows, as precondition returns")
+        bad_vh = f"vh must be a {k} x {t} matrix with orthonormal rows, as precondition returns"
+        if vh.shape[0] != k:
+            raise ValueError(bad_vh)
+        try:
+            _check_orthonormal(vh.conj().T)
+        except ValueError:
+            raise ValueError(bad_vh) from None
     for restarts, start in enumerate((a0, None)):
         a = start if start is not None else random_stiefel(t, k, rng)
         try:
-            a, trace = _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate, vh)
+            return _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate, vh,
+                           restarts)
         except RankDeficientError:
             continue
-        return a, replace(trace, restarts=restarts)
     raise DegenerateGradientError(
         "gradient rank deficient after one restart; perturb the input"
     )
@@ -690,7 +712,7 @@ def riemannian_gd_baseline(
 
     From a Haar-uniform start, each step retracts A + tau * grad_R with tau
     found by halving from 1 until the objective increases (at most 30
-    halvings, else it stops with ``obj_tol``); that step is all it changes
+    halvings, else it stops with ``no_ascent``); that step is all it changes
     in ``solve``'s ascent loop.
     Under identity fading it reaches ``solve``'s stationary values at extra
     line-search cost; under log-distance fading it does not.  Preconditioned,

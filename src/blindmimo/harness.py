@@ -143,6 +143,8 @@ class SystemConfig:
             raise ValueError("trials must be positive")
         if not 1 <= self.t_pilot < self.t_len:
             raise ValueError("t_pilot must lie in [1, t_len)")
+        if not isinstance(self.constellation, str):  # a cached build_constellation needs a hashable name
+            raise ValueError(f"unsupported constellation {self.constellation!r}")
         c = build_constellation(self.constellation)
         hlen = header_length(self.k_users, c.size)
         if self.t_len <= 1 + hlen:
@@ -276,8 +278,9 @@ class TrialRecord:
     restarts: int = 0
 
     def to_json(self) -> str:
-        d = asdict(self)
-        if d["metrics"] is not None:
+        d = dict(vars(self))  # the fields as they are; asdict would deep-copy each
+        if self.metrics is not None:
+            d["metrics"] = dict(vars(self.metrics))
             d["metrics"].pop("wall_time")  # excluded: timings would break bit-reproducibility
         d["final_eta"] = d["final_eta"] if math.isfinite(d["final_eta"]) else None  # strict JSON
         return json.dumps(d, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -23,6 +23,7 @@ All functions are pure; random state is owned by the caller.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -67,14 +68,18 @@ def real_inner(x: np.ndarray, y: np.ndarray) -> float:
     package (gradients, optimality gaps, line searches) are measured; it is
     the real-valued pairing needed to order points on a complex manifold.
     """
-    return float(np.real(np.vdot(x, y)))
+    return float(np.vdot(x, y).real)
 
 
 def _check_orthonormal(a: np.ndarray) -> np.ndarray:
-    """Return ``a`` if ||a^H a - I_K||_F < 1e-9, else raise ValueError."""
+    """Return ``a`` if ||a^H a - I_K||_F < 1e-9, else raise ValueError.
+
+    The residual is sqrt(Re <E, E>) of E = a^H a - I_K, one ``vdot`` rather
+    than ``np.linalg.norm``'s wrapper; a NaN residual fails the test.
+    """
     gram = a.conj().T @ a
     gram.ravel()[:: gram.shape[0] + 1] -= 1.0
-    err = np.linalg.norm(gram)
+    err = math.sqrt(np.vdot(gram, gram).real)
     if not err < ORTHONORMALITY_TOL:
         raise ValueError(f"columns not orthonormal: ||A^H A - I||_F = {err:.3e}")
     return a
@@ -202,6 +207,11 @@ def _gram_polar(
     largest; ``_polar`` then takes the SVD route.  With all eigenpairs kept,
     a Gram diagonal spread past that cut proves it without the
     eigendecomposition, since the extreme eigenvalues bracket the diagonal.
+    That test stays in NumPy: on a 2-vCPU AVX-512 x86 host, zheevd run
+    straight after the Gram's product was about 16 us slower on an 8 x 8
+    Gram unless a NumPy reduction ran between them, so this function took
+    43 us on a 256 x 8 block with the same test on Python floats, and 26 us
+    as written.
     """
     gram = m.conj().T @ m
     if r is not None:
@@ -243,7 +253,8 @@ def _polar(
         if fast is not None:
             return fast
     u, s, vh = _svd(m)
-    u, s, vh = u[:, :r], s[:r], vh[:r]
+    if r is not None:
+        u, s, vh = u[:, :r], s[:r], vh[:r]
 
     def factor():
         if _rank_deficient(s):

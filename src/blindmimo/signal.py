@@ -10,6 +10,7 @@ permutation); the rest is payload.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,14 @@ def _pam4_level(gray2: int) -> float:
     return -3.0 + 2.0 * _GRAY2_LEVEL[gray2]
 
 
+@functools.lru_cache(maxsize=None)
 def build_constellation(kind: str) -> Constellation:
-    """Build a supported constellation: exactly ``"qpsk"`` or ``"qam16"``."""
+    """The supported constellation named exactly ``"qpsk"`` or ``"qam16"``.
+
+    Each name is built once: every call returns the same instance, which is
+    safe to share because a ``Constellation`` is frozen and its points are
+    read-only.
+    """
     if kind == "qpsk":
         labels = np.arange(4)
         re = 1.0 - 2.0 * ((labels >> 1) & 1)
@@ -141,7 +148,7 @@ class TransmitFrame:
         x = np.array(self.x, dtype=np.complex128, copy=True, order="C")
         k, t = x.shape
         ref_scaled = self.meta.ref_value / np.sqrt(t)
-        if not np.allclose(x[:, 0], ref_scaled, rtol=0.0, atol=1e-12):
+        if not np.all(np.abs(x[:, 0] - ref_scaled) <= 1e-12):  # a NaN fails
             raise ValueError("first column must carry the common reference symbol")
         headers = np.asarray(self.meta.id_headers)
         if headers.shape[0] != k:

@@ -9,7 +9,7 @@ from blindmimo import (
     steering_matrix,
     to_angular,
 )
-from blindmimo.channel import _angular_channel
+from blindmimo.channel import _angular_channel, _responses
 
 
 def dft_matrix(n):
@@ -29,6 +29,16 @@ def dense_angular(geom, paths):
             spatial[:, k] += gains[l] * array_response(az[l], zen[l], geom)
         spatial[:, k] *= np.sqrt(geom.m_total / len(gains))
     return steering_matrix(geom).conj().T @ spatial
+
+
+def per_user_angular_channel(paths, geom):
+    """The angular channel built one user at a time: one response call and one tensordot per user."""
+    m = geom.m_total
+    h = np.empty((len(paths), geom.n_v, geom.n_h), dtype=np.complex128)
+    for k, (gains, azimuths, zeniths) in enumerate(paths):
+        resp = _responses(azimuths, zeniths, geom)
+        h[k] = np.sqrt(m / len(gains)) * np.tensordot(gains, resp, axes=1)
+    return np.fft.ifft2(h, axes=(1, 2), norm="ortho").reshape(len(paths), m).T
 
 
 def effective_fraction(h):
@@ -161,6 +171,26 @@ class TestClusteredChannel:
         assert np.linalg.norm(chan - expected) <= 1e-12 * np.linalg.norm(expected)
         # The generator is left exactly where the replayed draws leave it.
         assert chan_rng.random() == rng.random()
+
+    @pytest.mark.parametrize("nh, nv, n_paths", [
+        (256, 1, [5] * 8),
+        (16, 8, [5] * 8),
+        (8, 4, [1, 3, 7, 2]),
+    ], ids=["ula", "planar_16x8", "unequal_paths"])
+    def test_matches_per_user_build_bit_for_bit(self, nh, nv, n_paths):
+        # One response pass over every path and a dot per user give the same
+        # bits as building each user's responses on their own.
+        geom = ArrayGeometry(nh, nv)
+        chan = clustered_channel(n_paths, geom, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        paths = []
+        for n_l in n_paths:
+            gains = (rng.standard_normal(n_l) + 1j * rng.standard_normal(n_l)) / np.sqrt(2.0)
+            az = rng.uniform(0.0, 2.0 * np.pi, n_l)
+            zen = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n_l)
+            paths.append((gains, az, zen))
+        expected = per_user_angular_channel(paths, geom)
+        assert chan.shape == expected.shape and chan.tobytes() == expected.tobytes()
 
     def test_off_grid_leakage_present(self):
         # Continuous angles leak energy across bins: effective sparsity is

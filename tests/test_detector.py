@@ -942,7 +942,7 @@ class TestInputRank:
 
 class TestSharedAscentLoop:
     @pytest.mark.parametrize("p", [3, 4])
-    def test_trace_matches_public_kernels(self, p):
+    def test_trace_matches_public_kernels(self, p, monkeypatch):
         # The loop and the public objective / gradient / eta share one kernel
         # and one factorization route: the traced objective and eta are
         # bit-identical to objective() and optimality_eta() at every iterate.
@@ -958,6 +958,19 @@ class TestSharedAscentLoop:
             assert objective(y, a, g, p) == tr.objective_per_iter[j]
             grad = euclid_grad(y, a, g, p)
             assert optimality_eta(a, grad) == tr.eta_per_iter[j]
+        # On precondition's pair the loop evaluates the K x K coordinates
+        # x = vh A on the left factor u; the public kernels, called on (u,)
+        # at each x the loop evaluated, give its trace bit for bit.
+        u, vh = precondition(y, 3)
+        evaluate, seen = detector._evaluate, []
+        monkeypatch.setattr(detector, "_evaluate",
+                            lambda f, x, *rest, **kw: seen.append(x) or evaluate(f, x, *rest, **kw))
+        _, tr = solve((u, vh), g, SolverOptions(), np.random.default_rng(4), p_exponent=p)
+        monkeypatch.undo()
+        assert len(seen) == tr.iters_run + 1 >= 3
+        for j, x in enumerate(seen):
+            assert objective((u,), x, g, p) == tr.objective_per_iter[j]
+            assert optimality_eta(x, euclid_grad((u,), x, g, p)) == tr.eta_per_iter[j]
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -983,10 +996,12 @@ class TestSharedAscentLoop:
         sc = build_scenario(cfg, rng)
         y = precondition(sc.y_bar, k_users=k) if precondition_on else sc.y_bar
         opts = SolverOptions(max_iters=60)
-        for solver in (solve, riemannian_gd_baseline):
+        # Only the line search can find no ascent.
+        for solver, reasons in ((solve, ("eta_tol", "obj_tol", "max_iters")),
+                                (riemannian_gd_baseline, ("eta_tol", "obj_tol", "max_iters", "no_ascent"))):
             a, tr = solver(y, sc.g_diag, opts, np.random.default_rng(seed + 1))
             assert np.all(np.diff(tr.objective_per_iter) >= -MONOTONE_SLACK)
-            assert tr.stop_reason in ("eta_tol", "obj_tol", "max_iters")
+            assert tr.stop_reason in reasons
             assert np.all(tr.eta_per_iter >= 0.0)
             assert np.linalg.norm(a.conj().T @ a - np.eye(k)) < 1e-9
             assert tr.n_evals >= tr.iters_run + 1

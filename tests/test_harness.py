@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import zlib
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -53,6 +53,11 @@ def tiny_config(**over):
 
 
 class TestSystemConfig:
+    def test_constellation_name_must_be_a_string(self):
+        # A JSON config can hold a list; it is rejected like any unknown name.
+        with pytest.raises(ValueError, match="unsupported constellation"):
+            SystemConfig.from_dict({"constellation": ["qpsk"]})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_config(t_len=2)
@@ -261,7 +266,28 @@ class TestRunSweep:
         assert len(records) == 2
         for r in records:
             assert r.error is None, r.error
-            assert r.stop_reason in ("eta_tol", "obj_tol", "max_iters")
+            assert r.stop_reason in ("eta_tol", "obj_tol", "max_iters", "no_ascent")
+
+    def test_rgd_reports_no_ascent_on_short_frames(self):
+        # Preconditioned under log-distance fading, the Riemannian gradient
+        # is huge: after one step even the 30th halving overshoots, so rgd
+        # stops with no_ascent.  The polar step of solve never fails so.
+        cfg = SystemConfig(k_users=8, t_len=40, n_h=256, theta=0.1, channel_model="bernoulli_gaussian",
+                           fading_model="log_distance", trials=2, solver=SolverOptions(precondition=True))
+        records = list(run_sweep(cfg, "snr_db", [10.0, 20.0, 30.0], ("l3", "rgd")))
+        assert len(records) == 12
+        for r in records:
+            assert r.error is None, r.error
+            if r.method == "rgd":
+                assert r.stop_reason == "no_ascent" and r.metrics.iters == 1
+            else:
+                assert r.stop_reason != "no_ascent"
+        for si, snr in enumerate((10.0, 20.0, 30.0)):
+            cfg_i = replace(cfg, snr_db=snr)
+            sc = build_scenario(cfg_i, _stream(cfg.base_seed, si, 0, "scenario"))
+            pair = detector.precondition(sc.y_bar, cfg.k_users)
+            _, tr = detector.riemannian_gd_baseline(pair, sc.g_diag, cfg.solver, np.random.default_rng(si))
+            assert (tr.stop_reason, tr.iters_run, tr.n_evals) == ("no_ascent", 1, 33)
 
     def test_pilot_runs_under_log_distance_fading(self):
         # The l1 weight scales with g_k (about 1e-10 here); an absolute weight
@@ -359,7 +385,26 @@ class TestRunSweep:
         assert means[240] < means[60]
 
 
+def asdict_json(rec):
+    """A record's line built from ``dataclasses.asdict``, the reference ``to_json`` must equal."""
+    d = asdict(rec)
+    if d["metrics"] is not None:
+        d["metrics"].pop("wall_time")
+    d["final_eta"] = d["final_eta"] if math.isfinite(d["final_eta"]) else None
+    return json.dumps(d, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 class TestEmitReport:
+    def test_to_json_matches_asdict_reference(self):
+        cfg = tiny_config(trials=1, t_pilot=8, pilot_lambda=0.5)
+        l3, pilot = run_sweep(cfg, "snr_db", [20.0], ("l3", "pilot"))
+        failed = replace(l3, metrics=None, stop_reason="error", final_eta=float("nan"),
+                         error="RankDeficientError: reprojected estimate has an all-zero row")
+        assert pilot.error is None and pilot.metrics is not None
+        for rec in (l3, pilot, failed):
+            assert rec.to_json() == asdict_json(rec)
+        assert '"final_eta":null' in failed.to_json() and '"metrics":null' in failed.to_json()
+
     def test_round_trip(self, tmp_path):
         cfg = tiny_config(trials=2)
         records = list(run_sweep(cfg, "snr_db", [10.0, 30.0], ("l3",)))

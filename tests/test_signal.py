@@ -69,6 +69,12 @@ class TestConstellation:
             assert np.array_equal(got_labels, labels)
             assert np.array_equal(got_bits, bits)
 
+    def test_one_shared_read_only_instance(self):
+        c = build_constellation("qpsk")
+        assert build_constellation("qpsk") is c
+        with pytest.raises(ValueError, match="read-only"):
+            c.points[0] = 0.0
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             build_constellation("8psk")
@@ -142,6 +148,20 @@ class TestBuildFrame:
             headers = np.vstack([headers[:3], headers[:1]])
         with pytest.raises(ValueError, match=message):
             TransmitFrame(x, FrameMeta(ref, headers), f.symbol_indices, f.payload_bits)
+
+    @pytest.mark.parametrize("offset, accepted", [(5e-13, True), (2e-12, False), (np.nan, False)])
+    def test_reference_column_tolerance(self, offset, accepted):
+        # Every reference entry must lie within 1e-12 of ref_value / sqrt(T);
+        # a NaN entry is never close.
+        c = build_constellation("qpsk")
+        f = build_frame(4, 16, c, np.random.default_rng(0))
+        x = f.x.copy()
+        x[2, 0] += offset
+        if accepted:
+            TransmitFrame(x, f.meta, f.symbol_indices, f.payload_bits)
+        else:
+            with pytest.raises(ValueError, match="reference symbol"):
+                TransmitFrame(x, f.meta, f.symbol_indices, f.payload_bits)
 
 
 class TestSynthesizeReceived:
