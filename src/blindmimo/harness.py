@@ -361,7 +361,7 @@ def _run_method(
 def run_sweep(
     cfg: SystemConfig,
     sweep_param: str,
-    sweep_values: Sequence[float],
+    sweep_values: Iterable[float],
     methods: Sequence[str] = ("l3",),
 ) -> Iterator[TrialRecord]:
     """Monte Carlo sweep over one config parameter, one record per (method, value, trial).
@@ -372,6 +372,7 @@ def run_sweep(
     deterministic given the config and base seed.  Each method sets its own
     objective exponent; ``normalized_objective`` is set only for l3 and rgd
     where the l3 envelope holds (see ``_l3_envelope``), else None.
+    The values may be any iterable (a list, a NumPy array, a generator).
     A record holds its sweep value as a float, so the values must be real
     numbers (not bools), at least one, and ``solver`` is not a sweep
     parameter.  Every input is checked, and every value's config built, at
@@ -382,6 +383,7 @@ def run_sweep(
             raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
     if sweep_param not in SystemConfig.__dataclass_fields__ or sweep_param == "solver":
         raise ValueError(f"{sweep_param!r} is not a sweep parameter")
+    sweep_values = list(sweep_values)
     if not sweep_values:
         raise ValueError(f"sweep of {sweep_param!r} has no values")
     points = []

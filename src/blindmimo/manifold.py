@@ -12,10 +12,11 @@ factors are computed: a strictly tall matrix goes through the
 eigendecomposition of its small K x K Gram matrix m^H m, and anything else
 (a square matrix, whose Gram is no smaller, or a wide one), or a Gram too
 ill-conditioned to trust (forming it squares the condition number of m),
-through the compact SVD.  Both call LAPACK's zheevd and zgesdd directly,
-the routines behind NumPy's eigh and svd, without NumPy's wrapper.
-Preconditioning, which needs only the top K eigenpairs of a Gram, calls
-zheevr for that index range, as scipy.linalg.eigh's ``subset_by_index`` does.
+through the compact SVD.  Both run on every solver iteration, so they call
+LAPACK's zheevd and zgesdd directly, the routines behind NumPy's eigh and
+svd, without NumPy's wrapper.  Preconditioning, which runs once per block
+and needs only the top K eigenpairs of a Gram, takes them from
+``scipy.linalg.eigh``'s ``subset_by_index``.
 
 All functions are pure; random state is owned by the caller.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigh, lapack
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -174,13 +175,6 @@ def _svd_lwork(rows: int, cols: int) -> int:
     return max(int(work.real), 1)
 
 
-@functools.lru_cache(maxsize=64)
-def _heevr_lwork(n: int) -> Tuple[int, int, int]:
-    """zheevr's queried workspaces (lwork, lrwork, liwork) for an n x n lower triangle, as eigh asks."""
-    work, rwork, iwork, _ = lapack.zheevr_lwork(n, lower=1)
-    return int(work.real), int(rwork), int(iwork)
-
-
 def _svd(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.linalg.svd(m, full_matrices=False)``: the same LAPACK zgesdd, without NumPy's wrapper.
 
@@ -202,7 +196,9 @@ def _gram_polar(
     Returns the descending singular values and a function that forms
     m V Sigma^-1 V^H from the kept eigenpairs, or with ``r`` given its factors
     (m V Sigma^-1, V^H), so callers that only need the singular values skip
-    those products; with ``r`` only the top r eigenpairs are computed.
+    those products; with ``r`` only the top r eigenpairs are computed, by
+    ``scipy.linalg.eigh``'s ``subset_by_index`` (which rejects a non-finite
+    Gram with ValueError).
     Returns None when the r-th eigenvalue is at most ``_GRAM_RTOL`` of the
     largest; ``_polar`` then takes the SVD route.  With all eigenpairs kept,
     a Gram diagonal spread past that cut proves it without the
@@ -216,13 +212,7 @@ def _gram_polar(
     gram = m.conj().T @ m
     if r is not None:
         n = gram.shape[0]
-        lwork, lrwork, liwork = _heevr_lwork(n)
-        lam, v, found, _, info = lapack.zheevr(
-            gram, compute_v=1, range="I", il=max(n - r, 0) + 1, iu=n, lower=1,
-            lwork=lwork, lrwork=lrwork, liwork=liwork)
-        if info != 0 or found < min(r, n):  # a NaN Gram finds none
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        lam = lam[:found]
+        lam, v = eigh(gram, subset_by_index=[max(n - r, 0), n - 1])
     elif (d := gram.diagonal().real).min() > _GRAM_RTOL * d.max():
         lam, v = _eigh(gram)
     else:

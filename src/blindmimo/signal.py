@@ -27,8 +27,8 @@ __all__ = [
     "snr_to_noise_variance",
 ]
 
-# 2-bit reflected Gray code ordered by label value: label g -> PAM level index.
-_GRAY2_LEVEL = {0: 0, 1: 1, 3: 2, 2: 3}
+# Gray-labelled 4-PAM level of each 2-bit label: adjacent levels differ in one bit.
+_PAM4_LEVELS = np.array([-3.0, -1.0, 3.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,6 @@ class Constellation:
         return ((labels[..., np.newaxis] >> shifts) & 1).astype(np.uint8)
 
 
-def _pam4_level(gray2: int) -> float:
-    # Gray-labelled 4-PAM levels {-3,-1,+1,+3}; adjacent levels differ in one bit.
-    return -3.0 + 2.0 * _GRAY2_LEVEL[gray2]
-
-
 @functools.lru_cache(maxsize=None)
 def build_constellation(kind: str) -> Constellation:
     """The supported constellation named exactly ``"qpsk"`` or ``"qam16"``.
@@ -92,8 +87,8 @@ def build_constellation(kind: str) -> Constellation:
         return Constellation("qpsk", points, 2)
     if kind == "qam16":
         labels = np.arange(16)
-        re = np.array([_pam4_level(int(g) >> 2) for g in labels])
-        im = np.array([_pam4_level(int(g) & 3) for g in labels])
+        re = _PAM4_LEVELS[labels >> 2]
+        im = _PAM4_LEVELS[labels & 3]
         points = (re + 1j * im) / np.sqrt(10.0)
         return Constellation("qam16", points, 4)
     raise ValueError(f"unsupported constellation {kind!r}")
