@@ -23,8 +23,7 @@ The iteration and its projected-gradient baseline share one ascent loop;
 they differ only in their step: the polar factor of the gradient, or a
 backtracking line search along the Riemannian gradient.  The gradient's
 singular values (for eta) and its polar factor come from ``manifold._polar``,
-the only place that chooses between the eigendecomposition of its K x K Gram
-matrix and its compact SVD.
+and ``precondition``'s rank-K factors from ``manifold._top_factors``.
 
 On the pair, ``solve`` iterates in the K-dimensional row space of vh: every
 gradient there is vh^H C with C = p (u^H F) G^(-1/2), and
@@ -35,6 +34,7 @@ M x K x K products and the SVD of the K x K matrix C, independent of T.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -46,6 +46,7 @@ from .manifold import (
     _check_orthonormal,
     _polar,
     _rank_deficient,
+    _top_factors,
     nuclear_norm,
     polar_retract,
     random_stiefel,
@@ -98,6 +99,8 @@ class SolverOptions:
     Zero tolerances keep iterating at the converged plateau, where float64
     objective evaluations fluctuate by ~eps * objective * log(T); keep
     obj_rel_tol >= 1e-12 if the trace's monotone invariant matters.
+    ``max_iters`` must be a positive integer, the tolerances finite numbers
+    >= 0 and ``precondition`` a bool.
     """
 
     max_iters: int = 200
@@ -106,10 +109,13 @@ class SolverOptions:
     precondition: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.eta_tol < 0 or self.obj_rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:  # 40.0 fails
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
+        for name in ("eta_tol", "obj_rel_tol"):
+            if not (isinstance(v := getattr(self, name), numbers.Real) and 0 <= v < np.inf):  # NaN fails
+                raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
+        if not isinstance(self.precondition, (bool, np.bool_)):  # a JSON "false" would switch it on
+            raise ValueError(f"precondition must be true or false, got {self.precondition!r}")
 
 
 @dataclass(frozen=True)
@@ -594,20 +600,20 @@ def precondition(y_bar: np.ndarray, k_users: int) -> Tuple[np.ndarray, np.ndarra
     gain instead plants dense spurious attractors that derail the solver.
 
     Returns that block as the pair u = Ybar V_K Sigma_K^-1 (M x K) and
-    vh = V_K^H (K x T), from ``_polar(Ybar, K)``.  A block whose K-th singular
-    value is at most 1e-10 of the largest (or that has fewer than K) raises
-    RankDeficientError; ``k_users`` below 1, or a ``y_bar`` that is not a
-    2-d matrix, raises ValueError.
+    vh = V_K^H (K x T), from ``manifold._top_factors(Ybar, K)``.  A block whose
+    K-th singular value is at most 1e-10 of the largest (or that has fewer
+    than K) raises RankDeficientError; ``k_users`` below 1, or a ``y_bar``
+    that is not a 2-d matrix, raises ValueError.
     """
     if k_users < 1:
         raise ValueError(f"k_users must be at least 1, got {k_users}")
     y = np.asarray(y_bar, dtype=np.complex128)
     if y.ndim != 2:
         raise ValueError(f"y_bar must be an M x T matrix, got shape {y.shape}")
-    s, factor = _polar(y, k_users)
+    s, u, vh = _top_factors(y, k_users)
     if s.size < k_users or s[-1] <= 1e-10 * s[0]:
         raise RankDeficientError(f"received block does not carry {k_users} usable directions")
-    return factor()
+    return u, vh
 
 
 def postprocess(y_bar_pre: Block, x_hat_pre: np.ndarray, y_bar: np.ndarray) -> np.ndarray:

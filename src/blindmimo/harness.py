@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import numbers
-import operator
 import os
 import time
 import zlib
@@ -106,12 +105,9 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         names = ("k_users", "t_len", "n_h", "n_v", "n_paths", "trials", "base_seed", "t_pilot")
-        counts = {**{f: getattr(self, f) for f in names}, "solver.max_iters": self.solver.max_iters}
-        for name, v in counts.items():
-            try:
-                operator.index(v)  # numpy integers pass, 40.0 does not
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {v!r}") from None
+        for name in names:
+            if not isinstance(getattr(self, name), numbers.Integral):  # numpy integers pass, 40.0 does not
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if min(self.k_users, self.t_len, self.n_h, self.n_v) < 1:
             raise ValueError("dimensions must be positive")
         if self.m < self.k_users:
@@ -177,7 +173,11 @@ class SystemConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if isinstance(d.get("power"), list):
             d["power"] = tuple(d["power"])
-        return cls(**d, solver=SolverOptions(**solver))
+        try:
+            opts = SolverOptions(**solver)
+        except ValueError as exc:
+            raise ValueError(f"solver.{exc}") from None
+        return cls(**d, solver=opts)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -375,9 +375,15 @@ def run_sweep(
     The values may be any iterable (a list, a NumPy array, a generator).
     A record holds its sweep value as a float, so the values must be real
     numbers (not bools), at least one, and ``solver`` is not a sweep
-    parameter.  Every input is checked, and every value's config built, at
-    the call; the returned iterator then yields the records one at a time.
+    parameter; ``methods`` must name at least one method, each once.  Every
+    input is checked, and every value's config built, at the call; the
+    returned iterator then yields the records one at a time.  A sweep of
+    ``t_pilot`` or ``pilot_lambda``, which only the pilot baseline reads,
+    gives every value's trial j the scenario of sweep index 0.
     """
+    methods = tuple(methods)
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"methods must name at least one method, each once, got {methods}")
     for m in methods:
         if m not in KNOWN_METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
@@ -395,8 +401,9 @@ def run_sweep(
 
     def records() -> Iterator[TrialRecord]:
         for si, (value, cfg_i) in enumerate(points):
+            key = 0 if sweep_param in ("t_pilot", "pilot_lambda") else si
             for trial in range(cfg_i.trials):
-                scenario = build_scenario(cfg_i, _stream(cfg_i.base_seed, si, trial, "scenario"))
+                scenario = build_scenario(cfg_i, _stream(cfg_i.base_seed, key, trial, "scenario"))
                 digest = scenario.digest
                 for method in methods:
                     seq = _seed_sequence(cfg_i.base_seed, si, trial, method)

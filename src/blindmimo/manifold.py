@@ -7,16 +7,15 @@ the polar-decomposition retraction, tangent-space projection of a Euclidean
 gradient, and the nuclear norm.  A point is its plain T x K array, as a
 direction is; ``StiefelPoint`` only checks a point that a caller supplies.
 
-``_polar`` is the only place that chooses how singular values and polar
-factors are computed: a strictly tall matrix goes through the
-eigendecomposition of its small K x K Gram matrix m^H m, and anything else
-(a square matrix, whose Gram is no smaller, or a wide one), or a Gram too
-ill-conditioned to trust (forming it squares the condition number of m),
-through the compact SVD.  Both run on every solver iteration, so they call
-LAPACK's zheevd and zgesdd directly, the routines behind NumPy's eigh and
-svd, without NumPy's wrapper.  Preconditioning, which runs once per block
-and needs only the top K eigenpairs of a Gram, takes them from
-``scipy.linalg.eigh``'s ``subset_by_index``.
+``_polar(m)`` gives the singular values and polar factor that every solver
+iteration needs: a strictly tall matrix goes through the eigendecomposition
+of its small K x K Gram matrix m^H m, and anything else (a square or wide
+matrix, or a Gram too ill-conditioned to trust, since forming it squares
+the condition number of m) through the compact SVD, by LAPACK's zheevd and
+zgesdd called directly, the routines behind NumPy's eigh and svd, without
+NumPy's wrapper.  ``_top_factors(m, r)``, preconditioning's once-per-block
+rank-r factorization, takes the top r eigenpairs of the Gram from
+``scipy.linalg.eigh``'s ``subset_by_index``, with the same cut.
 
 All functions are pure; random state is owned by the caller.
 """
@@ -26,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.linalg import eigh, lapack
@@ -188,72 +187,56 @@ def _svd(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh
 
 
-def _gram_polar(
-    m: np.ndarray, r: Optional[int] = None
-) -> Optional[Tuple[np.ndarray, Callable]]:
-    """Top ``r`` (default all) singular values of ``m`` and its polar factor, from eigh(m^H m).
+def _polar(m: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Singular values of ``m`` and a function forming its polar factor only when called.
 
-    Returns the descending singular values and a function that forms
-    m V Sigma^-1 V^H from the kept eigenpairs, or with ``r`` given its factors
-    (m V Sigma^-1, V^H), so callers that only need the singular values skip
-    those products; with ``r`` only the top r eigenpairs are computed, by
-    ``scipy.linalg.eigh``'s ``subset_by_index`` (which rejects a non-finite
-    Gram with ValueError).
-    Returns None when the r-th eigenvalue is at most ``_GRAM_RTOL`` of the
-    largest; ``_polar`` then takes the SVD route.  With all eigenpairs kept,
-    a Gram diagonal spread past that cut proves it without the
-    eigendecomposition, since the extreme eigenvalues bracket the diagonal.
-    That test stays in NumPy: on a 2-vCPU AVX-512 x86 host, zheevd run
-    straight after the Gram's product was about 16 us slower on an 8 x 8
-    Gram unless a NumPy reduction ran between them, so this function took
-    43 us on a 256 x 8 block with the same test on Python floats, and 26 us
-    as written.
-    """
-    gram = m.conj().T @ m
-    if r is not None:
-        n = gram.shape[0]
-        lam, v = eigh(gram, subset_by_index=[max(n - r, 0), n - 1])
-    elif (d := gram.diagonal().real).min() > _GRAM_RTOL * d.max():
-        lam, v = _eigh(gram)
-    else:
-        return None
-    lam, v = lam[::-1], v[:, ::-1]
-    if not lam[-1] > _GRAM_RTOL * lam[0]:
-        return None
-    s = np.sqrt(lam)
-    if r is None:
-        return s, lambda: m @ ((v / s) @ v.conj().T)
-    return s, lambda: (m @ (v / s), v.conj().T)
-
-
-def _polar(
-    m: np.ndarray, r: Optional[int] = None
-) -> Tuple[np.ndarray, Callable]:
-    """Top ``r`` (default all) singular values of ``m`` and a function forming its polar factor.
-
-    A strictly tall ``m`` takes ``_gram_polar`` when that accepts; anything
-    else, a square ``m`` included, takes the compact SVD, whose function
-    forms U V^H, or with ``r`` given returns the factors (U, V^H), from the
-    kept singular vectors and raises RankDeficientError when the kept
-    singular values fail the 1e-12 rank test.  Callers that need only the
-    singular values never call the function.
+    A strictly tall ``m`` whose Gram m^H m passes the ``_GRAM_RTOL`` cut
+    takes ``_eigh`` of the Gram, and the function forms m V Sigma^-1 V^H;
+    anything else takes the compact SVD, whose function forms U V^H or
+    raises RankDeficientError under the 1e-12 rank test.  A Gram diagonal
+    spread past the cut fails it without the eigendecomposition, since the
+    extreme eigenvalues bracket the diagonal.  That test stays in NumPy: on a
+    2-vCPU AVX-512 x86 host, zheevd run straight after the Gram's product was
+    about 16 us slower on an 8 x 8 Gram unless a NumPy reduction ran between.
     """
     if m.shape[1] < m.shape[0]:
-        fast = _gram_polar(m, r)
-        if fast is not None:
-            return fast
+        gram = m.conj().T @ m
+        if (d := gram.diagonal().real).min() > _GRAM_RTOL * d.max():
+            lam, v = _eigh(gram)
+            lam, v = lam[::-1], v[:, ::-1]
+            if lam[-1] > _GRAM_RTOL * lam[0]:
+                s = np.sqrt(lam)
+                return s, lambda: m @ ((v / s) @ v.conj().T)
     u, s, vh = _svd(m)
-    if r is not None:
-        u, s, vh = u[:, :r], s[:r], vh[:r]
 
     def factor():
         if _rank_deficient(s):
             raise RankDeficientError(
                 f"rank-deficient input: singular values span [{s[-1]:.3e}, {s[0]:.3e}]"
             )
-        return u @ vh if r is None else (u, vh)
+        return u @ vh
 
     return s, factor
+
+
+def _top_factors(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top ``r`` singular values of ``m`` (fewer if it has fewer) and its factors (m V Sigma^-1, V^H).
+
+    A strictly tall ``m`` takes its Gram's top r eigenpairs from
+    ``scipy.linalg.eigh`` (which rejects a non-finite Gram with ValueError)
+    when the r-th passes the ``_GRAM_RTOL`` cut; anything else takes the
+    compact SVD's top r.  No rank test is made here.
+    """
+    if m.shape[1] < m.shape[0]:
+        gram = m.conj().T @ m
+        n = gram.shape[0]
+        lam, v = eigh(gram, subset_by_index=[max(n - r, 0), n - 1])
+        lam, v = lam[::-1], v[:, ::-1]
+        if lam[-1] > _GRAM_RTOL * lam[0]:
+            s = np.sqrt(lam)
+            return s, m @ (v / s), v.conj().T
+    u, s, vh = _svd(m)
+    return s[:r], u[:, :r], vh[:r]
 
 
 def riemannian_grad(a: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:

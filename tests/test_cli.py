@@ -114,6 +114,14 @@ class TestSimulate:
         assert "sweep of 'snr_db' has no values" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods", ["l3,l3", ","])
+    def test_repeated_or_empty_methods_rejected(self, tmp_path, capsys, methods):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--methods", methods]) == 1
+        assert "methods must name at least one method, each once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"k_users": -1}))

@@ -357,8 +357,8 @@ class TestSolve:
         real_polar = detector._polar
         drifted = []
 
-        def drifting_polar(m, r=None):
-            s, factor = real_polar(m, r)
+        def drifting_polar(m):
+            s, factor = real_polar(m)
 
             def factor_off_manifold():
                 drifted.append(1)
@@ -406,6 +406,33 @@ class TestSolve:
             assert (tr_tau.iters_run, tr_tau.stop_reason) == (tr.iters_run, tr.stop_reason)
             assert tr_tau.final_objective == pytest.approx(tr.final_objective, rel=1e-10)
             assert np.abs(a_tau - a).max() < 1e-8
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("over, message", [
+        (dict(max_iters=2.5), "max_iters must be an integer"),
+        (dict(max_iters=60.0), "max_iters must be an integer"),
+        (dict(max_iters=0), "max_iters must be an integer of at least 1"),
+        (dict(eta_tol=np.nan), "eta_tol must be finite and nonnegative"),
+        (dict(eta_tol=np.inf), "eta_tol must be finite and nonnegative"),
+        (dict(eta_tol=-1e-6), "eta_tol must be finite and nonnegative"),
+        (dict(obj_rel_tol=np.nan), "obj_rel_tol must be finite and nonnegative"),
+        (dict(obj_rel_tol=-np.inf), "obj_rel_tol must be finite and nonnegative"),
+        (dict(eta_tol="1e-6"), "eta_tol must be finite and nonnegative"),
+        (dict(precondition="false"), "precondition must be true or false"),
+    ])
+    def test_fields_that_cannot_work_rejected(self, over, message):
+        # A float max_iters would fail later in the loop's range, a NaN
+        # eta_tol would silently switch the eta stop off, and the string
+        # "false" would switch preconditioning on.
+        with pytest.raises(ValueError, match=message):
+            SolverOptions(**over)
+
+    def test_numpy_integer_and_zero_tolerances_accepted(self):
+        opts = SolverOptions(max_iters=np.int64(3), eta_tol=0.0, obj_rel_tol=0.0)
+        y, _, _ = noiseless_instance(np.random.default_rng(3))
+        _, tr = solve(y, np.ones(3), opts, np.random.default_rng(1))
+        assert tr.iters_run == 3 and tr.stop_reason == "max_iters"
 
 
 class TestSolveTraceInvariant:
@@ -546,25 +573,25 @@ class TestPrecondition:
         assert np.abs(s[:3] - 1.0).max() < 1e-10
         assert s[3:].max() < 1e-10
 
-    def test_gram_route_matches_svd(self):
+    def test_gram_route_matches_svd(self, linalg_calls):
         rng = np.random.default_rng(4)
         h = crandn(rng, 64, 4)
         y = h @ crandn(rng, 4, 20) + 1e-2 * crandn(rng, 64, 20)
-        assert manifold._gram_polar(y, 4) is not None
         u, _, vh = np.linalg.svd(y, full_matrices=False)
         u_k, vh_k = precondition(y, k_users=4)
+        assert linalg_calls == ["eigh"]
         assert np.abs(u_k @ vh_k - u[:, :4] @ vh[:4]).max() < 1e-12
 
-    def test_ill_conditioned_block_takes_svd(self):
+    def test_ill_conditioned_block_takes_svd(self, linalg_calls):
         # The 4th singular value clears 1e-10 of the largest but not the
         # Gram route's cut, so the SVD route answers, bit for bit.
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(crandn(rng, 30, 6))
         w, _ = np.linalg.qr(crandn(rng, 6, 6))
         y = (q * np.array([1.0, 0.5, 0.2, 1e-4, 1e-6, 1e-7])) @ w.conj().T
-        assert manifold._gram_polar(y, 4) is None
         u, _, vh = np.linalg.svd(y, full_matrices=False)
         u_k, vh_k = precondition(y, k_users=4)
+        assert linalg_calls == ["eigh", "_svd"]
         assert np.array_equal(u_k @ vh_k, u[:, :4] @ vh[:4])
 
     def test_kth_direction_below_1e_10_rejected(self):
@@ -588,7 +615,7 @@ class TestPrecondition:
             precondition(crandn(rng, 8, 3), 5)  # more users than columns
 
     @pytest.mark.parametrize("gram_route", [True, False])
-    def test_factors_orthonormal_on_both_routes(self, gram_route):
+    def test_factors_orthonormal_on_both_routes(self, linalg_calls, gram_route):
         # A 4th singular value of 1e-4 of the largest fails the Gram route's
         # cut, so the SVD answers.
         rng = np.random.default_rng(8)
@@ -596,8 +623,8 @@ class TestPrecondition:
         w, _ = np.linalg.qr(crandn(rng, 6, 6))
         fourth = 0.1 if gram_route else 1e-4
         y = (q * np.array([1.0, 0.5, 0.2, fourth, 1e-6, 1e-7])) @ w.conj().T
-        assert (manifold._gram_polar(y, 4) is not None) == gram_route
         u, vh = precondition(y, k_users=4)
+        assert linalg_calls == (["eigh"] if gram_route else ["eigh", "_svd"])
         assert u.shape == (30, 4) and vh.shape == (4, 6)
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
         assert np.linalg.norm(vh @ vh.conj().T - np.eye(4)) < 1e-10

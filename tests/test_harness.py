@@ -86,6 +86,10 @@ class TestSystemConfig:
         ('{"base_seed": 1.5}', "base_seed must be an integer"),
         ('{"t_pilot": 6.0}', "t_pilot must be an integer"),
         ('{"solver": {"max_iters": 60.5}}', "solver.max_iters must be an integer"),
+        ('{"solver": {"eta_tol": NaN}}', "solver.eta_tol must be finite and nonnegative"),
+        ('{"solver": {"eta_tol": -1e-6}}', "solver.eta_tol must be finite and nonnegative"),
+        ('{"solver": {"obj_rel_tol": Infinity}}', "solver.obj_rel_tol must be finite and nonnegative"),
+        ('{"solver": {"precondition": "false"}}', "solver.precondition must be true or false"),
         ('{"sigma_z2": Infinity}', "sigma_z2 must be finite"),
         ('{"sigma_z2": NaN}', "sigma_z2 must be finite"),
         ('{"pilot_lambda": NaN}', "pilot_lambda must be finite"),
@@ -207,6 +211,35 @@ class TestRunSweep:
         monkeypatch.setattr("blindmimo.harness.build_scenario", None)
         with pytest.raises(ValueError, match=param):
             run_sweep(tiny_config(), param, values)
+
+    @pytest.mark.parametrize("methods", [("l3", "l3"), ("l3", "pilot", "l3"), (), []])
+    def test_repeated_or_empty_methods_rejected(self, methods, monkeypatch):
+        # A repeated method would run its trials twice on the same seeds and
+        # count them twice in the summary.
+        monkeypatch.setattr("blindmimo.harness.build_scenario", None)
+        with pytest.raises(ValueError, match="methods must name at least one method, each once"):
+            run_sweep(tiny_config(), "snr_db", [0.0], methods)
+
+    @pytest.mark.parametrize("param, values, paired", [
+        ("snr_db", [10.0, 30.0], False),
+        ("theta", [0.1, 0.2], False),
+        ("t_pilot", [4, 6, 8], True),
+        ("pilot_lambda", [0.5, 2.0], True),
+    ])
+    def test_scenario_stream_keys(self, param, values, paired):
+        # A sweep of t_pilot or pilot_lambda, which only the pilot baseline
+        # reads, draws every value's trial j from the scenario stream of sweep
+        # index 0, so pilot budgets meet the same channels; any other sweep
+        # keys that stream by sweep index.
+        cfg = tiny_config(trials=2)
+        records = list(run_sweep(cfg, param, values, ("l3", "pilot")))
+        want = []
+        for si, value in enumerate(values):
+            for trial in range(cfg.trials):
+                rng = _stream(cfg.base_seed, 0 if paired else si, trial, "scenario")
+                want += [build_scenario(replace(cfg, **{param: value}), rng).digest] * 2
+        assert [r.scenario_digest for r in records] == want
+        assert len(set(want)) == cfg.trials * (1 if paired else len(values))
 
     def test_empty_sweep_rejected(self, monkeypatch):
         monkeypatch.setattr("blindmimo.harness.build_scenario", None)

@@ -15,7 +15,7 @@ from blindmimo import (
     riemannian_grad,
 )
 from blindmimo import manifold
-from blindmimo.manifold import ORTHONORMALITY_TOL, _GRAM_RTOL, _check_orthonormal, _gram_polar, _polar
+from blindmimo.manifold import ORTHONORMALITY_TOL, _GRAM_RTOL, _check_orthonormal, _polar, _top_factors
 
 
 def crandn(rng, *shape):
@@ -186,47 +186,49 @@ def with_condition(rng, t, k, kappa, scale=1.0):
 class TestGramPolar:
     @pytest.mark.parametrize("shape", [(240, 8), (40, 8), (9, 3), (5, 1)])
     @pytest.mark.parametrize("kappa", [1.0, 10.0, 100.0])
-    def test_matches_svd_when_well_conditioned(self, shape, kappa):
+    def test_matches_svd_when_well_conditioned(self, linalg_calls, shape, kappa):
         rng = np.random.default_rng(int(kappa) * 1000 + shape[0])
         for scale in (1e-6, 1.0, 1e9):
             m = with_condition(rng, *shape, kappa, scale)
             u, s, vh = np.linalg.svd(m, full_matrices=False)
-            fast = _gram_polar(m)
-            assert fast is not None
-            s_gram, polar = fast
+            linalg_calls.clear()
+            s_gram, polar = _polar(m)
+            assert linalg_calls == ["_eigh"]
             assert np.abs(s_gram - s).max() <= 1e-12 * s[0]
             assert np.abs(polar() - u @ vh).max() <= 1e-12
             assert np.abs(polar_retract(m) - u @ vh).max() <= 1e-12
 
     @pytest.mark.parametrize("kappa", [1e4, 1e8])
-    def test_ill_conditioned_takes_svd_bit_for_bit(self, kappa):
+    def test_ill_conditioned_takes_svd_bit_for_bit(self, linalg_calls, kappa):
         rng = np.random.default_rng(3)
         m = with_condition(rng, 240, 8, kappa)
-        assert _gram_polar(m) is None
         u, _, vh = np.linalg.svd(m, full_matrices=False)
         assert np.array_equal(polar_retract(m), u @ vh)
+        assert linalg_calls[-1] == "_svd"
 
-    def test_zero_takes_svd_and_raises(self):
+    def test_zero_takes_svd_and_raises(self, linalg_calls):
         m = np.zeros((6, 2), dtype=complex)
-        assert _gram_polar(m) is None
         with pytest.raises(RankDeficientError):
             polar_retract(m)
+        assert linalg_calls == ["_svd"]
 
-    def test_threshold_on_squared_condition_number(self):
+    def test_threshold_on_squared_condition_number(self, linalg_calls):
         # The cut is on eigenvalues of m^H m, i.e. on cond(m)^2.
         rng = np.random.default_rng(4)
         edge = _GRAM_RTOL**-0.5
-        assert _gram_polar(with_condition(rng, 30, 4, edge / 1.01)) is not None
-        assert _gram_polar(with_condition(rng, 30, 4, edge * 1.01)) is None
+        _polar(with_condition(rng, 30, 4, edge / 1.01))
+        assert linalg_calls == ["_eigh"]
+        _polar(with_condition(rng, 30, 4, edge * 1.01))
+        assert linalg_calls == ["_eigh", "_eigh", "_svd"]
 
-    def test_top_r_only(self):
+    def test_top_r_only(self, linalg_calls):
         rng = np.random.default_rng(5)
         y = crandn(rng, 30, 12)
         u, s, vh = np.linalg.svd(y, full_matrices=False)
-        s_gram, polar = _gram_polar(y, 4)
+        s_gram, left, right = _top_factors(y, 4)
+        assert linalg_calls == ["eigh"]
         assert s_gram.shape == (4,)
         assert np.abs(s_gram - s[:4]).max() <= 1e-12 * s[0]
-        left, right = polar()
         assert np.abs(left @ right - u[:, :4] @ vh[:4]).max() <= 1e-12
 
 
@@ -234,35 +236,40 @@ class TestPolar:
     @pytest.mark.parametrize("kappa", [1e4, 1e8])
     @pytest.mark.parametrize("r", [None, 7])
     def test_ill_conditioned_matches_svd_bit_for_bit(self, kappa, r):
+        # r = None is _polar; r = 7 is _top_factors on the top 7.
         m = with_condition(np.random.default_rng(6), 240, 8, kappa)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        s_got, polar = _polar(m, r)
-        assert np.array_equal(s_got, s[:r])
         if r is None:
+            s_got, polar = _polar(m)
+            assert np.array_equal(s_got, s)
             assert np.array_equal(polar(), u @ vh)
         else:
-            left, right = polar()
+            s_got, left, right = _top_factors(m, r)
+            assert np.array_equal(s_got, s[:r])
             assert np.array_equal(left, u[:, :r]) and np.array_equal(right, vh[:r])
 
-    def test_well_conditioned_takes_gram(self):
+    def test_well_conditioned_takes_gram(self, linalg_calls):
         m = with_condition(np.random.default_rng(7), 40, 8, 10.0)
-        s_gram, _ = _gram_polar(m)
-        assert np.array_equal(_polar(m)[0], s_gram)
+        lam, _ = np.linalg.eigh(m.conj().T @ m)
+        assert np.array_equal(_polar(m)[0], np.sqrt(lam[::-1]))
+        assert linalg_calls == ["_eigh"]
 
-    def test_wide_takes_svd(self):
+    def test_wide_takes_svd(self, linalg_calls):
         m = crandn(np.random.default_rng(8), 3, 7)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
         s_got, polar = _polar(m)
+        assert linalg_calls == ["_svd"]
         assert np.array_equal(s_got, s)
         assert np.array_equal(polar(), u @ vh)
 
     @pytest.mark.parametrize("kappa", [1.0, 10.0, 1e8])
-    def test_square_takes_svd(self, kappa):
+    def test_square_takes_svd(self, linalg_calls, kappa):
         # A Gram is no smaller than a square matrix, so it takes the SVD even
         # where the Gram route would accept it.
         m = with_condition(np.random.default_rng(12), 8, 8, kappa)
         u, s, vh = np.linalg.svd(m)
         s_got, polar = _polar(m)
+        assert linalg_calls == ["_svd"]
         assert np.array_equal(s_got, s)
         assert np.array_equal(polar(), u @ vh)
         assert np.array_equal(polar_retract(m), u @ vh)
@@ -287,72 +294,86 @@ class TestLapackRoute:
     """``_polar`` calls LAPACK's zheevd and zgesdd directly; NumPy's eigh and svd are the reference."""
 
     @staticmethod
-    def through_numpy(monkeypatch, m, r=None):
+    def factorize(m, r=None):
+        """``_polar(m)`` as (s, its factor), or with ``r`` given ``_top_factors(m, r)`` as (s, (u, vh))."""
+        if r is None:
+            s, factor = _polar(m)
+            return s, factor()
+        s, u, vh = _top_factors(m, r)
+        return s, (u, vh)
+
+    def through_numpy(self, monkeypatch, m, r=None):
         with monkeypatch.context() as mp:
             mp.setattr(manifold, "_eigh", np.linalg.eigh)
             mp.setattr(manifold, "_svd", lambda x: np.linalg.svd(x, full_matrices=False))
-            s, factor = _polar(m, r)
-            return s, factor()
+            return self.factorize(m, r)
 
     def assert_bit_for_bit(self, monkeypatch, m, r=None):
         s_ref, f_ref = self.through_numpy(monkeypatch, m, r)
-        s, factor = _polar(m, r)
-        f = factor()
+        s, f = self.factorize(m, r)
         assert np.array_equal(s, s_ref)
         for got, ref in zip(f if r else (f,), f_ref if r else (f_ref,)):
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("shape", [(240, 8), (40, 8)])
     @pytest.mark.parametrize("kappa", [1.0, 10.0])
-    def test_gram_route(self, monkeypatch, shape, kappa):
+    def test_gram_route(self, monkeypatch, linalg_calls, shape, kappa):
         rng = np.random.default_rng(20 + shape[0] + int(kappa))
         for _ in range(20):
             m = with_condition(rng, *shape, kappa, scale=rng.uniform(0.5, 2.0))
-            assert _gram_polar(m) is not None
+            linalg_calls.clear()
             self.assert_bit_for_bit(monkeypatch, m)
+            assert linalg_calls == ["_eigh"]
 
     @pytest.mark.parametrize("shape", [(240, 8), (40, 8)])
     @pytest.mark.parametrize("kappa", [1e3, 1e8])
-    def test_svd_route(self, monkeypatch, shape, kappa):
+    def test_svd_route(self, monkeypatch, linalg_calls, shape, kappa):
         rng = np.random.default_rng(30 + shape[0] + int(np.log10(kappa)))
         for _ in range(5):
             m = with_condition(rng, *shape, kappa)
-            assert _gram_polar(m) is None
             self.assert_bit_for_bit(monkeypatch, m)
+            assert linalg_calls[-1] == "_svd"
 
     @pytest.mark.parametrize("k", [1, 4, 8])
     @pytest.mark.parametrize("kappa", [1.0, 10.0])
-    def test_square_takes_the_svd_route(self, monkeypatch, k, kappa):
-        # The Gram route would accept each of these; the SVD answers instead,
-        # bit for bit against np.linalg.svd.
+    def test_square_takes_the_svd_route(self, monkeypatch, linalg_calls, k, kappa):
+        # The Gram route's cut would accept each of these; the SVD answers
+        # instead, bit for bit against np.linalg.svd.
         rng = np.random.default_rng(40 + k + int(kappa))
         for _ in range(5):
             m = with_condition(rng, k, k, kappa, scale=rng.uniform(0.5, 2.0))
-            assert _gram_polar(m) is not None
+            lam = np.linalg.eigvalsh(m.conj().T @ m)
+            assert lam[0] > _GRAM_RTOL * lam[-1]
             u, s, vh = np.linalg.svd(m)
+            linalg_calls.clear()
             s_got, factor = _polar(m)
+            assert linalg_calls == ["_svd"]
             assert np.array_equal(s_got, s)
             assert np.array_equal(factor(), u @ vh)
             self.assert_bit_for_bit(monkeypatch, m)
 
-    def test_top_k_of_a_dense_block(self, monkeypatch):
+    def test_top_k_of_a_dense_block(self, monkeypatch, linalg_calls):
         # A 256 x 40 block whose top 8 directions are too spread for the Gram
         # takes the SVD and keeps its top 8 singular vectors.
         m = with_condition(np.random.default_rng(9), 256, 40, 1e20)
-        assert _gram_polar(m, 8) is None
         self.assert_bit_for_bit(monkeypatch, m, 8)
+        linalg_calls.clear()
+        _top_factors(m, 8)
+        assert linalg_calls == ["eigh", "_svd"]
 
-    @pytest.mark.parametrize("shape", [(240, 40), (40, 40), (256, 24)])
-    def test_top_k_gram_matches_scipy_eigh(self, shape):
-        # Preconditioning's top-K eigenpairs are scipy.linalg.eigh's
-        # subset_by_index pairs, reversed to descending order.
+    @pytest.mark.parametrize("shape", [(240, 40), (41, 40), (256, 24)])
+    def test_top_k_gram_matches_scipy_eigh(self, linalg_calls, shape):
+        # Preconditioning's top-K eigenpairs of a strictly tall block are
+        # scipy.linalg.eigh's subset_by_index pairs, reversed to descending
+        # order.  A square block takes the SVD, as it did through _polar.
         rng = np.random.default_rng(50 + shape[1])
         for _ in range(10):
             m = crandn(rng, *shape)
             n = shape[1]
             lam, v = scipy.linalg.eigh(m.conj().T @ m, subset_by_index=[n - 8, n - 1])
-            s, factors = _gram_polar(m, 8)
-            left, vh = factors()
+            linalg_calls.clear()
+            s, left, vh = _top_factors(m, 8)
+            assert linalg_calls == ["eigh"]
             assert np.array_equal(s, np.sqrt(lam[::-1]))
             assert np.array_equal(vh, v[:, ::-1].conj().T)
             assert np.array_equal(left, m @ (v[:, ::-1] / s))
@@ -378,11 +399,39 @@ class TestLapackRoute:
     def test_non_finite_top_k_raises(self):
         # scipy.linalg.eigh checks the Gram before any top-r eigenpair is computed.
         with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-            _polar(np.full((40, 8), np.nan, dtype=complex), 4)
+            _top_factors(np.full((40, 8), np.nan, dtype=complex), 4)
 
     def test_nan_gradient_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
             _polar(np.full((40, 8), np.nan, dtype=complex))
+
+
+class TestTopFactors:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 24),
+        cols=st.integers(1, 24),
+        r=st.integers(1, 10),
+        log_kappa=st.floats(0.0, 20.0),
+        scale=st.sampled_from([1e-6, 1.0, 1e9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_top_factors_match_truncated_svd(self, rows, cols, r, log_kappa, scale, seed):
+        # Tall, square and wide blocks, from well conditioned to numerically
+        # rank deficient: _top_factors gives the truncated SVD's top r
+        # singular values, orthonormal factors, and m vh^H = u S, u^H m = S vh.
+        n = min(rows, cols)
+        m = with_condition(np.random.default_rng(seed), max(rows, cols), n, 10.0**log_kappa, scale)
+        m = m if rows >= cols else m.T
+        s_ref = np.linalg.svd(m, compute_uv=False)
+        s, u, vh = _top_factors(m, r)
+        k = min(r, n)
+        assert s.shape == (k,) and u.shape == (rows, k) and vh.shape == (k, cols)
+        assert np.abs(s - s_ref[:k]).max() <= 1e-12 * s_ref[0]
+        assert np.linalg.norm(u.conj().T @ u - np.eye(k)) < 1e-10
+        assert np.linalg.norm(vh @ vh.conj().T - np.eye(k)) < 1e-10
+        assert np.abs(m @ vh.conj().T - u * s).max() <= 1e-12 * s_ref[0]
+        assert np.abs(u.conj().T @ m - s[:, np.newaxis] * vh).max() <= 1e-12 * s_ref[0]
 
 
 class TestRiemannianGrad:
