@@ -100,7 +100,7 @@ class SolverOptions:
     objective evaluations fluctuate by ~eps * objective * log(T); keep
     obj_rel_tol >= 1e-12 if the trace's monotone invariant matters.
     ``max_iters`` must be a positive integer, the tolerances finite numbers
-    >= 0 and ``precondition`` a bool.
+    >= 0 and ``precondition`` a bool; a bool is not a number here.
     """
 
     max_iters: int = 200
@@ -109,10 +109,10 @@ class SolverOptions:
     precondition: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:  # 40.0 fails
-            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
+        if isinstance(n := self.max_iters, bool) or not isinstance(n, numbers.Integral) or n < 1:  # 40.0 fails
+            raise ValueError(f"max_iters must be an integer of at least 1, got {n!r}")
         for name in ("eta_tol", "obj_rel_tol"):
-            if not (isinstance(v := getattr(self, name), numbers.Real) and 0 <= v < np.inf):  # NaN fails
+            if isinstance(v := getattr(self, name), bool) or not (isinstance(v, numbers.Real) and 0 <= v < np.inf):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
         if not isinstance(self.precondition, (bool, np.bool_)):  # a JSON "false" would switch it on
             raise ValueError(f"precondition must be true or false, got {self.precondition!r}")
@@ -315,8 +315,11 @@ def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, n
     t, k = y[-1].shape[1], isg.size
     if t < k:
         raise ValueError(f"need T >= K, got T={t}, K={k}")
-    if not all(np.linalg.norm(f) > 0 for f in y):
-        raise ValueError("received block is identically zero")
+    for norm in map(np.linalg.norm, y):
+        if not np.isfinite(norm):  # a NaN or inf entry; the SVD would not converge on it
+            raise ValueError(f"received block must be finite, got norm {norm}")
+        if norm == 0:
+            raise ValueError("received block is identically zero")
     return y, isg
 
 
@@ -641,26 +644,24 @@ def _least_squares(d: np.ndarray, y: np.ndarray, name: str, cause: str = "") -> 
     return np.linalg.solve(dh @ d, dh @ y)
 
 
-def demodulate(x_hat: np.ndarray, c: Constellation) -> Tuple[np.ndarray, np.ndarray]:
+def demodulate(x_hat: np.ndarray, c: Constellation) -> np.ndarray:
     """Map sqrt(T) * x_hat entrywise to the nearest constellation point.
 
-    Returns (indices, bits): the Gray labels, ties broken toward the
-    smallest, and the bits they carry through the Gray map.
+    Returns the Gray labels, ties broken toward the smallest; the bits a
+    label carries are ``c.bits_of(label)``.
     """
     x = np.asarray(x_hat, dtype=np.complex128)
     v = x * np.sqrt(x.shape[1])
     dist = np.abs(v[..., np.newaxis] - c.points[np.newaxis, np.newaxis, :])
-    indices = np.argmin(dist, axis=-1)
-    return indices, c.bits_of(indices)
+    return np.argmin(dist, axis=-1)
 
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Full output of the blind detection pipeline for one block."""
+    """Full output of the blind detection pipeline for one block; symbols are Gray labels."""
 
     x_hat: np.ndarray
     symbol_indices: np.ndarray
-    bits: np.ndarray
     trace: SolveTrace
     resolution: AmbiguityResolution
 
@@ -697,14 +698,8 @@ def detect(
     if opts.precondition:
         x_est = postprocess(y_in, x_est, y_bar)
     x_hat, resolution = resolve_ambiguity(x_est, frame_meta, c)
-    indices, bits = demodulate(x_hat, c)
-    return DetectionResult(
-        x_hat=x_hat,
-        symbol_indices=indices,
-        bits=bits,
-        trace=trace,
-        resolution=resolution,
-    )
+    return DetectionResult(x_hat=x_hat, symbol_indices=demodulate(x_hat, c), trace=trace,
+                           resolution=resolution)
 
 
 def riemannian_gd_baseline(

@@ -26,7 +26,7 @@ from . import detector, metrics
 from .channel import ArrayGeometry, bernoulli_gaussian_channel, clustered_channel
 from .detector import SolverOptions
 from .manifold import RankDeficientError, random_stiefel
-from .metrics import TrialMetrics, theoretical_objective_bound
+from .metrics import theoretical_objective_bound
 from .signal import (
     TransmitFrame,
     build_constellation,
@@ -39,6 +39,7 @@ from .signal import (
 
 __all__ = [
     "SystemConfig",
+    "TrialMetrics",
     "TrialRecord",
     "Scenario",
     "DEFAULT_CONCENTRATION_C",
@@ -104,10 +105,13 @@ class SystemConfig:
     sigma_z2: Optional[float] = None
 
     def __post_init__(self) -> None:
-        names = ("k_users", "t_len", "n_h", "n_v", "n_paths", "trials", "base_seed", "t_pilot")
-        for name in names:
-            if not isinstance(getattr(self, name), numbers.Integral):  # numpy integers pass, 40.0 does not
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        ints = ("k_users", "t_len", "n_h", "n_v", "n_paths", "trials", "base_seed", "t_pilot")
+        reals = ("snr_db", "theta", "pilot_lambda") + ("sigma_z2",) * (self.sigma_z2 is not None)
+        powers = self.power if isinstance(self.power, tuple) else (self.power,)
+        for name, v in [(n, getattr(self, n)) for n in ints + reals] + [("power", p) for p in powers]:
+            kind, what = (numbers.Integral, "an integer") if name in ints else (numbers.Real, "a real number")
+            if isinstance(v, bool) or not isinstance(v, kind):  # NumPy numbers pass; "20" and True never do
+                raise ValueError(f"{name} must be {what}, got {v!r}")
         if min(self.k_users, self.t_len, self.n_h, self.n_v) < 1:
             raise ValueError("dimensions must be positive")
         if self.m < self.k_users:
@@ -255,6 +259,37 @@ def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
 
 
 @dataclass(frozen=True)
+class TrialMetrics:
+    """Per-trial summary of one detection run.
+
+    ``rate`` is the method's own protocol rate (``achievable_rate_blind``, or
+    ``achievable_rate_training`` for pilot).  ``normalized_objective`` is the
+    final solver objective over the expected-objective upper envelope, which
+    bounds the third-power objective of an unpreconditioned Bernoulli-Gaussian
+    block with unit fading and power; it is None for l4, pilot and any trial
+    outside that setting.  ``iters`` counts solver update steps (0 for pilot).
+    ``wall_time`` is kept in memory for profiling but excluded from
+    serialized records so outputs stay bit-reproducible.
+    """
+
+    evm: float
+    ser: float
+    ber: float
+    rate: float
+    normalized_objective: Optional[float]
+    iters: int
+    wall_time: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.evm >= 0:
+            raise ValueError("evm must be nonnegative")
+        for name in ("ser", "ber"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
 class TrialRecord:
     """One (method, sweep value, trial) outcome, flat enough to serialize.
 
@@ -327,7 +362,7 @@ def _run_method(
             y_train, x_pilot, scenario.y_bar, scenario.g_diag, cfg.pilot_lambda
         )
         elapsed = time.perf_counter() - t0
-        indices, bits = detector.demodulate(x_hat, c)
+        indices = detector.demodulate(x_hat, c)
         fields = dict(stop_reason="obj_tol", final_eta=0.0, restarts=0)
         own = dict(rate=metrics.achievable_rate_training(x_hat, frame.x, cfg.t_len, cfg.t_pilot),
                    normalized_objective=None, iters=0)
@@ -339,7 +374,7 @@ def _run_method(
             solver=getattr(detector, name), p_exponent=p,
         )
         elapsed = time.perf_counter() - t0
-        x_hat, indices, bits, trace = result.x_hat, result.symbol_indices, result.bits, result.trace
+        x_hat, indices, trace = result.x_hat, result.symbol_indices, result.trace
         fields = dict(stop_reason=trace.stop_reason, final_eta=trace.final_eta,
                       restarts=trace.restarts)
         own = dict(rate=metrics.achievable_rate_blind(x_hat, frame.x, cfg.t_len),
@@ -347,11 +382,11 @@ def _run_method(
         upper = _l3_envelope(cfg) if p == 3 else None  # l4's fourth-power objective has no envelope
         if upper is not None:
             own["normalized_objective"] = trace.final_objective / upper
-    start = frame.payload_start
+    decided, sent = indices[:, frame.payload_start:], frame.symbol_indices[:, frame.payload_start:]
     tm = TrialMetrics(
         evm=metrics.evm(x_hat, frame.x),
-        ser=metrics.symbol_error_rate(indices[:, start:], frame.symbol_indices[:, start:]),
-        ber=metrics.bit_error_rate(bits[:, start:], frame.payload_bits),
+        ser=metrics.symbol_error_rate(decided, sent),
+        ber=metrics.bit_error_rate(c.bits_of(decided), c.bits_of(sent)),
         wall_time=elapsed,
         **own,
     )

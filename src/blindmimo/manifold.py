@@ -224,15 +224,16 @@ def _top_factors(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndar
 
     A strictly tall ``m`` takes its Gram's top r eigenpairs from
     ``scipy.linalg.eigh`` (which rejects a non-finite Gram with ValueError)
-    when the r-th passes the ``_GRAM_RTOL`` cut; anything else takes the
-    compact SVD's top r.  No rank test is made here.
+    when all min(r, n) come back (zheevr can return fewer inside one tight
+    cluster) and the last passes the ``_GRAM_RTOL`` cut; anything else takes
+    the compact SVD's top r.  No rank test is made here.
     """
     if m.shape[1] < m.shape[0]:
         gram = m.conj().T @ m
         n = gram.shape[0]
         lam, v = eigh(gram, subset_by_index=[max(n - r, 0), n - 1])
         lam, v = lam[::-1], v[:, ::-1]
-        if lam[-1] > _GRAM_RTOL * lam[0]:
+        if lam.size == min(r, n) and lam[-1] > _GRAM_RTOL * lam[0]:
             s = np.sqrt(lam)
             return s, m @ (v / s), v.conj().T
     u, s, vh = _svd(m)

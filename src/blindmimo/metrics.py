@@ -2,19 +2,20 @@
 
 Error vector magnitude, achievable-rate figures with their protocol
 overheads, symbol/bit error counting, and the expected-objective envelope
-used to normalize convergence traces.
+used to normalize convergence traces.  Only functions and constants live
+here: the per-trial record they fill, ``harness.TrialMetrics``, sits beside
+``TrialRecord``, and the bits ``bit_error_rate`` compares are formed by its
+caller from symbol labels (``Constellation.bits_of``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "GAMMA1",
-    "TrialMetrics",
     "evm",
     "achievable_rate_blind",
     "achievable_rate_training",
@@ -30,37 +31,6 @@ GAMMA1 = 0.75 * np.sqrt(np.pi)
 # Relative floor on per-row error energy in the rate SINR; keeps the rate
 # finite at (numerically) perfect recovery.
 SINR_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class TrialMetrics:
-    """Per-trial summary of one detection run.
-
-    ``rate`` is the method's own protocol rate (``achievable_rate_blind``, or
-    ``achievable_rate_training`` for pilot).  ``normalized_objective`` is the
-    final solver objective over the expected-objective upper envelope, which
-    bounds the third-power objective of an unpreconditioned Bernoulli-Gaussian
-    block with unit fading and power; it is None for l4, pilot and any trial
-    outside that setting.  ``iters`` counts solver update steps (0 for pilot).
-    ``wall_time`` is kept in memory for profiling but excluded from
-    serialized records so outputs stay bit-reproducible.
-    """
-
-    evm: float
-    ser: float
-    ber: float
-    rate: float
-    normalized_objective: Optional[float]
-    iters: int
-    wall_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.evm >= 0:
-            raise ValueError("evm must be nonnegative")
-        for name in ("ser", "ber"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def _row_energies(x_hat: np.ndarray, x_true: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -128,7 +128,7 @@ class FrameMeta:
 
 @dataclass(frozen=True)
 class TransmitFrame:
-    """Transmitted K x T frame with its receiver metadata, symbol labels and payload bits.
+    """Transmitted K x T frame with its receiver metadata and Gray symbol labels.
 
     ``x[:, 0]`` must carry ``meta.ref_value`` / sqrt(T), and ``meta`` must
     hold one header per user, pairwise distinct.
@@ -137,7 +137,6 @@ class TransmitFrame:
     x: np.ndarray
     meta: FrameMeta
     symbol_indices: np.ndarray
-    payload_bits: np.ndarray
 
     def __post_init__(self) -> None:
         x = np.array(self.x, dtype=np.complex128, copy=True, order="C")
@@ -181,14 +180,8 @@ def build_frame(
     for j in range(hlen):
         idx[:, 1 + j] = (users // c.size ** (hlen - 1 - j)) % c.size
     idx[:, 1 + hlen :] = rng.integers(0, c.size, size=(k_users, t_len - 1 - hlen))
-    x = c.points[idx] / np.sqrt(t_len)
-    payload_bits = c.bits_of(idx[:, 1 + hlen :])
-    return TransmitFrame(
-        x=x,
-        meta=FrameMeta(complex(c.points[0]), idx[:, 1 : 1 + hlen].copy()),
-        symbol_indices=idx,
-        payload_bits=payload_bits,
-    )
+    meta = FrameMeta(complex(c.points[0]), idx[:, 1 : 1 + hlen].copy())
+    return TransmitFrame(x=c.points[idx] / np.sqrt(t_len), meta=meta, symbol_indices=idx)
 
 
 def synthesize_received(

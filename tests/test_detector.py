@@ -283,6 +283,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(np.zeros((4, 8), complex), np.ones(3), SolverOptions(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("solver", [solve, riemannian_gd_baseline], ids=["solve", "rgd"])
+    def test_non_finite_block_rejected_by_name(self, solver, entry):
+        # A NaN entry was reported as an all-zero block, and an inf entry
+        # reached the SVD, which did not converge.
+        y = crandn(np.random.default_rng(13), 32, 20)
+        y[5, 7] = entry
+        with pytest.raises(ValueError, match="received block must be finite"):
+            solver(y, np.ones(4), SolverOptions(), np.random.default_rng(0))
+
     @pytest.mark.parametrize("a0, message", [
         (np.eye(51, 3), r"a0 must be a 50 x 3 matrix, got shape \(51, 3\)"),
         (np.eye(50, 2), r"a0 must be a 50 x 3 matrix, got shape \(50, 2\)"),
@@ -420,6 +430,8 @@ class TestSolverOptions:
         (dict(obj_rel_tol=-np.inf), "obj_rel_tol must be finite and nonnegative"),
         (dict(eta_tol="1e-6"), "eta_tol must be finite and nonnegative"),
         (dict(precondition="false"), "precondition must be true or false"),
+        (dict(max_iters=True), "max_iters must be an integer"),
+        (dict(obj_rel_tol=False), "obj_rel_tol must be finite and nonnegative"),
     ])
     def test_fields_that_cannot_work_rejected(self, over, message):
         # A float max_iters would fail later in the loop's range, a NaN
@@ -796,7 +808,7 @@ class TestDemodulate:
         rng = np.random.default_rng(0)
         idx = rng.integers(0, 16, size=(3, 20))
         x = c.points[idx] / np.sqrt(20)
-        indices, _ = demodulate(x, c)
+        indices = demodulate(x, c)
         assert np.array_equal(indices, idx)
 
     def test_identity_under_small_perturbation(self):
@@ -807,14 +819,14 @@ class TestDemodulate:
         noise = crandn(rng, 2, 30)
         noise = noise / np.abs(noise) * (0.49 * dmin)
         x = (c.points[idx] + noise) / np.sqrt(30)
-        indices, _ = demodulate(x, c)
+        indices = demodulate(x, c)
         assert np.array_equal(indices, idx)
 
     def test_exhaustive_nearest_oracle(self):
         c = build_constellation("qam16")
         rng = np.random.default_rng(2)
         v = 2.0 * crandn(rng, 4, 25)
-        indices, _ = demodulate(v / np.sqrt(25), c)
+        indices = demodulate(v / np.sqrt(25), c)
         for i in range(4):
             for t in range(25):
                 dists = [abs(v[i, t] - p) for p in c.points]

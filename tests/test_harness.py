@@ -103,9 +103,20 @@ class TestSystemConfig:
         ('{"power": 1e300}', r"at most 1e\+30"),
         ('{"power": [1.0, 1.0, 1e300, 1.0]}', r"at most 1e\+30"),
         ('{"sigma_z2": 1e300}', r"at most 1e\+30"),
+        ('{"snr_db": "20"}', "snr_db must be a real number"),
+        ('{"theta": "0.1"}', "theta must be a real number"),
+        ('{"pilot_lambda": "2"}', "pilot_lambda must be a real number"),
+        ('{"sigma_z2": "0.1"}', "sigma_z2 must be a real number"),
+        ('{"snr_db": true}', "snr_db must be a real number"),
+        ('{"power": "1"}', "power must be a real number"),
+        ('{"power": [1.0, "1", 1.0, 1.0]}', "power must be a real number"),
+        ('{"power": [1.0, true, 1.0, 1.0]}', "power must be a real number"),
+        ('{"k_users": true}', "k_users must be an integer"),
+        ('{"n_v": true}', "n_v must be an integer"),
     ])
     def test_json_values_that_cannot_work_rejected(self, override, message):
-        # json.load accepts NaN and Infinity, and 40.0 loads as a float.
+        # json.load accepts NaN and Infinity, 40.0 loads as a float, and a
+        # string or a bool must not pass for a number.
         base = tiny_config().to_dict()
         with pytest.raises(ValueError, match=message):
             SystemConfig.from_dict({**base, **json.loads(override)})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindmimo import (
@@ -10,6 +10,7 @@ from blindmimo import (
     nuclear_norm,
     objective,
     polar_retract,
+    precondition,
     random_stiefel,
     real_inner,
     riemannian_grad,
@@ -416,6 +417,11 @@ class TestTopFactors:
         scale=st.sampled_from([1e-6, 1.0, 1e9]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Equal singular values put the Gram's top in one tight cluster, where
+    # zheevr returned fewer pairs than asked: 0 of 2 with one OpenBLAS
+    # thread, and 0 of 1 with one or two.
+    @example(rows=256, cols=40, r=2, log_kappa=0.0, scale=1.0, seed=2)
+    @example(rows=13, cols=11, r=1, log_kappa=0.0, scale=1e9, seed=1)
     def test_top_factors_match_truncated_svd(self, rows, cols, r, log_kappa, scale, seed):
         # Tall, square and wide blocks, from well conditioned to numerically
         # rank deficient: _top_factors gives the truncated SVD's top r
@@ -432,6 +438,30 @@ class TestTopFactors:
         assert np.linalg.norm(vh @ vh.conj().T - np.eye(k)) < 1e-10
         assert np.abs(m @ vh.conj().T - u * s).max() <= 1e-12 * s_ref[0]
         assert np.abs(u.conj().T @ m - s[:, np.newaxis] * vh).max() <= 1e-12 * s_ref[0]
+
+    def test_too_few_eigenpairs_take_the_svd(self, monkeypatch, linalg_calls):
+        # eigh drops its lowest pair, as zheevr can inside a cluster: the
+        # count check sends the block to the SVD, which gives all r.
+        real = manifold.eigh
+        monkeypatch.setattr(manifold, "eigh", lambda *a, **kw: tuple(x[..., 1:] for x in real(*a, **kw)))
+        m = with_condition(np.random.default_rng(3), 30, 6, 10.0)
+        u_ref, s_ref, vh_ref = np.linalg.svd(m, full_matrices=False)
+        s, u, vh = _top_factors(m, 4)
+        assert linalg_calls == ["eigh", "_svd"]
+        assert np.abs(s - s_ref[:4]).max() <= 1e-12
+        assert np.abs(u @ vh - u_ref[:, :4] @ vh_ref[:4]).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_precondition_keeps_a_clustered_top(self, seed):
+        # 40 equal singular values: zheevr returned 5 of the 7 top pairs at
+        # seed 0 with one OpenBLAS thread and at seed 7 with two, and
+        # precondition reported too few usable directions.
+        m = with_condition(np.random.default_rng(seed), 256, 40, 1.0)
+        u, vh = precondition(m, 7)
+        assert u.shape == (256, 7) and vh.shape == (7, 40)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(7)) < 1e-10
+        assert np.linalg.norm(vh @ vh.conj().T - np.eye(7)) < 1e-10
+        assert np.abs(m @ vh.conj().T - u).max() <= 1e-12
 
 
 class TestRiemannianGrad:
