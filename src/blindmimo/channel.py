@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import dft
 
 __all__ = [
     "ArrayGeometry",
@@ -53,9 +52,15 @@ def steering_matrix(geom: ArrayGeometry) -> np.ndarray:
     The result is the M x M unitary map from the angular domain to the
     spatial domain for a URPA whose element index is m = n_v * N_h + n_h.
     """
-    f_v = dft(geom.n_v) / np.sqrt(geom.n_v)
-    f_h = dft(geom.n_h) / np.sqrt(geom.n_h)
+    f_v = _dft(geom.n_v) / np.sqrt(geom.n_v)
+    f_h = _dft(geom.n_h) / np.sqrt(geom.n_h)
     return np.kron(f_v, f_h)
+
+
+def _dft(n: int) -> np.ndarray:
+    """The n-point DFT matrix, exp(-2 pi i j k / n), formed as ``scipy.linalg.dft`` forms it."""
+    omegas = np.exp(-2j * np.pi * np.arange(n) / n).reshape(-1, 1)
+    return omegas ** np.arange(n)
 
 
 def _responses(phi, theta, geom: ArrayGeometry) -> np.ndarray:

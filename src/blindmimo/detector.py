@@ -34,9 +34,11 @@ M x K x K products and the SVD of the K x K matrix C, independent of T.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, ContextManager, Optional, Tuple, Union
 
 import numpy as np
 
@@ -308,19 +310,44 @@ def optimality_eta(a: np.ndarray, grad: np.ndarray) -> float:
     return _gap(nuclear_norm(g), am, g)
 
 
-def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray]:
+def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray, ContextManager]:
+    """The block's factors, G^(-1/2) and the error state to run the ascent loop in.
+
+    A NaN or inf entry, an all-zero block and T < K raise ValueError, and so
+    does a block too large for the objective: with B the product of the
+    factors' Frobenius norms times max G^(-1/2), every entry of W is at most
+    B, so the objective is at most B^p and the gradient's norm at most p B^p,
+    and B must keep p B^p finite (B at most 3.9e102 for p = 3, 8.2e76 for
+    p = 4; ``SystemConfig``'s 1e30 caps keep B far below either).  A norm
+    that overflows is told apart from a non-finite entry by testing the
+    entries then only.  Gram matrices of the gradient, and of rgd's steps,
+    are at most 4 p^2 B^(2p); past the B that keeps that finite (1.3e51 for
+    p = 3, 2.0e38 for p = 4) one can overflow, which fails ``_polar``'s cut
+    and takes the SVD, so the loop then runs with overflow silenced.
+    """
     _check_exponent(p)
     y = _factors(y_bar)
     isg = _inv_sqrt_g(g_diag, np.size(g_diag))  # a vector of any length K
     t, k = y[-1].shape[1], isg.size
     if t < k:
         raise ValueError(f"need T >= K, got T={t}, K={k}")
-    for norm in map(np.linalg.norm, y):
-        if not np.isfinite(norm):  # a NaN or inf entry; the SVD would not converge on it
+    with np.errstate(over="ignore"):
+        norms = [np.linalg.norm(f) for f in y]
+    for f, norm in zip(y, norms):
+        if not np.isfinite(norm) and not np.isfinite(f).all():  # the SVD would not converge on it
             raise ValueError(f"received block must be finite, got norm {norm}")
         if norm == 0:
             raise ValueError("received block is identically zero")
-    return y, isg
+    largest = np.finfo(np.float64).max
+    limit = (largest / p) ** (1.0 / p)
+    if not (scale := math.prod(norms) * isg.real.max()) <= limit:
+        raise ValueError(
+            f"received block too large: ||Ybar||_F max G^(-1/2) = {scale:.3e} exceeds {limit:.3e}, "
+            f"past which the p = {p} objective and gradient can overflow; rescale it"
+        )
+    if scale > (largest / (4 * p * p)) ** (0.5 / p):
+        return y, isg, np.errstate(over="ignore", invalid="ignore")
+    return y, isg, contextlib.nullcontext()
 
 
 def _ascend(
@@ -437,7 +464,7 @@ def solve(
         The objective exponent: 3 is the proposed detector, 4 the
         higher-order baseline; any other value raises ValueError.
     """
-    y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
+    y, isg, numerics = _solver_inputs(y_bar, g_diag, p_exponent)
     t, k = y[-1].shape[1], isg.size
     if a0 is not None:
         if np.shape(a0) != (t, k):
@@ -456,13 +483,14 @@ def solve(
             _check_orthonormal(vh.conj().T)
         except ValueError:
             raise ValueError(bad_vh) from None
-    for restarts, start in enumerate((a0, None)):
-        a = start if start is not None else random_stiefel(t, k, rng)
-        try:
-            return _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate, vh,
-                           restarts)
-        except RankDeficientError:
-            continue
+    with numerics:
+        for restarts, start in enumerate((a0, None)):
+            a = start if start is not None else random_stiefel(t, k, rng)
+            try:
+                return _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate, vh,
+                               restarts)
+            except RankDeficientError:
+                continue
     raise DegenerateGradientError(
         "gradient rank deficient after one restart; perturb the input"
     )
@@ -720,7 +748,7 @@ def riemannian_gd_baseline(
     ||grad_R|| starts near 2e14, so 2^-29 still overshoots and it stops after
     one step at ~0.4 of ``solve``'s objective; else it runs to ``max_iters``.
     """
-    y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
+    y, isg, numerics = _solver_inputs(y_bar, g_diag, p_exponent)
 
     def line_search(a, obj, grad, polar):
         direction = riemannian_grad(a, grad)
@@ -735,7 +763,8 @@ def riemannian_gd_baseline(
                 return cand, spent
         return None, spent
 
-    return _ascend(y, isg, random_stiefel(y[-1].shape[1], isg.size, rng), opts, p_exponent, line_search)
+    with numerics:
+        return _ascend(y, isg, random_stiefel(y[-1].shape[1], isg.size, rng), opts, p_exponent, line_search)
 
 
 def _soft_threshold(v: np.ndarray, tau: Union[float, np.ndarray]) -> np.ndarray:

@@ -11,11 +11,12 @@ direction is; ``StiefelPoint`` only checks a point that a caller supplies.
 iteration needs: a strictly tall matrix goes through the eigendecomposition
 of its small K x K Gram matrix m^H m, and anything else (a square or wide
 matrix, or a Gram too ill-conditioned to trust, since forming it squares
-the condition number of m) through the compact SVD, by LAPACK's zheevd and
-zgesdd called directly, the routines behind NumPy's eigh and svd, without
-NumPy's wrapper.  ``_top_factors(m, r)``, preconditioning's once-per-block
-rank-r factorization, takes the top r eigenpairs of the Gram from
-``scipy.linalg.eigh``'s ``subset_by_index``, with the same cut.
+the condition number of m) through the compact SVD, by NumPy's own LAPACK
+gufuncs for zheevd and zgesdd, the routines behind ``np.linalg.eigh`` and
+``np.linalg.svd``, called without NumPy's wrapper.  ``_top_factors(m, r)``,
+preconditioning's once-per-block rank-r factorization, takes the top r
+eigenpairs of the Gram from SciPy's zheevr, with the same cut; SciPy is
+imported on its first call, and nothing else in the package imports it.
 
 All functions are pure; random state is owned by the caller.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.linalg import eigh, lapack
+from numpy.linalg._umath_linalg import eigh_lo, svd_s
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -159,32 +160,61 @@ def _rank_deficient(s: np.ndarray) -> bool:
     return s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]
 
 
+def _no_convergence(message: str) -> np.errstate:
+    """NumPy's error state around its LAPACK gufuncs, as ``np.linalg`` sets it, raising ``message``.
+
+    A gufunc that does not converge (NaN input included) fills its outputs
+    with NaN and raises the invalid-value flag, which here raises
+    LinAlgError(message) instead of a RuntimeWarning.
+    """
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_no_convergence("Eigenvalues did not converge")
 def _eigh(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(gram)``: the same LAPACK zheevd on the lower triangle, without NumPy's wrapper."""
-    lam, v, info = lapack.zheevd(gram, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return lam, v
+    """``np.linalg.eigh(gram)``: the same zheevd gufunc on the lower triangle, without NumPy's wrapper."""
+    return eigh_lo(gram, signature="D->dD")
+
+
+@_no_convergence("SVD did not converge")
+def _svd(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd(m, full_matrices=False)``: the same zgesdd gufunc, without NumPy's wrapper.
+
+    The gufunc queries zgesdd's workspace itself, as it does for NumPy.
+    """
+    return svd_s(m, signature="D->DdD")
 
 
 @functools.lru_cache(maxsize=64)
-def _svd_lwork(rows: int, cols: int) -> int:
-    """zgesdd's queried workspace for a rows x cols compact SVD."""
-    work, _ = lapack.zgesdd_lwork(rows, cols, full_matrices=0)
-    return max(int(work.real), 1)
+def _heevr(n: int) -> Callable[..., tuple]:
+    """SciPy's zheevr, imported on first use, with its queried workspaces for an n x n lower triangle.
 
-
-def _svd(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.linalg.svd(m, full_matrices=False)``: the same LAPACK zgesdd, without NumPy's wrapper.
-
-    The workspace comes from zgesdd's own query, as NumPy's does, asked once
-    per shape; the wrapper's smaller default blocks differently and moves the
-    last bits of U and V^H (at 300 x 64 and 100 x 100, for two).
+    The workspaces are those ``scipy.linalg.eigh`` queries on every call.
     """
-    u, s, vh, info = lapack.zgesdd(m, full_matrices=0, lwork=_svd_lwork(*m.shape))
+    from scipy.linalg import lapack
+
+    work, rwork, iwork, _ = lapack.zheevr_lwork(n, lower=1)
+    return functools.partial(lapack.zheevr, lwork=int(work.real), lrwork=int(rwork), liwork=int(iwork))
+
+
+def _top_eigh(gram: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.eigh(gram, subset_by_index=[n - r, n - 1])``: zheevr called directly.
+
+    Returns the eigenpairs found, ascending, which inside one tight cluster
+    can be fewer than min(r, n).  A non-finite Gram raises ValueError, as
+    ``eigh``'s finite check does, before zheevr runs; nonzero info raises
+    LinAlgError.
+    """
+    if not np.isfinite(gram).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = gram.shape[0]
+    lam, v, found, _, info = _heevr(n)(gram, compute_v=1, range="I", il=max(n - r, 0) + 1, iu=n, lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return u, s, vh
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return lam[:found], v[:, :found]
 
 
 def _polar(m: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
@@ -195,7 +225,8 @@ def _polar(m: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
     anything else takes the compact SVD, whose function forms U V^H or
     raises RankDeficientError under the 1e-12 rank test.  A Gram diagonal
     spread past the cut fails it without the eigendecomposition, since the
-    extreme eigenvalues bracket the diagonal.  That test stays in NumPy: on a
+    extreme eigenvalues bracket the diagonal, and so does one that
+    overflowed to inf or NaN.  That test stays in NumPy: on a
     2-vCPU AVX-512 x86 host, zheevd run straight after the Gram's product was
     about 16 us slower on an 8 x 8 Gram unless a NumPy reduction ran between.
     """
@@ -223,17 +254,18 @@ def _top_factors(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndar
     """Top ``r`` singular values of ``m`` (fewer if it has fewer) and its factors (m V Sigma^-1, V^H).
 
     A strictly tall ``m`` takes its Gram's top r eigenpairs from
-    ``scipy.linalg.eigh`` (which rejects a non-finite Gram with ValueError)
+    ``_top_eigh``, SciPy's zheevr (a non-finite Gram raises ValueError),
     when all min(r, n) come back (zheevr can return fewer inside one tight
     cluster) and the last passes the ``_GRAM_RTOL`` cut; anything else takes
-    the compact SVD's top r.  No rank test is made here.
+    the compact SVD's top r.  No rank test is made here.  The finite check
+    runs between the Gram's product and zheevr, where ``scipy.linalg.eigh``
+    ran it.
     """
     if m.shape[1] < m.shape[0]:
         gram = m.conj().T @ m
-        n = gram.shape[0]
-        lam, v = eigh(gram, subset_by_index=[max(n - r, 0), n - 1])
+        lam, v = _top_eigh(gram, r)
         lam, v = lam[::-1], v[:, ::-1]
-        if lam.size == min(r, n) and lam[-1] > _GRAM_RTOL * lam[0]:
+        if lam.size == min(r, m.shape[1]) and lam[-1] > _GRAM_RTOL * lam[0]:
             s = np.sqrt(lam)
             return s, m @ (v / s), v.conj().T
     u, s, vh = _svd(m)

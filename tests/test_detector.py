@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,31 @@ class TestSolve:
         y[5, 7] = entry
         with pytest.raises(ValueError, match="received block must be finite"):
             solver(y, np.ones(4), SolverOptions(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("scale", [1e120, 1e200])
+    @pytest.mark.parametrize("solver", [solve, riemannian_gd_baseline], ids=["solve", "rgd"])
+    def test_huge_finite_block_rejected_by_scale(self, solver, scale):
+        # At 1e120 the cubed objective overflowed and the SVD did not
+        # converge; at 1e200 the norm overflowed and the finite block was
+        # called "not finite".  Both now fail at the boundary, warning-free.
+        y = scale * crandn(np.random.default_rng(13), 32, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"received block too large: .* exceeds 3\.913e\+102"):
+                solver(y, np.ones(4), SolverOptions(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("solver", [solve, riemannian_gd_baseline], ids=["solve", "rgd"])
+    def test_large_block_below_the_limit_solves(self, solver):
+        # At 1e60 the gradient's Gram overflows; that Gram fails the cut and
+        # the gradient takes the SVD, without a warning.
+        y = crandn(np.random.default_rng(13), 32, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, trace = solver(1e60 * y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
+        a_ref, trace_ref = solver(y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
+        assert np.linalg.norm(a.conj().T @ a - np.eye(4)) < 1e-9
+        assert np.all(np.isfinite(trace.objective_per_iter)) and trace.iters_run >= 1
+        assert np.allclose(trace.objective_per_iter[0] / 1e180, trace_ref.objective_per_iter[0], rtol=1e-9)
 
     @pytest.mark.parametrize("a0, message", [
         (np.eye(51, 3), r"a0 must be a 50 x 3 matrix, got shape \(51, 3\)"),
@@ -591,7 +617,7 @@ class TestPrecondition:
         y = h @ crandn(rng, 4, 20) + 1e-2 * crandn(rng, 64, 20)
         u, _, vh = np.linalg.svd(y, full_matrices=False)
         u_k, vh_k = precondition(y, k_users=4)
-        assert linalg_calls == ["eigh"]
+        assert linalg_calls == ["_top_eigh"]
         assert np.abs(u_k @ vh_k - u[:, :4] @ vh[:4]).max() < 1e-12
 
     def test_ill_conditioned_block_takes_svd(self, linalg_calls):
@@ -603,7 +629,7 @@ class TestPrecondition:
         y = (q * np.array([1.0, 0.5, 0.2, 1e-4, 1e-6, 1e-7])) @ w.conj().T
         u, _, vh = np.linalg.svd(y, full_matrices=False)
         u_k, vh_k = precondition(y, k_users=4)
-        assert linalg_calls == ["eigh", "_svd"]
+        assert linalg_calls == ["_top_eigh", "_svd"]
         assert np.array_equal(u_k @ vh_k, u[:, :4] @ vh[:4])
 
     def test_kth_direction_below_1e_10_rejected(self):
@@ -636,7 +662,7 @@ class TestPrecondition:
         fourth = 0.1 if gram_route else 1e-4
         y = (q * np.array([1.0, 0.5, 0.2, fourth, 1e-6, 1e-7])) @ w.conj().T
         u, vh = precondition(y, k_users=4)
-        assert linalg_calls == (["eigh"] if gram_route else ["eigh", "_svd"])
+        assert linalg_calls == (["_top_eigh"] if gram_route else ["_top_eigh", "_svd"])
         assert u.shape == (30, 4) and vh.shape == (4, 6)
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
         assert np.linalg.norm(vh @ vh.conj().T - np.eye(4)) < 1e-10

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from blindmimo import (
     SolverOptions,
@@ -128,9 +128,11 @@ class TestSystemConfig:
     def test_largest_accepted_values_run_cleanly(self):
         # A floating-point warning fails the test, so all four methods must
         # run at the power and noise bounds without overflow; 3000 dB still
-        # maps to a finite linear SNR.
+        # maps to a finite linear SNR.  Under log-distance fading, max
+        # G^(-1/2) scales the block the solvers' scale limit tests.
         assert _noise_variance(tiny_config(snr_db=3000.0), np.ones(4)) > 0.0
-        for over in (dict(power=1e30), dict(sigma_z2=1e30), dict(snr_db=-300.0)):
+        for over in (dict(power=1e30), dict(sigma_z2=1e30), dict(snr_db=-300.0),
+                     dict(power=1e30, sigma_z2=1e30, fading_model="log_distance")):
             cfg = tiny_config(trials=1, theta=1.0, **over)
             records = list(run_sweep(cfg, "snr_db", [cfg.snr_db], ("l3", "l4", "rgd", "pilot")))
             assert [r.error for r in records] == [None] * 4
@@ -529,6 +531,17 @@ class TestEmitReport:
         want_ci = stats.t.ppf(0.975, 1) * np.std([0.1, 0.2], ddof=1) / math.sqrt(2)
         assert float(rows[0]["evm_ci95"]) == pytest.approx(want_ci)
 
+    def test_t_quantile_matches_scipy(self):
+        # The in-package quantile against scipy.special.stdtrit, a test-only
+        # oracle: every df to 200, where Newton's method runs, and log-spaced
+        # df to 1e6, where the expansion alone answers.
+        dfs = np.unique(np.r_[np.arange(1, 201), np.round(np.logspace(0, 6, 120))].astype(int))
+        got = np.array([harness._t975(int(df)) for df in dfs])
+        assert np.abs(got / special.stdtrit(dfs, 0.975) - 1).max() <= 1e-13
+
+    def test_one_value_has_zero_half_width(self):
+        assert harness._ci95_halfwidth(np.array([0.3])) == 0.0
+
     def test_error_counts(self, tmp_path):
         def rec(value, trial, ok):
             tm = TrialMetrics(evm=0.1, ser=0.0, ber=0.0, rate=1.0,
@@ -781,19 +794,26 @@ class TestStreamDerivation:
 
 def test_import_does_not_load_scipy_stats(tmp_path):
     # Loading scipy.stats nearly doubled the package's import time, and
-    # scipy.optimize cost a third of it; nothing in an import, a dense or a
-    # preconditioned sweep, or its report needs either.
+    # scipy.optimize cost a third of it.  The import, a dense sweep and its
+    # report load no SciPy module at all; a preconditioned sweep loads
+    # scipy.linalg, for zheevr, and nothing else of SciPy's.
     src = os.path.dirname(os.path.dirname(blindmimo.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = f"""
 import sys, blindmimo
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(loaded())
 for i, solver in enumerate(({{}}, {{"precondition": True}})):
     cfg = blindmimo.SystemConfig.from_dict({{"trials": 2, "solver": solver}})
     records = list(blindmimo.run_sweep(cfg, "snr_db", [20.0], ["l3"]))
     assert not any(r.error for r in records), records
     blindmimo.emit_report(records, {str(tmp_path)!r} + f"/run{{i}}")
-print(sorted(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules))
+    print(loaded())
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    after_import, after_dense, after_pre = (json.loads(line.replace("'", '"')) for line in out.stdout.splitlines())
+    assert after_import == after_dense == []
+    assert "scipy.linalg" in after_pre
+    assert not {"scipy.special", "scipy.stats", "scipy.optimize"} & set(after_pre)
     assert os.path.exists(tmp_path / "run1" / "trials.jsonl")

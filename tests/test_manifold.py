@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -227,7 +229,7 @@ class TestGramPolar:
         y = crandn(rng, 30, 12)
         u, s, vh = np.linalg.svd(y, full_matrices=False)
         s_gram, left, right = _top_factors(y, 4)
-        assert linalg_calls == ["eigh"]
+        assert linalg_calls == ["_top_eigh"]
         assert s_gram.shape == (4,)
         assert np.abs(s_gram - s[:4]).max() <= 1e-12 * s[0]
         assert np.abs(left @ right - u[:, :4] @ vh[:4]).max() <= 1e-12
@@ -292,7 +294,7 @@ class TestPolar:
 
 
 class TestLapackRoute:
-    """``_polar`` calls LAPACK's zheevd and zgesdd directly; NumPy's eigh and svd are the reference."""
+    """``_polar`` calls NumPy's zheevd and zgesdd gufuncs directly; NumPy's eigh and svd are the reference."""
 
     @staticmethod
     def factorize(m, r=None):
@@ -360,7 +362,7 @@ class TestLapackRoute:
         self.assert_bit_for_bit(monkeypatch, m, 8)
         linalg_calls.clear()
         _top_factors(m, 8)
-        assert linalg_calls == ["eigh", "_svd"]
+        assert linalg_calls == ["_top_eigh", "_svd"]
 
     @pytest.mark.parametrize("shape", [(240, 40), (41, 40), (256, 24)])
     def test_top_k_gram_matches_scipy_eigh(self, linalg_calls, shape):
@@ -374,7 +376,7 @@ class TestLapackRoute:
             lam, v = scipy.linalg.eigh(m.conj().T @ m, subset_by_index=[n - 8, n - 1])
             linalg_calls.clear()
             s, left, vh = _top_factors(m, 8)
-            assert linalg_calls == ["eigh"]
+            assert linalg_calls == ["_top_eigh"]
             assert np.array_equal(s, np.sqrt(lam[::-1]))
             assert np.array_equal(vh, v[:, ::-1].conj().T)
             assert np.array_equal(left, m @ (v[:, ::-1] / s))
@@ -392,13 +394,35 @@ class TestLapackRoute:
         ("zgesdd", 1e8, "SVD did not converge"),
     ])
     def test_nonzero_info_raises(self, monkeypatch, routine, kappa, message):
-        real = getattr(manifold.lapack, routine)
-        monkeypatch.setattr(manifold.lapack, routine, lambda *a, **kw: (*real(*a, **kw)[:-1], 1))
-        with pytest.raises(np.linalg.LinAlgError, match=message):
-            _polar(with_condition(np.random.default_rng(10), 40, 8, kappa))
+        # The gufunc reports LAPACK's nonzero info as NaN outputs and the
+        # invalid-value flag; a NaN matrix handed to the real gufunc fails so.
+        name = {"zheevd": "eigh_lo", "zgesdd": "svd_s"}[routine]
+        real = getattr(manifold, name)
+        monkeypatch.setattr(manifold, name, lambda x, **kw: real(np.full_like(x, np.nan), **kw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match=message):
+                _polar(with_condition(np.random.default_rng(10), 40, 8, kappa))
+
+    @pytest.mark.parametrize("shape, kappa, route", [
+        ((8, 8), 10.0, ["_svd"]),
+        ((240, 8), 10.0, ["_eigh"]),
+        ((240, 8), 1e8, ["_eigh", "_svd"]),
+    ], ids=["square", "tall", "tall_ill_conditioned"])
+    def test_gufuncs_match_numpy_linalg(self, linalg_calls, shape, kappa, route):
+        # _eigh and _svd call NumPy's private gufuncs; the public functions
+        # over them are the reference, so a NumPy change to the private
+        # module fails here.  The ill-conditioned block falls back to the SVD.
+        m = with_condition(np.random.default_rng(60 + shape[0]), *shape, kappa)
+        _polar(m)
+        assert linalg_calls == route
+        gram = m.conj().T @ m
+        assert all(np.array_equal(got, want) for got, want in zip(manifold._eigh(gram), np.linalg.eigh(gram)))
+        ref = np.linalg.svd(m, full_matrices=False)
+        assert all(np.array_equal(got, want) for got, want in zip(manifold._svd(m), ref))
 
     def test_non_finite_top_k_raises(self):
-        # scipy.linalg.eigh checks the Gram before any top-r eigenpair is computed.
+        # _top_eigh checks the Gram before zheevr runs, as scipy.linalg.eigh does.
         with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
             _top_factors(np.full((40, 8), np.nan, dtype=complex), 4)
 
@@ -440,14 +464,14 @@ class TestTopFactors:
         assert np.abs(u.conj().T @ m - s[:, np.newaxis] * vh).max() <= 1e-12 * s_ref[0]
 
     def test_too_few_eigenpairs_take_the_svd(self, monkeypatch, linalg_calls):
-        # eigh drops its lowest pair, as zheevr can inside a cluster: the
-        # count check sends the block to the SVD, which gives all r.
-        real = manifold.eigh
-        monkeypatch.setattr(manifold, "eigh", lambda *a, **kw: tuple(x[..., 1:] for x in real(*a, **kw)))
+        # _top_eigh drops its lowest pair, as zheevr can inside a cluster:
+        # the count check sends the block to the SVD, which gives all r.
+        real = manifold._top_eigh
+        monkeypatch.setattr(manifold, "_top_eigh", lambda *a, **kw: tuple(x[..., 1:] for x in real(*a, **kw)))
         m = with_condition(np.random.default_rng(3), 30, 6, 10.0)
         u_ref, s_ref, vh_ref = np.linalg.svd(m, full_matrices=False)
         s, u, vh = _top_factors(m, 4)
-        assert linalg_calls == ["eigh", "_svd"]
+        assert linalg_calls == ["_top_eigh", "_svd"]
         assert np.abs(s - s_ref[:4]).max() <= 1e-12
         assert np.abs(u @ vh - u_ref[:, :4] @ vh_ref[:4]).max() <= 1e-12
 
