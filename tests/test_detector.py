@@ -314,7 +314,7 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a, trace = solver(1e60 * y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
-        a_ref, trace_ref = solver(y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
+        _, trace_ref = solver(y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
         assert np.linalg.norm(a.conj().T @ a - np.eye(4)) < 1e-9
         assert np.all(np.isfinite(trace.objective_per_iter)) and trace.iters_run >= 1
         assert np.allclose(trace.objective_per_iter[0] / 1e180, trace_ref.objective_per_iter[0], rtol=1e-9)

@@ -800,9 +800,9 @@ def test_import_does_not_load_scipy_stats(tmp_path):
     src = os.path.dirname(os.path.dirname(blindmimo.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = f"""
-import sys, blindmimo
+import json, sys, blindmimo
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print(loaded())
 for i, solver in enumerate(({{}}, {{"precondition": True}})):
     cfg = blindmimo.SystemConfig.from_dict({{"trials": 2, "solver": solver}})
@@ -812,7 +812,7 @@ for i, solver in enumerate(({{}}, {{"precondition": True}})):
     print(loaded())
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    after_import, after_dense, after_pre = (json.loads(line.replace("'", '"')) for line in out.stdout.splitlines())
+    after_import, after_dense, after_pre = map(json.loads, out.stdout.splitlines())
     assert after_import == after_dense == []
     assert "scipy.linalg" in after_pre
     assert not {"scipy.special", "scipy.stats", "scipy.optimize"} & set(after_pre)
