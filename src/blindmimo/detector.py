@@ -34,11 +34,10 @@ M x K x K products and the SVD of the K x K matrix C, independent of T.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .manifold import (
     RankDeficientError,
     StiefelPoint,
     _check_orthonormal,
+    _numerics,
     _polar,
     _rank_deficient,
     _top_factors,
@@ -242,7 +242,8 @@ def _evaluate(
     buffer, once |W| is taken, as W times mag (p = 3) or mag * mag (p = 4):
     bit-identical to the power, and to mag times W, since a real factor
     enters a complex product as x + 0j either way and both products commute
-    exactly.  The objective then raises mag to p in place.
+    exactly.  The objective sums (mag * mag) * mag or (mag * mag)^2: products,
+    since a power took about 2.5x as long.
     Ybar^H F is formed as conj(Ybar^T conj(F)) through transposed views of the
     block's own factors, with no conjugate copy; it is bit-identical, since
     negating imaginary parts commutes exactly with every multiply and add.
@@ -250,17 +251,18 @@ def _evaluate(
     w = _apply(y, a)
     w *= isg
     mag = np.abs(w)
+    sq = mag * mag
     grad = None
     if with_grad:
-        w *= mag if p == 3 else mag * mag
+        w *= mag if p == 3 else sq
         grad = np.conjugate(w, out=w)
         for x in y:
             grad = x.T @ grad
         np.conjugate(grad, out=grad)
         grad *= p
         grad *= isg
-    mag **= p
-    return float(mag.sum()), grad
+    sq *= mag if p == 3 else sq
+    return float(sq.sum()), grad
 
 
 def _gap(nuclear: float, a: np.ndarray, grad: np.ndarray) -> float:
@@ -310,20 +312,33 @@ def optimality_eta(a: np.ndarray, grad: np.ndarray) -> float:
     return _gap(nuclear_norm(g), am, g)
 
 
-def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray, ContextManager]:
-    """The block's factors, G^(-1/2) and the error state to run the ascent loop in.
+def _norms(fs: Factors) -> list:
+    """The factors' Frobenius norms, taken with overflow silenced; a NaN or inf entry raises ValueError.
+
+    A norm that overflows is told apart from a non-finite entry by testing
+    the entries then only.
+    """
+    with np.errstate(over="ignore"):
+        norms = [np.linalg.norm(f) for f in fs]
+    for f, norm in zip(fs, norms):
+        if not np.isfinite(norm) and not np.isfinite(f).all():  # the SVD would not converge on it
+            raise ValueError(f"received block must be finite, got norm {norm}")
+    return norms
+
+
+def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray]:
+    """The block's factors and G^(-1/2), for a loop that runs inside ``_numerics()``.
 
     A NaN or inf entry, an all-zero block and T < K raise ValueError, and so
     does a block too large for the objective: with B the product of the
     factors' Frobenius norms times max G^(-1/2), every entry of W is at most
     B, so the objective is at most B^p and the gradient's norm at most p B^p,
     and B must keep p B^p finite (B at most 3.9e102 for p = 3, 8.2e76 for
-    p = 4; ``SystemConfig``'s 1e30 caps keep B far below either).  A norm
-    that overflows is told apart from a non-finite entry by testing the
-    entries then only.  Gram matrices of the gradient, and of rgd's steps,
-    are at most 4 p^2 B^(2p); past the B that keeps that finite (1.3e51 for
-    p = 3, 2.0e38 for p = 4) one can overflow, which fails ``_polar``'s cut
-    and takes the SVD, so the loop then runs with overflow silenced.
+    p = 4; ``SystemConfig``'s 1e30 caps keep B far below either).  Gram
+    matrices of the gradient, and of rgd's steps, are at most 4 p^2 B^(2p);
+    past the B that keeps that finite (1.3e51 for p = 3, 2.0e38 for p = 4)
+    one can overflow, which ``_numerics()`` lets pass and which sends
+    ``_polar`` to the SVD.
     """
     _check_exponent(p)
     y = _factors(y_bar)
@@ -331,23 +346,16 @@ def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, n
     t, k = y[-1].shape[1], isg.size
     if t < k:
         raise ValueError(f"need T >= K, got T={t}, K={k}")
-    with np.errstate(over="ignore"):
-        norms = [np.linalg.norm(f) for f in y]
-    for f, norm in zip(y, norms):
-        if not np.isfinite(norm) and not np.isfinite(f).all():  # the SVD would not converge on it
-            raise ValueError(f"received block must be finite, got norm {norm}")
-        if norm == 0:
-            raise ValueError("received block is identically zero")
-    largest = np.finfo(np.float64).max
-    limit = (largest / p) ** (1.0 / p)
+    norms = _norms(y)
+    if not all(norms):
+        raise ValueError("received block is identically zero")
+    limit = (np.finfo(np.float64).max / p) ** (1.0 / p)
     if not (scale := math.prod(norms) * isg.real.max()) <= limit:
         raise ValueError(
             f"received block too large: ||Ybar||_F max G^(-1/2) = {scale:.3e} exceeds {limit:.3e}, "
             f"past which the p = {p} objective and gradient can overflow; rescale it"
         )
-    if scale > (largest / (4 * p * p)) ** (0.5 / p):
-        return y, isg, np.errstate(over="ignore", invalid="ignore")
-    return y, isg, contextlib.nullcontext()
+    return y, isg
 
 
 def _ascend(
@@ -464,7 +472,7 @@ def solve(
         The objective exponent: 3 is the proposed detector, 4 the
         higher-order baseline; any other value raises ValueError.
     """
-    y, isg, numerics = _solver_inputs(y_bar, g_diag, p_exponent)
+    y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
     t, k = y[-1].shape[1], isg.size
     if a0 is not None:
         if np.shape(a0) != (t, k):
@@ -483,7 +491,7 @@ def solve(
             _check_orthonormal(vh.conj().T)
         except ValueError:
             raise ValueError(bad_vh) from None
-    with numerics:
+    with _numerics():
         for restarts, start in enumerate((a0, None)):
             a = start if start is not None else random_stiefel(t, k, rng)
             try:
@@ -633,15 +641,25 @@ def precondition(y_bar: np.ndarray, k_users: int) -> Tuple[np.ndarray, np.ndarra
     Returns that block as the pair u = Ybar V_K Sigma_K^-1 (M x K) and
     vh = V_K^H (K x T), from ``manifold._top_factors(Ybar, K)``.  A block whose
     K-th singular value is at most 1e-10 of the largest (or that has fewer
-    than K) raises RankDeficientError; ``k_users`` below 1, or a ``y_bar``
-    that is not a 2-d matrix, raises ValueError.
+    than K) raises RankDeficientError; ``k_users`` below 1, a ``y_bar``
+    that is not a 2-d matrix, a NaN or inf entry, and a block whose Gram
+    matrix could overflow (||Ybar||_F above 1.3e154, the square root of the
+    largest float64, since every entry of the Gram is at most ||Ybar||_F^2)
+    raise ValueError.
     """
     if k_users < 1:
         raise ValueError(f"k_users must be at least 1, got {k_users}")
     y = np.asarray(y_bar, dtype=np.complex128)
     if y.ndim != 2:
         raise ValueError(f"y_bar must be an M x T matrix, got shape {y.shape}")
-    s, u, vh = _top_factors(y, k_users)
+    (norm,) = _norms((y,))
+    if not norm <= (limit := math.sqrt(np.finfo(np.float64).max)):
+        raise ValueError(
+            f"received block too large: ||Ybar||_F = {norm:.3e} exceeds {limit:.3e}, "
+            "past which its Gram matrix can overflow; rescale it"
+        )
+    with _numerics():
+        s, u, vh = _top_factors(y, k_users)
     if s.size < k_users or s[-1] <= 1e-10 * s[0]:
         raise RankDeficientError(f"received block does not carry {k_users} usable directions")
     return u, vh
@@ -666,7 +684,9 @@ def postprocess(y_bar_pre: Block, x_hat_pre: np.ndarray, y_bar: np.ndarray) -> n
 
 def _least_squares(d: np.ndarray, y: np.ndarray, name: str, cause: str = "") -> np.ndarray:
     """(D^H D)^(-1) D^H Y; a wide or rank-deficient D raises RankDeficientError citing ``cause``."""
-    if d.shape[0] < d.shape[1] or _rank_deficient(_polar(d)[0]):
+    with _numerics():
+        deficient = d.shape[0] < d.shape[1] or _rank_deficient(_polar(d)[0])
+    if deficient:
         raise RankDeficientError(f"{name} is rank deficient{cause}")
     dh = d.conj().T
     return np.linalg.solve(dh @ d, dh @ y)
@@ -748,7 +768,7 @@ def riemannian_gd_baseline(
     ||grad_R|| starts near 2e14, so 2^-29 still overshoots and it stops after
     one step at ~0.4 of ``solve``'s objective; else it runs to ``max_iters``.
     """
-    y, isg, numerics = _solver_inputs(y_bar, g_diag, p_exponent)
+    y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
 
     def line_search(a, obj, grad, polar):
         direction = riemannian_grad(a, grad)
@@ -763,7 +783,7 @@ def riemannian_gd_baseline(
                 return cand, spent
         return None, spent
 
-    with numerics:
+    with _numerics():
         return _ascend(y, isg, random_stiefel(y[-1].shape[1], isg.size, rng), opts, p_exponent, line_search)
 
 

@@ -15,18 +15,22 @@ the condition number of m) through the compact SVD, by NumPy's own LAPACK
 gufuncs for zheevd and zgesdd, the routines behind ``np.linalg.eigh`` and
 ``np.linalg.svd``, called without NumPy's wrapper.  ``_top_factors(m, r)``,
 preconditioning's once-per-block rank-r factorization, takes the top r
-eigenpairs of the Gram from SciPy's zheevr, with the same cut; SciPy is
-imported on its first call, and nothing else in the package imports it.
+eigenpairs of the T x T Gram, with the same cut: from the full zheevd for
+fewer than 96 columns, and from 96 on from ``_top_subspace``, a block
+subspace iteration built from matrix products and (r + 4) x (r + 4)
+eigendecompositions, whose output does not depend on the BLAS thread count.
+The package needs no SciPy.  The gufuncs run bare, inside the error state
+``_numerics()``, which each solve enters once and each public function
+that factors enters itself.
 
 All functions are pure; random state is owned by the caller.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, svd_s
@@ -51,6 +55,20 @@ _RANK_RTOL = 1e-12
 # of m at least ~316) send polar factors to the SVD: the Gram route's
 # orthonormality residual grows like eps * cond(m)^2.
 _GRAM_RTOL = 1e-5
+
+# ``_top_factors`` takes ``_top_subspace`` for blocks of at least this many
+# columns.  Near it both routes take 1-4 ms on M = 256, and the full zheevd
+# of the T x T Gram gave the same bytes under 1 and 2 OpenBLAS 0.3.31
+# threads up to T = 96, not from T = 98 on.
+_SUBSPACE_MIN_T = 96
+# Guard vectors the subspace iteration carries beside the r it returns.
+_SUBSPACE_GUARD = 4
+# Steps after which it gives up for the full eigendecomposition.
+_SUBSPACE_STEPS = 64
+# A Ritz pair (lam_i, v_i) has converged when ||G v_i - lam_i v_i|| is at
+# most this times sqrt(lam_1 lam_i), which bounds u^H m - S vh by this
+# times the largest singular value.
+_SUBSPACE_RTOL = 1e-13
 
 
 class RankDeficientError(ValueError):
@@ -152,7 +170,8 @@ def polar_retract(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[1] > m.shape[0]:
         raise ValueError(f"expected a tall matrix, got shape {m.shape}")
-    return _polar(m)[1]()
+    with _numerics():
+        return _polar(m)[1]()
 
 
 def _rank_deficient(s: np.ndarray) -> bool:
@@ -160,61 +179,41 @@ def _rank_deficient(s: np.ndarray) -> bool:
     return s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]
 
 
-def _no_convergence(message: str) -> np.errstate:
-    """NumPy's error state around its LAPACK gufuncs, as ``np.linalg`` sets it, raising ``message``.
+def _numerics() -> np.errstate:
+    """The error state to factor in: that of ``np.linalg`` around its gufuncs, with invalid values raising.
 
-    A gufunc that does not converge (NaN input included) fills its outputs
-    with NaN and raises the invalid-value flag, which here raises
-    LinAlgError(message) instead of a RuntimeWarning.
+    Overflow, division by zero and underflow pass silently, as ``np.linalg``
+    lets them pass inside LAPACK.  A gufunc that does not converge (NaN
+    input included) fills its outputs with NaN and raises the invalid-value
+    flag, which here raises FloatingPointError; ``_eigh`` and ``_svd`` turn
+    it into LinAlgError with ``np.linalg``'s message.  A solve enters one
+    such state for its whole loop, and so does each public function that
+    factors, so the gufuncs are called bare.
     """
-    def fail(err, flag):
-        raise np.linalg.LinAlgError(message)
-
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 
 
-@_no_convergence("Eigenvalues did not converge")
 def _eigh(gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(gram)``: the same zheevd gufunc on the lower triangle, without NumPy's wrapper."""
-    return eigh_lo(gram, signature="D->dD")
+    """``np.linalg.eigh(gram)``: the same zheevd gufunc on the lower triangle, without NumPy's wrapper.
+
+    Call it inside ``_numerics()``.
+    """
+    try:
+        return eigh_lo(gram, signature="D->dD")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
 
 
-@_no_convergence("SVD did not converge")
 def _svd(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.linalg.svd(m, full_matrices=False)``: the same zgesdd gufunc, without NumPy's wrapper.
 
     The gufunc queries zgesdd's workspace itself, as it does for NumPy.
+    Call it inside ``_numerics()``.
     """
-    return svd_s(m, signature="D->DdD")
-
-
-@functools.lru_cache(maxsize=64)
-def _heevr(n: int) -> Callable[..., tuple]:
-    """SciPy's zheevr, imported on first use, with its queried workspaces for an n x n lower triangle.
-
-    The workspaces are those ``scipy.linalg.eigh`` queries on every call.
-    """
-    from scipy.linalg import lapack
-
-    work, rwork, iwork, _ = lapack.zheevr_lwork(n, lower=1)
-    return functools.partial(lapack.zheevr, lwork=int(work.real), lrwork=int(rwork), liwork=int(iwork))
-
-
-def _top_eigh(gram: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.eigh(gram, subset_by_index=[n - r, n - 1])``: zheevr called directly.
-
-    Returns the eigenpairs found, ascending, which inside one tight cluster
-    can be fewer than min(r, n).  A non-finite Gram raises ValueError, as
-    ``eigh``'s finite check does, before zheevr runs; nonzero info raises
-    LinAlgError.
-    """
-    if not np.isfinite(gram).all():
-        raise ValueError("array must not contain infs or NaNs")
-    n = gram.shape[0]
-    lam, v, found, _, info = _heevr(n)(gram, compute_v=1, range="I", il=max(n - r, 0) + 1, iu=n, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return lam[:found], v[:, :found]
+    try:
+        return svd_s(m, signature="D->DdD")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("SVD did not converge") from None
 
 
 def _polar(m: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
@@ -226,18 +225,21 @@ def _polar(m: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
     raises RankDeficientError under the 1e-12 rank test.  A Gram diagonal
     spread past the cut fails it without the eigendecomposition, since the
     extreme eigenvalues bracket the diagonal, and so does one that
-    overflowed to inf or NaN.  That test stays in NumPy: on a
+    overflowed to inf, or to inf - inf, which raises FloatingPointError
+    inside ``_numerics()``.  That test stays in NumPy: on a
     2-vCPU AVX-512 x86 host, zheevd run straight after the Gram's product was
     about 16 us slower on an 8 x 8 Gram unless a NumPy reduction ran between.
     """
-    if m.shape[1] < m.shape[0]:
-        gram = m.conj().T @ m
-        if (d := gram.diagonal().real).min() > _GRAM_RTOL * d.max():
-            lam, v = _eigh(gram)
-            lam, v = lam[::-1], v[:, ::-1]
-            if lam[-1] > _GRAM_RTOL * lam[0]:
-                s = np.sqrt(lam)
-                return s, lambda: m @ ((v / s) @ v.conj().T)
+    try:
+        gram = m.conj().T @ m if m.shape[1] < m.shape[0] else None
+    except FloatingPointError:
+        gram = None
+    if gram is not None and (d := gram.diagonal().real).min() > _GRAM_RTOL * d.max():
+        lam, v = _eigh(gram)
+        lam, v = lam[::-1], v[:, ::-1]
+        if lam[-1] > _GRAM_RTOL * lam[0]:
+            s = np.sqrt(lam)
+            return s, lambda: m @ ((v / s) @ v.conj().T)
     u, s, vh = _svd(m)
 
     def factor():
@@ -250,24 +252,100 @@ def _polar(m: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
     return s, factor
 
 
+def _orthonormal(b: np.ndarray) -> Optional[np.ndarray]:
+    """The polar factor b (b^H b)^(-1/2) of a tall ``b``, or None when b is numerically rank deficient.
+
+    It is formed through the eigendecomposition of the small Gram b^H b, so
+    from matrix products and one small ``_eigh``.  A pass leaves an
+    orthonormality error of about eps times the Gram's eigenvalue spread, so
+    a second pass runs on the first one's output unless that spread is at
+    most 2.  A spread past 1e12 gives None.
+    """
+    for _ in range(2):
+        lam, v = _eigh(b.conj().T @ b)
+        if not lam[0] > 1e-12 * lam[-1]:
+            return None
+        b = b @ ((v / np.sqrt(lam)) @ v.conj().T)
+        if lam[-1] <= 2.0 * lam[0]:
+            break
+    return b
+
+
+def _top_subspace(m: np.ndarray, r: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The top ``r`` eigenpairs of the Gram G = m^H m, descending, by block subspace iteration; or None.
+
+    Subspace iteration with Rayleigh-Ritz (Saad, *Numerical Methods for
+    Large Eigenvalue Problems*, 2011, chs. 4-5) on b = r + ``_SUBSPACE_GUARD``
+    orthonormal vectors Q, started from the b rows of m of largest norm.
+    Each step forms Y = m Q, the b x b Rayleigh quotient Y^H Y = Q^H G Q and
+    its ``_eigh`` (Ritz values lam and vectors W), then the Ritz vectors
+    V = Q W and, with the shift s = min(lam) / 2,
+    N = (m^H Y W - s V) (lam - s)^-1 = V + R (lam - s)^-1, R being the
+    residuals G V - V lam.  It returns the top r of (lam, V) once every one
+    of their residuals ||R_i|| is at most ``_SUBSPACE_RTOL``
+    sqrt(lam_1 lam_i); otherwise the next Q is ``_orthonormal(N)``, whose
+    Gram, I + (lam - s)^-1 R^H R (lam - s)^-1 in exact arithmetic, is no
+    worse conditioned than the residuals make it.  The shift maps the
+    unwanted eigenvalues, which lie in [0, about min(lam)], into [-s, s],
+    and so speeds each step's contraction from lam_(b+1) / lam_r to about
+    (lam_(b+1) - s) / (lam_r - s): by a third fewer steps when the r-th
+    eigenvalue sits next to the noise.  G is never formed: a step costs two
+    M x T x b products, and m^H Y is read through m's transpose, with no
+    conjugate copy of m.  It gives None, for the full eigendecomposition to
+    answer, when a Ritz value is at most 1e-12 of the largest (the block
+    reaches G's null space), when ``_orthonormal`` does (a start of rank
+    below b, as on a noiseless block), or after ``_SUBSPACE_STEPS`` steps.
+    With fewer than b rows, all of them start it, span G's range and give
+    the pairs in one step.  Every operation is a matrix product, an
+    elementwise one or a b x b ``_eigh``, so, unlike the full zheevd of a
+    large Gram, its output does not depend on the BLAS thread count.
+    """
+    b = r + _SUBSPACE_GUARD
+    q = _orthonormal(m[np.argsort(np.vecdot(m, m).real)[-b:]].conj().T)
+    for _ in range(_SUBSPACE_STEPS):
+        if q is None:
+            return None
+        y = m @ q
+        yc = np.conjugate(y)
+        lam, w = _eigh(yc.T @ y)  # ascending: the top r are the last
+        if not lam[0] > 1e-12 * lam[-1]:
+            return None
+        v = q @ w
+        shift = lam[0] / 2
+        nxt = (np.conjugate(m.T @ yc) @ w - shift * v) / (lam - shift)
+        d = nxt[:, -r:] - v[:, -r:]
+        shifted = lam[-r:] - shift  # ||R_i|| = ||d_i|| shifted_i, tested as ||R_i||^2 / lam_i <= rtol^2 lam_1
+        if (np.vecdot(d, d, axis=0).real * (shifted / lam[-r:] * shifted) <= _SUBSPACE_RTOL**2 * lam[-1]).all():
+            return lam[: -r - 1 : -1], v[:, : -r - 1 : -1]
+        q = _orthonormal(nxt)
+    return None
+
+
 def _top_factors(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top ``r`` singular values of ``m`` (fewer if it has fewer) and its factors (m V Sigma^-1, V^H).
 
-    A strictly tall ``m`` takes its Gram's top r eigenpairs from
-    ``_top_eigh``, SciPy's zheevr (a non-finite Gram raises ValueError),
-    when all min(r, n) come back (zheevr can return fewer inside one tight
-    cluster) and the last passes the ``_GRAM_RTOL`` cut; anything else takes
-    the compact SVD's top r.  No rank test is made here.  The finite check
-    runs between the Gram's product and zheevr, where ``scipy.linalg.eigh``
-    ran it.
+    The Gram's top r eigenpairs come from ``_top_subspace`` when ``m`` has
+    at least ``_SUBSPACE_MIN_T`` (96) columns; else, or when it gives None,
+    a strictly tall ``m`` takes the full ``_eigh`` of its Gram and keeps the
+    top r (a Gram that is not finite raises ValueError).  When the r-th
+    eigenvalue passes the ``_GRAM_RTOL`` cut, the factors follow from those
+    pairs; anything else takes the compact SVD's top r.  No rank test is
+    made here.  The finite check also runs between the Gram's product and
+    zheevd, where a NumPy reduction keeps zheevd fast (see ``_polar``).
+    Call it inside ``_numerics()``.
     """
-    if m.shape[1] < m.shape[0]:
+    top = None
+    if m.shape[1] >= _SUBSPACE_MIN_T:
+        top = _top_subspace(m, r)
+    if top is None and m.shape[1] < m.shape[0]:
         gram = m.conj().T @ m
-        lam, v = _top_eigh(gram, r)
-        lam, v = lam[::-1], v[:, ::-1]
-        if lam.size == min(r, m.shape[1]) and lam[-1] > _GRAM_RTOL * lam[0]:
-            s = np.sqrt(lam)
-            return s, m @ (v / s), v.conj().T
+        if not np.isfinite(gram).all():
+            raise ValueError("array must not contain infs or NaNs")
+        lam, v = _eigh(gram)
+        top = lam[::-1][:r], v[:, ::-1][:, :r]
+    if top is not None and (lam := top[0])[-1] > _GRAM_RTOL * lam[0]:
+        s = np.sqrt(lam)
+        return s, m @ (top[1] / s), top[1].conj().T
     u, s, vh = _svd(m)
     return s[:r], u[:, :r], vh[:r]
 
@@ -292,4 +370,5 @@ def riemannian_grad(a: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
 
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of singular values of ``m``."""
-    return float(_polar(np.asarray(m))[0].sum())
+    with _numerics():
+        return float(_polar(np.asarray(m))[0].sum())

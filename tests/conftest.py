@@ -5,13 +5,14 @@ from blindmimo import manifold
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Names of ``manifold._eigh``, ``manifold._top_eigh`` and ``manifold._svd``, appended as each runs.
+    """Names of ``manifold._eigh``, ``manifold._top_subspace`` and ``manifold._svd``, appended as each runs.
 
     The spies call the real routines, so results are unchanged; a test reads
-    the list to see which route ``_polar`` or ``_top_factors`` took.
+    the list to see which route ``_polar`` or ``_top_factors`` took.  The
+    subspace iteration's own small ``_eigh`` calls are listed after its name.
     """
     calls = []
-    for name in ("_eigh", "_top_eigh", "_svd"):
+    for name in ("_eigh", "_top_subspace", "_svd"):
         def spy(*args, _real=getattr(manifold, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)

@@ -617,7 +617,7 @@ class TestPrecondition:
         y = h @ crandn(rng, 4, 20) + 1e-2 * crandn(rng, 64, 20)
         u, _, vh = np.linalg.svd(y, full_matrices=False)
         u_k, vh_k = precondition(y, k_users=4)
-        assert linalg_calls == ["_top_eigh"]
+        assert linalg_calls == ["_eigh"]
         assert np.abs(u_k @ vh_k - u[:, :4] @ vh[:4]).max() < 1e-12
 
     def test_ill_conditioned_block_takes_svd(self, linalg_calls):
@@ -629,7 +629,7 @@ class TestPrecondition:
         y = (q * np.array([1.0, 0.5, 0.2, 1e-4, 1e-6, 1e-7])) @ w.conj().T
         u, _, vh = np.linalg.svd(y, full_matrices=False)
         u_k, vh_k = precondition(y, k_users=4)
-        assert linalg_calls == ["_top_eigh", "_svd"]
+        assert linalg_calls == ["_eigh", "_svd"]
         assert np.array_equal(u_k @ vh_k, u[:, :4] @ vh[:4])
 
     def test_kth_direction_below_1e_10_rejected(self):
@@ -662,10 +662,43 @@ class TestPrecondition:
         fourth = 0.1 if gram_route else 1e-4
         y = (q * np.array([1.0, 0.5, 0.2, fourth, 1e-6, 1e-7])) @ w.conj().T
         u, vh = precondition(y, k_users=4)
-        assert linalg_calls == (["_top_eigh"] if gram_route else ["_top_eigh", "_svd"])
+        assert linalg_calls == (["_eigh"] if gram_route else ["_eigh", "_svd"])
         assert u.shape == (30, 4) and vh.shape == (4, 6)
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
         assert np.linalg.norm(vh @ vh.conj().T - np.eye(4)) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200])
+    def test_huge_finite_block_rejected_by_scale(self, scale):
+        # At 1e160 the Gram's product overflowed, warned, and the finite
+        # block was reported as containing infs or NaNs; at 1e200 the norm
+        # itself overflows.  The Gram is at most ||Ybar||_F^2, so the
+        # boundary states the limit, warning-free.
+        y = scale * crandn(np.random.default_rng(9), 256, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"received block too large: .* exceeds 1\.341e\+154") as info:
+                precondition(y, 8)
+        assert not isinstance(info.value, RankDeficientError)
+
+    @pytest.mark.parametrize("t", [40, 240])
+    def test_large_block_below_the_limit_preconditions(self, t):
+        # 1e150 keeps ||Ybar||_F^2 finite, on the full route and the subspace route.
+        y = crandn(np.random.default_rng(10), 256, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, vh = precondition(1e150 * y, 8)
+        u_ref, vh_ref = precondition(y, 8)
+        assert np.abs(u @ vh - u_ref @ vh_ref).max() < 1e-10
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("t", [40, 240])
+    def test_non_finite_block_rejected_by_name(self, entry, t):
+        y = crandn(np.random.default_rng(11), 256, t)
+        y[3, 5] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="received block must be finite"):
+                precondition(y, 8)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_nonpositive_k_rejected(self, k):

@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -179,11 +178,17 @@ class TestPolarRetract:
             assert real_inner(m, a) <= best + 1e-12
 
 
+def with_spectrum(rng, rows, cols, s):
+    """A rows x cols matrix with singular values ``s`` (min(rows, cols) of them) and Haar singular vectors."""
+    n = min(rows, cols)
+    u, _ = np.linalg.qr(crandn(rng, rows, n))
+    v, _ = np.linalg.qr(crandn(rng, cols, n))
+    return (u * s) @ v.conj().T
+
+
 def with_condition(rng, t, k, kappa, scale=1.0):
     """A t x k matrix with singular values geometrically spaced from scale to scale / kappa."""
-    q, _ = np.linalg.qr(crandn(rng, t, k))
-    w, _ = np.linalg.qr(crandn(rng, k, k))
-    return (q * (scale * np.geomspace(1.0, 1.0 / kappa, k))) @ w.conj().T
+    return with_spectrum(rng, t, k, scale * np.geomspace(1.0, 1.0 / kappa, k))
 
 
 class TestGramPolar:
@@ -229,7 +234,7 @@ class TestGramPolar:
         y = crandn(rng, 30, 12)
         u, s, vh = np.linalg.svd(y, full_matrices=False)
         s_gram, left, right = _top_factors(y, 4)
-        assert linalg_calls == ["_top_eigh"]
+        assert linalg_calls == ["_eigh"]
         assert s_gram.shape == (4,)
         assert np.abs(s_gram - s[:4]).max() <= 1e-12 * s[0]
         assert np.abs(left @ right - u[:, :4] @ vh[:4]).max() <= 1e-12
@@ -362,24 +367,24 @@ class TestLapackRoute:
         self.assert_bit_for_bit(monkeypatch, m, 8)
         linalg_calls.clear()
         _top_factors(m, 8)
-        assert linalg_calls == ["_top_eigh", "_svd"]
+        assert linalg_calls == ["_eigh", "_svd"]
 
-    @pytest.mark.parametrize("shape", [(240, 40), (41, 40), (256, 24)])
-    def test_top_k_gram_matches_scipy_eigh(self, linalg_calls, shape):
-        # Preconditioning's top-K eigenpairs of a strictly tall block are
-        # scipy.linalg.eigh's subset_by_index pairs, reversed to descending
-        # order.  A square block takes the SVD, as it did through _polar.
+    @pytest.mark.parametrize("shape", [(240, 40), (41, 40), (256, 24), (256, 95)])
+    def test_top_k_gram_matches_numpy_eigh(self, linalg_calls, shape):
+        # Below 96 columns, preconditioning's top-K eigenpairs of a strictly
+        # tall block are the top of np.linalg.eigh's, reversed to descending
+        # order, bit for bit: the same Gram and the same zheevd.
         rng = np.random.default_rng(50 + shape[1])
         for _ in range(10):
             m = crandn(rng, *shape)
-            n = shape[1]
-            lam, v = scipy.linalg.eigh(m.conj().T @ m, subset_by_index=[n - 8, n - 1])
+            lam, v = np.linalg.eigh(m.conj().T @ m)
+            lam, v = lam[::-1][:8], v[:, ::-1][:, :8]
             linalg_calls.clear()
             s, left, vh = _top_factors(m, 8)
-            assert linalg_calls == ["_top_eigh"]
-            assert np.array_equal(s, np.sqrt(lam[::-1]))
-            assert np.array_equal(vh, v[:, ::-1].conj().T)
-            assert np.array_equal(left, m @ (v[:, ::-1] / s))
+            assert linalg_calls == ["_eigh"]
+            assert np.array_equal(s, np.sqrt(lam))
+            assert np.array_equal(vh, v.conj().T)
+            assert np.array_equal(left, m @ (v / s))
 
     def test_svd_workspace_is_queried(self):
         # At 300 x 64 zgesdd's default workspace blocks differently and moves
@@ -397,13 +402,15 @@ class TestLapackRoute:
     def test_nonzero_info_raises(self, monkeypatch, routine, kappa, message):
         # The gufunc reports LAPACK's nonzero info as NaN outputs and the
         # invalid-value flag; a NaN matrix handed to the real gufunc fails so.
+        # polar_retract calls _polar inside the error state that turns the
+        # flag into LinAlgError.
         name = {"zheevd": "eigh_lo", "zgesdd": "svd_s"}[routine]
         real = getattr(manifold, name)
         monkeypatch.setattr(manifold, name, lambda x, **kw: real(np.full_like(x, np.nan), **kw))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError, match=message):
-                _polar(with_condition(np.random.default_rng(10), 40, 8, kappa))
+                polar_retract(with_condition(np.random.default_rng(10), 40, 8, kappa))
 
     @pytest.mark.parametrize("shape, kappa, route", [
         ((8, 8), 10.0, ["_svd"]),
@@ -423,13 +430,17 @@ class TestLapackRoute:
         assert all(np.array_equal(got, want) for got, want in zip(manifold._svd(m), ref))
 
     def test_non_finite_top_k_raises(self):
-        # _top_eigh checks the Gram before zheevr runs, as scipy.linalg.eigh does.
+        # _top_factors checks the Gram before zheevd runs, as scipy.linalg.eigh did.
         with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
             _top_factors(np.full((40, 8), np.nan, dtype=complex), 4)
 
     def test_nan_gradient_raises(self):
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            _polar(np.full((40, 8), np.nan, dtype=complex))
+        # Each public function that factors enters the error state itself.
+        for call in (polar_retract, nuclear_norm):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                    call(np.full((40, 8), np.nan, dtype=complex))
 
 
 class TestTopFactors:
@@ -443,8 +454,8 @@ class TestTopFactors:
         seed=st.integers(0, 2**32 - 1),
     )
     # Equal singular values put the Gram's top in one tight cluster, where
-    # zheevr returned fewer pairs than asked: 0 of 2 with one OpenBLAS
-    # thread, and 0 of 1 with one or two.
+    # SciPy's zheevr, which preconditioning once used, returned fewer pairs
+    # than asked: 0 of 2 with one OpenBLAS thread, and 0 of 1 with one or two.
     @example(rows=256, cols=40, r=2, log_kappa=0.0, scale=1.0, seed=2)
     @example(rows=13, cols=11, r=1, log_kappa=0.0, scale=1e9, seed=1)
     def test_top_factors_match_truncated_svd(self, rows, cols, r, log_kappa, scale, seed):
@@ -464,29 +475,120 @@ class TestTopFactors:
         assert np.abs(m @ vh.conj().T - u * s).max() <= 1e-12 * s_ref[0]
         assert np.abs(u.conj().T @ m - s[:, np.newaxis] * vh).max() <= 1e-12 * s_ref[0]
 
-    def test_too_few_eigenpairs_take_the_svd(self, monkeypatch, linalg_calls):
-        # _top_eigh drops its lowest pair, as zheevr can inside a cluster:
-        # the count check sends the block to the SVD, which gives all r.
-        real = manifold._top_eigh
-        monkeypatch.setattr(manifold, "_top_eigh", lambda *a, **kw: tuple(x[..., 1:] for x in real(*a, **kw)))
-        m = with_condition(np.random.default_rng(3), 30, 6, 10.0)
-        u_ref, s_ref, vh_ref = np.linalg.svd(m, full_matrices=False)
-        s, u, vh = _top_factors(m, 4)
-        assert linalg_calls == ["_top_eigh", "_svd"]
-        assert np.abs(s - s_ref[:4]).max() <= 1e-12
-        assert np.abs(u @ vh - u_ref[:, :4] @ vh_ref[:4]).max() <= 1e-12
-
     @pytest.mark.parametrize("seed", [0, 7])
     def test_precondition_keeps_a_clustered_top(self, seed):
-        # 40 equal singular values: zheevr returned 5 of the 7 top pairs at
-        # seed 0 with one OpenBLAS thread and at seed 7 with two, and
-        # precondition reported too few usable directions.
+        # 40 equal singular values: SciPy's zheevr, which preconditioning once
+        # used, returned 5 of the 7 top pairs at seed 0 with one OpenBLAS
+        # thread and at seed 7 with two, and precondition reported too few
+        # usable directions.
         m = with_condition(np.random.default_rng(seed), 256, 40, 1.0)
         u, vh = precondition(m, 7)
         assert u.shape == (256, 7) and vh.shape == (7, 40)
         assert np.linalg.norm(u.conj().T @ u - np.eye(7)) < 1e-10
         assert np.linalg.norm(vh @ vh.conj().T - np.eye(7)) < 1e-10
         assert np.abs(m @ vh.conj().T - u).max() <= 1e-12
+
+
+class TestTopSubspace:
+    """``_top_factors`` on blocks of at least 96 columns, where ``_top_subspace`` answers first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(24, 400),
+        cols=st.integers(96, 400),
+        r=st.integers(1, 10),
+        clustered=st.booleans(),
+        n_signal=st.integers(1, 12),
+        log_floor=st.floats(-5.0, -0.3),
+        log_kappa=st.floats(1.0, 4.0),
+        scale=st.sampled_from([1e-6, 1.0, 1e9, 1e150]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_truncated_svd(self, rows, cols, r, clustered, n_signal, log_floor, log_kappa, scale, seed):
+        # Clustered spectra: n_signal singular values in [0.5, 1] over a
+        # floor of noise-like ones below 10^log_floor, as a received block's
+        # are.  Slowly decaying spectra: geometric from 1 to 10^-log_kappa over
+        # all min(rows, cols), where the iteration converges slowly or hits
+        # its step cap and the full route answers.  At 1e150 the Gram's
+        # entries reach 1e300, as precondition allows.  The bounds are
+        # TestTopFactors' own.
+        rng = np.random.default_rng(seed)
+        n = min(rows, cols)
+        if clustered:
+            sv = np.concatenate([rng.uniform(0.5, 1.0, n_signal), 10.0**log_floor * rng.uniform(0.0, 1.0, n)])
+            sv = np.sort(sv)[::-1][:n]
+        else:
+            sv = np.geomspace(1.0, 10.0**-log_kappa, n)
+        m = with_spectrum(rng, rows, cols, scale * sv)
+        s_ref = np.linalg.svd(m, compute_uv=False)
+        with manifold._numerics():
+            s, u, vh = _top_factors(m, r)
+        k = min(r, n)
+        assert s.shape == (k,) and u.shape == (rows, k) and vh.shape == (k, cols)
+        assert np.abs(s - s_ref[:k]).max() <= 1e-12 * s_ref[0]
+        assert np.linalg.norm(u.conj().T @ u - np.eye(k)) < 1e-10
+        assert np.linalg.norm(vh @ vh.conj().T - np.eye(k)) < 1e-10
+        assert np.abs(m @ vh.conj().T - u * s).max() <= 1e-12 * s_ref[0]
+        assert np.abs(u.conj().T @ m - s[:, np.newaxis] * vh).max() <= 1e-12 * s_ref[0]
+
+    @staticmethod
+    def received(t, seed=3, n_signal=8, floor=1e-2):
+        """A 256 x t block like a received one: eight directions in [0.5, 1] over a noise floor."""
+        rng = np.random.default_rng(seed)
+        return with_spectrum(rng, 256, t, np.concatenate([rng.uniform(0.5, 1.0, n_signal),
+                                                          floor * rng.uniform(0.0, 1.0, min(256, t) - n_signal)]))
+
+    @pytest.mark.parametrize("t", [96, 240, 400])
+    def test_long_block_takes_the_subspace_route(self, monkeypatch, t):
+        # No eigendecomposition larger than the 12 x 12 Rayleigh quotients
+        # and their Grams runs, tall (t < 256) or wide, and the factors
+        # agree with the truncated SVD's.
+        m = self.received(t)
+        shapes = []
+        real = manifold._eigh
+        monkeypatch.setattr(manifold, "_eigh", lambda g: shapes.append(g.shape) or real(g))
+        with manifold._numerics():
+            s, u, vh = _top_factors(m, 8)
+        assert set(shapes) == {(12, 12)}
+        u_ref, s_ref, vh_ref = np.linalg.svd(m, full_matrices=False)
+        assert np.abs(s - s_ref[:8]).max() <= 1e-13 * s_ref[0]
+        assert np.abs(u @ vh - u_ref[:, :8] @ vh_ref[:8]).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [95, 96])
+    def test_crossover(self, linalg_calls, t):
+        # The subspace route starts at 96 columns; below it the full zheevd answers.
+        with manifold._numerics():
+            _top_factors(self.received(t), 8)
+        assert (linalg_calls[0] == "_top_subspace") == (t >= 96)
+
+    def test_step_cap_falls_back_to_the_full_eigh(self, monkeypatch):
+        # One step cannot meet the residual test from the start; the full
+        # zheevd of the 240 x 240 Gram then answers, bit for bit as the
+        # full route does on its own.
+        m = self.received(240)
+        monkeypatch.setattr(manifold, "_SUBSPACE_MIN_T", 10**9)
+        with manifold._numerics():
+            ref = _top_factors(m, 8)
+        monkeypatch.setattr(manifold, "_SUBSPACE_MIN_T", 96)
+        monkeypatch.setattr(manifold, "_SUBSPACE_STEPS", 1)
+        shapes = []
+        real = manifold._eigh
+        monkeypatch.setattr(manifold, "_eigh", lambda g: shapes.append(g.shape) or real(g))
+        with manifold._numerics():
+            got = _top_factors(m, 8)
+        assert shapes[-1] == (240, 240) and set(shapes[:-1]) == {(12, 12)}
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_rank_deficient_start_falls_back(self, linalg_calls):
+        # A noiseless rank-8 block: its 12 largest rows span 8 directions, so
+        # the start has no orthonormal basis and the full route answers.
+        m = self.received(240, floor=0.0)
+        with manifold._numerics():
+            s, u, vh = _top_factors(m, 8)
+        assert linalg_calls[0] == "_top_subspace" and linalg_calls[-1] == "_eigh"
+        s_ref = np.linalg.svd(m, compute_uv=False)
+        assert np.abs(s - s_ref[:8]).max() <= 1e-12 * s_ref[0]
+        assert np.abs(u.conj().T @ m - s[:, np.newaxis] * vh).max() <= 1e-12 * s_ref[0]
 
 
 class TestRiemannianGrad:
