@@ -21,10 +21,10 @@ def main():
     # noise-variance comparison.
     base = SystemConfig(
         k_users=8, t_len=200, n_h=1024, n_v=1, theta=0.2,
-        channel_model="bernoulli_gaussian", sigma_z2=0.05,
+        channel_model="bernoulli_gaussian", sigma_z2=0.05, trials=20, base_seed=1,
         solver=SolverOptions(max_iters=120, eta_tol=1e-9, obj_rel_tol=1e-12),
     )
-    out = run_convergence_experiment(convergence_variants(base), trials=20, base_seed=1)
+    out = run_convergence_experiment(convergence_variants(base))
 
     print(f"{'variant':>12} {'median iters to 0.9':>20} {'mean final level':>17}")
     for name, r in out.items():

@@ -39,7 +39,7 @@ def _load_config(path: str) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> List[str]:
     raw = _load_config(args.config)
-    sweep = raw.get("sweep", _DEFAULT_SWEEP)
+    sweep = raw.pop("sweep", _DEFAULT_SWEEP)
     if not (isinstance(sweep, dict) and set(sweep) == {"param", "values"}
             and isinstance(sweep["param"], str) and isinstance(sweep["values"], list)):
         raise ValueError(f'"sweep" must hold exactly a string "param" and a list "values", got {sweep!r}')
@@ -54,21 +54,14 @@ def _cmd_convergence(args: argparse.Namespace) -> List[str]:
     overrides = raw.pop("variants", None)
     raw.setdefault("trials", 30)
     base = SystemConfig.from_dict(raw)
-    results = run_convergence_experiment(convergence_variants(base, overrides), trials=base.trials,
-                                         base_seed=base.base_seed, level=args.level)
+    results = run_convergence_experiment(convergence_variants(base, overrides), level=args.level)
     return emit_convergence(results, args.out)
 
 
 def _cmd_concentration(args: argparse.Namespace) -> List[str]:
     k_list = [int(v) for v in args.k_list.split(",") if v.strip()]
     t_list = [int(v) for v in args.t_list.split(",") if v.strip()]
-    rows = run_concentration_experiment(
-        k_list,
-        t_list,
-        args.delta_sq,
-        args.trials,
-        base_seed=args.seed or 0,
-    )
+    rows = run_concentration_experiment(k_list, t_list, args.delta_sq, args.trials, base_seed=args.seed)
     return emit_concentration(rows, args.out)
 
 
@@ -100,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     conc.add_argument("--t-list", default="30,36,44,54,64,80,100,125")
     conc.add_argument("--delta-sq", type=float, default=0.1)
     conc.add_argument("--trials", type=int, default=1000)
-    conc.add_argument("--seed", type=int, default=None)
+    conc.add_argument("--seed", type=int, default=0)
     conc.add_argument("--out", required=True)
     conc.set_defaults(func=_cmd_concentration)
 

@@ -102,7 +102,9 @@ class SolverOptions:
     objective evaluations fluctuate by ~eps * objective * log(T); keep
     obj_rel_tol >= 1e-12 if the trace's monotone invariant matters.
     ``max_iters`` must be a positive integer, the tolerances finite numbers
-    >= 0 and ``precondition`` a bool; a bool is not a number here.
+    >= 0 and ``precondition`` a bool; a bool is not a number here.  Only
+    ``detect`` reads ``precondition``: ``solve`` and ``riemannian_gd_baseline``
+    solve the block they are given.
     """
 
     max_iters: int = 200

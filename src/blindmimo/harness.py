@@ -169,7 +169,6 @@ class SystemConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SystemConfig":
         d = dict(d)
-        d.pop("sweep", None)
         solver = d.pop("solver", None) or {}
         unknown = [k for k in d if k not in cls.__dataclass_fields__]
         unknown += [f"solver.{k}" for k in solver if k not in SolverOptions.__dataclass_fields__]
@@ -501,6 +500,8 @@ def run_concentration_experiment(
     ``DEFAULT_CONCENTRATION_C`` (fitted for QPSK at K = 4 and K = 8).  Every
     K and T is checked, and a repeated one rejected, before the first trial.
     """
+    if base_seed < 0:
+        raise ValueError("base_seed must be nonnegative")
     if trials < 100:
         raise ValueError("need at least 100 trials per point")
     if not 0 < delta_sq < math.inf:
@@ -563,32 +564,25 @@ def convergence_variants(
     return variants
 
 
-def run_convergence_experiment(
-    variants: Dict[str, SystemConfig],
-    trials: int = 30,
-    base_seed: int = 0,
-    level: float = 0.9,
-) -> Dict[str, dict]:
+def run_convergence_experiment(variants: Dict[str, SystemConfig], level: float = 0.9) -> Dict[str, dict]:
     """Normalized per-iteration objective traces for each config variant, and their summary.
 
     Data is drawn with an exactly orthonormal frame (X^H on the Stiefel
     manifold), a Bernoulli-Gaussian channel and unit fading and power, so
     the expected-objective upper envelope is the correct normalizer; traces
     are objective divided by that envelope.  A config where the envelope
-    does not hold (``_l3_envelope``) is rejected, as are ``trials < 1``, a
-    non-finite ``level`` and a variant name that holds a path separator or
-    NUL (it names a file in ``emit_convergence``), all before the first
-    trial.  Trials share one derived stream per trial index across variants,
-    so equal-shape variants see identical draws (and a smaller theta sees a
-    nested channel support): comparisons are paired.
+    does not hold (``_l3_envelope``) is rejected, as are a non-finite ``level``
+    and a variant name that holds a path separator or NUL (it names a file
+    in ``emit_convergence``), all before the first trial.  Each variant runs
+    its config's ``trials``; variants with the same ``base_seed`` share one
+    derived stream per trial index, so equal-shape variants see identical draws
+    (and a smaller theta sees a nested channel support): comparisons are paired.
 
     Each entry holds ``upper_bound``, ``sigma_z2``, the ``traces``, their
     per-iterate ``mean_curve`` (a stopped trace held at its last value),
     ``median_iters_to_level`` (inf where half or more never reach ``level``),
     and the ``level`` and ``trials`` it was run with.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
     for name in variants:
@@ -606,8 +600,8 @@ def run_convergence_experiment(
         ones = np.ones(cfg.k_users)
         sigma = _noise_variance(cfg, ones)
         traces = []
-        for trial in range(trials):
-            rng = _stream(base_seed, "convergence", trial)
+        for trial in range(cfg.trials):
+            rng = _stream(cfg.base_seed, "convergence", trial)
             x = random_stiefel(cfg.t_len, cfg.k_users, rng).conj().T
             channel = bernoulli_gaussian_channel(cfg.m, cfg.k_users, cfg.theta, rng)
             y_bar = synthesize_received(channel, x, ones, ones, sigma, rng)
@@ -616,10 +610,10 @@ def run_convergence_experiment(
         # np.mean per iterate: an axis-0 mean sums in another order and moves the last bits.
         mean_curve = np.array([np.mean([t[min(j, len(t) - 1)] for t in traces])
                                for j in range(max(len(t) for t in traces))])
-        median = float(np.median([_iterations_to_level(t, level) for t in traces]))
+        median = _median([_iterations_to_level(t, level) for t in traces])
         out[name] = {"upper_bound": uppers[name], "sigma_z2": sigma, "traces": traces,
                      "mean_curve": mean_curve, "median_iters_to_level": median,
-                     "level": level, "trials": trials}
+                     "level": level, "trials": cfg.trials}
     return out
 
 
@@ -627,6 +621,14 @@ def _iterations_to_level(trace: np.ndarray, level: float) -> float:
     """First iteration index at which a trace reaches ``level``; inf if it never does."""
     above = np.flatnonzero(np.asarray(trace) >= level)
     return float(above[0]) if above.size else float("inf")
+
+
+def _median(values) -> float:
+    """``np.median(values)`` bit for bit, without the ``numpy.ma`` import that ``np.median`` makes."""
+    v = np.asarray(values, dtype=np.float64)
+    mid, odd = divmod(v.size, 2)
+    part = np.partition(v, [mid, -1] if odd else [mid - 1, mid, -1])  # np.median's own; a NaN goes last
+    return float(part[-1] if np.isnan(part[-1]) else part[mid - 1 + odd:mid + 1].mean())
 
 
 def read_records(path) -> List[TrialRecord]:
@@ -752,7 +754,7 @@ def emit_report(records: Iterable[TrialRecord], out_dir) -> List[str]:
                     dtype=np.float64,
                 )
                 if vals.size:
-                    stats[f] = (float(vals.mean()), float(np.median(vals)), _ci95_halfwidth(vals))
+                    stats[f] = (float(vals.mean()), _median(vals), _ci95_halfwidth(vals))
                 row += [repr(v) for v in stats[f]] if f in stats else ["", "", ""]
             iters = np.array([m.iters for m in done], dtype=np.float64)
             row.append(repr(float(iters.mean())))

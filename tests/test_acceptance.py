@@ -261,7 +261,7 @@ def test_criterion_09_convergence_directional_checks():
     opts = SolverOptions(max_iters=150, eta_tol=1e-9, obj_rel_tol=1e-12)
     base = SystemConfig(
         k_users=8, t_len=200, n_h=1024, n_v=1, theta=0.2,
-        channel_model="bernoulli_gaussian", sigma_z2=0.05, solver=opts,
+        channel_model="bernoulli_gaussian", sigma_z2=0.05, trials=30, base_seed=9, solver=opts,
     )
     variants = {
         "base": base,
@@ -269,7 +269,7 @@ def test_criterion_09_convergence_directional_checks():
         "k_half": replace(base, k_users=4),
         "sigma_tenth": replace(base, sigma_z2=0.005),
     }
-    out = run_convergence_experiment(variants, trials=30, base_seed=9)
+    out = run_convergence_experiment(variants)
     med = {name: r["median_iters_to_level"] for name, r in out.items()}
     elapsed = time.perf_counter() - t0
     ok = (med["theta_half"] <= med["base"]

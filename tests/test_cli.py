@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import blindmimo
 from blindmimo import SystemConfig, read_records, theoretical_objective_bound
 from blindmimo.cli import main
 
@@ -177,6 +179,7 @@ class TestConcentrationCommand:
         (["--delta-sq", "-1"], "delta_sq"), (["--delta-sq", "0"], "delta_sq"), (["--t-list", "0"], "t_len"),
         (["--k-list", "4,5"], "K=5"), (["--k-list", ""], "k_list"), (["--t-list", ""], "t_list"),
         (["--k-list", "4,4"], "k_list repeats 4"), (["--t-list", "36,54,36"], "t_list repeats 36"),
+        (["--seed", "-2"], "base_seed must be nonnegative"),
     ])
     def test_inputs_that_cannot_work_rejected(self, tmp_path, capsys, args, message):
         out = tmp_path / "conc"
@@ -237,6 +240,25 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "convergence_summary.json").read_text())
         assert {v["trials"] for v in summary.values()} == {3}
+
+    def test_variant_runs_its_own_trials(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "k_users": 2, "t_len": 30, "n_h": 16, "channel_model": "bernoulli_gaussian",
+            "trials": 2, "variants": {"more": {"trials": 3}},
+        }))
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "convergence_summary.json").read_text())
+        assert {name: v["trials"] for name, v in summary.items()} == {"base": 2, "more": 3}
+
+    def test_sweep_key_rejected(self, tmp_path, capsys):
+        # Only simulate reads "sweep"; convergence takes it for a misplaced config key.
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "unknown config keys: ['sweep']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_p_exponent_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -349,6 +371,32 @@ class TestPrintedPaths:
         self.check(capsys, ["concentration", "--k-list", "8,4", "--t-list", "36",
                             "--trials", "100", "--out", str(out)],
                    out, ["plot_concentration_k8.dat", "plot_concentration_k4.dat"])
+
+
+def test_commands_do_not_load_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on first use (about 10 ms and 1.2 MB of
+    # memory); simulate, report, convergence and concentration must not.
+    cfg = write_config(tmp_path / "cfg.json")
+    conv = tmp_path / "conv.json"
+    conv.write_text(json.dumps({"k_users": 2, "t_len": 30, "n_h": 16,
+                                "channel_model": "bernoulli_gaussian", "trials": 3}))
+    runs = [["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), "--methods", "l3,pilot"],
+            ["report", "--records", str(tmp_path / "sim" / "trials.jsonl"), "--out", str(tmp_path / "rep")],
+            ["convergence", "--config", str(conv), "--out", str(tmp_path / "conv")],
+            ["concentration", "--k-list", "4", "--t-list", "36", "--trials", "100", "--out", str(tmp_path / "conc")]]
+    code = f"""
+import contextlib, io, sys
+from blindmimo.cli import main
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    print(argv[0], "numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(blindmimo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["simulate", "False", "report", "False", "convergence", "False",
+                                  "concentration", "False"]
 
 
 class TestConsoleEntryPoint:

@@ -113,6 +113,9 @@ class TestSystemConfig:
         ('{"power": [1.0, true, 1.0, 1.0]}', "power must be a real number"),
         ('{"k_users": true}', "k_users must be an integer"),
         ('{"n_v": true}', "n_v must be an integer"),
+        # Only the command line reads "sweep" (simulate) and "variants" (convergence).
+        ('{"sweep": {"param": "snr_db", "values": [10.0]}}', r"unknown config keys: \['sweep'\]"),
+        ('{"variants": {"half": {"theta": 0.05}}}', r"unknown config keys: \['variants'\]"),
     ])
     def test_json_values_that_cannot_work_rejected(self, override, message):
         # json.load accepts NaN and Infinity, 40.0 loads as a float, and a
@@ -600,6 +603,18 @@ class TestEmitExperiments:
         assert table.tolist() == want
 
 
+class TestMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool + [0.0, -0.0, math.inf, -math.inf]),
+                              min_size=1, max_size=64)))
+    def test_matches_numpy_median_bit_for_bit(self, values):
+        # A few values drawn many times: repeats, signed zeros, infinities, NaN.
+        want = np.float64(np.median(values)).tobytes()
+        assert np.float64(harness._median(values)).tobytes() == want
+        assert np.float64(harness._median(np.array(values))).tobytes() == want
+
+
 class TestConcentrationExperiment:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
@@ -619,6 +634,14 @@ class TestConcentrationExperiment:
                             lambda x: calls.append(x) or 0.0)
         with pytest.raises(ValueError, match="no curve constant for K=5"):
             run_concentration_experiment([4, 5], [36], 0.1, 100)
+        assert calls == []
+
+    def test_negative_seed_rejected_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "concentration_statistic",
+                            lambda x: calls.append(x) or 0.0)
+        with pytest.raises(ValueError, match="base_seed must be nonnegative"):
+            run_concentration_experiment([4], [36], 0.1, 100, base_seed=-1)
         assert calls == []
 
     @pytest.mark.parametrize("k_list, t_list, message", [
@@ -662,9 +685,9 @@ class TestConcentrationExperiment:
 class TestConvergenceExperiment:
     def test_traces_normalized_and_monotone(self):
         cfg = SystemConfig(k_users=4, t_len=60, n_h=512, n_v=1, theta=0.2,
-                           channel_model="bernoulli_gaussian", sigma_z2=1e-4,
+                           channel_model="bernoulli_gaussian", sigma_z2=1e-4, trials=6, base_seed=0,
                            solver=SolverOptions(max_iters=100))
-        out = run_convergence_experiment({"base": cfg}, trials=6, base_seed=0)
+        out = run_convergence_experiment({"base": cfg})
         finals = [tr[-1] for tr in out["base"]["traces"]]
         for tr in out["base"]["traces"]:
             assert np.all(np.diff(tr) >= -1e-12)
@@ -675,11 +698,9 @@ class TestConvergenceExperiment:
 
     def test_smaller_theta_is_not_slower(self):
         cfg = SystemConfig(k_users=4, t_len=60, n_h=128, n_v=1, theta=0.3,
-                           channel_model="bernoulli_gaussian", sigma_z2=1e-4,
+                           channel_model="bernoulli_gaussian", sigma_z2=1e-4, trials=12, base_seed=3,
                            solver=SolverOptions(max_iters=100))
-        out = run_convergence_experiment(
-            {"base": cfg, "half": replace(cfg, theta=0.15)}, trials=12, base_seed=3
-        )
+        out = run_convergence_experiment({"base": cfg, "half": replace(cfg, theta=0.15)})
         med = {n: r["median_iters_to_level"] for n, r in out.items()}
         assert med["half"] <= med["base"]
 
@@ -691,22 +712,35 @@ class TestConvergenceExperiment:
     def test_ignored_fields_rejected(self, over):
         # The experiment solves with unit fading and power and no preconditioning.
         cfg = SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
-                           channel_model="bernoulli_gaussian", sigma_z2=1e-3, **over)
+                           channel_model="bernoulli_gaussian", sigma_z2=1e-3, trials=1, **over)
         with pytest.raises(ValueError, match="must keep their defaults"):
-            run_convergence_experiment({"base": cfg}, trials=1)
+            run_convergence_experiment({"base": cfg})
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, trials):
-        cfg = SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
-                           channel_model="bernoulli_gaussian", sigma_z2=1e-3)
+        # Each variant runs its own config's trials, which the config checks.
         with pytest.raises(ValueError, match="trials must be positive"):
-            run_convergence_experiment({"base": cfg}, trials=trials)
+            SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
+                         channel_model="bernoulli_gaussian", sigma_z2=1e-3, trials=trials)
+
+    def test_each_variant_runs_its_own_trials_and_seed(self):
+        base = SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
+                            channel_model="bernoulli_gaussian", sigma_z2=1e-3, trials=2,
+                            solver=SolverOptions(max_iters=40))
+        out = run_convergence_experiment(convergence_variants(
+            base, {"more": {"trials": 3}, "reseeded": {"base_seed": 5}}))
+        assert [len(r["traces"]) for r in out.values()] == [2, 3, 2]
+        assert [r["trials"] for r in out.values()] == [2, 3, 2]
+        # The same seed shares the per-trial streams; another seed draws anew.
+        for trial in range(2):
+            assert np.array_equal(out["more"]["traces"][trial], out["base"]["traces"][trial])
+            assert not np.array_equal(out["reseeded"]["traces"][trial], out["base"]["traces"][trial])
 
     def test_summary_matches_the_traces(self):
         cfg = SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
-                           channel_model="bernoulli_gaussian", sigma_z2=1e-3,
+                           channel_model="bernoulli_gaussian", sigma_z2=1e-3, trials=9, base_seed=2,
                            solver=SolverOptions(max_iters=80))
-        r = run_convergence_experiment({"base": cfg}, trials=9, base_seed=2, level=0.8)["base"]
+        r = run_convergence_experiment({"base": cfg}, level=0.8)["base"]
         traces = r["traces"]
         assert len({len(t) for t in traces}) > 1  # some traces stop early and are held
         longest = max(len(t) for t in traces)
@@ -718,11 +752,11 @@ class TestConvergenceExperiment:
     @pytest.mark.parametrize("name", ["a/b", "a\0b"])
     def test_file_unsafe_variant_names_rejected_before_any_trial(self, monkeypatch, name):
         cfg = SystemConfig(k_users=4, t_len=60, n_h=64, n_v=1, theta=0.2,
-                           channel_model="bernoulli_gaussian", sigma_z2=1e-3)
+                           channel_model="bernoulli_gaussian", sigma_z2=1e-3, trials=2)
         calls = []
         monkeypatch.setattr(detector, "solve", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="path separator or NUL"):
-            run_convergence_experiment({"base": cfg, name: cfg}, trials=2)
+            run_convergence_experiment({"base": cfg, name: cfg})
         assert calls == []
 
     def test_default_variants(self):
