@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import zlib
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -608,11 +609,21 @@ class TestMedian:
     @given(st.lists(st.floats(), min_size=1, max_size=6).flatmap(
         lambda pool: st.lists(st.sampled_from(pool + [0.0, -0.0, math.inf, -math.inf]),
                               min_size=1, max_size=64)))
+    @example(values=[math.inf, -math.inf])
     def test_matches_numpy_median_bit_for_bit(self, values):
         # A few values drawn many times: repeats, signed zeros, infinities, NaN.
-        want = np.float64(np.median(values)).tobytes()
-        assert np.float64(harness._median(values)).tobytes() == want
-        assert np.float64(harness._median(np.array(values))).tobytes() == want
+        # inf and -inf in the middle average to NaN with numpy's "invalid value"
+        # warning, so the warnings must match as well as the bits.
+        want = self._median_and_warnings(np.median, values)
+        assert self._median_and_warnings(harness._median, values) == want
+        assert self._median_and_warnings(harness._median, np.array(values)) == want
+
+    @staticmethod
+    def _median_and_warnings(median, values):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bits = np.float64(median(values)).tobytes()
+        return bits, [(w.category, str(w.message)) for w in caught]
 
 
 class TestConcentrationExperiment:
