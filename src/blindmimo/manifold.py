@@ -17,8 +17,10 @@ gufuncs for zheevd and zgesdd, the routines behind ``np.linalg.eigh`` and
 preconditioning's once-per-block rank-r factorization, takes the top r
 eigenpairs of the T x T Gram, with the same cut: from the full zheevd for
 fewer than 96 columns, and from 96 on from ``_top_subspace``, a block
-subspace iteration built from matrix products and (r + 4) x (r + 4)
-eigendecompositions, whose output does not depend on the BLAS thread count.
+subspace iteration built from matrix products, (r + 4) x (r + 4)
+eigendecompositions and ``_polar``'s polar factors of its T x (r + 4)
+bases, whose output does not depend on the BLAS thread count below
+T = 838 (K = 8).
 The package needs no SciPy.  The gufuncs run bare, inside the error state
 ``_numerics()``, which each solve enters once and each public function
 that factors enters itself.
@@ -252,58 +254,42 @@ def _polar(m: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
     return s, factor
 
 
-def _orthonormal(b: np.ndarray) -> Optional[np.ndarray]:
-    """The polar factor b (b^H b)^(-1/2) of a tall ``b``, or None when b is numerically rank deficient.
-
-    It is formed through the eigendecomposition of the small Gram b^H b, so
-    from matrix products and one small ``_eigh``.  A pass leaves an
-    orthonormality error of about eps times the Gram's eigenvalue spread, so
-    a second pass runs on the first one's output unless that spread is at
-    most 2.  A spread past 1e12 gives None.
-    """
-    for _ in range(2):
-        lam, v = _eigh(b.conj().T @ b)
-        if not lam[0] > 1e-12 * lam[-1]:
-            return None
-        b = b @ ((v / np.sqrt(lam)) @ v.conj().T)
-        if lam[-1] <= 2.0 * lam[0]:
-            break
-    return b
-
-
 def _top_subspace(m: np.ndarray, r: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The top ``r`` eigenpairs of the Gram G = m^H m, descending, by block subspace iteration; or None.
 
     Subspace iteration with Rayleigh-Ritz (Saad, *Numerical Methods for
     Large Eigenvalue Problems*, 2011, chs. 4-5) on b = r + ``_SUBSPACE_GUARD``
-    orthonormal vectors Q, started from the b rows of m of largest norm.
-    Each step forms Y = m Q, the b x b Rayleigh quotient Y^H Y = Q^H G Q and
-    its ``_eigh`` (Ritz values lam and vectors W), then the Ritz vectors
-    V = Q W and, with the shift s = min(lam) / 2,
-    N = (m^H Y W - s V) (lam - s)^-1 = V + R (lam - s)^-1, R being the
-    residuals G V - V lam.  It returns the top r of (lam, V) once every one
-    of their residuals ||R_i|| is at most ``_SUBSPACE_RTOL``
-    sqrt(lam_1 lam_i); otherwise the next Q is ``_orthonormal(N)``, whose
-    Gram, I + (lam - s)^-1 R^H R (lam - s)^-1 in exact arithmetic, is no
-    worse conditioned than the residuals make it.  The shift maps the
-    unwanted eigenvalues, which lie in [0, about min(lam)], into [-s, s],
-    and so speeds each step's contraction from lam_(b+1) / lam_r to about
-    (lam_(b+1) - s) / (lam_r - s): by a third fewer steps when the r-th
-    eigenvalue sits next to the noise.  G is never formed: a step costs two
-    M x T x b products, and m^H Y is read through m's transpose, with no
-    conjugate copy of m.  It gives None, for the full eigendecomposition to
-    answer, when a Ritz value is at most 1e-12 of the largest (the block
-    reaches G's null space), when ``_orthonormal`` does (a start of rank
-    below b, as on a noiseless block), or after ``_SUBSPACE_STEPS`` steps.
-    With fewer than b rows, all of them start it, span G's range and give
-    the pairs in one step.  Every operation is a matrix product, an
-    elementwise one or a b x b ``_eigh``, so, unlike the full zheevd of a
-    large Gram, its output does not depend on the BLAS thread count.
+    vectors N, at first the b rows of m of largest norm.  Each step takes
+    the basis Q as N's polar factor from ``_polar``, forms Y = m Q, the
+    b x b Rayleigh quotient Y^H Y = Q^H G Q and its ``_eigh`` (Ritz values
+    lam and vectors W), then the Ritz vectors V = Q W and, with the shift
+    s = min(lam) / 2, N = (m^H Y W - s V) (lam - s)^-1 = V + R (lam - s)^-1,
+    R being the residuals G V - V lam.  It returns the top r of (lam, V)
+    once every one of their residuals ||R_i|| is at most ``_SUBSPACE_RTOL``
+    sqrt(lam_1 lam_i).  N's Gram, I + (lam - s)^-1 R^H R (lam - s)^-1 in
+    exact arithmetic, is no worse conditioned than the residuals make it.
+    The shift maps the unwanted eigenvalues, which lie in [0, about
+    min(lam)], into [-s, s], and so speeds each step's contraction from
+    lam_(b+1) / lam_r to about (lam_(b+1) - s) / (lam_r - s): by a third
+    fewer steps when the r-th eigenvalue sits next to the noise.  G is
+    never formed: a step costs two M x T x b products, and m^H Y is read
+    through m's transpose, with no conjugate copy of m.  It gives None, for
+    the full eigendecomposition to answer, when a Ritz value is at most
+    1e-12 of the largest (the block reaches G's null space), when ``_polar``
+    finds N rank deficient (a start of rank below b, as on a noiseless
+    block), or after ``_SUBSPACE_STEPS`` steps.  With fewer than b rows,
+    all of them start it, span G's range and give the pairs in one step.
+    Its output does not depend on the BLAS thread count, unlike the full
+    zheevd of a large Gram, except where a start fails ``_polar``'s Gram cut
+    (a high-SNR block) and takes the SVD: with OpenBLAS 0.3.31, that of a
+    T x 12 start gave the same bytes under 1 and 2 threads up to T = 837.
     """
     b = r + _SUBSPACE_GUARD
-    q = _orthonormal(m[np.argsort(np.vecdot(m, m).real)[-b:]].conj().T)
+    nxt = m[np.argsort(np.vecdot(m, m).real)[-b:]].conj().T
     for _ in range(_SUBSPACE_STEPS):
-        if q is None:
+        try:
+            q = _polar(nxt)[1]()
+        except RankDeficientError:
             return None
         y = m @ q
         yc = np.conjugate(y)
@@ -317,7 +303,6 @@ def _top_subspace(m: np.ndarray, r: int) -> Optional[Tuple[np.ndarray, np.ndarra
         shifted = lam[-r:] - shift  # ||R_i|| = ||d_i|| shifted_i, tested as ||R_i||^2 / lam_i <= rtol^2 lam_1
         if (np.vecdot(d, d, axis=0).real * (shifted / lam[-r:] * shifted) <= _SUBSPACE_RTOL**2 * lam[-1]).all():
             return lam[: -r - 1 : -1], v[:, : -r - 1 : -1]
-        q = _orthonormal(nxt)
     return None
 
 

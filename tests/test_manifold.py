@@ -538,12 +538,15 @@ class TestTopSubspace:
         return with_spectrum(rng, 256, t, np.concatenate([rng.uniform(0.5, 1.0, n_signal),
                                                           floor * rng.uniform(0.0, 1.0, min(256, t) - n_signal)]))
 
-    @pytest.mark.parametrize("t", [96, 240, 400])
-    def test_long_block_takes_the_subspace_route(self, monkeypatch, t):
+    @pytest.mark.parametrize("t, floor", [pytest.param(t, 1e-2, id=str(t)) for t in (96, 240, 400)]
+                             + [(96, 0.3), (120, 0.3), (96, 1e-3), (240, 1e-3), (400, 1e-3)])
+    def test_long_block_takes_the_subspace_route(self, monkeypatch, t, floor):
         # No eigendecomposition larger than the 12 x 12 Rayleigh quotients
         # and their Grams runs, tall (t < 256) or wide, and the factors
-        # agree with the truncated SVD's.
-        m = self.received(t)
+        # agree with the truncated SVD's.  A floor of 0.3 puts the eighth
+        # direction next to the noise near the switch; at 1e-3 the start's
+        # largest rows are nearly dependent, and ``_polar`` takes their SVD.
+        m = self.received(t, floor=floor)
         shapes = []
         real = manifold._eigh
         monkeypatch.setattr(manifold, "_eigh", lambda g: shapes.append(g.shape) or real(g))
