@@ -43,7 +43,6 @@ import numpy as np
 
 from .manifold import (
     RankDeficientError,
-    StiefelPoint,
     _check_orthonormal,
     _numerics,
     _polar,
@@ -52,7 +51,6 @@ from .manifold import (
     nuclear_norm,
     polar_retract,
     random_stiefel,
-    real_inner,
     riemannian_grad,
 )
 from .signal import Constellation, FrameMeta
@@ -268,7 +266,8 @@ def _evaluate(
 
 
 def _gap(nuclear: float, a: np.ndarray, grad: np.ndarray) -> float:
-    return max(nuclear - real_inner(a, grad), 0.0)
+    """eta = ||grad||_* - Re tr(A^H grad), the package's inner product, floored at 0."""
+    return max(nuclear - float(np.vdot(a, grad).real), 0.0)
 
 
 def objective(y_bar: Block, a: np.ndarray, g_diag: np.ndarray, p_exponent: int = 3) -> float:
@@ -480,7 +479,7 @@ def solve(
         if np.shape(a0) != (t, k):
             raise ValueError(f"a0 must be a {t} x {k} matrix, got shape {np.shape(a0)}")
         try:
-            a0 = StiefelPoint(a0).a
+            a0 = _check_orthonormal(np.array(a0, dtype=np.complex128, order="C"))
         except ValueError as exc:
             raise ValueError(f"a0: {exc}") from None
     vh = None

@@ -5,7 +5,7 @@ with orthonormal columns (A^H A = I_K).  This module provides the small set
 of operations every solver in the package is built on: Haar-uniform sampling,
 the polar-decomposition retraction, tangent-space projection of a Euclidean
 gradient, and the nuclear norm.  A point is its plain T x K array, as a
-direction is; ``StiefelPoint`` only checks a point that a caller supplies.
+direction is; ``StiefelPoint``, which no solver builds, wraps a checked one.
 
 ``_polar(m)`` gives the singular values and polar factor that every solver
 iteration needs: a strictly tall matrix goes through the eigendecomposition
@@ -45,7 +45,6 @@ __all__ = [
     "polar_retract",
     "riemannian_grad",
     "nuclear_norm",
-    "real_inner",
 ]
 
 ORTHONORMALITY_TOL = 1e-9
@@ -82,16 +81,6 @@ class RankDeficientError(ValueError):
     """
 
 
-def real_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Real trace inner product Re tr(X^H Y).
-
-    This is the inner product under which all first-order quantities in this
-    package (gradients, optimality gaps, line searches) are measured; it is
-    the real-valued pairing needed to order points on a complex manifold.
-    """
-    return float(np.vdot(x, y).real)
-
-
 def _check_orthonormal(a: np.ndarray) -> np.ndarray:
     """Return ``a`` if ||a^H a - I_K||_F < 1e-9, else raise ValueError.
 
@@ -110,8 +99,8 @@ def _check_orthonormal(a: np.ndarray) -> np.ndarray:
 class StiefelPoint:
     """A caller's T x K complex matrix, checked to have orthonormal columns.
 
-    Points are plain arrays everywhere in the package; this class is the
-    check at the boundary where a caller hands one in (``solve``'s ``a0``).
+    Points are plain arrays everywhere in the package, and no solver builds
+    this class: ``solve`` checks its ``a0`` with ``_check_orthonormal``.
     Construction requires a 2-d matrix with 1 <= K <= T and
     ||a^H a - I_K||_F < 1e-9 (``_check_orthonormal``, which holds every
     column norm within 1e-9 of 1), and stores a read-only C-ordered
@@ -228,9 +217,8 @@ def _polar(m: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
     spread past the cut fails it without the eigendecomposition, since the
     extreme eigenvalues bracket the diagonal, and so does one that
     overflowed to inf, or to inf - inf, which raises FloatingPointError
-    inside ``_numerics()``.  That test stays in NumPy: on a
-    2-vCPU AVX-512 x86 host, zheevd run straight after the Gram's product was
-    about 16 us slower on an 8 x 8 Gram unless a NumPy reduction ran between.
+    inside ``_numerics()``: the test skips an eigendecomposition that the
+    cut would reject.
     """
     try:
         gram = m.conj().T @ m if m.shape[1] < m.shape[0] else None
@@ -312,12 +300,11 @@ def _top_factors(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndar
     The Gram's top r eigenpairs come from ``_top_subspace`` when ``m`` has
     at least ``_SUBSPACE_MIN_T`` (96) columns; else, or when it gives None,
     a strictly tall ``m`` takes the full ``_eigh`` of its Gram and keeps the
-    top r (a Gram that is not finite raises ValueError).  When the r-th
-    eigenvalue passes the ``_GRAM_RTOL`` cut, the factors follow from those
-    pairs; anything else takes the compact SVD's top r.  No rank test is
-    made here.  The finite check also runs between the Gram's product and
-    zheevd, where a NumPy reduction keeps zheevd fast (see ``_polar``).
-    Call it inside ``_numerics()``.
+    top r (a Gram that is not finite raises ValueError, which names it,
+    before zheevd runs).  When the r-th eigenvalue passes the ``_GRAM_RTOL``
+    cut, the factors follow from those pairs; anything else takes the
+    compact SVD's top r.  No rank test is made here.  Call it inside
+    ``_numerics()``.
     """
     top = None
     if m.shape[1] >= _SUBSPACE_MIN_T:

@@ -59,11 +59,6 @@ class Constellation:
     def size(self) -> int:
         return self.points.size
 
-    @property
-    def s_infinity(self) -> float:
-        """Largest point magnitude (the bounded-support constant)."""
-        return float(np.abs(self.points).max())
-
     def bits_of(self, labels: np.ndarray) -> np.ndarray:
         """Big-endian bits of integer Gray labels, shape (...,) -> (..., bps)."""
         labels = np.asarray(labels)

@@ -334,6 +334,31 @@ class TestSolve:
             solve(y, np.ones(3), SolverOptions(), np.random.default_rng(0), a0=a0)
         assert calls == []
 
+    @pytest.mark.parametrize("layout", ["real", "fortran", "read_only"])
+    def test_start_taken_as_a_complex_c_ordered_copy(self, layout):
+        # solve iterates a complex128 C-ordered copy of a0: the caller's
+        # array is left as it was, and the trace's bytes are those of a
+        # solve started from that copy.
+        rng = np.random.default_rng(14)
+        y, _, _ = noiseless_instance(rng)
+        a0 = {"real": np.linalg.qr(rng.standard_normal((50, 3)))[0],
+              "fortran": np.asfortranarray(random_stiefel(50, 3, rng)),
+              "read_only": random_stiefel(50, 3, rng)}[layout]
+        a0.setflags(write=layout != "read_only")
+        before = (a0.dtype, a0.flags.f_contiguous, a0.flags.writeable, a0.tobytes())
+        starts = []
+        runs = [solve(y, np.ones(3), SolverOptions(), np.random.default_rng(0), a0=start,
+                      on_iterate=lambda a, j: starts.append(a) if j == 0 else None)
+                for start in (a0, np.array(a0, dtype=np.complex128, order="C"))]
+        assert (a0.dtype, a0.flags.f_contiguous, a0.flags.writeable, a0.tobytes()) == before
+        assert starts[0].dtype == np.complex128 and starts[0].flags.c_contiguous
+        assert not np.shares_memory(starts[0], a0)
+        (a, tr), (a_ref, tr_ref) = runs
+        assert a.tobytes() == a_ref.tobytes()
+        assert tr.objective_per_iter.tobytes() == tr_ref.objective_per_iter.tobytes()
+        assert tr.eta_per_iter.tobytes() == tr_ref.eta_per_iter.tobytes()
+        assert (tr.stop_reason, tr.restarts) == (tr_ref.stop_reason, 0)
+
     def test_hook_gets_read_only_iterates(self):
         y, _, _ = noiseless_instance(np.random.default_rng(13))
         visited = []

@@ -13,7 +13,6 @@ from blindmimo import (
     polar_retract,
     precondition,
     random_stiefel,
-    real_inner,
     riemannian_grad,
 )
 from blindmimo import manifold
@@ -172,10 +171,10 @@ class TestPolarRetract:
     def test_maximizes_real_inner_product(self):
         rng = np.random.default_rng(11)
         m = crandn(rng, 10, 3)
-        best = real_inner(m, polar_retract(m))
+        best = np.vdot(m, polar_retract(m)).real
         for _ in range(1000):
             a = random_stiefel(10, 3, rng)
-            assert real_inner(m, a) <= best + 1e-12
+            assert np.vdot(m, a).real <= best + 1e-12
 
 
 def with_spectrum(rng, rows, cols, s):
