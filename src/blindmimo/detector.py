@@ -60,7 +60,6 @@ __all__ = [
     "SolveTrace",
     "AmbiguityResolution",
     "DetectionResult",
-    "DegenerateGradientError",
     "objective",
     "euclid_grad",
     "iterate",
@@ -81,10 +80,6 @@ MONOTONE_SLACK = 1e-12
 # Proximal-gradient budget of the pilot baseline's channel estimate.
 _PILOT_MAX_ITERS = 500
 _PILOT_REL_TOL = 1e-8
-
-
-class DegenerateGradientError(RuntimeError):
-    """The solver hit a rank-deficient gradient twice in a row."""
 
 
 @dataclass(frozen=True)
@@ -330,16 +325,16 @@ def _norms(fs: Factors) -> list:
 def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray]:
     """The block's factors and G^(-1/2), for a loop that runs inside ``_numerics()``.
 
-    A NaN or inf entry, an all-zero block and T < K raise ValueError, and so
-    does a block too large for the objective: with B the product of the
-    factors' Frobenius norms times max G^(-1/2), every entry of W is at most
-    B, so the objective is at most B^p and the gradient's norm at most p B^p,
-    and B must keep p B^p finite (B at most 3.9e102 for p = 3, 8.2e76 for
-    p = 4; ``SystemConfig``'s 1e30 caps keep B far below either).  Gram
-    matrices of the gradient, and of rgd's steps, are at most 4 p^2 B^(2p);
-    past the B that keeps that finite (1.3e51 for p = 3, 2.0e38 for p = 4)
-    one can overflow, which ``_numerics()`` lets pass and which sends
-    ``_polar`` to the SVD.
+    An all-zero block (a noiseless trial's all-zero channel) raises
+    RankDeficientError; a NaN or inf entry, T < K and a block too large for
+    the objective raise ValueError.  With B the product of the factors'
+    Frobenius norms times max G^(-1/2), every entry of W is at most B, so the
+    objective is at most B^p and the gradient's norm at most p B^p, and B
+    must keep p B^p finite (B at most 3.9e102 for p = 3, 8.2e76 for p = 4;
+    ``SystemConfig``'s 1e30 caps keep B far below either).  Gram matrices of
+    the gradient, and of rgd's steps, are at most 4 p^2 B^(2p); past the B
+    that keeps that finite (1.3e51 for p = 3, 2.0e38 for p = 4) one can
+    overflow, which ``_numerics()`` lets pass and which sends ``_polar`` to the SVD.
     """
     _check_exponent(p)
     y = _factors(y_bar)
@@ -349,7 +344,7 @@ def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, n
         raise ValueError(f"need T >= K, got T={t}, K={k}")
     norms = _norms(y)
     if not all(norms):
-        raise ValueError("received block is identically zero")
+        raise RankDeficientError("received block is identically zero")
     limit = (np.finfo(np.float64).max / p) ** (1.0 / p)
     if not (scale := math.prod(norms) * isg.real.max()) <= limit:
         raise ValueError(
@@ -450,7 +445,7 @@ def solve(
     gap eta off its singular values, and retracts onto its polar factor.  A
     rank deficient gradient triggers one automatic restart from a fresh
     random point, counted in the trace's ``restarts``; a second failure
-    raises DegenerateGradientError.
+    re-raises RankDeficientError, which ``run_sweep`` records per trial.
 
     On the pair, the start is drawn and checked in T-space as on the dense
     block; from there the loop iterates the K x K coordinates vh A (see
@@ -500,9 +495,7 @@ def solve(
                                restarts)
             except RankDeficientError:
                 continue
-    raise DegenerateGradientError(
-        "gradient rank deficient after one restart; perturb the input"
-    )
+    raise RankDeficientError("gradient rank deficient after one restart; perturb the input")
 
 
 @dataclass(frozen=True)

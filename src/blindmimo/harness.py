@@ -118,6 +118,8 @@ class SystemConfig:
             raise ValueError(
                 f"need at least as many antennas as users, got M={self.m} < K={self.k_users}"
             )
+        if self.t_len < self.k_users:  # St_K(C^T) is empty
+            raise ValueError(f"need at least as many symbols as users, got T={self.t_len} < K={self.k_users}")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
         if self.channel_model not in ("clustered", "bernoulli_gaussian"):
@@ -400,18 +402,18 @@ def run_sweep(
 ) -> Iterator[TrialRecord]:
     """Monte Carlo sweep over one config parameter, one record per (method, value, trial).
 
-    Per-trial solver failures (DegenerateGradientError, RankDeficientError)
-    are captured in the record (``error`` set, ``stop_reason == "error"``)
-    rather than raised; any other exception propagates.  The stream is
+    A RankDeficientError, the package's one per-trial failure, is captured
+    in the record (``error`` set, ``stop_reason == "error"``) rather than
+    raised; any other exception propagates.  The stream is
     deterministic given the config and base seed.  Each method sets its own
     objective exponent; ``normalized_objective`` is set only for l3 and rgd
     where the l3 envelope holds (see ``_l3_envelope``), else None.
     The values may be any iterable (a list, a NumPy array, a generator).
-    A record holds its sweep value as a float, so the values must be real
-    numbers (not bools), at least one, and ``solver`` is not a sweep
-    parameter; ``methods`` must name at least one method, each once.  Every
-    input is checked, and every value's config built, at the call; the
-    returned iterator then yields the records one at a time.  A sweep of
+    A record holds its sweep value as a strict-JSON float, so the values
+    must be finite real numbers (not bools), at least one, and ``solver`` is
+    not a sweep parameter; ``methods`` must name at least one method, each
+    once.  Every input is checked, and every value's config built, at the
+    call; the returned iterator then yields the records one at a time.  A sweep of
     ``t_pilot`` or ``pilot_lambda``, which only the pilot baseline reads,
     gives every value's trial j the scenario of sweep index 0.
     """
@@ -428,8 +430,9 @@ def run_sweep(
         raise ValueError(f"sweep of {sweep_param!r} has no values")
     points = []
     for value in sweep_values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"sweep values of {sweep_param!r} must be real numbers, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            hint = '; for a noiseless run set "snr_db": Infinity in the config' if value == math.inf else ""
+            raise ValueError(f"sweep values of {sweep_param!r} must be finite real numbers, got {value!r}{hint}")
         points.append((value, replace(cfg, **{sweep_param: value})))
     fingerprint = cfg.fingerprint()
 
@@ -443,7 +446,7 @@ def run_sweep(
                     seq = _seed_sequence(cfg_i.base_seed, si, trial, method)
                     try:
                         outcome = _run_method(cfg_i, scenario, method, np.random.default_rng(seq))
-                    except (detector.DegenerateGradientError, RankDeficientError) as exc:
+                    except RankDeficientError as exc:
                         outcome = dict(metrics=None, stop_reason="error", final_eta=float("nan"),
                                        error=f"{type(exc).__name__}: {exc}")
                     yield TrialRecord(

@@ -77,7 +77,8 @@ class RankDeficientError(ValueError):
 
     A vanishing singular value means the input carries no information along
     that direction, so the polar factor is not unique; callers should perturb
-    the input or restart rather than accept an arbitrary completion.
+    the input or restart rather than accept an arbitrary completion.  It is the
+    one per-trial failure ``run_sweep`` records (an all-zero block raises it too).
     """
 
 

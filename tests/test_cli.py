@@ -116,6 +116,19 @@ class TestSimulate:
         assert "sweep of 'snr_db' has no values" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_sweep_value_rejected_before_any_trial(self, tmp_path, capsys):
+        # A record's sweep_value must be strict JSON, so no trial runs and no
+        # file is written; a noiseless run sets snr_db in the config instead.
+        cfg = write_config(tmp_path / "cfg.json", sweep={"param": "snr_db", "values": [math.inf]})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert 'set "snr_db": Infinity in the config' in capsys.readouterr().err
+        assert not out.exists()
+        cfg = write_config(tmp_path / "cfg.json", snr_db=math.inf, sweep={"param": "theta", "values": [0.15]})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert all(strict_loads(line)["sweep_value"] == 0.15
+                   for line in (out / "trials.jsonl").read_text().splitlines())
+
     @pytest.mark.parametrize("methods", ["l3,l3", ","])
     def test_repeated_or_empty_methods_rejected(self, tmp_path, capsys, methods):
         cfg = write_config(tmp_path / "cfg.json")

@@ -152,6 +152,13 @@ class TestSystemConfig:
             tiny_config(n_h=3, n_v=2, k_users=8)
         assert tiny_config(n_h=4, k_users=4).m == 4
 
+    def test_fewer_symbols_than_users_rejected(self):
+        # The header fits in 3 of the 6 columns, but St_K(C^T) needs T >= K,
+        # so every blind trial would fail after earlier records were yielded.
+        with pytest.raises(ValueError, match="symbols as users, got T=6 < K=8"):
+            SystemConfig(k_users=8, t_len=6, n_h=16, t_pilot=2)
+        assert SystemConfig(k_users=8, t_len=8, n_h=16, t_pilot=2).t_len == 8
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="base_seed"):
             tiny_config(base_seed=-1)
@@ -184,6 +191,23 @@ class TestSystemConfig:
         assert _noise_variance(cfg_fade, g) == pytest.approx(g.sum() / (60 * 10))
         cfg_fixed = tiny_config(sigma_z2=0.123)
         assert _noise_variance(cfg_fixed, np.ones(4)) == 0.123
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs over both channels, fadings, alphabets and solver modes, noiseless included."""
+    k = draw(st.integers(1, 4))
+    t_len = draw(st.integers(k + 3, 24))
+    return SystemConfig(
+        k_users=k, n_h=draw(st.integers(k, 16)), t_len=t_len, t_pilot=draw(st.integers(1, t_len - 1)),
+        theta=draw(st.floats(0.01, 1.0)), n_paths=draw(st.integers(1, 3)),
+        channel_model=draw(st.sampled_from(["clustered", "bernoulli_gaussian"])),
+        fading_model=draw(st.sampled_from(["identity", "log_distance"])),
+        constellation=draw(st.sampled_from(["qpsk", "qam16"])),
+        snr_db=draw(st.one_of(st.floats(-10.0, 60.0), st.just(math.inf))),
+        trials=2, base_seed=draw(st.integers(0, 2**32 - 1)),
+        solver=SolverOptions(max_iters=draw(st.sampled_from([1, 50])), precondition=draw(st.booleans())),
+    )
 
 
 class TestRunSweep:
@@ -228,6 +252,15 @@ class TestRunSweep:
         monkeypatch.setattr("blindmimo.harness.build_scenario", None)
         with pytest.raises(ValueError, match=param):
             run_sweep(tiny_config(), param, values)
+
+    @pytest.mark.parametrize("value", [math.inf, np.float64(math.inf), -math.inf, math.nan])
+    def test_non_finite_sweep_value_rejected(self, value, monkeypatch):
+        # SystemConfig takes snr_db = +inf as noiseless, but a record's
+        # sweep_value must be strict JSON, so the sweep fails before any trial.
+        monkeypatch.setattr("blindmimo.harness.build_scenario", None)
+        hint = '"snr_db": Infinity in the config' if value == math.inf else "got"
+        with pytest.raises(ValueError, match=f"must be finite real numbers.*{hint}"):
+            run_sweep(tiny_config(), "snr_db", [20.0, value])
 
     @pytest.mark.parametrize("methods", [("l3", "l3"), ("l3", "pilot", "l3"), (), []])
     def test_repeated_or_empty_methods_rejected(self, methods, monkeypatch):
@@ -317,8 +350,8 @@ class TestRunSweep:
             assert r.metrics.rate is not None
 
     def test_rgd_runs_under_log_distance_fading(self):
-        # Gradients scale with G^(-1/2) (about 1e5 here); the tangency check
-        # must not mistake their rounding for a non-tangent direction.
+        # Gradients scale with G^(-1/2) (about 1e5 here): rgd on preconditioned
+        # log-distance blocks must still write no error record.
         cfg = tiny_config(k_users=4, n_h=64, t_len=40, trials=2, theta=0.1,
                           fading_model="log_distance",
                           solver=SolverOptions(max_iters=60, precondition=True))
@@ -411,6 +444,24 @@ class TestRunSweep:
             assert r.error is not None and "RankDeficientError" in r.error
             assert r.stop_reason == "error"
             assert r.metrics is None and math.isnan(r.final_eta)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=small_configs())
+    @example(cfg=SystemConfig(k_users=1, n_h=2, t_len=8, theta=0.05, channel_model="bernoulli_gaussian",
+                              snr_db=math.inf, t_pilot=1, trials=2, base_seed=0))
+    def test_every_trial_is_a_record(self, cfg):
+        # A data-dependent failure is a RankDeficientError record, never an
+        # aborted sweep.  In the example each noiseless block is all zero
+        # with probability 0.95^2: its channel draw has no nonzero entry.
+        records = list(run_sweep(cfg, "theta", [cfg.theta], harness.KNOWN_METHODS))
+        assert len(records) == 4 * cfg.trials
+        for r in records:
+            r.to_json()  # strict JSON
+            if r.error is None:
+                assert r.metrics is not None and r.stop_reason != "error"
+            else:
+                assert r.error.startswith("RankDeficientError: "), r.error
+                assert r.metrics is None and r.stop_reason == "error"
 
     def test_plain_value_error_propagates(self, monkeypatch):
         # Only solver failures become error records; anything else is a bug.
