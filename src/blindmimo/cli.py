@@ -34,7 +34,10 @@ _DEFAULT_SWEEP = {"param": "snr_db", "values": [0.0, 10.0, 20.0, 30.0]}
 
 
 def _load_config(path: str) -> dict:
-    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, got a {type(raw).__name__}")
+    return raw
 
 
 def _cmd_simulate(args: argparse.Namespace) -> List[str]:

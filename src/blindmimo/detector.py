@@ -74,6 +74,8 @@ __all__ = [
     "pilot_zf_baseline",
 ]
 
+BLIND_METHODS = ("l3", "l4", "rgd")  # the names ``detect`` takes
+
 # Absolute slack allowed when asserting the monotone-ascent guarantee.
 MONOTONE_SLACK = 1e-12
 
@@ -84,7 +86,7 @@ _PILOT_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the manifold solvers; the exponent is each solver's ``p_exponent``.
+    """Knobs for the manifold solvers; the exponent is not one: ``detect``'s method sets it.
 
     The iteration stops at relative first-order optimality
     eta(A_j) < eta_tol * max(eta(A_0), 1), or when the relative objective
@@ -720,22 +722,27 @@ def detect(
     c: Constellation,
     opts: SolverOptions,
     rng: np.random.Generator,
-    solver: Callable[..., Tuple[np.ndarray, SolveTrace]] = solve,
-    p_exponent: int = 3,
+    method: str = "l3",
 ) -> DetectionResult:
-    """End-to-end blind detection: solve, resolve ambiguity, demodulate.
+    """End-to-end blind detection by one method: solve, resolve ambiguity, demodulate.
 
-    ``solver`` (``solve`` or ``riemannian_gd_baseline``) maximizes the
-    ``p_exponent`` objective (3 or 4) on the dense block ``y_bar``, or with
-    ``opts.precondition`` on ``precondition``'s pair, whose estimate is
-    reprojected onto ``y_bar`` before ambiguity resolution.
+    ``method`` names it: ``l3`` runs ``solve`` with p = 3, ``l4`` with p = 4,
+    ``rgd`` runs ``riemannian_gd_baseline``; each is looked up at the call, so
+    a patched ``detector.solve`` sees it, and any other name raises ValueError.
+    The solver runs on the dense ``y_bar``, or with ``opts.precondition`` on
+    ``precondition``'s pair, whose estimate is reprojected onto ``y_bar``.
     """
+    if method not in BLIND_METHODS:
+        raise ValueError(f"unknown blind method {method!r}; choose from {BLIND_METHODS}")
     k = _positive_g(g_diag, np.size(g_diag)).size
     if opts.precondition:
         y_in = precondition(y_bar, k_users=k)
     else:
         y_in = y_bar
-    a_final, trace = solver(y_in, g_diag, opts, rng, p_exponent=p_exponent)
+    if method == "rgd":
+        a_final, trace = riemannian_gd_baseline(y_in, g_diag, opts, rng)
+    else:
+        a_final, trace = solve(y_in, g_diag, opts, rng, p_exponent=4 if method == "l4" else 3)
     x_est = a_final.conj().T
     if opts.precondition:
         x_est = postprocess(y_in, x_est, y_bar)
@@ -749,9 +756,8 @@ def riemannian_gd_baseline(
     g_diag: np.ndarray,
     opts: SolverOptions,
     rng: np.random.Generator,
-    p_exponent: int = 3,
 ) -> Tuple[np.ndarray, SolveTrace]:
-    """Projected-gradient ascent over the Stiefel manifold with backtracking.
+    """Projected-gradient ascent on the l3 objective over the Stiefel manifold with backtracking.
 
     From a Haar-uniform start, each step retracts A + tau * grad_R with tau
     found by halving from 1 until the objective increases (at most 30
@@ -767,7 +773,7 @@ def riemannian_gd_baseline(
     ``manifold.polar_retract``: ``bench/run.py --trace 1`` divides its steps
     by that call count (``rgd_accept_ratio``), a ZeroDivisionError without it.
     """
-    y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
+    y, isg = _solver_inputs(y_bar, g_diag, 3)
 
     def line_search(a, obj, grad, polar):
         direction = riemannian_grad(a, grad)
@@ -778,12 +784,12 @@ def riemannian_gd_baseline(
             except RankDeficientError:
                 continue
             spent += 1
-            if objective(y, cand, g_diag, p_exponent) > obj:
+            if objective(y, cand, g_diag) > obj:
                 return cand, spent
         return None, spent
 
     with _numerics():
-        return _ascend(y, isg, random_stiefel(y[-1].shape[1], isg.size, rng), opts, p_exponent, line_search)
+        return _ascend(y, isg, random_stiefel(y[-1].shape[1], isg.size, rng), opts, 3, line_search)
 
 
 def _soft_threshold(v: np.ndarray, tau: Union[float, np.ndarray]) -> np.ndarray:

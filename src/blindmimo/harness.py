@@ -56,9 +56,7 @@ __all__ = [
     "concentration_crossover",
 ]
 
-# Blind methods: the ``detector`` solver that ``detect`` runs, and its exponent.
-_BLIND_METHODS = {"l3": ("solve", 3), "l4": ("solve", 4), "rgd": ("riemannian_gd_baseline", 3)}
-KNOWN_METHODS = (*_BLIND_METHODS, "pilot")
+KNOWN_METHODS = (*detector.BLIND_METHODS, "pilot")
 
 # Curve constants fitted to the concentration tail for QPSK frames.
 DEFAULT_CONCENTRATION_C = {4: 0.416, 8: 0.464}
@@ -170,16 +168,20 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a map of field names to values, got a {type(d).__name__}")
         d = dict(d)
-        solver = d.pop("solver", None) or {}
+        solver = d.pop("solver", None)
+        if not isinstance(solver, (dict, type(None))):
+            raise ValueError(f"solver must be null or a map of option names to values, got {solver!r}")
         unknown = [k for k in d if k not in cls.__dataclass_fields__]
-        unknown += [f"solver.{k}" for k in solver if k not in SolverOptions.__dataclass_fields__]
+        unknown += [f"solver.{k}" for k in solver or {} if k not in SolverOptions.__dataclass_fields__]
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if isinstance(d.get("power"), list):
             d["power"] = tuple(d["power"])
         try:
-            opts = SolverOptions(**solver)
+            opts = SolverOptions(**(solver or {}))
         except ValueError as exc:
             raise ValueError(f"solver.{exc}") from None
         return cls(**d, solver=opts)
@@ -368,19 +370,15 @@ def _run_method(
         own = dict(rate=metrics.achievable_rate_training(x_hat, frame.x, cfg.t_len, cfg.t_pilot),
                    normalized_objective=None, iters=0)
     else:
-        name, p = _BLIND_METHODS[method]
         t0 = time.perf_counter()
-        result = detector.detect(
-            scenario.y_bar, scenario.g_diag, frame.meta, c, cfg.solver, rng,
-            solver=getattr(detector, name), p_exponent=p,
-        )
+        result = detector.detect(scenario.y_bar, scenario.g_diag, frame.meta, c, cfg.solver, rng, method)
         elapsed = time.perf_counter() - t0
         x_hat, indices, trace = result.x_hat, result.symbol_indices, result.trace
         fields = dict(stop_reason=trace.stop_reason, final_eta=trace.final_eta,
                       restarts=trace.restarts)
         own = dict(rate=metrics.achievable_rate_blind(x_hat, frame.x, cfg.t_len),
                    normalized_objective=None, iters=trace.iters_run)
-        upper = _l3_envelope(cfg) if p == 3 else None  # l4's fourth-power objective has no envelope
+        upper = _l3_envelope(cfg) if method != "l4" else None  # l4's fourth-power objective has no envelope
         if upper is not None:
             own["normalized_objective"] = trace.final_objective / upper
     decided, sent = indices[:, frame.payload_start:], frame.symbol_indices[:, frame.payload_start:]
@@ -552,7 +550,10 @@ def convergence_variants(
 
     No or empty overrides give ``theta_half`` (theta / 2), ``k_half`` (K // 2,
     at least 1) and ``noise_tenth`` (sigma_z2 / 10 when set, else SNR + 10 dB).
+    Overrides that are not a map, or a variant that is not one, raise ValueError.
     """
+    if not isinstance(overrides, (dict, type(None))):
+        raise ValueError(f"variants must be null or a map of names to config overrides, got {overrides!r}")
     if not overrides:
         noise = ({"sigma_z2": base.sigma_z2 / 10.0} if base.sigma_z2 is not None
                  else {"snr_db": base.snr_db + 10.0})
@@ -561,6 +562,8 @@ def convergence_variants(
                      "noise_tenth": noise}
     elif "base" in overrides:
         raise ValueError("variant name 'base' is the config's own; rename that override")
+    elif bad := [name for name, over in overrides.items() if not isinstance(over, dict)]:
+        raise ValueError(f"variants {bad} must each be a map of config fields to values")
     variants = {"base": base}
     for name, over in overrides.items():
         variants[name] = SystemConfig.from_dict({**base.to_dict(), **over})

@@ -263,3 +263,14 @@ class TestToAngular:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             to_angular(np.zeros((3, 2)), np.eye(4))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ArrayGeometry(0, 1), "array dimensions must be positive"),
+    (lambda: bernoulli_gaussian_channel(0, 4, 0.5, np.random.default_rng(0)), "dimensions must be positive"),
+    (lambda: bernoulli_gaussian_channel(4, 0, 0.5, np.random.default_rng(0)), "dimensions must be positive"),
+    (lambda: to_angular(np.zeros((4, 2)), np.zeros((4, 3))), "steering matrix must be square"),
+], ids=["geometry", "bernoulli_gaussian_m", "bernoulli_gaussian_k", "to_angular_not_square"])
+def test_inputs_that_cannot_work_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -137,6 +137,15 @@ class TestSimulate:
         assert "methods must name at least one method, each once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver", [5, "abc", ["max_iters"], 0, False, []])
+    def test_solver_that_is_not_a_map_rejected(self, tmp_path, capsys, solver):
+        # 0, false and [] used to run with the default solver options.
+        cfg = write_config(tmp_path / "cfg.json", solver=solver)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"solver must be null or a map of option names to values, got {solver!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"k_users": -1}))
@@ -300,6 +309,8 @@ class TestConvergenceCommand:
         (["--level", "inf"], None, "level"),
         ([], {"a/b": {"theta": 0.1}}, "'a/b'"),  # would name plot_convergence_a/b.dat
         ([], {"a\0b": {"theta": 0.1}}, "'a\\x00b'"),
+        ([], [1], "variants must be null or a map of names to config overrides, got [1]"),
+        ([], {"x": 5}, "variants ['x'] must each be a map of config fields to values"),
     ])
     def test_inputs_that_cannot_work_rejected(self, tmp_path, capsys, args, variants, message):
         # Rejected before the first trial: nothing is written.
@@ -325,6 +336,18 @@ class TestRunSettingsComeFromTheConfig:
             main([command, "--config", str(cfg), "--out", str(out), option, value])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("[]", "list"), ('"{}"', "str")],
+                         ids=["array", "empty_array", "string"])
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+def test_config_file_that_is_not_an_object_rejected(tmp_path, capsys, command, text, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"config file {cfg} must hold a JSON object, got a {kind}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestStrictJson:

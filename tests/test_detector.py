@@ -942,6 +942,62 @@ class TestDetectEndToEnd:
         assert evm(res_pre.x_hat, frame.x) < 0.1
 
 
+class TestDetectByMethod:
+    @staticmethod
+    def scenario(precondition_on):
+        cfg = SystemConfig(k_users=4, n_h=64, t_len=40, theta=0.15, channel_model="bernoulli_gaussian",
+                           solver=SolverOptions(max_iters=60, precondition=precondition_on))
+        return cfg, build_scenario(cfg, np.random.default_rng(3)), build_constellation(cfg.constellation)
+
+    @pytest.mark.parametrize("precondition_on", [False, True], ids=["dense", "preconditioned"])
+    @pytest.mark.parametrize("method, solver, kwargs", [
+        ("l3", solve, {"p_exponent": 3}),
+        ("l4", solve, {"p_exponent": 4}),
+        ("rgd", riemannian_gd_baseline, {}),
+    ], ids=["l3", "l4", "rgd"])
+    def test_matches_the_solver_it_names(self, method, solver, kwargs, precondition_on):
+        # The path detect took when it was handed a (solver, exponent) pair.
+        cfg, sc, c = self.scenario(precondition_on)
+        res = detect(sc.y_bar, sc.g_diag, sc.frame.meta, c, cfg.solver, np.random.default_rng(5), method=method)
+        y_in = precondition(sc.y_bar, 4) if precondition_on else sc.y_bar
+        a, trace = solver(y_in, sc.g_diag, cfg.solver, np.random.default_rng(5), **kwargs)
+        x_est = postprocess(y_in, a.conj().T, sc.y_bar) if precondition_on else a.conj().T
+        x_hat, _ = resolve_ambiguity(x_est, sc.frame.meta, c)
+        assert np.array_equal(res.x_hat, x_hat)
+        assert np.array_equal(res.symbol_indices, demodulate(x_hat, c))
+        assert np.array_equal(res.trace.objective_per_iter, trace.objective_per_iter)
+        assert np.array_equal(res.trace.eta_per_iter, trace.eta_per_iter)
+        assert (res.trace.stop_reason, res.trace.n_evals, res.trace.restarts) == (
+            trace.stop_reason, trace.n_evals, trace.restarts)
+
+    @pytest.mark.parametrize("method, name, kwargs", [
+        ("l3", "solve", {"p_exponent": 3}),
+        ("l4", "solve", {"p_exponent": 4}),
+        ("rgd", "riemannian_gd_baseline", {}),
+    ], ids=["l3", "l4", "rgd"])
+    def test_reaches_a_patched_solver(self, monkeypatch, method, name, kwargs):
+        # Each solver is looked up at the call, so a patch of the module sees it.
+        real, calls = getattr(detector, name), []
+
+        def spy(*args, **kw):
+            calls.append(kw)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(detector, name, spy)
+        monkeypatch.setattr(detector, "riemannian_gd_baseline" if name == "solve" else "solve", None)
+        cfg, sc, c = self.scenario(False)
+        detect(sc.y_bar, sc.g_diag, sc.frame.meta, c, cfg.solver, np.random.default_rng(5), method=method)
+        assert calls == [kwargs]
+
+    @pytest.mark.parametrize("method", ["pilot", "L3", "solve", None])
+    def test_unknown_method_rejected(self, monkeypatch, method):
+        for name in ("precondition", "solve", "riemannian_gd_baseline"):
+            monkeypatch.setattr(detector, name, None)
+        cfg, sc, c = self.scenario(True)
+        with pytest.raises(ValueError, match=r"unknown blind method .*; choose from \('l3', 'l4', 'rgd'\)"):
+            detect(sc.y_bar, sc.g_diag, sc.frame.meta, c, cfg.solver, np.random.default_rng(5), method=method)
+
+
 class TestRiemannianGdBaseline:
     def test_matches_polar_solver_on_noiseless_instance(self):
         rng = np.random.default_rng(9)
@@ -1129,3 +1185,22 @@ class TestSharedAscentLoop:
             assert np.all(tr.eta_per_iter >= 0.0)
             assert np.linalg.norm(a.conj().T @ a - np.eye(k)) < 1e-9
             assert tr.n_evals >= tr.iters_run + 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: objective(np.ones((5, 6)), random_stiefel(7, 2, np.random.default_rng(0)), np.ones(2)),
+     r"dimension mismatch: y_bar has 6 columns, a is \(7, 2\)"),
+    (lambda: optimality_eta(np.eye(3, 2), np.eye(4, 2)), r"shape mismatch: grad \(4, 2\) vs point \(3, 2\)"),
+    (lambda: resolve_ambiguity(np.ones((3, 16)), build_frame(4, 16, build_constellation("qpsk"),
+                                                             np.random.default_rng(0)).meta,
+                               build_constellation("qpsk")),
+     "estimate and frame metadata disagree on K"),
+    (lambda: pilot_zf_baseline(np.ones((4, 0)), np.ones((2, 0)), np.ones((4, 8)), np.ones(2), 1.0),
+     "need at least one pilot symbol"),
+    (lambda: pilot_zf_baseline(np.ones((4, 3)), np.zeros((2, 3)), np.ones((4, 8)), np.ones(2), 1.0),
+     "pilot matrix is zero"),
+], ids=["objective_t_mismatch", "optimality_eta_shapes", "resolve_ambiguity_k_mismatch", "pilot_no_columns",
+        "pilot_all_zero"])
+def test_inputs_that_cannot_work_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -117,6 +117,17 @@ class TestSystemConfig:
         # Only the command line reads "sweep" (simulate) and "variants" (convergence).
         ('{"sweep": {"param": "snr_db", "values": [10.0]}}', r"unknown config keys: \['sweep'\]"),
         ('{"variants": {"half": {"theta": 0.05}}}', r"unknown config keys: \['variants'\]"),
+        # A solver that is not a map: 0, false and [] used to mean the defaults.
+        ('{"solver": 5}', "solver must be null or a map of option names to values, got 5$"),
+        ('{"solver": "abc"}', "solver must be null or a map of option names to values, got 'abc'"),
+        ('{"solver": ["max_iters"]}', r"solver must be null or a map .*, got \['max_iters'\]"),
+        ('{"solver": 0}', "solver must be null or a map .*, got 0$"),
+        ('{"solver": false}', "solver must be null or a map .*, got False"),
+        ('{"solver": []}', r"solver must be null or a map .*, got \[\]"),
+        ('{"fading_model": "rician"}', "unknown fading model 'rician'"),
+        ('{"t_pilot": 0}', r"t_pilot must lie in \[1, t_len\)"),
+        ('{"t_pilot": 60}', r"t_pilot must lie in \[1, t_len\)"),
+        ('{"k_users": 2, "t_len": 2, "t_pilot": 1}', "t_len too short for reference and header symbols"),
     ])
     def test_json_values_that_cannot_work_rejected(self, override, message):
         # json.load accepts NaN and Infinity, 40.0 loads as a float, and a
@@ -167,6 +178,15 @@ class TestSystemConfig:
         cfg = tiny_config()
         again = SystemConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize("raw", [[], [["k_users", 4]], "{}", None], ids=["empty_list", "pairs", "str", "null"])
+    def test_config_that_is_not_a_map_rejected(self, raw):
+        # dict() made a config of an empty list or a list of pairs.
+        with pytest.raises(ValueError, match="a config must be a map of field names to values, got a "):
+            SystemConfig.from_dict(raw)
+
+    def test_null_solver_keeps_the_defaults(self):
+        assert SystemConfig.from_dict({"solver": None}).solver == SolverOptions()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -842,6 +862,16 @@ class TestConvergenceExperiment:
                             channel_model="bernoulli_gaussian")
         with pytest.raises(ValueError, match="'base'"):
             convergence_variants(base, {"base": {"theta": 0.05}})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ([1], r"variants must be null or a map of names to config overrides, got \[1\]"),
+        ([], r"variants must be null or a map of names to config overrides, got \[\]"),
+        ({"x": 5}, r"variants \['x'\] must each be a map of config fields to values"),
+        ({"x": 5, "half": {"theta": 0.1}, "y": [1]}, r"variants \['x', 'y'\] must each be a map"),
+    ], ids=["list", "empty_list", "int_variant", "two_bad_variants"])
+    def test_overrides_that_are_not_maps_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            convergence_variants(SystemConfig(channel_model="bernoulli_gaussian"), overrides)
 
     def test_iterations_to_level_censoring(self):
         assert _iterations_to_level(np.array([0.1, 0.5, 0.95]), 0.9) == 2

@@ -673,3 +673,13 @@ class TestNuclearNorm:
         m = crandn(rng, 9, 4)
         w = np.linalg.eigvalsh(m.conj().T @ m)
         assert abs(nuclear_norm(m) - np.sqrt(np.maximum(w, 0)).sum()) < 1e-9
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: polar_retract(np.eye(2, 3)), r"expected a tall matrix, got shape \(2, 3\)"),
+    (lambda: StiefelPoint(np.ones(4)), "expected a 2-d matrix, got ndim=1"),
+    (lambda: StiefelPoint(np.zeros((4, 0))), "dimensions must be positive"),
+], ids=["polar_retract_wide", "stiefel_point_1d", "stiefel_point_no_columns"])
+def test_inputs_that_cannot_work_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

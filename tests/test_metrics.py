@@ -150,3 +150,13 @@ class TestErrorRates:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             symbol_error_rate(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: evm(np.ones((2, 4)), np.ones((2, 5))), r"shape mismatch: \(2, 4\) vs \(2, 5\)"),
+    (lambda: theoretical_objective_bound(0, 2, 0.5, 0.1), "dimensions must be positive"),
+    (lambda: theoretical_objective_bound(10, 0, 0.5, 0.1), "dimensions must be positive"),
+], ids=["evm_shapes", "bound_m0", "bound_k0"])
+def test_inputs_that_cannot_work_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindmimo import (
+    Constellation,
     FrameMeta,
     SystemConfig,
     TransmitFrame,
@@ -218,3 +219,19 @@ class TestConcentrationStatistic:
         rng = np.random.default_rng(3)
         long = [concentration_statistic(build_frame(8, 800, c, rng).x) for _ in range(200)]
         assert np.median(long) < np.median(short)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Constellation("bpsk", np.array([1.0, -1.0]), 2), r"alphabet size must be 2\*\*bits_per_symbol"),
+    (lambda: Constellation("shifted", np.array([1.0, 1.0, -1.0, 1.0]), 2), "alphabet must have zero mean"),
+    (lambda: Constellation("loud", np.array([2.0, -2.0]), 1), "alphabet must have unit average power"),
+    (lambda: header_length(0, 4), "k_users must be positive"),
+    (lambda: build_frame(0, 16, build_constellation("qpsk"), np.random.default_rng(0)), "k_users must be positive"),
+    (lambda: synthesize_received(np.zeros((4, 3), complex), build_frame(2, 16, build_constellation("qpsk"),
+                                 np.random.default_rng(0)).x, np.ones(2), np.ones(2), 0.0, np.random.default_rng(0)),
+     "channel, frame, G and P disagree on the number of users"),
+], ids=["constellation_size", "constellation_mean", "constellation_power", "header_length_k0", "build_frame_k0",
+        "synthesize_k_mismatch"])
+def test_inputs_that_cannot_work_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
