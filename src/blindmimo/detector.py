@@ -210,23 +210,28 @@ def _apply(fs: Factors, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_exponent(p: int) -> None:
-    """Reject any exponent but 3 and 4, the only two ``_evaluate`` forms |W|^(p-2) for."""
+def _inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray]:
+    """The block's factors and G^(-1/2); p must be 3 or 4, the exponents ``_evaluate`` knows, and T >= K."""
     if p not in (3, 4):
         raise ValueError(f"p_exponent must be 3 or 4, got {p!r}")
+    y = _factors(y_bar)
+    isg = _inv_sqrt_g(g_diag, np.size(g_diag))  # a vector of any length K
+    t, k = y[-1].shape[1], isg.size
+    if t < k:
+        raise ValueError(f"need T >= K, got T={t}, K={k}")
+    return y, isg
 
 
 def _point_inputs(
     y_bar: Block, a: np.ndarray, g_diag: np.ndarray, p: int
 ) -> Tuple[Factors, np.ndarray, np.ndarray]:
-    _check_exponent(p)
+    y, isg = _inputs(y_bar, g_diag, p)
     am = np.asarray(a, dtype=np.complex128)
     if am.ndim != 2:
         raise ValueError(f"a must be a T x K matrix, got shape {am.shape}")
-    y = _factors(y_bar)
-    if y[-1].shape[1] != am.shape[0]:
-        raise ValueError(f"dimension mismatch: y_bar has {y[-1].shape[1]} columns, a is {am.shape}")
-    return y, am, _inv_sqrt_g(g_diag, am.shape[1])
+    if am.shape != (y[-1].shape[1], isg.size):
+        raise ValueError(f"dimension mismatch: y_bar has {y[-1].shape[1]} columns, a is {am.shape}, K={isg.size}")
+    return y, am, isg
 
 
 def _evaluate(
@@ -325,12 +330,13 @@ def _norms(fs: Factors) -> list:
 
 
 def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray]:
-    """The block's factors and G^(-1/2), for a loop that runs inside ``_numerics()``.
+    """``_inputs``, checked further for a loop that runs inside ``_numerics()``.
 
     An all-zero block (a noiseless trial's all-zero channel) raises
-    RankDeficientError; a NaN or inf entry, T < K and a block too large for
-    the objective raise ValueError.  With B the product of the factors'
-    Frobenius norms times max G^(-1/2), every entry of W is at most B, so the
+    RankDeficientError; a NaN or inf entry and a block too large for the
+    objective raise ValueError.  Only the solvers check these, since the norms
+    cost more than half an objective evaluation.  With B the product of the
+    factors' Frobenius norms times max G^(-1/2), every entry of W is at most B, so the
     objective is at most B^p and the gradient's norm at most p B^p, and B
     must keep p B^p finite (B at most 3.9e102 for p = 3, 8.2e76 for p = 4;
     ``SystemConfig``'s 1e30 caps keep B far below either).  Gram matrices of
@@ -338,12 +344,7 @@ def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, n
     that keeps that finite (1.3e51 for p = 3, 2.0e38 for p = 4) one can
     overflow, which ``_numerics()`` lets pass and which sends ``_polar`` to the SVD.
     """
-    _check_exponent(p)
-    y = _factors(y_bar)
-    isg = _inv_sqrt_g(g_diag, np.size(g_diag))  # a vector of any length K
-    t, k = y[-1].shape[1], isg.size
-    if t < k:
-        raise ValueError(f"need T >= K, got T={t}, K={k}")
+    y, isg = _inputs(y_bar, g_diag, p)
     norms = _norms(y)
     if not all(norms):
         raise RankDeficientError("received block is identically zero")

@@ -550,6 +550,7 @@ def convergence_variants(
 
     No or empty overrides give ``theta_half`` (theta / 2), ``k_half`` (K // 2,
     at least 1) and ``noise_tenth`` (sigma_z2 / 10 when set, else SNR + 10 dB).
+    A ``solver`` map in an override replaces only the options it names.
     Overrides that are not a map, or a variant that is not one, raise ValueError.
     """
     if not isinstance(overrides, (dict, type(None))):
@@ -566,7 +567,10 @@ def convergence_variants(
         raise ValueError(f"variants {bad} must each be a map of config fields to values")
     variants = {"base": base}
     for name, over in overrides.items():
-        variants[name] = SystemConfig.from_dict({**base.to_dict(), **over})
+        d = {**base.to_dict(), **over}
+        if isinstance(over.get("solver"), dict):
+            d["solver"] = {**asdict(base.solver), **over["solver"]}
+        variants[name] = SystemConfig.from_dict(d)
     return variants
 
 

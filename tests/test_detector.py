@@ -1190,6 +1190,9 @@ class TestSharedAscentLoop:
 @pytest.mark.parametrize("call, message", [
     (lambda: objective(np.ones((5, 6)), random_stiefel(7, 2, np.random.default_rng(0)), np.ones(2)),
      r"dimension mismatch: y_bar has 6 columns, a is \(7, 2\)"),
+    (lambda: objective(np.ones((32, 3)), np.eye(3, 4), np.ones(4)), r"need T >= K, got T=3, K=4"),
+    (lambda: euclid_grad((np.ones((32, 3)), np.eye(3)), np.eye(3, 4), np.ones(4), 4), r"need T >= K, got T=3, K=4"),
+    (lambda: iterate(np.eye(3, 4), np.ones((32, 3)), np.ones(4)), r"need T >= K, got T=3, K=4"),
     (lambda: optimality_eta(np.eye(3, 2), np.eye(4, 2)), r"shape mismatch: grad \(4, 2\) vs point \(3, 2\)"),
     (lambda: resolve_ambiguity(np.ones((3, 16)), build_frame(4, 16, build_constellation("qpsk"),
                                                              np.random.default_rng(0)).meta,
@@ -1199,7 +1202,8 @@ class TestSharedAscentLoop:
      "need at least one pilot symbol"),
     (lambda: pilot_zf_baseline(np.ones((4, 3)), np.zeros((2, 3)), np.ones((4, 8)), np.ones(2), 1.0),
      "pilot matrix is zero"),
-], ids=["objective_t_mismatch", "optimality_eta_shapes", "resolve_ambiguity_k_mismatch", "pilot_no_columns",
+], ids=["objective_t_mismatch", "objective_t_below_k", "euclid_grad_t_below_k", "iterate_t_below_k",
+        "optimality_eta_shapes", "resolve_ambiguity_k_mismatch", "pilot_no_columns",
         "pilot_all_zero"])
 def test_inputs_that_cannot_work_rejected(call, message):
     with pytest.raises(ValueError, match=message):

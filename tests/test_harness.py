@@ -856,6 +856,17 @@ class TestConvergenceExperiment:
         assert list(v) == ["base", "big"]
         assert v["big"] == replace(base, n_h=512)
 
+    def test_solver_override_keeps_the_options_it_does_not_name(self):
+        # A variant's fields are overrides, and so are a solver map's options;
+        # null still means the defaults, and a value that is not a map fails by name.
+        base = SystemConfig(channel_model="bernoulli_gaussian",
+                            solver=SolverOptions(max_iters=120, eta_tol=1e-9))
+        v = convergence_variants(base, {"short": {"solver": {"max_iters": 10}}, "plain": {"solver": None}})
+        assert v["short"].solver == SolverOptions(max_iters=10, eta_tol=1e-9)
+        assert v["plain"].solver == SolverOptions()
+        with pytest.raises(ValueError, match="solver must be null or a map of option names to values, got 5"):
+            convergence_variants(base, {"x": {"solver": 5}})
+
     def test_override_named_base_rejected(self):
         # It would replace the config itself: only theta = 0.05 would run, under the name base.
         base = SystemConfig(k_users=4, t_len=60, n_h=64, theta=0.2, sigma_z2=0.001,

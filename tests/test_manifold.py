@@ -190,7 +190,7 @@ def with_condition(rng, t, k, kappa, scale=1.0):
     return with_spectrum(rng, t, k, scale * np.geomspace(1.0, 1.0 / kappa, k))
 
 
-class TestGramPolar:
+class TestPolar:
     @pytest.mark.parametrize("shape", [(240, 8), (40, 8), (9, 3), (5, 1)])
     @pytest.mark.parametrize("kappa", [1.0, 10.0, 100.0])
     def test_matches_svd_when_well_conditioned(self, linalg_calls, shape, kappa):
@@ -228,18 +228,6 @@ class TestGramPolar:
         _polar(with_condition(rng, 30, 4, edge * 1.01))
         assert linalg_calls == ["_eigh", "_eigh", "_svd"]
 
-    def test_top_r_only(self, linalg_calls):
-        rng = np.random.default_rng(5)
-        y = crandn(rng, 30, 12)
-        u, s, vh = np.linalg.svd(y, full_matrices=False)
-        s_gram, left, right = _top_factors(y, 4)
-        assert linalg_calls == ["_eigh"]
-        assert s_gram.shape == (4,)
-        assert np.abs(s_gram - s[:4]).max() <= 1e-12 * s[0]
-        assert np.abs(left @ right - u[:, :4] @ vh[:4]).max() <= 1e-12
-
-
-class TestPolar:
     @pytest.mark.parametrize("kappa", [1e4, 1e8])
     @pytest.mark.parametrize("r", [None, 7])
     def test_ill_conditioned_matches_svd_bit_for_bit(self, kappa, r):
@@ -486,6 +474,16 @@ class TestTopFactors:
         assert np.linalg.norm(u.conj().T @ u - np.eye(7)) < 1e-10
         assert np.linalg.norm(vh @ vh.conj().T - np.eye(7)) < 1e-10
         assert np.abs(m @ vh.conj().T - u).max() <= 1e-12
+
+    def test_top_r_only(self, linalg_calls):
+        rng = np.random.default_rng(5)
+        y = crandn(rng, 30, 12)
+        u, s, vh = np.linalg.svd(y, full_matrices=False)
+        s_gram, left, right = _top_factors(y, 4)
+        assert linalg_calls == ["_eigh"]
+        assert s_gram.shape == (4,)
+        assert np.abs(s_gram - s[:4]).max() <= 1e-12 * s[0]
+        assert np.abs(left @ right - u[:, :4] @ vh[:4]).max() <= 1e-12
 
 
 class TestTopSubspace:
