@@ -12,24 +12,13 @@ with the parameter-free fixed-point iteration
 which is a Frank-Wolfe step whose optimal step size is exactly 1 because the
 objective is convex in A.  The conjugate transpose of the solution estimates
 the frame up to a per-row phase and a row permutation; both are resolved
-from the reference symbol and the user-ID headers.
+from the reference symbol and the user-ID headers (``resolve_ambiguity``).
 
 A block is the dense M x T matrix Ybar or ``precondition``'s pair (u, vh) of
 its rank-K factors, which is never multiplied out; every function that takes
-a block takes either form.  The gradient reads the block through transposed
-views of those same factors, so no conjugate copy of it is ever made.
-
-The iteration and its projected-gradient baseline share one ascent loop;
-they differ only in their step: the polar factor of the gradient, or a
-backtracking line search along the Riemannian gradient.  The gradient's
-singular values (for eta) and its polar factor come from ``manifold._polar``,
-and ``precondition``'s rank-K factors from ``manifold._top_factors``.
-
-On the pair, ``solve`` iterates in the K-dimensional row space of vh: every
-gradient there is vh^H C with C = p (u^H F) G^(-1/2), and
-polar(vh^H C) = vh^H polar(C), so after the start every iterate is vh^H B
-for a K x K unitary B.  The loop holds B, and each iteration costs two
-M x K x K products and the SVD of the K x K matrix C, independent of T.
+a block takes either form.  ``solve`` and its projected-gradient baseline
+``riemannian_gd_baseline`` share one ascent loop, ``_ascend``; ``detect``
+runs the whole pipeline for one method.
 """
 
 from __future__ import annotations
@@ -283,8 +272,7 @@ def euclid_grad(y_bar: Block, a: np.ndarray, g_diag: np.ndarray, p_exponent: int
 
     Returns p * Ybar^H (|W|^(p-2) . W) G^(-1/2) with W = Ybar A G^(-1/2);
     its real inner product with a direction equals the first-order change of
-    the objective along that direction.  Ybar^H is read through transposed
-    views of the block's factors, so the call copies no block.
+    the objective along that direction.
     """
     y, am, isg = _point_inputs(y_bar, a, g_diag, p_exponent)
     return _evaluate(y, am, isg, p_exponent, with_grad=True)[1]
@@ -342,7 +330,7 @@ def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, n
     ``SystemConfig``'s 1e30 caps keep B far below either).  Gram matrices of
     the gradient, and of rgd's steps, are at most 4 p^2 B^(2p); past the B
     that keeps that finite (1.3e51 for p = 3, 2.0e38 for p = 4) one can
-    overflow, which ``_numerics()`` lets pass and which sends ``_polar`` to the SVD.
+    overflow, which ``_numerics()`` lets pass for ``_polar`` to handle.
     """
     y, isg = _inputs(y_bar, g_diag, p)
     norms = _norms(y)
@@ -370,13 +358,12 @@ def _ascend(
 ) -> Tuple[np.ndarray, SolveTrace]:
     """The ascent loop both solvers share; only ``step`` differs.
 
-    Each iterate costs one objective/gradient evaluation, whose two products
-    both read the one stored block, and one factorization of the gradient
-    through ``_polar``, which gives eta; then come ``on_iterate`` and the
-    stop rule (``eta_tol``, ``obj_tol``, ``max_iters``).  Otherwise
-    ``step(a, obj, grad, polar)`` returns the next iterate, or None (it
-    found no ascent: stop with ``no_ascent``), and the objective evaluations
-    it spent;
+    Each iterate costs one objective/gradient evaluation and one
+    factorization of the gradient through ``_polar``, which gives eta; then
+    come ``on_iterate`` and the stop rule (``eta_tol``, ``obj_tol``,
+    ``max_iters``).  Otherwise ``step(a, obj, grad, polar)`` returns the next
+    iterate, or None (it found no ascent: stop with ``no_ascent``), and the
+    objective evaluations it spent;
     ``polar()`` forms the gradient's polar factor,
     raising RankDeficientError when the gradient is rank deficient.  An
     all-zero gradient raises RankDeficientError at once: its eta of 0 would
@@ -385,14 +372,9 @@ def _ascend(
     ``step`` returns each (drift raises ValueError, never a restart);
     ``on_iterate`` gets a read-only view of each.
 
-    With ``vh`` (K x T, orthonormal rows), ``y`` is the pair's left factor
-    (u,) and the loop works on x = vh A, exact because every quantity reads
-    A only through vh A: W = u x G^(-1/2), the gradient's coordinates
-    p (u^H F) G^(-1/2) (its singular values, and Re<x, coordinates> =
-    Re<A, gradient>), and the step, whose polar factor is the next x.  The
-    start stays the T x K point ``a``; each later iterate is formed as
-    vh^H x, and checked, only for ``on_iterate`` and once at return.
-    The trace carries ``restarts``, the caller's count of earlier starts.
+    With ``vh``, ``y`` is the pair's left factor (u,) and the loop runs on
+    x = vh A, as ``solve`` describes.  The trace carries ``restarts``, the
+    caller's count of earlier starts.
     """
     a = _check_orthonormal(a)
     x = a if vh is None else vh @ a
@@ -450,10 +432,17 @@ def solve(
     random point, counted in the trace's ``restarts``; a second failure
     re-raises RankDeficientError, which ``run_sweep`` records per trial.
 
-    On the pair, the start is drawn and checked in T-space as on the dense
-    block; from there the loop iterates the K x K coordinates vh A (see
-    ``_ascend``), so an iteration costs two M x K x K products and a K x K
-    SVD, independent of T.
+    On the pair (u, vh) the loop runs in the K-dimensional row space of vh.
+    Every gradient there is vh^H C with C = p (u^H F) G^(-1/2), and
+    polar(vh^H C) = vh^H polar(C), so after the start every iterate is
+    vh^H B for a K x K unitary B.  The loop holds x = vh A, which is exact
+    because every quantity reads A only through it: W = u x G^(-1/2), the
+    gradient's coordinates C (its singular values, and Re<x, C> =
+    Re<A, gradient>), and the step, whose polar factor is the next x.  An
+    iteration then costs two M x K x K products and the SVD of C, O(M K^2),
+    independent of T.  The start is drawn and checked in T-space as on the
+    dense block; each later iterate is formed as vh^H x, and checked, only
+    for ``on_iterate`` and once at return.
 
     Parameters
     ----------
@@ -785,7 +774,7 @@ def riemannian_gd_baseline(
             except RankDeficientError:
                 continue
             spent += 1
-            if objective(y, cand, g_diag) > obj:
+            if _evaluate(y, cand, isg, 3)[0] > obj:
                 return cand, spent
         return None, spent
 

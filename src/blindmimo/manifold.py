@@ -1,29 +1,29 @@
-"""Complex Stiefel manifold primitives.
+"""Complex Stiefel manifold primitives, and every factorization the package runs.
 
 The complex Stiefel manifold St_K(C^T) is the set of T x K complex matrices
 with orthonormal columns (A^H A = I_K).  This module provides the small set
-of operations every solver in the package is built on: Haar-uniform sampling,
-the polar-decomposition retraction, tangent-space projection of a Euclidean
-gradient, and the nuclear norm.  A point is its plain T x K array, as a
-direction is; ``StiefelPoint``, which no solver builds, wraps a checked one.
+of operations every solver in the package is built on: Haar-uniform sampling
+(``random_stiefel``), the polar retraction (``polar_retract``), tangent-space
+projection of a Euclidean gradient (``riemannian_grad``) and the nuclear
+norm.  A point is its plain T x K array, as a direction is; ``StiefelPoint``,
+which no solver builds, wraps a checked one.
 
-``_polar(m)`` gives the singular values and polar factor that every solver
-iteration needs: a strictly tall matrix goes through the eigendecomposition
-of its small K x K Gram matrix m^H m, and anything else (a square or wide
-matrix, or a Gram too ill-conditioned to trust, since forming it squares
-the condition number of m) through the compact SVD, by NumPy's own LAPACK
-gufuncs for zheevd and zgesdd, the routines behind ``np.linalg.eigh`` and
-``np.linalg.svd``, called without NumPy's wrapper.  ``_top_factors(m, r)``,
-preconditioning's once-per-block rank-r factorization, takes the top r
-eigenpairs of the T x T Gram, with the same cut: from the full zheevd for
-fewer than 96 columns, and from 96 on from ``_top_subspace``, a block
-subspace iteration built from matrix products, (r + 4) x (r + 4)
-eigendecompositions and ``_polar``'s polar factors of its T x (r + 4)
-bases, whose output does not depend on the BLAS thread count below
-T = 838 (K = 8).
-The package needs no SciPy.  The gufuncs run bare, inside the error state
-``_numerics()``, which each solve enters once and each public function
-that factors enters itself.
+Each solver iteration's singular values and polar factor come from
+``_polar``, and preconditioning's rank-r factors from ``_top_factors``.  Both
+call NumPy's own LAPACK gufuncs through ``_eigh`` and ``_svd``, bare, inside
+the error state ``_numerics()``; the package needs no SciPy.
+
+Which results depend on the BLAS thread count.  With OpenBLAS 0.3.31 these
+gave the same bytes under 1 and 2 threads: every matrix product, every
+factorization of a K x K or T x K matrix with K = 8, and both of
+``_top_factors``' routes, the full zheevd of the T x T Gram below
+``_SUBSPACE_MIN_T`` columns and ``_top_subspace`` from there on.  These did
+not: the full zheevd of a Gram of T = 98 or more, which a block of at least
+``_SUBSPACE_MIN_T`` columns takes only when ``_top_subspace`` gives None; the
+SVD of ``_top_subspace``'s T x 12 start from T = 838 on (the same bytes up to
+T = 837), which ``_polar`` takes when the start fails the ``_GRAM_RTOL`` cut
+(on default-config blocks of T = 960 from 35 dB up); and the SVD of an
+ill-conditioned or large matrix, such as a 300 x 64 one.
 
 All functions are pure; random state is owned by the caller.
 """
@@ -58,9 +58,9 @@ _RANK_RTOL = 1e-12
 _GRAM_RTOL = 1e-5
 
 # ``_top_factors`` takes ``_top_subspace`` for blocks of at least this many
-# columns.  Near it both routes take 1-4 ms on M = 256, and the full zheevd
-# of the T x T Gram gave the same bytes under 1 and 2 OpenBLAS 0.3.31
-# threads up to T = 96, not from T = 98 on.
+# columns, and the full zheevd of the T x T Gram below it, where that does
+# not depend on the thread count (module docstring).  Near it both routes
+# take 1-4 ms on M = 256.
 _SUBSPACE_MIN_T = 96
 # Guard vectors the subspace iteration carries beside the r it returns.
 _SUBSPACE_GUARD = 4
@@ -149,10 +149,7 @@ def polar_retract(m: np.ndarray) -> np.ndarray:
     For full-column-rank input this is the unique maximiser of Re<m, A> over
     the Stiefel manifold, and the nearest Stiefel point in Frobenius norm.
 
-    The factor comes from ``_polar``: m (m^H m)^(-1/2) from the
-    eigendecomposition of the Gram of a strictly tall ``m``, or U V^H from
-    the SVD when ``m`` is square or the Gram's smallest eigenvalue is at
-    most 1e-5 of the largest.
+    The factor comes from ``_polar``, which chooses how to form it.
 
     Raises
     ------
@@ -268,10 +265,6 @@ def _top_subspace(m: np.ndarray, r: int) -> Optional[Tuple[np.ndarray, np.ndarra
     finds N rank deficient (a start of rank below b, as on a noiseless
     block), or after ``_SUBSPACE_STEPS`` steps.  With fewer than b rows,
     all of them start it, span G's range and give the pairs in one step.
-    Its output does not depend on the BLAS thread count, unlike the full
-    zheevd of a large Gram, except where a start fails ``_polar``'s Gram cut
-    (a high-SNR block) and takes the SVD: with OpenBLAS 0.3.31, that of a
-    T x 12 start gave the same bytes under 1 and 2 threads up to T = 837.
     """
     b = r + _SUBSPACE_GUARD
     nxt = m[np.argsort(np.vecdot(m, m).real)[-b:]].conj().T
@@ -299,7 +292,7 @@ def _top_factors(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndar
     """Top ``r`` singular values of ``m`` (fewer if it has fewer) and its factors (m V Sigma^-1, V^H).
 
     The Gram's top r eigenpairs come from ``_top_subspace`` when ``m`` has
-    at least ``_SUBSPACE_MIN_T`` (96) columns; else, or when it gives None,
+    at least ``_SUBSPACE_MIN_T`` columns; else, or when it gives None,
     a strictly tall ``m`` takes the full ``_eigh`` of its Gram and keeps the
     top r (a Gram that is not finite raises ValueError, which names it,
     before zheevd runs).  When the r-th eigenvalue passes the ``_GRAM_RTOL``

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from blindmimo import (
+    AmbiguityResolution,
+    DetectionResult,
     RankDeficientError,
     SolverOptions,
     SolveTrace,
@@ -780,6 +782,15 @@ class TestPostprocess:
         with pytest.raises(RankDeficientError, match="reprojection matrix D is rank deficient"):
             postprocess(y_pre, x_pre, crandn(rng, 2, 6))
 
+    def test_all_zero_block_rejected(self):
+        # D = u has full column rank, but the least-squares estimate of an
+        # all-zero block is all zero, and its rows cannot be normalized.
+        rng = np.random.default_rng(1)
+        u = random_stiefel(10, 3, rng)
+        x_pre = random_stiefel(8, 3, rng).conj().T
+        with pytest.raises(RankDeficientError, match="reprojected estimate has an all-zero row"):
+            postprocess(u @ x_pre, x_pre, np.zeros((10, 8), complex))
+
 
 class TestFactoredBlock:
     """``precondition``'s pair (u, vh) against the dense block u @ vh it stands for."""
@@ -1024,6 +1035,37 @@ class TestRiemannianGdBaseline:
         _, tr_gd = riemannian_gd_baseline(y_bar, np.ones(8), opts, np.random.default_rng(1))
         assert tr_gd.n_evals > tr_fw.n_evals
 
+    def test_rank_deficient_candidate_is_skipped(self, monkeypatch):
+        # Each step's first candidate raises RankDeficientError from its
+        # retraction.  The line search goes on to the halved step, and
+        # n_evals counts only the candidates it scored.
+        rng = np.random.default_rng(9)
+        y, _, _ = noiseless_instance(rng, m=64, k=3, t=40)
+        y = y + 1e-3 * crandn(rng, *y.shape)
+        real_grad, real_retract = detector.riemannian_grad, detector.polar_retract
+        steps = []  # per step: its point, its direction and the candidates retracted
+
+        def grad(a, g):
+            steps.append((a, real_grad(a, g), []))
+            return steps[-1][1]
+
+        def retract(m):
+            seen = steps[-1][2]
+            seen.append(m)
+            if len(seen) == 1:
+                raise RankDeficientError("first candidate refused")
+            return real_retract(m)
+
+        monkeypatch.setattr(detector, "riemannian_grad", grad)
+        monkeypatch.setattr(detector, "polar_retract", retract)
+        a, tr = riemannian_gd_baseline(y, np.ones(3), SolverOptions(max_iters=20), np.random.default_rng(5))
+        assert tr.stop_reason != "no_ascent" and tr.iters_run == len(steps) >= 2
+        for a_j, direction, seen in steps:
+            assert np.array_equal(seen[0], a_j + direction)
+            assert np.array_equal(seen[1], a_j + 0.5 * direction)
+        assert tr.n_evals == len(tr.objective_per_iter) + sum(len(seen) - 1 for _, _, seen in steps)
+        assert np.linalg.norm(a.conj().T @ a - np.eye(3)) < 1e-9
+
 
 class TestPilotZf:
     def test_soft_threshold_closed_form(self):
@@ -1202,9 +1244,20 @@ class TestSharedAscentLoop:
      "need at least one pilot symbol"),
     (lambda: pilot_zf_baseline(np.ones((4, 3)), np.zeros((2, 3)), np.ones((4, 8)), np.ones(2), 1.0),
      "pilot matrix is zero"),
+    (lambda: SolveTrace(np.zeros(3), np.zeros(2), "eta_tol"), "objective and eta traces must be equal-length vectors"),
+    (lambda: SolveTrace(np.zeros(2), np.zeros(2), "converged"), "unknown stop reason 'converged'"),
+    (lambda: AmbiguityResolution(np.ones(3), np.array([0, 0, 2]), np.zeros(3)),
+     r"permutation must be a bijection on 0..K-1"),
+    (lambda: AmbiguityResolution(np.array([1.0, 1j, 1.01]), np.array([2, 0, 1]), np.zeros(3)),
+     "phase corrections must be unit modulus"),
+    (lambda: DetectionResult(np.array([[1.0, 0.0], [1.2, 1.0]]), np.zeros((2, 2), int),
+                             SolveTrace(np.zeros(1), np.zeros(1), "eta_tol"),
+                             AmbiguityResolution(np.ones(2), np.arange(2), np.zeros(2))),
+     r"x_hat row norms outside the sane range \(0, 1.5\]"),
 ], ids=["objective_t_mismatch", "objective_t_below_k", "euclid_grad_t_below_k", "iterate_t_below_k",
         "optimality_eta_shapes", "resolve_ambiguity_k_mismatch", "pilot_no_columns",
-        "pilot_all_zero"])
+        "pilot_all_zero", "trace_lengths_differ", "trace_stop_reason_unknown",
+        "resolution_not_a_bijection", "resolution_phase_off_the_circle", "result_row_norm_above_1_5"])
 def test_inputs_that_cannot_work_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -542,6 +542,19 @@ class TestRunSweep:
         assert np.median(evm["spread"]) < np.median(evm["default"])
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"evm": -0.1}, "evm must be nonnegative"),
+    ({"ser": 1.5}, r"ser must lie in \[0, 1\]"),
+    ({"ser": -0.25}, r"ser must lie in \[0, 1\]"),
+], ids=["evm_negative", "ser_above_1", "ser_negative"])
+def test_trial_metrics_reject_impossible_values(over, message):
+    # A ValueError, not a RankDeficientError: run_sweep lets it propagate.
+    fields = {"evm": 0.1, "ser": 0.0, "ber": 0.0, "rate": 1.0, "normalized_objective": None, "iters": 3}
+    with pytest.raises(ValueError, match=message) as info:
+        TrialMetrics(**{**fields, **over})
+    assert type(info.value) is ValueError
+
+
 def asdict_json(rec):
     """A record's line built from ``dataclasses.asdict``, the reference ``to_json`` must equal."""
     d = asdict(rec)

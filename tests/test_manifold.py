@@ -590,6 +590,22 @@ class TestTopSubspace:
         assert np.abs(s - s_ref[:8]).max() <= 1e-12 * s_ref[0]
         assert np.abs(u.conj().T @ m - s[:, np.newaxis] * vh).max() <= 1e-12 * s_ref[0]
 
+    def test_ritz_value_in_the_null_space_falls_back(self, linalg_calls):
+        # Past the top 8, singular values below 1e-7 put the Gram's other
+        # eigenvalues below 1e-12 of the largest.  The start's 12 rows are
+        # still full rank: ``_polar`` tries their Gram, whose eigenvalues fail
+        # the cut, and forms the basis from their SVD.  The first Rayleigh
+        # quotient then holds a Ritz value that small, so the iteration gives
+        # up after that one 12 x 12 eigendecomposition and the full zheevd
+        # answers.
+        m = self.received(240, floor=1e-7)
+        with manifold._numerics():
+            s, u, vh = _top_factors(m, 8)
+        assert linalg_calls == ["_top_subspace", "_eigh", "_svd", "_eigh", "_eigh"]
+        s_ref = np.linalg.svd(m, compute_uv=False)
+        assert np.abs(s - s_ref[:8]).max() <= 1e-12 * s_ref[0]
+        assert np.abs(u.conj().T @ m - s[:, np.newaxis] * vh).max() <= 1e-12 * s_ref[0]
+
 
 class TestRiemannianGrad:
     def test_zero_at_hermitian_multiple(self):

@@ -151,6 +151,10 @@ class TestErrorRates:
         with pytest.raises(ValueError):
             symbol_error_rate(np.zeros((2, 3)), np.zeros((3, 2)))
 
+    def test_empty_payload(self):
+        # A frame with no payload has no symbol to get wrong.
+        assert symbol_error_rate(np.zeros((4, 0), int), np.zeros((4, 0), int)) == 0.0
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: evm(np.ones((2, 4)), np.ones((2, 5))), r"shape mismatch: \(2, 4\) vs \(2, 5\)"),
