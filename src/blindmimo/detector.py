@@ -164,17 +164,6 @@ def _positive_g(g_diag: np.ndarray, k: int) -> np.ndarray:
     return g
 
 
-def _inv_sqrt_g(g_diag: np.ndarray, k: int) -> np.ndarray:
-    """G^(-1/2) as a complex128 vector, cast once here rather than in every evaluation.
-
-    ``_evaluate`` scales complex arrays by it in place.  NumPy multiplies a
-    complex array by a float64 vector by casting the vector to complex128
-    (x + 0j) and running the complex multiply, so the cast done once here
-    gives the same bits.
-    """
-    return (1.0 / np.sqrt(_positive_g(g_diag, k))).astype(np.complex128)
-
-
 Block = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
 Factors = Tuple[np.ndarray, ...]
 
@@ -204,7 +193,11 @@ def _inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarr
     if p not in (3, 4):
         raise ValueError(f"p_exponent must be 3 or 4, got {p!r}")
     y = _factors(y_bar)
-    isg = _inv_sqrt_g(g_diag, np.size(g_diag))  # a vector of any length K
+    # G^(-1/2), a vector of any length K, cast to complex128 once here rather
+    # than in every evaluation: NumPy multiplies a complex array by a float64
+    # vector by casting it to x + 0j and running the complex multiply, so the
+    # cast gives the same bits.
+    isg = (1.0 / np.sqrt(_positive_g(g_diag, np.size(g_diag)))).astype(np.complex128)
     t, k = y[-1].shape[1], isg.size
     if t < k:
         raise ValueError(f"need T >= K, got T={t}, K={k}")
@@ -228,7 +221,7 @@ def _evaluate(
 ) -> Tuple[float, Optional[np.ndarray]]:
     """The objective at ``a`` and, ``with_grad``, the gradient there.
 
-    ``isg`` is ``_inv_sqrt_g``'s complex128 G^(-1/2), so scaling W and the
+    ``isg`` is ``_inputs``' complex128 G^(-1/2), so scaling W and the
     gradient by it casts nothing.  F = |W|^(p-2) . W is formed in W's own
     buffer, once |W| is taken, as W times mag (p = 3) or mag * mag (p = 4):
     bit-identical to the power, and to mag times W, since a real factor
@@ -352,7 +345,6 @@ def _ascend(
     opts: SolverOptions,
     p: int,
     step: Callable[..., Tuple[Optional[np.ndarray], int]],
-    on_iterate: Optional[Callable[[np.ndarray, int], None]] = None,
     vh: Optional[np.ndarray] = None,
     restarts: int = 0,
 ) -> Tuple[np.ndarray, SolveTrace]:
@@ -360,17 +352,15 @@ def _ascend(
 
     Each iterate costs one objective/gradient evaluation and one
     factorization of the gradient through ``_polar``, which gives eta; then
-    come ``on_iterate`` and the stop rule (``eta_tol``, ``obj_tol``,
-    ``max_iters``).  Otherwise ``step(a, obj, grad, polar)`` returns the next
-    iterate, or None (it found no ascent: stop with ``no_ascent``), and the
-    objective evaluations it spent;
-    ``polar()`` forms the gradient's polar factor,
+    comes the stop rule (``eta_tol``, ``obj_tol``, ``max_iters``).
+    Otherwise ``step(a, obj, grad, polar)`` returns the next iterate, or None
+    (it found no ascent: stop with ``no_ascent``), and the objective
+    evaluations it spent; ``polar()`` forms the gradient's polar factor,
     raising RankDeficientError when the gradient is rank deficient.  An
     all-zero gradient raises RankDeficientError at once: its eta of 0 would
     otherwise pass the stop rule at objective 0, the minimum.  Iterates are
     plain arrays, checked by ``_check_orthonormal`` once at the start and as
-    ``step`` returns each (drift raises ValueError, never a restart);
-    ``on_iterate`` gets a read-only view of each.
+    ``step`` returns each (drift raises ValueError, never a restart).
 
     With ``vh``, ``y`` is the pair's left factor (u,) and the loop runs on
     x = vh A, as ``solve`` describes.  The trace carries ``restarts``, the
@@ -378,11 +368,6 @@ def _ascend(
     """
     a = _check_orthonormal(a)
     x = a if vh is None else vh @ a
-
-    def point(j: int) -> np.ndarray:
-        """Iterate j as a T x K array."""
-        return a if j == 0 else x if vh is None else _check_orthonormal(vh.conj().T @ x)
-
     objs: list[float] = []
     etas: list[float] = []
     n_evals = 0
@@ -394,10 +379,6 @@ def _ascend(
         objs.append(obj)
         etas.append(_gap(float(s.sum()), x, grad))
         n_evals += 1
-        if on_iterate is not None:
-            view = point(j).view()
-            view.setflags(write=False)
-            on_iterate(view, j)
         if etas[-1] < opts.eta_tol * max(etas[0], 1.0):
             stop_reason = "eta_tol"
         elif j >= 1 and objs[-1] - objs[-2] < opts.obj_rel_tol * max(objs[-2], 1e-300):
@@ -412,7 +393,8 @@ def _ascend(
                 continue
             stop_reason = "no_ascent"
         break
-    return point(j), SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals, restarts)
+    a = a if j == 0 else x if vh is None else _check_orthonormal(vh.conj().T @ x)
+    return a, SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals, restarts)
 
 
 def solve(
@@ -421,7 +403,6 @@ def solve(
     opts: SolverOptions,
     rng: np.random.Generator,
     a0: Optional[np.ndarray] = None,
-    on_iterate: Optional[Callable[[np.ndarray, int], None]] = None,
     p_exponent: int = 3,
 ) -> Tuple[np.ndarray, SolveTrace]:
     """Run the parameter-free fixed-point iteration from a random start.
@@ -441,8 +422,7 @@ def solve(
     Re<A, gradient>), and the step, whose polar factor is the next x.  An
     iteration then costs two M x K x K products and the SVD of C, O(M K^2),
     independent of T.  The start is drawn and checked in T-space as on the
-    dense block; each later iterate is formed as vh^H x, and checked, only
-    for ``on_iterate`` and once at return.
+    dense block; only the returned iterate is formed as vh^H x, and checked.
 
     Parameters
     ----------
@@ -453,9 +433,6 @@ def solve(
         Optional T x K initial point with orthonormal columns (default:
         Haar-uniform draw from ``rng``); any other raises ValueError before
         the first evaluation.
-    on_iterate
-        Optional hook called as ``on_iterate(point, j)`` with a read-only
-        view of every visited iterate, including the initial one.
     p_exponent
         The objective exponent: 3 is the proposed detector, 4 the
         higher-order baseline; any other value raises ValueError.
@@ -483,8 +460,7 @@ def solve(
         for restarts, start in enumerate((a0, None)):
             a = start if start is not None else random_stiefel(t, k, rng)
             try:
-                return _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), on_iterate, vh,
-                               restarts)
+                return _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), vh, restarts)
             except RankDeficientError:
                 continue
     raise RankDeficientError("gradient rank deficient after one restart; perturb the input")
@@ -756,10 +732,12 @@ def riemannian_gd_baseline(
     Under identity fading it reaches ``solve``'s stationary values at extra
     line-search cost; under log-distance fading it does not.  Preconditioned,
     ||grad_R|| starts near 2e14, so 2^-29 still overshoots and it stops after
-    one step at ~0.4 of ``solve``'s objective.  Unpreconditioned at 20 dB it
-    stopped with ``eta_tol`` in every trial measured: 23-110 iterations on
-    the default config, 21-49 on Bernoulli-Gaussian identity-fading blocks
-    (4 trials each, base seed 0).  Its retractions must go through
+    one step at ~0.4 of ``solve``'s objective.  Unpreconditioned at 20 dB
+    it stopped with ``eta_tol`` in all 4 trials at base seed 0, after
+    23-110 iterations on the default config and 21-49 on Bernoulli-Gaussian
+    identity-fading blocks; on 20 default-config trials at base seed 3 it
+    stopped with ``eta_tol`` in 17 (19-175 iterations) and at ``max_iters``
+    (200) in 3.  Its retractions must go through
     ``manifold.polar_retract``: ``bench/run.py --trace 1`` divides its steps
     by that call count (``rgd_accept_ratio``), a ZeroDivisionError without it.
     """

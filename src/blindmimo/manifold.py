@@ -295,7 +295,8 @@ def _top_factors(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndar
     at least ``_SUBSPACE_MIN_T`` columns; else, or when it gives None,
     a strictly tall ``m`` takes the full ``_eigh`` of its Gram and keeps the
     top r (a Gram that is not finite raises ValueError, which names it,
-    before zheevd runs).  When the r-th eigenvalue passes the ``_GRAM_RTOL``
+    before zheevd runs; a finite block at ``precondition``'s norm limit can
+    round its Gram to inf).  When the r-th eigenvalue passes the ``_GRAM_RTOL``
     cut, the factors follow from those pairs; anything else takes the
     compact SVD's top r.  No rank test is made here.  Call it inside
     ``_numerics()``.

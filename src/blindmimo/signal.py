@@ -162,8 +162,6 @@ def build_frame(
     Gray labelling, which is the shortest injective header of the required
     length.  The whole matrix is scaled by 1/sqrt(T).
     """
-    if k_users < 1:
-        raise ValueError("k_users must be positive")
     hlen = header_length(k_users, c.size)
     if t_len <= 1 + hlen:
         raise ValueError(

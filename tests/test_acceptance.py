@@ -6,6 +6,7 @@ for criteria not yet written); every tolerance is pinned here, not
 configured elsewhere.
 """
 
+import itertools
 import json
 import math
 import time
@@ -38,43 +39,48 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def grid_runs():
-    """504 solver runs spanning K x M x SNR x theta; worst drop and feasibility."""
+    """504 dense solver runs spanning K x M x SNR x theta, then 48 preconditioned T = 40 ones.
+
+    Every iterate passes through ``detector._check_orthonormal``, where a spy
+    measures ||A^H A - I||_F of each array it is given.  On precondition's
+    pair (u, vh) the loop holds K x K coordinates x, which the spy lifts to
+    the iterate A = vh^H x.
+    """
     c = bm.build_constellation("qpsk")
-    t_len = 120
     worst_drop = 0.0
-    max_feas = 0.0
-    n_runs = 0
+    feas = []
+    runs = {"dense": 0, "pre": 0}
+    check, vh = bm.detector._check_orthonormal, None  # vh: the pair's, once the preconditioned runs start
+
+    def spy(a):
+        pt = vh.conj().T @ a if vh is not None and a.shape[0] < vh.shape[1] else a
+        feas.append(float(np.linalg.norm(pt.conj().T @ pt - np.eye(pt.shape[1]))))
+        return check(a)
+
     t0 = time.perf_counter()
-    for ki, k in enumerate((2, 4, 8)):
-        for mi, m in enumerate((64, 256)):
-            for si, snr in enumerate((0.0, 10.0, 30.0)):
-                for ti, theta in enumerate((0.1, 0.3)):
-                    for rep in range(14):
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence([1000, ki, mi, si, ti, rep])
-                        )
-                        frame = bm.build_frame(k, t_len, c, rng)
-                        chan = bm.bernoulli_gaussian_channel(m, k, theta, rng)
-                        g = np.ones(k)
-                        sigma = bm.snr_to_noise_variance(snr, k, t_len)
-                        y_bar = bm.synthesize_received(chan, frame.x, g, g, sigma, rng)
-                        feas = []
-
-                        def hook(pt, j, feas=feas):
-                            feas.append(
-                                float(np.linalg.norm(
-                                    pt.conj().T @ pt - np.eye(pt.shape[1])))
-                            )
-
-                        _, tr = bm.solve(y_bar, g, SolverOptions(max_iters=150),
-                                         rng, on_iterate=hook)
-                        drops = np.diff(tr.objective_per_iter)
-                        if drops.size:
-                            worst_drop = min(worst_drop, float(drops.min()))
-                        max_feas = max(max_feas, max(feas))
-                        n_runs += 1
-    return {"worst_drop": worst_drop, "max_feas": max_feas, "n_runs": n_runs,
-            "elapsed": time.perf_counter() - t0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bm.detector, "_check_orthonormal", spy)
+        for kind, t_len, snrs, reps in (("dense", 120, (0.0, 10.0, 30.0), 14), ("pre", 40, (10.0, 30.0), 2)):
+            for (ki, k), (mi, m), (si, snr), (ti, theta), rep in itertools.product(
+                    enumerate((2, 4, 8)), enumerate((64, 256)), enumerate(snrs), enumerate((0.1, 0.3)), range(reps)):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([1000 if kind == "dense" else 1001, ki, mi, si, ti, rep])
+                )
+                frame = bm.build_frame(k, t_len, c, rng)
+                chan = bm.bernoulli_gaussian_channel(m, k, theta, rng)
+                g = np.ones(k)
+                sigma = bm.snr_to_noise_variance(snr, k, t_len)
+                y_bar = bm.synthesize_received(chan, frame.x, g, g, sigma, rng)
+                if kind == "pre":
+                    y_bar = bm.precondition(y_bar, k)
+                    vh = y_bar[1]
+                _, tr = bm.solve(y_bar, g, SolverOptions(max_iters=150), rng)
+                drops = np.diff(tr.objective_per_iter)
+                if drops.size:
+                    worst_drop = min(worst_drop, float(drops.min()))
+                runs[kind] += 1
+    return {"worst_drop": worst_drop, "max_feas": max(feas), "n_runs": runs["dense"],
+            "n_pre": runs["pre"], "elapsed": time.perf_counter() - t0}
 
 
 def test_criterion_01_monotone_ascent(grid_runs):
@@ -82,14 +88,16 @@ def test_criterion_01_monotone_ascent(grid_runs):
           and grid_runs["worst_drop"] >= -1e-12
           and grid_runs["elapsed"] < 180.0)
     report(1, ok,
-           f"monotone ascent over {grid_runs['n_runs']} runs, worst step "
+           f"monotone ascent over {grid_runs['n_runs']} dense and {grid_runs['n_pre']} preconditioned runs, "
+           f"worst step "
            f"{grid_runs['worst_drop']:.2e} >= -1e-12, {grid_runs['elapsed']:.0f}s < 180s")
 
 
 def test_criterion_02_stiefel_feasibility(grid_runs):
     ok = grid_runs["max_feas"] < 1e-8
     report(2, ok,
-           f"every iterate feasible, max ||A^H A - I||_F = {grid_runs['max_feas']:.2e} < 1e-8")
+           f"every iterate of {grid_runs['n_runs'] + grid_runs['n_pre']} runs feasible, "
+           f"max ||A^H A - I||_F = {grid_runs['max_feas']:.2e} < 1e-8")
 
 
 def test_criterion_03_gradient_finite_differences():

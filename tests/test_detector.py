@@ -54,6 +54,14 @@ def noiseless_instance(rng, m=64, k=3, t=50, theta=0.15):
     return chan @ x, chan, x
 
 
+def spy_evaluate(monkeypatch):
+    """Make ``detector._evaluate`` append each point it evaluates to the list returned."""
+    evaluate, seen = detector._evaluate, []
+    monkeypatch.setattr(detector, "_evaluate",
+                        lambda f, x, *rest, **kw: seen.append(x) or evaluate(f, x, *rest, **kw))
+    return seen
+
+
 class TestObjective:
     def test_hand_case(self):
         y = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
@@ -229,16 +237,20 @@ class TestOptimalityEta:
 
 class TestSolve:
     def test_monotone_feasible_trace(self):
+        # On a dense block the public iterate, replayed from solve's start,
+        # visits solve's iterates bit for bit: the same kernel and the same
+        # polar route.
         rng = np.random.default_rng(0)
         y, _, _ = noiseless_instance(rng)
-        feas = []
-
-        def hook(pt, j):
-            feas.append(np.linalg.norm(pt.conj().T @ pt - np.eye(pt.shape[1])))
-
-        a, tr = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(1), on_iterate=hook)
+        a0 = random_stiefel(50, 3, np.random.default_rng(1))  # the start solve draws from rng 1
+        a, tr = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(1), a0=a0)
+        points = [a0]
+        for _ in range(tr.iters_run):
+            points.append(iterate(points[-1], y, np.ones(3)))
+        assert [objective(y, pt, np.ones(3)) for pt in points] == tr.objective_per_iter.tolist()
+        assert points[-1].tobytes() == a.tobytes() and tr.restarts == 0
         assert np.all(np.diff(tr.objective_per_iter) >= -1e-12)
-        assert max(feas) < 1e-9
+        assert max(np.linalg.norm(pt.conj().T @ pt - np.eye(3)) for pt in points) < 1e-9
         assert tr.stop_reason in ("eta_tol", "obj_tol", "max_iters")
         assert len(tr.objective_per_iter) == tr.iters_run + 1
 
@@ -338,10 +350,10 @@ class TestSolve:
         assert calls == []
 
     @pytest.mark.parametrize("layout", ["real", "fortran", "read_only"])
-    def test_start_taken_as_a_complex_c_ordered_copy(self, layout):
+    def test_start_taken_as_a_complex_c_ordered_copy(self, layout, monkeypatch):
         # solve iterates a complex128 C-ordered copy of a0: the caller's
         # array is left as it was, and the trace's bytes are those of a
-        # solve started from that copy.
+        # solve started from that copy.  The spy sees each evaluated point.
         rng = np.random.default_rng(14)
         y, _, _ = noiseless_instance(rng)
         a0 = {"real": np.linalg.qr(rng.standard_normal((50, 3)))[0],
@@ -349,10 +361,10 @@ class TestSolve:
               "read_only": random_stiefel(50, 3, rng)}[layout]
         a0.setflags(write=layout != "read_only")
         before = (a0.dtype, a0.flags.f_contiguous, a0.flags.writeable, a0.tobytes())
-        starts = []
-        runs = [solve(y, np.ones(3), SolverOptions(), np.random.default_rng(0), a0=start,
-                      on_iterate=lambda a, j: starts.append(a) if j == 0 else None)
+        starts = spy_evaluate(monkeypatch)
+        runs = [solve(y, np.ones(3), SolverOptions(), np.random.default_rng(0), a0=start)
                 for start in (a0, np.array(a0, dtype=np.complex128, order="C"))]
+        monkeypatch.undo()
         assert (a0.dtype, a0.flags.f_contiguous, a0.flags.writeable, a0.tobytes()) == before
         assert starts[0].dtype == np.complex128 and starts[0].flags.c_contiguous
         assert not np.shares_memory(starts[0], a0)
@@ -361,18 +373,6 @@ class TestSolve:
         assert tr.objective_per_iter.tobytes() == tr_ref.objective_per_iter.tobytes()
         assert tr.eta_per_iter.tobytes() == tr_ref.eta_per_iter.tobytes()
         assert (tr.stop_reason, tr.restarts) == (tr_ref.stop_reason, 0)
-
-    def test_hook_gets_read_only_iterates(self):
-        y, _, _ = noiseless_instance(np.random.default_rng(13))
-        visited = []
-
-        def hook(a, j):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 0.0
-            visited.append(j)
-
-        _, tr = solve(y, np.ones(3), SolverOptions(), np.random.default_rng(1), on_iterate=hook)
-        assert visited == list(range(tr.iters_run + 1))
 
     def test_heuristic_stationarity_coupling(self):
         # At converged outputs the Riemannian gradient is small on the scale
@@ -728,6 +728,62 @@ class TestPrecondition:
             with pytest.raises(ValueError, match="received block must be finite"):
                 precondition(y, 8)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 48),
+        cols=st.sampled_from([1, 2, 5, 12, 40, 96, 130]),
+        k=st.integers(1, 9),
+        log_scale=st.one_of(st.floats(-300.0, 160.0), st.floats(150.0, 156.0)),  # the limit is 1.3e154
+        bad=st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf, complex(np.inf, np.nan),
+                                                  complex(0.0, -np.inf)])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_factored_gram_is_finite(self, rows, cols, k, log_scale, bad, seed):
+        # precondition rejects a NaN or inf entry, and any block whose Gram
+        # could overflow, before manifold's _eigh or _svd runs, and every
+        # matrix that reaches them has a finite Gram.  Right at the norm
+        # limit that needs _top_factors' own check (the next test).
+        rng = np.random.default_rng(seed)
+        y = 10.0**log_scale * crandn(rng, rows, cols)
+        if bad is not None:
+            y[rng.integers(rows), rng.integers(cols)] = bad
+        finite = []
+
+        def spy(real, gram_of):
+            def call(m):
+                with np.errstate(all="ignore"):
+                    finite.append(bool(np.isfinite(gram_of(m)).all()))
+                return real(m)
+            return call
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(manifold, "_eigh", spy(manifold._eigh, lambda gram: gram))
+            mp.setattr(manifold, "_svd", spy(manifold._svd, lambda m: m.conj().T @ m))
+            try:
+                precondition(y, k)
+            except RankDeficientError:
+                pass
+            except ValueError as exc:
+                assert not finite, f"{exc} raised after a factorization"
+                assert ("must be finite" in str(exc)) == (bad is not None)
+            else:
+                assert bad is None
+        assert all(finite)
+
+    def test_gram_rounded_to_inf_at_the_limit_stops_before_eigh(self, linalg_calls):
+        # ||Ybar||_F is at most sqrt(float max), yet the Gram's one entry,
+        # the sum of five squares, rounds past float max to inf: _top_factors'
+        # own check raises before zheevd runs.
+        y = np.array([[-7.676162904269735e153 + 2.7949267349405192e153j],
+                      [3.8798058802715325e153 - 2.58044776015609e153j],
+                      [1.1055871036999645e153 + 4.565015617132744e153j],
+                      [-3.9494678781144856e153 + 2.2236982138102377e153j],
+                      [6.0848419824777746e153 + 3.419428920383757e153j]])
+        assert np.linalg.norm(y) <= np.sqrt(np.finfo(np.float64).max)
+        with pytest.raises(ValueError) as info:
+            precondition(y, 1)
+        assert not isinstance(info.value, RankDeficientError) and linalg_calls == []
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_nonpositive_k_rejected(self, k):
         y = crandn(np.random.default_rng(7), 8, 5)
@@ -858,17 +914,22 @@ class TestFactoredBlock:
         assert np.all(np.abs(tr_pair.eta_per_iter - tr_dense.eta_per_iter) <= 1e-12 * obj)
         assert np.abs(a_pair - a_dense).max() <= 1e-10
 
-    def test_hook_views_lie_in_the_row_space(self):
+    def test_iterates_lie_in_the_row_space(self, monkeypatch):
+        # After the start the loop holds K x K coordinates x; each iterate
+        # vh^H x is orthonormal, and is the public iterate of the one before
+        # it up to rounding.
         (u, vh), g = self.short_pair("log_distance", seed=5)
-        views = []
-        _, tr = solve((u, vh), g, SolverOptions(), np.random.default_rng(1),
-                      on_iterate=lambda a, j: views.append(a))
-        assert len(views) == tr.iters_run + 1 >= 3
-        for j, a in enumerate(views):
-            assert a.shape == (40, 4) and not a.flags.writeable
-            manifold._check_orthonormal(a)
-            if j >= 1:
-                assert np.linalg.norm(a - vh.conj().T @ (vh @ a)) <= 1e-12
+        a0 = random_stiefel(40, 4, np.random.default_rng(1))
+        coords = spy_evaluate(monkeypatch)
+        a, tr = solve((u, vh), g, SolverOptions(), np.random.default_rng(1), a0=a0)
+        monkeypatch.undo()
+        assert len(coords) == tr.iters_run + 1 >= 3 and tr.restarts == 0
+        points = [a0] + [vh.conj().T @ x for x in coords[1:]]
+        for j in range(1, len(points)):
+            assert coords[j].shape == (4, 4)
+            manifold._check_orthonormal(points[j])
+            assert np.linalg.norm(points[j] - iterate(points[j - 1], (u, vh), g)) <= 1e-12
+        assert a.tobytes() == points[-1].tobytes()
 
     @pytest.mark.parametrize("vh_of", [
         lambda vh: 2.0 * vh,
@@ -1167,32 +1228,24 @@ class TestSharedAscentLoop:
     def test_trace_matches_public_kernels(self, p, monkeypatch):
         # The loop and the public objective / gradient / eta share one kernel
         # and one factorization route: the traced objective and eta are
-        # bit-identical to objective() and optimality_eta() at every iterate.
+        # bit-identical to objective() and optimality_eta() at every point
+        # the loop evaluated.  On the dense block that point is the iterate;
+        # on precondition's pair it is the K x K coordinates x = vh A, which
+        # the loop evaluates on the left factor u, and so do the public
+        # kernels called on (u,).
         rng = np.random.default_rng(11)
         y, _, _ = noiseless_instance(rng, m=48, k=3, t=30, theta=0.2)
         y = y + 1e-3 * crandn(rng, *y.shape)
         g = rng.uniform(0.5, 2.0, 3)
-        points = []
-        _, tr = solve(y, g, SolverOptions(), np.random.default_rng(4),
-                      on_iterate=lambda a, j: points.append(a), p_exponent=p)
-        assert len(points) == tr.iters_run + 1 >= 3
-        for j, a in enumerate(points):
-            assert objective(y, a, g, p) == tr.objective_per_iter[j]
-            grad = euclid_grad(y, a, g, p)
-            assert optimality_eta(a, grad) == tr.eta_per_iter[j]
-        # On precondition's pair the loop evaluates the K x K coordinates
-        # x = vh A on the left factor u; the public kernels, called on (u,)
-        # at each x the loop evaluated, give its trace bit for bit.
         u, vh = precondition(y, 3)
-        evaluate, seen = detector._evaluate, []
-        monkeypatch.setattr(detector, "_evaluate",
-                            lambda f, x, *rest, **kw: seen.append(x) or evaluate(f, x, *rest, **kw))
-        _, tr = solve((u, vh), g, SolverOptions(), np.random.default_rng(4), p_exponent=p)
-        monkeypatch.undo()
-        assert len(seen) == tr.iters_run + 1 >= 3
-        for j, x in enumerate(seen):
-            assert objective((u,), x, g, p) == tr.objective_per_iter[j]
-            assert optimality_eta(x, euclid_grad((u,), x, g, p)) == tr.eta_per_iter[j]
+        for block, left in ((y, y), ((u, vh), (u,))):
+            seen = spy_evaluate(monkeypatch)
+            _, tr = solve(block, g, SolverOptions(), np.random.default_rng(4), p_exponent=p)
+            monkeypatch.undo()
+            assert len(seen) == tr.iters_run + 1 >= 3
+            for j, x in enumerate(seen):
+                assert objective(left, x, g, p) == tr.objective_per_iter[j]
+                assert optimality_eta(x, euclid_grad(left, x, g, p)) == tr.eta_per_iter[j]
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
