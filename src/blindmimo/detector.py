@@ -78,9 +78,10 @@ class SolverOptions:
     """Knobs for the manifold solvers; the exponent is not one: ``detect``'s method sets it.
 
     The iteration stops at relative first-order optimality
-    eta(A_j) < eta_tol * max(eta(A_0), 1), or when the relative objective
-    increase drops below ``obj_rel_tol``, or after ``max_iters`` update
-    steps, whichever happens first.
+    eta(A_j) < eta_tol * eta(A_0), or when the relative objective increase
+    drops below ``obj_rel_tol``, or after ``max_iters`` update steps,
+    whichever happens first.  Both rules are relative, so where a solve
+    stops does not depend on the units of Ybar or G.
 
     Zero tolerances keep iterating at the converged plateau, where float64
     objective evaluations fluctuate by ~eps * objective * log(T); keep
@@ -113,7 +114,8 @@ class SolveTrace:
     ``objective_per_iter[j]`` and ``eta_per_iter[j]`` are measured at the
     j-th iterate, including the returned one, so ``iters_run`` (update
     steps) is the trace length minus one.  The objective sequence must be
-    non-decreasing (guaranteed ascent) up to 1e-12 absolute slack.
+    non-decreasing (guaranteed ascent) up to 1e-12 absolute slack; a step
+    between two objectives that overflowed to inf is not checked.
     ``n_evals`` counts objective/gradient evaluations, the dominant cost, for
     cross-solver comparisons.
     ``restarts`` counts fresh random starts after a rank-deficient gradient
@@ -136,11 +138,10 @@ class SolveTrace:
             raise ValueError("objective and eta traces must be equal-length vectors")
         if self.stop_reason not in ("eta_tol", "obj_tol", "max_iters", "no_ascent"):
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
-        drops = np.diff(obj)
-        if drops.size and drops.min() < -MONOTONE_SLACK:
-            raise ValueError(
-                f"objective trace decreased by {-drops.min():.3e}, ascent guarantee violated"
-            )
+        with np.errstate(invalid="ignore"):  # inf - inf: both objectives past the float range
+            worst = np.fmin.reduce(np.diff(obj), initial=0.0)
+        if worst < -MONOTONE_SLACK:
+            raise ValueError(f"objective trace decreased by {-worst:.3e}, ascent guarantee violated")
         object.__setattr__(self, "objective_per_iter", obj)
         object.__setattr__(self, "eta_per_iter", eta)
 
@@ -297,50 +298,51 @@ def optimality_eta(a: np.ndarray, grad: np.ndarray) -> float:
 
 
 def _norms(fs: Factors) -> list:
-    """The factors' Frobenius norms, taken with overflow silenced; a NaN or inf entry raises ValueError.
+    """Each factor's Frobenius norm or, where that overflows or underflows to 0, its largest |part|.
 
-    A norm that overflows is told apart from a non-finite entry by testing
-    the entries then only.
+    Only an all-zero factor gets 0; a NaN or inf entry raises ValueError.
     """
-    with np.errstate(over="ignore"):
-        norms = [np.linalg.norm(f) for f in fs]
-    for f, norm in zip(fs, norms):
-        if not np.isfinite(norm) and not np.isfinite(f).all():  # the SVD would not converge on it
-            raise ValueError(f"received block must be finite, got norm {norm}")
+    norms = []
+    for f in fs:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(f))
+        if not 0 < norm < math.inf:
+            norm = float(np.maximum(abs(f.real), abs(f.imag)).max(initial=0.0))
+            if not np.isfinite(norm):  # the SVD would not converge on it
+                raise ValueError(f"received block must be finite, got norm {norm}")
+        norms.append(norm)
     return norms
 
 
-def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray]:
-    """``_inputs``, checked further for a loop that runs inside ``_numerics()``.
+def _exponent(norms: list) -> int:
+    """The e that puts prod(norms) / 2^e in [2^-len(norms), 1), without forming the product; at least -1022."""
+    return max(sum(math.frexp(n)[1] for n in norms), -1022)
+
+
+def _solver_inputs(y_bar: Block, g_diag: np.ndarray, p: int) -> Tuple[Factors, np.ndarray, int]:
+    """``_inputs``, checked further, with G^(-1/2) scaled by 2^-e, and e: the loop's units.
 
     An all-zero block (a noiseless trial's all-zero channel) raises
-    RankDeficientError; a NaN or inf entry and a block too large for the
-    objective raise ValueError.  Only the solvers check these, since the norms
-    cost more than half an objective evaluation.  With B the product of the
-    factors' Frobenius norms times max G^(-1/2), every entry of W is at most B, so the
-    objective is at most B^p and the gradient's norm at most p B^p, and B
-    must keep p B^p finite (B at most 3.9e102 for p = 3, 8.2e76 for p = 4;
-    ``SystemConfig``'s 1e30 caps keep B far below either).  Gram matrices of
-    the gradient, and of rgd's steps, are at most 4 p^2 B^(2p); past the B
-    that keeps that finite (1.3e51 for p = 3, 2.0e38 for p = 4) one can
-    overflow, which ``_numerics()`` lets pass for ``_polar`` to handle.
+    RankDeficientError and a NaN or inf entry ValueError.  Only the solvers
+    check these, since the norms cost more than half an objective evaluation.
+    e is ``_exponent`` of the norms and max G^(-1/2), so no entry of
+    W = Ybar A G^(-1/2) 2^-e reaches sqrt(2 M T), whatever the units of Ybar
+    and G.  A power of two scales exactly, and so every product and sum:
+    the loop visits the iterates it would in the caller's units, with
+    objective and eta 2^(-p e) times theirs.
     """
     y, isg = _inputs(y_bar, g_diag, p)
     norms = _norms(y)
     if not all(norms):
         raise RankDeficientError("received block is identically zero")
-    limit = (np.finfo(np.float64).max / p) ** (1.0 / p)
-    if not (scale := math.prod(norms) * isg.real.max()) <= limit:
-        raise ValueError(
-            f"received block too large: ||Ybar||_F max G^(-1/2) = {scale:.3e} exceeds {limit:.3e}, "
-            f"past which the p = {p} objective and gradient can overflow; rescale it"
-        )
-    return y, isg
+    e = _exponent(norms) + math.frexp(isg.real.max())[1]
+    return y, np.ldexp(isg.real, -e).astype(np.complex128), e
 
 
 def _ascend(
     y: Factors,
     isg: np.ndarray,
+    e: int,
     a: np.ndarray,
     opts: SolverOptions,
     p: int,
@@ -363,8 +365,9 @@ def _ascend(
     ``step`` returns each (drift raises ValueError, never a restart).
 
     With ``vh``, ``y`` is the pair's left factor (u,) and the loop runs on
-    x = vh A, as ``solve`` describes.  The trace carries ``restarts``, the
-    caller's count of earlier starts.
+    x = vh A, as ``solve`` describes.  The trace, scaled back by 2^(p e) from
+    ``_solver_inputs``' units, carries ``restarts``, the caller's count of
+    earlier starts.
     """
     a = _check_orthonormal(a)
     x = a if vh is None else vh @ a
@@ -379,7 +382,7 @@ def _ascend(
         objs.append(obj)
         etas.append(_gap(float(s.sum()), x, grad))
         n_evals += 1
-        if etas[-1] < opts.eta_tol * max(etas[0], 1.0):
+        if etas[-1] < opts.eta_tol * etas[0]:
             stop_reason = "eta_tol"
         elif j >= 1 and objs[-1] - objs[-2] < opts.obj_rel_tol * max(objs[-2], 1e-300):
             stop_reason = "obj_tol"
@@ -394,7 +397,7 @@ def _ascend(
             stop_reason = "no_ascent"
         break
     a = a if j == 0 else x if vh is None else _check_orthonormal(vh.conj().T @ x)
-    return a, SolveTrace(np.array(objs), np.array(etas), stop_reason, n_evals, restarts)
+    return a, SolveTrace(np.ldexp(objs, p * e), np.ldexp(etas, p * e), stop_reason, n_evals, restarts)
 
 
 def solve(
@@ -437,7 +440,7 @@ def solve(
         The objective exponent: 3 is the proposed detector, 4 the
         higher-order baseline; any other value raises ValueError.
     """
-    y, isg = _solver_inputs(y_bar, g_diag, p_exponent)
+    y, isg, e = _solver_inputs(y_bar, g_diag, p_exponent)
     t, k = y[-1].shape[1], isg.size
     if a0 is not None:
         if np.shape(a0) != (t, k):
@@ -460,7 +463,7 @@ def solve(
         for restarts, start in enumerate((a0, None)):
             a = start if start is not None else random_stiefel(t, k, rng)
             try:
-                return _ascend(y, isg, a, opts, p_exponent, lambda *_, polar: (polar(), 0), vh, restarts)
+                return _ascend(y, isg, e, a, opts, p_exponent, lambda *_, polar: (polar(), 0), vh, restarts)
             except RankDeficientError:
                 continue
     raise RankDeficientError("gradient rank deficient after one restart; perturb the input")
@@ -601,25 +604,19 @@ def precondition(y_bar: np.ndarray, k_users: int) -> Tuple[np.ndarray, np.ndarra
     gain instead plants dense spurious attractors that derail the solver.
 
     Returns that block as the pair u = Ybar V_K Sigma_K^-1 (M x K) and
-    vh = V_K^H (K x T), from ``manifold._top_factors(Ybar, K)``.  A block whose
-    K-th singular value is at most 1e-10 of the largest (or that has fewer
-    than K) raises RankDeficientError; ``k_users`` below 1, a ``y_bar``
-    that is not a 2-d matrix, a NaN or inf entry, and a block whose Gram
-    matrix could overflow (||Ybar||_F above 1.3e154, the square root of the
-    largest float64, since every entry of the Gram is at most ||Ybar||_F^2)
-    raise ValueError.
+    vh = V_K^H (K x T), from ``manifold._top_factors`` of Ybar / 2^e, e
+    ``_exponent`` of its norm, whose Gram lies inside LAPACK's safe range;
+    the factors do not depend on the scale.  A block whose K-th singular
+    value is at most 1e-10 of the largest (or that has fewer than K) raises
+    RankDeficientError; ``k_users`` below 1, a ``y_bar`` that is not a 2-d
+    matrix and a NaN or inf entry raise ValueError.
     """
     if k_users < 1:
         raise ValueError(f"k_users must be at least 1, got {k_users}")
     y = np.asarray(y_bar, dtype=np.complex128)
     if y.ndim != 2:
         raise ValueError(f"y_bar must be an M x T matrix, got shape {y.shape}")
-    (norm,) = _norms((y,))
-    if not norm <= (limit := math.sqrt(np.finfo(np.float64).max)):
-        raise ValueError(
-            f"received block too large: ||Ybar||_F = {norm:.3e} exceeds {limit:.3e}, "
-            "past which its Gram matrix can overflow; rescale it"
-        )
+    y = y * 2.0 ** -_exponent(_norms((y,)))
     with _numerics():
         s, u, vh = _top_factors(y, k_users)
     if s.size < k_users or s[-1] <= 1e-10 * s[0]:
@@ -634,10 +631,13 @@ def postprocess(y_bar_pre: Block, x_hat_pre: np.ndarray, y_bar: np.ndarray) -> n
     D = Ybar_pre Xhat_pre^H, followed by row normalization to unit l2 norm,
     which removes the unknown scalar left over from preconditioning (frame
     rows have unit norm by construction).  ``y_bar_pre`` is either block
-    form, so a pair gives D = u (vh Xhat_pre^H); ``y_bar`` is dense.
+    form, so a pair gives D = u (vh Xhat_pre^H); ``y_bar`` is dense.  Xhat,
+    in the units of ``y_bar``, is scaled by a power of two before its row
+    norms are taken.
     """
     d = _apply(_factors(y_bar_pre), np.asarray(x_hat_pre).conj().T)
     x_hat = _least_squares(d, np.asarray(y_bar), "reprojection matrix D")
+    x_hat *= 2.0 ** -_exponent(_norms((x_hat,)))
     norms = np.linalg.norm(x_hat, axis=1, keepdims=True)
     if not np.all(norms > 0):
         raise RankDeficientError("reprojected estimate has an all-zero row")
@@ -726,9 +726,10 @@ def riemannian_gd_baseline(
     """Projected-gradient ascent on the l3 objective over the Stiefel manifold with backtracking.
 
     From a Haar-uniform start, each step retracts A + tau * grad_R with tau
-    found by halving from 1 until the objective increases (at most 30
-    halvings, else it stops with ``no_ascent``); that step is all it changes
-    in ``solve``'s ascent loop.
+    found by halving from 1 in the caller's units (2^(3 e) in the loop's,
+    capped at 2^1000) until the objective increases (at most 30 halvings,
+    else it stops with ``no_ascent``); that step is all it changes in
+    ``solve``'s ascent loop.
     Under identity fading it reaches ``solve``'s stationary values at extra
     line-search cost; under log-distance fading it does not.  Preconditioned,
     ||grad_R|| starts near 2e14, so 2^-29 still overshoots and it stops after
@@ -741,14 +742,15 @@ def riemannian_gd_baseline(
     ``manifold.polar_retract``: ``bench/run.py --trace 1`` divides its steps
     by that call count (``rgd_accept_ratio``), a ZeroDivisionError without it.
     """
-    y, isg = _solver_inputs(y_bar, g_diag, 3)
+    y, isg, e = _solver_inputs(y_bar, g_diag, 3)
+    top = min(3 * e, 1000)  # keeps tau * grad_R finite
 
     def line_search(a, obj, grad, polar):
         direction = riemannian_grad(a, grad)
         spent = 0
         for halvings in range(30):
             try:
-                cand = polar_retract(a + 0.5**halvings * direction)
+                cand = polar_retract(a + math.ldexp(1.0, top - halvings) * direction)
             except RankDeficientError:
                 continue
             spent += 1
@@ -757,7 +759,7 @@ def riemannian_gd_baseline(
         return None, spent
 
     with _numerics():
-        return _ascend(y, isg, random_stiefel(y[-1].shape[1], isg.size, rng), opts, 3, line_search)
+        return _ascend(y, isg, e, random_stiefel(y[-1].shape[1], isg.size, rng), opts, 3, line_search)
 
 
 def _soft_threshold(v: np.ndarray, tau: Union[float, np.ndarray]) -> np.ndarray:

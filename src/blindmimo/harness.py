@@ -64,8 +64,11 @@ DEFAULT_CONCENTRATION_C = {4: 0.416, 8: 0.464}
 # Carrier frequency (GHz) for the log-distance fading model.
 _FADING_FC_GHZ = 28.0
 
-_MAX_SCALE = 1e30  # largest power or sigma_z2; l4 overflows past 1e60 (K=4, T=60, M=32)
-_MIN_SNR_DB = -300.0  # linear SNR 1e-30, the mirror of _MAX_SCALE; -3200 dB ended in LinAlgError
+# Largest power, and by mirror sigma_z2 and 1 / linear SNR.  Only the pilot baseline needs it: its
+# estimate carries P^(1/2), and once the unit constellation falls below an ulp of that, every decision
+# is label 0 (QPSK pilot SER 0 at power 1e30, chance at 1e34; K = 4, M = 32, T = 60).
+_MAX_SCALE = 1e30
+_MIN_SNR_DB = -300.0
 
 
 @dataclass(frozen=True)

@@ -292,23 +292,17 @@ def _top_factors(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndar
     """Top ``r`` singular values of ``m`` (fewer if it has fewer) and its factors (m V Sigma^-1, V^H).
 
     The Gram's top r eigenpairs come from ``_top_subspace`` when ``m`` has
-    at least ``_SUBSPACE_MIN_T`` columns; else, or when it gives None,
-    a strictly tall ``m`` takes the full ``_eigh`` of its Gram and keeps the
-    top r (a Gram that is not finite raises ValueError, which names it,
-    before zheevd runs; a finite block at ``precondition``'s norm limit can
-    round its Gram to inf).  When the r-th eigenvalue passes the ``_GRAM_RTOL``
-    cut, the factors follow from those pairs; anything else takes the
-    compact SVD's top r.  No rank test is made here.  Call it inside
-    ``_numerics()``.
+    at least ``_SUBSPACE_MIN_T`` columns; else, or when it gives None, a
+    strictly tall ``m`` takes the full ``_eigh`` of its Gram and keeps the
+    top r.  When the r-th eigenvalue passes the ``_GRAM_RTOL`` cut, the
+    factors follow from those pairs; anything else takes the compact SVD's
+    top r.  No rank test is made here.  Call it inside ``_numerics()``.
     """
     top = None
     if m.shape[1] >= _SUBSPACE_MIN_T:
         top = _top_subspace(m, r)
     if top is None and m.shape[1] < m.shape[0]:
-        gram = m.conj().T @ m
-        if not np.isfinite(gram).all():
-            raise ValueError("array must not contain infs or NaNs")
-        lam, v = _eigh(gram)
+        lam, v = _eigh(m.conj().T @ m)
         top = lam[::-1][:r], v[:, ::-1][:, :r]
     if top is not None and (lam := top[0])[-1] > _GRAM_RTOL * lam[0]:
         s = np.sqrt(lam)

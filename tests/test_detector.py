@@ -309,30 +309,28 @@ class TestSolve:
         with pytest.raises(ValueError, match="received block must be finite"):
             solver(y, np.ones(4), SolverOptions(), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("scale", [1e120, 1e200])
-    @pytest.mark.parametrize("solver", [solve, riemannian_gd_baseline], ids=["solve", "rgd"])
-    def test_huge_finite_block_rejected_by_scale(self, solver, scale):
-        # At 1e120 the cubed objective overflowed and the SVD did not
-        # converge; at 1e200 the norm overflowed and the finite block was
-        # called "not finite".  Both now fail at the boundary, warning-free.
-        y = scale * crandn(np.random.default_rng(13), 32, 20)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"received block too large: .* exceeds 3\.913e\+102"):
-                solver(y, np.ones(4), SolverOptions(), np.random.default_rng(0))
-
     @pytest.mark.parametrize("solver", [solve, riemannian_gd_baseline], ids=["solve", "rgd"])
     def test_large_block_below_the_limit_solves(self, solver):
-        # At 1e60 the gradient's Gram overflows; that Gram fails the cut and
-        # the gradient takes the SVD, without a warning.
+        # 1e60 was below the norm limit the solvers once had (3.9e102 for
+        # p = 3), 1e120 and 1e200 above it: there the cubed objective
+        # overflowed, and at 1e200 the norm itself.  Each now solves,
+        # warning-free, from the reference's start, since the loop runs
+        # normalized; the trace is in the caller's units, inf past the float
+        # range.  solve also reaches the reference's point; rgd's first step,
+        # 1 in the caller's units, is not scale-free.
         y = crandn(np.random.default_rng(13), 32, 20)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            a, trace = solver(1e60 * y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
-        _, trace_ref = solver(y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
-        assert np.linalg.norm(a.conj().T @ a - np.eye(4)) < 1e-9
-        assert np.all(np.isfinite(trace.objective_per_iter)) and trace.iters_run >= 1
-        assert np.allclose(trace.objective_per_iter[0] / 1e180, trace_ref.objective_per_iter[0], rtol=1e-9)
+        a_ref, trace_ref = solver(y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
+        for scale in (1e60, 1e120, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                a, trace = solver(scale * y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
+            assert np.linalg.norm(a.conj().T @ a - np.eye(4)) < 1e-9 and trace.iters_run >= 1
+            if scale == 1e60:
+                assert np.allclose(trace.objective_per_iter[0] / 1e180, trace_ref.objective_per_iter[0], rtol=1e-9)
+            else:
+                assert np.all(trace.objective_per_iter == np.inf)
+            if solver is solve:
+                assert np.abs(a - a_ref).max() < 1e-9 and trace.iters_run == trace_ref.iters_run
 
     @pytest.mark.parametrize("a0, message", [
         (np.eye(51, 3), r"a0 must be a 50 x 3 matrix, got shape \(51, 3\)"),
@@ -695,28 +693,20 @@ class TestPrecondition:
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
         assert np.linalg.norm(vh @ vh.conj().T - np.eye(4)) < 1e-10
 
-    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200])
-    def test_huge_finite_block_rejected_by_scale(self, scale):
-        # At 1e160 the Gram's product overflowed, warned, and the finite
-        # block was reported as containing infs or NaNs; at 1e200 the norm
-        # itself overflows.  The Gram is at most ||Ybar||_F^2, so the
-        # boundary states the limit, warning-free.
-        y = scale * crandn(np.random.default_rng(9), 256, 40)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"received block too large: .* exceeds 1\.341e\+154") as info:
-                precondition(y, 8)
-        assert not isinstance(info.value, RankDeficientError)
-
     @pytest.mark.parametrize("t", [40, 240])
     def test_large_block_below_the_limit_preconditions(self, t):
-        # 1e150 keeps ||Ybar||_F^2 finite, on the full route and the subspace route.
+        # 1e150 kept ||Ybar||_F^2 finite, below the norm limit precondition
+        # once had (1.3e154); at 1e155 and 1e160 the Gram's product
+        # overflowed, and at 1e200 the norm itself.  Each block is now
+        # scaled by a power of two before its Gram, on the full route
+        # (T = 40) and the subspace route (T = 240), warning-free.
         y = crandn(np.random.default_rng(10), 256, t)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            u, vh = precondition(1e150 * y, 8)
         u_ref, vh_ref = precondition(y, 8)
-        assert np.abs(u @ vh - u_ref @ vh_ref).max() < 1e-10
+        for scale in (1e150, 1e155, 1e160, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                u, vh = precondition(scale * y, 8)
+            assert np.abs(u @ vh - u_ref @ vh_ref).max() < 1e-10
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("t", [40, 240])
@@ -733,16 +723,15 @@ class TestPrecondition:
         rows=st.integers(1, 48),
         cols=st.sampled_from([1, 2, 5, 12, 40, 96, 130]),
         k=st.integers(1, 9),
-        log_scale=st.one_of(st.floats(-300.0, 160.0), st.floats(150.0, 156.0)),  # the limit is 1.3e154
+        log_scale=st.one_of(st.floats(-300.0, 300.0), st.floats(150.0, 156.0)),  # the old limit was 1.3e154
         bad=st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf, complex(np.inf, np.nan),
                                                   complex(0.0, -np.inf)])),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_every_factored_gram_is_finite(self, rows, cols, k, log_scale, bad, seed):
-        # precondition rejects a NaN or inf entry, and any block whose Gram
-        # could overflow, before manifold's _eigh or _svd runs, and every
-        # matrix that reaches them has a finite Gram.  Right at the norm
-        # limit that needs _top_factors' own check (the next test).
+        # precondition rejects a NaN or inf entry before manifold's _eigh or
+        # _svd runs, and scales every other block so that every matrix that
+        # reaches them has a finite Gram, at any norm.
         rng = np.random.default_rng(seed)
         y = 10.0**log_scale * crandn(rng, rows, cols)
         if bad is not None:
@@ -770,19 +759,30 @@ class TestPrecondition:
                 assert bad is None
         assert all(finite)
 
-    def test_gram_rounded_to_inf_at_the_limit_stops_before_eigh(self, linalg_calls):
-        # ||Ybar||_F is at most sqrt(float max), yet the Gram's one entry,
-        # the sum of five squares, rounds past float max to inf: _top_factors'
-        # own check raises before zheevd runs.
-        y = np.array([[-7.676162904269735e153 + 2.7949267349405192e153j],
-                      [3.8798058802715325e153 - 2.58044776015609e153j],
-                      [1.1055871036999645e153 + 4.565015617132744e153j],
-                      [-3.9494678781144856e153 + 2.2236982138102377e153j],
-                      [6.0848419824777746e153 + 3.419428920383757e153j]])
+    # A 5 x 1 column with ||Ybar||_F at most sqrt(float max), the norm limit
+    # precondition once had, whose Gram's one entry, the sum of five squares,
+    # rounded past float max to inf: it raised ValueError naming infs or NaNs
+    # the block did not have.  Beside two zero columns it raised
+    # FloatingPointError (inf * 0 in the Gram).
+    COLUMN_AT_THE_OLD_LIMIT = np.array([
+        [-7.676162904269735e153 + 2.7949267349405192e153j], [3.8798058802715325e153 - 2.58044776015609e153j],
+        [1.1055871036999645e153 + 4.565015617132744e153j], [-3.9494678781144856e153 + 2.2236982138102377e153j],
+        [6.0848419824777746e153 + 3.419428920383757e153j]])
+
+    @pytest.mark.parametrize("zero_columns, k", [(0, 1), (2, 1), (2, 2)])
+    def test_column_at_the_old_limit_factors(self, zero_columns, k):
+        y = np.hstack([self.COLUMN_AT_THE_OLD_LIMIT, np.zeros((5, zero_columns))])
         assert np.linalg.norm(y) <= np.sqrt(np.finfo(np.float64).max)
-        with pytest.raises(ValueError) as info:
-            precondition(y, 1)
-        assert not isinstance(info.value, RankDeficientError) and linalg_calls == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if k > 1:  # one nonzero column carries one direction
+                with pytest.raises(RankDeficientError, match="does not carry 2 usable directions"):
+                    precondition(y, k)
+                return
+            u, vh = precondition(y, k)
+        col = self.COLUMN_AT_THE_OLD_LIMIT[:, 0]
+        assert np.abs(np.abs(u[:, 0]) - np.abs(col) / np.linalg.norm(col / 1e154) / 1e154).max() < 1e-15
+        assert np.abs(np.abs(vh) - np.eye(1, 1 + zero_columns)).max() < 1e-15
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_nonpositive_k_rejected(self, k):
@@ -1070,6 +1070,87 @@ class TestDetectByMethod:
             detect(sc.y_bar, sc.g_diag, sc.frame.meta, c, cfg.solver, np.random.default_rng(5), method=method)
 
 
+class TestScaleFree:
+    # The default config's dense block and a short frame's preconditioned
+    # pair (the CI runs dense and short), at 20 dB.
+    CONFIGS = {
+        "dense": SystemConfig(),
+        "preconditioned": SystemConfig(k_users=8, t_len=40, n_h=256, theta=0.1, channel_model="bernoulli_gaussian",
+                                       fading_model="log_distance", solver=SolverOptions(precondition=True)),
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("method", ["l3", "l4"])
+    def test_detect_does_not_depend_on_the_units(self, config, method):
+        # detect on (2^e Ybar, G) and on (Ybar, 4^-e G) makes the decisions,
+        # iterations and stop of e = 0, warning-free, for e on both sides of
+        # the old limits: the stop rule's floor ended every solve at its
+        # start from about e = -10 down, and the norm limits rejected dense
+        # blocks from e = 200 (l4) or 300 (l3) up and preconditioned ones
+        # from e = 520.  Ybar's entries stay normal numbers over the set, and
+        # so do G's over the smaller one.  W = Ybar A G^(-1/2) scales by
+        # 2^e, so the trace scales by 2^(p e), to the bit and to inf or 0
+        # past the float range, but on the pair only with G: its factors do
+        # not scale with Ybar.
+        cfg, p = self.CONFIGS[config], 3 if method == "l3" else 4
+        c = build_constellation(cfg.constellation)
+        sc = build_scenario(cfg, np.random.default_rng(3))
+
+        def run(y_bar, g_diag):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return detect(y_bar, g_diag, sc.frame.meta, c, cfg.solver, np.random.default_rng(5), method)
+
+        ref = run(sc.y_bar, sc.g_diag)
+        assert ref.trace.iters_run >= 5
+        cases = [(e, np.ldexp(1.0, e) * sc.y_bar, sc.g_diag, 0 if cfg.solver.precondition else p * e)
+                 for e in (-900, -300, -12, 12, 260, 600, 900)]
+        cases += [(e, sc.y_bar, np.ldexp(sc.g_diag, -2 * e), p * e) for e in (-450, -120, -12, 12, 120, 450)]
+        for e, y_bar, g_diag, shift in cases:
+            res = run(y_bar, g_diag)
+            assert np.array_equal(res.symbol_indices, ref.symbol_indices), e
+            assert np.array_equal(res.x_hat, ref.x_hat), e
+            assert (res.trace.iters_run, res.trace.stop_reason) == (ref.trace.iters_run, ref.trace.stop_reason), e
+            with np.errstate(over="ignore", under="ignore"):
+                assert np.array_equal(res.trace.objective_per_iter, np.ldexp(ref.trace.objective_per_iter, shift)), e
+                assert np.array_equal(res.trace.eta_per_iter, np.ldexp(ref.trace.eta_per_iter, shift)), e
+
+    def test_random_calls_end_in_a_result_or_a_rank_error(self):
+        # Small detect calls, dense and preconditioned, by every method, with
+        # ||Ybar||_F from 1e-320 (subnormal entries) to 1e154 and G from
+        # 1e-300 to 1e300, a common scale or one per user: some blocks of
+        # rank one, some with a zero column.  Every input is finite and
+        # valid, so each call must return or raise RankDeficientError,
+        # warning-free.  Before the solvers were normalized, these calls
+        # raised FloatingPointError, "received block too large", and called
+        # nonzero blocks identically zero.
+        c = build_constellation("qpsk")
+        rng = np.random.default_rng(2024)
+        outcomes = {"returned": 0, "RankDeficientError": 0}
+        for _ in range(400):
+            k = int(rng.integers(1, 5))
+            t, m = int(rng.integers(max(k, 3), 13)), int(rng.integers(k, 13))
+            frame = build_frame(k, t, c, rng)
+            y = crandn(rng, m, t)
+            if rng.random() < 0.2:
+                y = np.outer(y[:, 0], y[0])
+            if rng.random() < 0.3:
+                y[:, rng.integers(t)] = 0
+            y *= 10.0 ** rng.uniform(-320, 154) / np.linalg.norm(y)
+            spread = rng.uniform(-300, 300, k) if rng.random() < 0.5 else rng.uniform(-1, 1, k)
+            g = 10.0 ** np.clip(rng.uniform(-300, 300) + spread, -300, 300)
+            opts = SolverOptions(max_iters=30, precondition=bool(rng.random() < 0.5))
+            method = str(rng.choice(["l3", "l4", "rgd"]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    detect(y, g, frame.meta, c, opts, rng, method)
+                    outcomes["returned"] += 1
+                except RankDeficientError:
+                    outcomes["RankDeficientError"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+
 class TestRiemannianGdBaseline:
     def test_matches_polar_solver_on_noiseless_instance(self):
         rng = np.random.default_rng(9)
@@ -1099,10 +1180,12 @@ class TestRiemannianGdBaseline:
     def test_rank_deficient_candidate_is_skipped(self, monkeypatch):
         # Each step's first candidate raises RankDeficientError from its
         # retraction.  The line search goes on to the halved step, and
-        # n_evals counts only the candidates it scored.
+        # n_evals counts only the candidates it scored.  The loop runs in
+        # _solver_inputs' units, where step 1 in the caller's is 2^(3 e).
         rng = np.random.default_rng(9)
         y, _, _ = noiseless_instance(rng, m=64, k=3, t=40)
         y = y + 1e-3 * crandn(rng, *y.shape)
+        tau = 2.0 ** (3 * detector._solver_inputs(y, np.ones(3), 3)[2])
         real_grad, real_retract = detector.riemannian_grad, detector.polar_retract
         steps = []  # per step: its point, its direction and the candidates retracted
 
@@ -1122,8 +1205,8 @@ class TestRiemannianGdBaseline:
         a, tr = riemannian_gd_baseline(y, np.ones(3), SolverOptions(max_iters=20), np.random.default_rng(5))
         assert tr.stop_reason != "no_ascent" and tr.iters_run == len(steps) >= 2
         for a_j, direction, seen in steps:
-            assert np.array_equal(seen[0], a_j + direction)
-            assert np.array_equal(seen[1], a_j + 0.5 * direction)
+            assert np.array_equal(seen[0], a_j + tau * direction)
+            assert np.array_equal(seen[1], a_j + tau / 2 * direction)
         assert tr.n_evals == len(tr.objective_per_iter) + sum(len(seen) - 1 for _, _, seen in steps)
         assert np.linalg.norm(a.conj().T @ a - np.eye(3)) < 1e-9
 

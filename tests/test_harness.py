@@ -142,9 +142,8 @@ class TestSystemConfig:
 
     def test_largest_accepted_values_run_cleanly(self):
         # A floating-point warning fails the test, so all four methods must
-        # run at the power and noise bounds without overflow; 3000 dB still
-        # maps to a finite linear SNR.  Under log-distance fading, max
-        # G^(-1/2) scales the block the solvers' scale limit tests.
+        # run at the power and noise bounds without overflow, under
+        # log-distance fading too; 3000 dB still maps to a finite linear SNR.
         assert _noise_variance(tiny_config(snr_db=3000.0), np.ones(4)) > 0.0
         for over in (dict(power=1e30), dict(sigma_z2=1e30), dict(snr_db=-300.0),
                      dict(power=1e30, sigma_z2=1e30, fading_model="log_distance")):
