@@ -309,28 +309,38 @@ class TestSolve:
         with pytest.raises(ValueError, match="received block must be finite"):
             solver(y, np.ones(4), SolverOptions(), np.random.default_rng(0))
 
+    @staticmethod
+    def _check_large_block(solver, scale):
+        # Each scale solves, warning-free, from the reference's start, since
+        # the loop runs normalized; the trace is in the caller's units, inf
+        # past the float range.  solve also reaches the reference's point;
+        # rgd's first step, 1 in the caller's units, is not scale-free.
+        y = crandn(np.random.default_rng(13), 32, 20)
+        a_ref, trace_ref = solver(y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, trace = solver(scale * y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
+        assert np.linalg.norm(a.conj().T @ a - np.eye(4)) < 1e-9 and trace.iters_run >= 1
+        if scale < np.cbrt(np.finfo(np.float64).max):  # the cubed objective stays finite
+            assert np.allclose(trace.objective_per_iter[0] / scale**3, trace_ref.objective_per_iter[0], rtol=1e-9)
+        else:
+            assert np.all(trace.objective_per_iter == np.inf)
+        if solver is solve:
+            assert np.abs(a - a_ref).max() < 1e-9 and trace.iters_run == trace_ref.iters_run
+
     @pytest.mark.parametrize("solver", [solve, riemannian_gd_baseline], ids=["solve", "rgd"])
     def test_large_block_below_the_limit_solves(self, solver):
         # 1e60 was below the norm limit the solvers once had (3.9e102 for
-        # p = 3), 1e120 and 1e200 above it: there the cubed objective
-        # overflowed, and at 1e200 the norm itself.  Each now solves,
-        # warning-free, from the reference's start, since the loop runs
-        # normalized; the trace is in the caller's units, inf past the float
-        # range.  solve also reaches the reference's point; rgd's first step,
-        # 1 in the caller's units, is not scale-free.
-        y = crandn(np.random.default_rng(13), 32, 20)
-        a_ref, trace_ref = solver(y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
-        for scale in (1e60, 1e120, 1e200):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                a, trace = solver(scale * y, np.ones(4), SolverOptions(max_iters=30), np.random.default_rng(0))
-            assert np.linalg.norm(a.conj().T @ a - np.eye(4)) < 1e-9 and trace.iters_run >= 1
-            if scale == 1e60:
-                assert np.allclose(trace.objective_per_iter[0] / 1e180, trace_ref.objective_per_iter[0], rtol=1e-9)
-            else:
-                assert np.all(trace.objective_per_iter == np.inf)
-            if solver is solve:
-                assert np.abs(a - a_ref).max() < 1e-9 and trace.iters_run == trace_ref.iters_run
+        # p = 3).
+        self._check_large_block(solver, 1e60)
+
+    @pytest.mark.parametrize("scale", [1e120, 1e200])
+    @pytest.mark.parametrize("solver", [solve, riemannian_gd_baseline], ids=["solve", "rgd"])
+    def test_huge_finite_block_rejected_by_scale(self, solver, scale):
+        # The name dates from the norm limit that once rejected these blocks;
+        # none is rejected now.  Above that limit the cubed objective
+        # overflowed, and at 1e200 the norm itself.
+        self._check_large_block(solver, scale)
 
     @pytest.mark.parametrize("a0, message", [
         (np.eye(51, 3), r"a0 must be a 50 x 3 matrix, got shape \(51, 3\)"),
@@ -693,20 +703,30 @@ class TestPrecondition:
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
         assert np.linalg.norm(vh @ vh.conj().T - np.eye(4)) < 1e-10
 
+    @staticmethod
+    def _check_large_block(t, scale):
+        # The block is scaled by a power of two before its Gram, warning-free.
+        y = crandn(np.random.default_rng(10), 256, t)
+        u_ref, vh_ref = precondition(y, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, vh = precondition(scale * y, 8)
+        assert np.abs(u @ vh - u_ref @ vh_ref).max() < 1e-10
+
     @pytest.mark.parametrize("t", [40, 240])
     def test_large_block_below_the_limit_preconditions(self, t):
         # 1e150 kept ||Ybar||_F^2 finite, below the norm limit precondition
-        # once had (1.3e154); at 1e155 and 1e160 the Gram's product
-        # overflowed, and at 1e200 the norm itself.  Each block is now
-        # scaled by a power of two before its Gram, on the full route
-        # (T = 40) and the subspace route (T = 240), warning-free.
-        y = crandn(np.random.default_rng(10), 256, t)
-        u_ref, vh_ref = precondition(y, 8)
-        for scale in (1e150, 1e155, 1e160, 1e200):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                u, vh = precondition(scale * y, 8)
-            assert np.abs(u @ vh - u_ref @ vh_ref).max() < 1e-10
+        # once had (1.3e154), on the full route (T = 40) and the subspace
+        # route (T = 240).
+        self._check_large_block(t, 1e150)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200])
+    def test_huge_finite_block_rejected_by_scale(self, scale):
+        # The name dates from the norm limit that once rejected these blocks;
+        # none is rejected now.  At 1e155 and 1e160 the Gram's product
+        # overflowed, and at 1e200 the norm itself.  Both routes run.
+        for t in (40, 240):
+            self._check_large_block(t, scale)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("t", [40, 240])
