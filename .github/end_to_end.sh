@@ -1,7 +1,7 @@
 # The end-to-end runs that CI repeats to check that records are bit-reproducible.
 # Source it, cd to the directory that is to hold the runs, and call
 #   write_configs        to write each run's config;
-#   passes TAG CMD...    to run all thirteen with the command line CMD... (one
+#   passes TAG CMD...    to run all fourteen with the command line CMD... (one
 #                        that takes blindmimo's arguments) into <name>_TAG;
 #   same A B             to compare passes A and B run by run (diff -r).
 # METHODS, when set, replaces the methods of every simulate run.
@@ -25,7 +25,9 @@ SIMULATE=(
   'bg l3,l4,rgd,pilot {"k_users": 8, "t_len": 120, "n_h": 128, "theta": 0.2, "channel_model": "bernoulli_gaussian", "trials": 2, "sweep": {"param": "snr_db", "values": [10.0, 30.0]}}'
   # bg's channel model with 16-QAM, the only run of an alphabet other than QPSK.
   'qam16 l3,l4,rgd,pilot {"constellation": "qam16", "k_users": 8, "t_len": 120, "n_h": 128, "theta": 0.2, "channel_model": "bernoulli_gaussian", "trials": 2, "sweep": {"param": "snr_db", "values": [20.0, 30.0]}}'
-  # The default config at power 1e-6 with its noise scaled alike (20 dB), the only run far from unit scale: l3 and l4 must iterate there as at power 1.
+  # qam16 at power 4, the only run off unit power at a fixed snr_db: G P is the one received gain, so its l3, l4 and pilot records are qam16's but for the exempt fields.
+  'loud l3,l4,pilot {"constellation": "qam16", "k_users": 8, "t_len": 120, "n_h": 128, "theta": 0.2, "channel_model": "bernoulli_gaussian", "power": 4.0, "trials": 2, "sweep": {"param": "snr_db", "values": [20.0, 30.0]}}'
+  # The default config at power 1e-6 with its noise scaled alike (20 dB), the only run far from unit scale: l3 and l4 must iterate there as at power 1, and pilot must decide.
   'faint l3,l4,rgd,pilot {"sigma_z2": 3.3333333333333335e-10, "trials": 2, "sweep": {"param": "power", "values": [1e-06]}}'
   # Noiseless, K = 1, M = 2, theta = 0.05: most channels are all zero, and each such trial is a RankDeficientError record, not the end of the run.
   'zero l3,l4,rgd,pilot {"k_users": 1, "n_h": 2, "t_len": 8, "theta": 0.05, "channel_model": "bernoulli_gaussian", "snr_db": Infinity, "t_pilot": 1, "trials": 4, "sweep": {"param": "theta", "values": [0.05]}}'

@@ -37,7 +37,6 @@ from .manifold import (
     _polar,
     _rank_deficient,
     _top_factors,
-    nuclear_norm,
     polar_retract,
     random_stiefel,
     riemannian_grad,
@@ -294,7 +293,9 @@ def optimality_eta(a: np.ndarray, grad: np.ndarray) -> float:
     g = np.asarray(grad, dtype=np.complex128)
     if g.shape != am.shape:
         raise ValueError(f"shape mismatch: grad {g.shape} vs point {am.shape}")
-    return _gap(nuclear_norm(g), am, g)
+    with _numerics():
+        nuclear = float(_polar(g)[0].sum())
+    return _gap(nuclear, am, g)
 
 
 def _norms(fs: Factors) -> list:
@@ -784,11 +785,12 @@ def pilot_zf_baseline(
         min_H  (1/2) ||Ytrain - H G^(1/2) Xtrain||_F^2 + lam * sum_k g_k ||h_k||_1
 
     with step 1 / L, L the squared spectral norm of the pilot operator, run
-    for 500 iterations or until the relative update drops below 1e-8.  The
-    weight lam * g_k makes the estimate independent of the scale of G (an
-    unweighted lam zeroes it under log-distance fading, g_k ~ 1e-10).  Data
-    is then detected by least squares against the estimated effective
-    channel.
+    for 500 iterations or until the relative update drops below 1e-8.  G is
+    each user's received gain (the harness passes G P with unit-power
+    pilots), and the weight lam * g_k makes the estimate independent of its
+    scale (an unweighted lam zeroes it under log-distance fading, g_k ~
+    1e-10).  Data is then detected by least squares against the estimated
+    effective channel.
     """
     y_t = np.asarray(y_bar_train, dtype=np.complex128)
     x_t = np.asarray(x_train, dtype=np.complex128)

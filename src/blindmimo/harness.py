@@ -64,9 +64,10 @@ DEFAULT_CONCENTRATION_C = {4: 0.416, 8: 0.464}
 # Carrier frequency (GHz) for the log-distance fading model.
 _FADING_FC_GHZ = 28.0
 
-# Largest power, and by mirror sigma_z2 and 1 / linear SNR.  Only the pilot baseline needs it: its
-# estimate carries P^(1/2), and once the unit constellation falls below an ulp of that, every decision
-# is label 0 (QPSK pilot SER 0 at power 1e30, chance at 1e34; K = 4, M = 32, T = 60).
+# Largest power, and by mirror sigma_z2 and 1 / linear SNR: a margin, not a limit of any method.  With
+# the noise scaled alike, l3, l4 and pilot decide the same from power 1e-300 to 1e307 (identity fading,
+# K = 4, M = 32, T = 60, 8 pilots); the first to fail past the caps is the l3 envelope, whose r^1.5
+# overflows from sigma_z2 ~ 1e204 or snr_db ~ -2052 dB on that config.
 _MAX_SCALE = 1e30
 _MIN_SNR_DB = -300.0
 
@@ -75,10 +76,10 @@ _MIN_SNR_DB = -300.0
 class SystemConfig:
     """One simulated scenario: array, frame, channel, noise, and solver knobs.
 
-    ``snr_db`` maps to the per-entry noise variance K / (SNR * T) under
-    identity fading and sum(G) / (T * SNR) under log-distance fading; set
-    ``sigma_z2`` to bypass the mapping with an explicit variance.  ``theta``
-    drives the Bernoulli-Gaussian model and ``n_paths`` the clustered model.
+    ``snr_db`` maps to the per-entry noise variance sum(G P) / (T * SNR), on
+    the received gains G P; set ``sigma_z2`` to bypass the mapping with an
+    explicit variance.  ``theta`` drives the Bernoulli-Gaussian model and
+    ``n_paths`` the clustered model.
 
     With fewer pilots than users (``t_pilot < k_users``, as in the defaults)
     the pilot baseline's channel estimate is underdetermined and some trials
@@ -241,10 +242,11 @@ def _draw_fading(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     return 10.0 ** (g_db / 10.0)
 
 
-def _noise_variance(cfg: SystemConfig, g_diag: np.ndarray) -> float:
+def _noise_variance(cfg: SystemConfig, gains: np.ndarray) -> float:
+    """``sigma_z2``, or the variance ``snr_db`` maps to on the received gains G P."""
     if cfg.sigma_z2 is not None:
         return float(cfg.sigma_z2)
-    return snr_to_noise_variance(cfg.snr_db, float(g_diag.sum()), cfg.t_len)
+    return snr_to_noise_variance(cfg.snr_db, float(gains.sum()), cfg.t_len)
 
 
 def _draw_channel(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
@@ -256,11 +258,11 @@ def _draw_channel(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
     """Draw fading, channel, frame, and noise for one trial."""
     c = build_constellation(cfg.constellation)
-    g = _draw_fading(cfg, rng)
-    sigma_z2 = _noise_variance(cfg, g)
+    g, p = _draw_fading(cfg, rng), cfg.power_vector()
+    sigma_z2 = _noise_variance(cfg, g * p)
     channel = _draw_channel(cfg, rng)
     frame = build_frame(cfg.k_users, cfg.t_len, c, rng)
-    y_bar = synthesize_received(channel, frame.x, g, cfg.power_vector(), sigma_z2, rng)
+    y_bar = synthesize_received(channel, frame.x, g, p, sigma_z2, rng)
     return Scenario(channel=channel, frame=frame, g_diag=g, sigma_z2=sigma_z2, y_bar=y_bar)
 
 
@@ -354,19 +356,16 @@ def _run_method(
     c = build_constellation(cfg.constellation)
     frame = scenario.frame
     if method == "pilot":
-        # Training phase: random unit-power pilot symbols with their own
-        # noise.  The 1/sqrt(T) frame scaling is a data-concentration device
-        # and does not apply to pilots; unit symbol power keeps the l1 weight
-        # on a sane scale.
-        idx = rng.integers(0, c.size, size=(cfg.k_users, cfg.t_pilot))
-        x_pilot = c.points[idx] * np.sqrt(cfg.power_vector())[:, np.newaxis]
-        y_train = synthesize_received(
-            scenario.channel, x_pilot, scenario.g_diag, np.ones(cfg.k_users), scenario.sigma_z2, rng
-        )
+        # Training phase: random unit-power pilot symbols, received through
+        # the frame's G and P with their own noise.  The 1/sqrt(T) frame
+        # scaling is a data-concentration device and does not apply to
+        # pilots.  The baseline gets the received gains G P, so its estimate
+        # is of the unit-power frame, at any scale of G and P.
+        p = cfg.power_vector()
+        x_pilot = c.points[rng.integers(0, c.size, size=(cfg.k_users, cfg.t_pilot))]
+        y_train = synthesize_received(scenario.channel, x_pilot, scenario.g_diag, p, scenario.sigma_z2, rng)
         t0 = time.perf_counter()
-        x_hat = detector.pilot_zf_baseline(
-            y_train, x_pilot, scenario.y_bar, scenario.g_diag, cfg.pilot_lambda
-        )
+        x_hat = detector.pilot_zf_baseline(y_train, x_pilot, scenario.y_bar, scenario.g_diag * p, cfg.pilot_lambda)
         elapsed = time.perf_counter() - t0
         indices = detector.demodulate(x_hat, c)
         fields = dict(stop_reason="obj_tol", final_eta=0.0, restarts=0)

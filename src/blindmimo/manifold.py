@@ -3,10 +3,10 @@
 The complex Stiefel manifold St_K(C^T) is the set of T x K complex matrices
 with orthonormal columns (A^H A = I_K).  This module provides the small set
 of operations every solver in the package is built on: Haar-uniform sampling
-(``random_stiefel``), the polar retraction (``polar_retract``), tangent-space
-projection of a Euclidean gradient (``riemannian_grad``) and the nuclear
-norm.  A point is its plain T x K array, as a direction is; ``StiefelPoint``,
-which no solver builds, wraps a checked one.
+(``random_stiefel``), the polar retraction (``polar_retract``) and
+tangent-space projection of a Euclidean gradient (``riemannian_grad``).  A
+point is its plain T x K array, as a direction is; ``StiefelPoint``, which
+no solver builds, wraps a checked one.
 
 Each solver iteration's singular values and polar factor come from
 ``_polar``, and preconditioning's rank-r factors from ``_top_factors``.  Both
@@ -44,7 +44,6 @@ __all__ = [
     "random_stiefel",
     "polar_retract",
     "riemannian_grad",
-    "nuclear_norm",
 ]
 
 ORTHONORMALITY_TOL = 1e-9
@@ -327,9 +326,3 @@ def riemannian_grad(a: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: grad {g.shape} vs point {am.shape}")
     b = am.conj().T @ g
     return g - am @ ((b + b.conj().T) / 2.0)
-
-
-def nuclear_norm(m: np.ndarray) -> float:
-    """Sum of singular values of ``m``."""
-    with _numerics():
-        return float(_polar(np.asarray(m))[0].sum())

@@ -541,6 +541,56 @@ class TestRunSweep:
         assert np.median(evm["spread"]) < np.median(evm["default"])
 
 
+class TestUnits:
+    # G P is the one received gain: the SNR mapping and the pilot baseline
+    # take P as the frame does.  The qam16 CI run's config at 30 dB (base
+    # seed 1, 3 trials: its pilot SER was 0.10 at power 1, 0.60-0.64 at
+    # power 4 and every trial an error record at 0.25, with the noise scaled
+    # alike), the short CI run's log-distance preconditioned config at 20 dB,
+    # and the default config; each with the noise variance its snr_db maps
+    # to at unit power (trial 0's, on the short frame).
+    CONFIGS = {
+        "qam16": (SystemConfig(constellation="qam16", k_users=8, t_len=120, n_h=128, theta=0.2, snr_db=30.0,
+                               channel_model="bernoulli_gaussian", trials=3, base_seed=1), 8 / (120 * 1e3)),
+        "short": (SystemConfig(k_users=8, t_len=40, n_h=256, theta=0.1, channel_model="bernoulli_gaussian",
+                               fading_model="log_distance", solver=SolverOptions(precondition=True), trials=2),
+                  3.4e-13),
+        "default": (SystemConfig(trials=2), 8 / (240 * 1e2)),
+    }
+
+    @pytest.mark.parametrize("noise", ["snr_db", "sigma_z2"])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_records_do_not_depend_on_the_units(self, config, noise):
+        # At power 4^e, with the config's snr_db or with its sigma_z2 scaled
+        # by 4^e, Ybar scales by 2^e and nothing else changes, so every l3,
+        # l4 and pilot record is e = 0's bit for bit, warning-free, but for
+        # the config's fingerprint, the block's digest, normalized_objective
+        # (null off unit power) and final_eta: W = Ybar A G^(-1/2) scales by
+        # 2^e, so eta scales by 2^(p e) on a dense block and not at all on
+        # the preconditioned pair, as in TestScaleFree.
+        cfg, sigma_z2 = self.CONFIGS[config]
+
+        def records(e):
+            over = dict(power=4.0 ** e, sigma_z2=sigma_z2 * 4.0 ** e if noise == "sigma_z2" else None)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sweep = run_sweep(replace(cfg, **over), "snr_db", [cfg.snr_db], ("l3", "l4", "pilot"))
+                return [r.to_json() for r in sweep]
+
+        ref = records(0)
+        assert not [r for r in map(json.loads, ref) if r["method"] != "pilot" and r["error"]]
+        for e in (-40, -1, 1, 40):
+            for want, got in zip(map(json.loads, ref), map(json.loads, records(e)), strict=True):
+                p = {"l3": 3, "l4": 4, "pilot": 0}[want["method"]] * (not cfg.solver.precondition)
+                assert got.pop("final_eta") == math.ldexp(want.pop("final_eta"), p * e), (e, want)
+                for r in (want, got):
+                    del r["fingerprint"], r["scenario_digest"]
+                if got["metrics"] is not None:
+                    assert got["metrics"].pop("normalized_objective") is None
+                    want["metrics"].pop("normalized_objective")
+                assert got == want, e
+
+
 @pytest.mark.parametrize("over, message", [
     ({"evm": -0.1}, "evm must be nonnegative"),
     ({"ser": 1.5}, r"ser must lie in \[0, 1\]"),
