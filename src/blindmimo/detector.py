@@ -790,7 +790,10 @@ def pilot_zf_baseline(
     pilots), and the weight lam * g_k makes the estimate independent of its
     scale (an unweighted lam zeroes it under log-distance fading, g_k ~
     1e-10).  Data is then detected by least squares against the estimated
-    effective channel.
+    effective channel.  Like the blind solvers it solves in units of its own,
+    on Ytrain 2^-e, Ydata 2^-e and G 4^-e with 2^(2e) near ||Ytrain|| max
+    G^(1/2): exact where G is normal, and L, 1 / L and the zero-forcing Gram
+    stay finite from subnormal G to noise 1e300 times the signal.
     """
     y_t = np.asarray(y_bar_train, dtype=np.complex128)
     x_t = np.asarray(x_train, dtype=np.complex128)
@@ -798,6 +801,8 @@ def pilot_zf_baseline(
         raise ValueError("need at least one pilot symbol")
     k = x_t.shape[0]
     g = _positive_g(g_diag, k)
+    e = (_exponent(_norms((y_t,))) + math.frexp(g.max())[1] // 2) // 2
+    y_t, y_d, g = np.ldexp(1.0, -e) * y_t, np.ldexp(1.0, -e) * np.asarray(y_bar_data), np.ldexp(g, -2 * e)
     sqrt_g = np.sqrt(g)
     b = x_t * sqrt_g[:, np.newaxis]
     lip = float(np.linalg.norm(b, 2)) ** 2
@@ -814,5 +819,5 @@ def pilot_zf_baseline(
             break
     zeroed = np.flatnonzero(~h.any(axis=0)).tolist()  # a weak user can fall below lam * g_k
     cause = f"; the channel estimates of users {zeroed} are all zero" if zeroed else ""
-    return _least_squares(h * sqrt_g, np.asarray(y_bar_data), "zero-forcing matrix", cause)
+    return _least_squares(h * sqrt_g, y_d, "zero-forcing matrix", cause)
 

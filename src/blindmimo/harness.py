@@ -67,7 +67,8 @@ _FADING_FC_GHZ = 28.0
 # Largest power, and by mirror sigma_z2 and 1 / linear SNR: a margin, not a limit of any method.  With
 # the noise scaled alike, l3, l4 and pilot decide the same from power 1e-300 to 1e307 (identity fading,
 # K = 4, M = 32, T = 60, 8 pilots); the first to fail past the caps is the l3 envelope, whose r^1.5
-# overflows from sigma_z2 ~ 1e204 or snr_db ~ -2052 dB on that config.
+# overflows from sigma_z2 ~ 1e204 or snr_db ~ -2052 dB on that config.  Power has no lower cap: l3, l4
+# and pilot decide as at power 1 down to subnormal G P (README, "Any units"); a G P of 0 is rejected.
 _MAX_SCALE = 1e30
 _MIN_SNR_DB = -300.0
 
@@ -215,13 +216,16 @@ def _stream(base_seed: int, *tags: Union[int, str]) -> np.random.Generator:
 class Scenario:
     """Everything all methods share within one trial.
 
-    ``channel`` is the M x K angular-domain matrix; the power vector is the
-    config's (``SystemConfig.power_vector``).
+    ``channel`` is the M x K angular-domain matrix, ``g_diag`` the fading G
+    the blind solvers weight by, and ``gains`` the received gain G P (P the
+    config's ``power_vector``; subnormal is fine), formed once for the
+    frame, the pilots, the SNR mapping and the pilot baseline.
     """
 
     channel: np.ndarray
     frame: TransmitFrame
     g_diag: np.ndarray
+    gains: np.ndarray
     sigma_z2: float
     y_bar: np.ndarray
 
@@ -233,11 +237,10 @@ class Scenario:
 def _draw_fading(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     if cfg.fading_model == "identity":
         return np.ones(cfg.k_users)
-    # Log-distance path loss at 28 GHz with complex-normal shadowing; the
-    # real part of the shadowing term is used as the dB perturbation.
+    # Log-distance path loss at 28 GHz with complex-normal shadowing; its
+    # real part, the first row of the draw, is the dB perturbation.
     d = rng.uniform(20.0, 200.0, cfg.k_users)
-    chi = (rng.standard_normal(cfg.k_users) + 1j * rng.standard_normal(cfg.k_users))
-    chi_db = np.sqrt(4.2 / 2.0) * chi.real
+    chi_db = np.sqrt(4.2 / 2.0) * rng.standard_normal((2, cfg.k_users))[0]
     g_db = -32.4 - 18.5 * np.log10(d) - 20.0 * np.log10(_FADING_FC_GHZ) + chi_db
     return 10.0 ** (g_db / 10.0)
 
@@ -258,12 +261,13 @@ def _draw_channel(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
     """Draw fading, channel, frame, and noise for one trial."""
     c = build_constellation(cfg.constellation)
-    g, p = _draw_fading(cfg, rng), cfg.power_vector()
-    sigma_z2 = _noise_variance(cfg, g * p)
+    g = _draw_fading(cfg, rng)
+    gains = g * cfg.power_vector()
+    sigma_z2 = _noise_variance(cfg, gains)
     channel = _draw_channel(cfg, rng)
     frame = build_frame(cfg.k_users, cfg.t_len, c, rng)
-    y_bar = synthesize_received(channel, frame.x, g, p, sigma_z2, rng)
-    return Scenario(channel=channel, frame=frame, g_diag=g, sigma_z2=sigma_z2, y_bar=y_bar)
+    y_bar = synthesize_received(channel, frame.x, gains, sigma_z2, rng)
+    return Scenario(channel=channel, frame=frame, g_diag=g, gains=gains, sigma_z2=sigma_z2, y_bar=y_bar)
 
 
 @dataclass(frozen=True)
@@ -356,16 +360,13 @@ def _run_method(
     c = build_constellation(cfg.constellation)
     frame = scenario.frame
     if method == "pilot":
-        # Training phase: random unit-power pilot symbols, received through
-        # the frame's G and P with their own noise.  The 1/sqrt(T) frame
-        # scaling is a data-concentration device and does not apply to
-        # pilots.  The baseline gets the received gains G P, so its estimate
-        # is of the unit-power frame, at any scale of G and P.
-        p = cfg.power_vector()
+        # Training phase: random unit-power pilot symbols (the 1/sqrt(T) frame scaling is a
+        # data-concentration device), received through the frame's gains G P with their own
+        # noise.  The baseline gets the same gains, so it estimates the unit-power frame.
         x_pilot = c.points[rng.integers(0, c.size, size=(cfg.k_users, cfg.t_pilot))]
-        y_train = synthesize_received(scenario.channel, x_pilot, scenario.g_diag, p, scenario.sigma_z2, rng)
+        y_train = synthesize_received(scenario.channel, x_pilot, scenario.gains, scenario.sigma_z2, rng)
         t0 = time.perf_counter()
-        x_hat = detector.pilot_zf_baseline(y_train, x_pilot, scenario.y_bar, scenario.g_diag * p, cfg.pilot_lambda)
+        x_hat = detector.pilot_zf_baseline(y_train, x_pilot, scenario.y_bar, scenario.gains, cfg.pilot_lambda)
         elapsed = time.perf_counter() - t0
         indices = detector.demodulate(x_hat, c)
         fields = dict(stop_reason="obj_tol", final_eta=0.0, restarts=0)
@@ -616,7 +617,7 @@ def run_convergence_experiment(variants: Dict[str, SystemConfig], level: float =
             rng = _stream(cfg.base_seed, "convergence", trial)
             x = random_stiefel(cfg.t_len, cfg.k_users, rng).conj().T
             channel = bernoulli_gaussian_channel(cfg.m, cfg.k_users, cfg.theta, rng)
-            y_bar = synthesize_received(channel, x, ones, ones, sigma, rng)
+            y_bar = synthesize_received(channel, x, ones, sigma, rng)
             _, trace = detector.solve(y_bar, ones, cfg.solver, rng)
             traces.append(trace.objective_per_iter / uppers[name])
         # np.mean per iterate: an axis-0 mean sums in another order and moves the last bits.

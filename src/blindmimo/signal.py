@@ -178,41 +178,33 @@ def build_frame(
 
 
 def synthesize_received(
-    h_bar: np.ndarray,
-    x: np.ndarray,
-    g_diag: np.ndarray,
-    p_diag: np.ndarray,
-    sigma_z2: float,
-    rng: np.random.Generator,
+    h_bar: np.ndarray, x: np.ndarray, gains: np.ndarray, sigma_z2: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Synthesize the M x T block Y = Hbar G^(1/2) P^(1/2) X + Z in the angular domain.
+    """Synthesize the M x T block Y = Hbar (G P)^(1/2) X + Z in the angular domain.
 
     ``h_bar`` is the M x K channel matrix and ``x`` the K x T symbols (a
-    frame's ``x``, or pilots).  Noise entries are i.i.d. circularly symmetric
-    complex Gaussian with variance ``sigma_z2`` (real and imaginary parts
-    each sigma_z2 / 2).  G and P must be strictly positive length-K vectors.
+    frame's ``x``, or pilots), and ``gains`` the received gains G P (fading
+    times power), strictly positive, subnormal ones included.  Noise entries
+    are i.i.d. circularly symmetric complex Gaussian with variance
+    ``sigma_z2`` (real and imaginary parts each sigma_z2 / 2).
     """
     h = np.asarray(h_bar)
     x = np.asarray(x)
-    g = np.asarray(g_diag, dtype=np.float64)
-    p = np.asarray(p_diag, dtype=np.float64)
+    g = np.asarray(gains, dtype=np.float64)
     k = x.shape[0]
-    if h.shape[1] != k or g.shape != (k,) or p.shape != (k,):
-        raise ValueError("channel, frame, G and P disagree on the number of users")
-    if not (np.all(g > 0) and np.all(p > 0)):
-        raise ValueError("G and P must be strictly positive")
+    if h.shape[1] != k or g.shape != (k,):
+        raise ValueError("channel, frame and gains disagree on the number of users")
+    if not np.all(g > 0):
+        raise ValueError("gains must be strictly positive")
     if sigma_z2 < 0:
         raise ValueError("noise variance must be nonnegative")
-    scale = np.sqrt(g * p)
-    noise = (
-        rng.standard_normal((h.shape[0], x.shape[1]))
-        + 1j * rng.standard_normal((h.shape[0], x.shape[1]))
-    ) * np.sqrt(sigma_z2 / 2.0)
-    return (h * scale[np.newaxis, :]) @ x + noise
+    shape = (h.shape[0], x.shape[1])
+    noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(sigma_z2 / 2.0)
+    return (h * np.sqrt(g)[np.newaxis, :]) @ x + noise
 
 
 def snr_to_noise_variance(snr_db: float, gain_sum: float, t_len: int) -> float:
-    """Per-entry noise variance sum(G) / (SNR * T); ``gain_sum`` is K for unit-gain users."""
+    """Per-entry noise variance sum(G P) / (SNR * T); ``gain_sum`` is K for unit-gain users."""
     return gain_sum / (10.0 ** (snr_db / 10.0) * t_len)
 
 

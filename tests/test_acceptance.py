@@ -70,7 +70,7 @@ def grid_runs():
                 chan = bm.bernoulli_gaussian_channel(m, k, theta, rng)
                 g = np.ones(k)
                 sigma = bm.snr_to_noise_variance(snr, k, t_len)
-                y_bar = bm.synthesize_received(chan, frame.x, g, g, sigma, rng)
+                y_bar = bm.synthesize_received(chan, frame.x, g, sigma, rng)
                 if kind == "pre":
                     y_bar = bm.precondition(y_bar, k)
                     vh = y_bar[1]
@@ -217,7 +217,7 @@ def test_criterion_07_noiseless_recovery():
         rng = np.random.default_rng(44_000 + trial)
         frame = bm.build_frame(4, 100, c, rng)
         chan = bm.bernoulli_gaussian_channel(256, 4, 0.1, rng)
-        y_bar = bm.synthesize_received(chan, frame.x, g, g, 0.0, rng)
+        y_bar = bm.synthesize_received(chan, frame.x, g, 0.0, rng)
         res = bm.detect(y_bar, g, frame.meta, c, opts, rng)
         start = frame.payload_start
         ser = bm.symbol_error_rate(res.symbol_indices[:, start:],

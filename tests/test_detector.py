@@ -1016,7 +1016,7 @@ class TestDetectEndToEnd:
         rng = np.random.default_rng(0)
         frame = build_frame(4, 80, c, rng)
         chan = bernoulli_gaussian_channel(128, 4, 0.15, rng)
-        y_bar = synthesize_received(chan, frame.x, np.ones(4), np.ones(4), 0.0, rng)
+        y_bar = synthesize_received(chan, frame.x, np.ones(4), 0.0, rng)
         res = detect(y_bar, np.ones(4), frame.meta, c, SolverOptions(), rng)
         start = frame.payload_start
         assert np.array_equal(res.symbol_indices[:, start:], frame.symbol_indices[:, start:])
@@ -1028,7 +1028,7 @@ class TestDetectEndToEnd:
         frame = build_frame(4, 24, c, rng)
         chan = bernoulli_gaussian_channel(128, 4, 0.1, rng)
         sigma = 4 / (1000 * 24)
-        y_bar = synthesize_received(chan, frame.x, np.ones(4), np.ones(4), sigma, rng)
+        y_bar = synthesize_received(chan, frame.x, np.ones(4), sigma, rng)
         res_pre = detect(y_bar, np.ones(4), frame.meta, c,
                          SolverOptions(precondition=True), np.random.default_rng(1))
         assert evm(res_pre.x_hat, frame.x) < 0.1
@@ -1191,7 +1191,7 @@ class TestRiemannianGdBaseline:
         frame = build_frame(8, 240, build_constellation("qpsk"), rng)
         chan = bernoulli_gaussian_channel(256, 8, 0.1, rng)
         sigma = 8 / (1000 * 240)
-        y_bar = synthesize_received(chan, frame.x, np.ones(8), np.ones(8), sigma, rng)
+        y_bar = synthesize_received(chan, frame.x, np.ones(8), sigma, rng)
         opts = SolverOptions(max_iters=500, eta_tol=1e-7)
         _, tr_fw = solve(y_bar, np.ones(8), opts, np.random.default_rng(1))
         _, tr_gd = riemannian_gd_baseline(y_bar, np.ones(8), opts, np.random.default_rng(1))
@@ -1271,7 +1271,7 @@ class TestPilotZf:
         chan = bernoulli_gaussian_channel(m, k, 0.1, rng)
         g = np.ones(k)
         sigma = k / (1.0 * t_len)  # 0 dB
-        y_bar = synthesize_received(chan, frame.x, g, g, sigma, rng)
+        y_bar = synthesize_received(chan, frame.x, g, sigma, rng)
         pilots = c.points[rng.integers(0, 4, size=(k, t_pilot))]
         noise = crandn(rng, m, t_pilot) * np.sqrt(sigma)
         y_train = chan @ pilots + noise
@@ -1289,6 +1289,24 @@ class TestPilotZf:
         h = crandn(rng, m, k)
         with pytest.raises(RankDeficientError, match="zero-forcing matrix is rank deficient"):
             pilot_zf_baseline(h @ pilots, pilots, h @ crandn(rng, k, 30), np.ones(k), lam=0.0)
+
+    def test_estimate_does_not_depend_on_the_units(self):
+        # 2^k Ytrain, 2^k Ydata and 4^k G are the same inputs in other units:
+        # the baseline returns k = 0's x_hat bit for bit.  Log-distance gains
+        # (g_k ~ 1e-10, about 2^-33) keep 4^k G normal for |k| <= 480.
+        cfg = SystemConfig(k_users=4, t_len=60, n_h=32, t_pilot=8, channel_model="bernoulli_gaussian",
+                           fading_model="log_distance", trials=1, base_seed=99)
+        sc = build_scenario(cfg, np.random.default_rng(5))
+        rng = np.random.default_rng(105)
+        c = build_constellation("qpsk")
+        pilots = c.points[rng.integers(0, c.size, size=(4, 8))]
+        y_train = synthesize_received(sc.channel, pilots, sc.gains, sc.sigma_z2, rng)
+        ref = pilot_zf_baseline(y_train, pilots, sc.y_bar, sc.gains, lam=2.0)
+        assert evm(ref, sc.frame.x) < 0.1
+        for k in (-480, -1, 1, 480):
+            x_hat = pilot_zf_baseline(np.ldexp(1.0, k) * y_train, pilots, np.ldexp(1.0, k) * sc.y_bar,
+                                      np.ldexp(sc.gains, 2 * k), lam=2.0)
+            assert np.array_equal(x_hat, ref), k
 
 
 class TestInputRank:

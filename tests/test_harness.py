@@ -546,12 +546,16 @@ class TestUnits:
     # take P as the frame does.  The qam16 CI run's config at 30 dB (base
     # seed 1, 3 trials: its pilot SER was 0.10 at power 1, 0.60-0.64 at
     # power 4 and every trial an error record at 0.25, with the noise scaled
-    # alike), the short CI run's log-distance preconditioned config at 20 dB,
-    # and the default config; each with the noise variance its snr_db maps
-    # to at unit power (trial 0's, on the short frame).
+    # alike), the same config with one power per user, the short CI run's
+    # log-distance preconditioned config at 20 dB, and the default config;
+    # each with the noise variance its snr_db maps to at e = 0 (trial 0's,
+    # on the short frame).
+    QAM16 = SystemConfig(constellation="qam16", k_users=8, t_len=120, n_h=128, theta=0.2, snr_db=30.0,
+                         channel_model="bernoulli_gaussian", trials=3, base_seed=1)
+    POWERS = (0.5, 1.0, 2.0, 1.5, 0.75, 1.25, 3.0, 0.25)
     CONFIGS = {
-        "qam16": (SystemConfig(constellation="qam16", k_users=8, t_len=120, n_h=128, theta=0.2, snr_db=30.0,
-                               channel_model="bernoulli_gaussian", trials=3, base_seed=1), 8 / (120 * 1e3)),
+        "qam16": (QAM16, 8 / (120 * 1e3)),
+        "qam16_per_user_power": (replace(QAM16, power=POWERS), sum(POWERS) / (120 * 1e3)),
         "short": (SystemConfig(k_users=8, t_len=40, n_h=256, theta=0.1, channel_model="bernoulli_gaussian",
                                fading_model="log_distance", solver=SolverOptions(precondition=True), trials=2),
                   3.4e-13),
@@ -561,8 +565,8 @@ class TestUnits:
     @pytest.mark.parametrize("noise", ["snr_db", "sigma_z2"])
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_records_do_not_depend_on_the_units(self, config, noise):
-        # At power 4^e, with the config's snr_db or with its sigma_z2 scaled
-        # by 4^e, Ybar scales by 2^e and nothing else changes, so every l3,
+        # At 4^e times the config's power, with its snr_db or with its sigma_z2
+        # scaled by 4^e, Ybar scales by 2^e and nothing else changes, so every l3,
         # l4 and pilot record is e = 0's bit for bit, warning-free, but for
         # the config's fingerprint, the block's digest, normalized_objective
         # (null off unit power) and final_eta: W = Ybar A G^(-1/2) scales by
@@ -571,7 +575,8 @@ class TestUnits:
         cfg, sigma_z2 = self.CONFIGS[config]
 
         def records(e):
-            over = dict(power=4.0 ** e, sigma_z2=sigma_z2 * 4.0 ** e if noise == "sigma_z2" else None)
+            power = tuple(4.0 ** e * p for p in cfg.power) if isinstance(cfg.power, tuple) else 4.0 ** e
+            over = dict(power=power, sigma_z2=sigma_z2 * 4.0 ** e if noise == "sigma_z2" else None)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 sweep = run_sweep(replace(cfg, **over), "snr_db", [cfg.snr_db], ("l3", "l4", "pilot"))
@@ -589,6 +594,28 @@ class TestUnits:
                     assert got["metrics"].pop("normalized_objective") is None
                     want["metrics"].pop("normalized_objective")
                 assert got == want, e
+
+    def test_subnormal_received_gains_decide_as_at_unit_power(self):
+        # Log-distance gains (g_k ~ 1e-10) at power 1e-297 to 1e-305 put G P
+        # at the edge of the float range and below it, among the subnormals.
+        # The blind solvers and the pilot baseline each work in units of
+        # their own, so every l3, l4 and pilot record decides as at power 1,
+        # warning-free.  (The pilot baseline, unnormalized, once raised
+        # ValueError from a NaN estimate at 1e-298 and LinAlgError from 1e-300.)
+        cfg = SystemConfig(k_users=4, t_len=60, n_h=32, t_pilot=8, channel_model="bernoulli_gaussian",
+                           fading_model="log_distance", snr_db=20.0, trials=3, base_seed=99)
+
+        def outcomes(power):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sweep = run_sweep(replace(cfg, power=power), "snr_db", [cfg.snr_db], ("l3", "l4", "pilot"))
+                return [(r.method, r.stop_reason, r.error, r.metrics and (r.metrics.ser, r.metrics.ber))
+                        for r in sweep]
+
+        ref = outcomes(1.0)
+        assert [r[1] for r in ref].count("error") == 1  # trial 1's pilot zeroes a weak user at every power
+        for power in (1e-297, 1e-298, 1e-300, 1e-305):
+            assert outcomes(power) == ref, power
 
 
 @pytest.mark.parametrize("over, message", [

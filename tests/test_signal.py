@@ -169,7 +169,7 @@ class TestSynthesizeReceived:
         f = build_frame(1, 16, c, np.random.default_rng(0))
         h = np.zeros((6, 1), dtype=complex)
         h[0, 0] = 1.0
-        y_bar = synthesize_received(h, f.x, np.ones(1), np.ones(1), 0.0, np.random.default_rng(1))
+        y_bar = synthesize_received(h, f.x, np.ones(1), 0.0, np.random.default_rng(1))
         assert np.allclose(y_bar[0], f.x[0])
         assert np.abs(y_bar[1:]).max() == 0.0
 
@@ -178,7 +178,7 @@ class TestSynthesizeReceived:
         f = build_frame(2, 500, c, np.random.default_rng(0))
         h = np.zeros((1000, 2), dtype=complex)
         sigma = 0.37
-        y_bar = synthesize_received(h, f.x, np.ones(2), np.ones(2), sigma, np.random.default_rng(1))
+        y_bar = synthesize_received(h, f.x, np.ones(2), sigma, np.random.default_rng(1))
         v = np.abs(y_bar.ravel()) ** 2  # pure noise since the channel is zero
         se = v.std(ddof=1) / np.sqrt(v.size)
         assert abs(v.mean() - sigma) < 3 * se
@@ -186,17 +186,16 @@ class TestSynthesizeReceived:
     def test_negative_variance_rejected(self):
         c = build_constellation("qpsk")
         f = build_frame(2, 16, c, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            synthesize_received(np.zeros((4, 2), complex), f.x, np.ones(2), np.ones(2), -1.0,
-                                np.random.default_rng(0))
+        with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+            synthesize_received(np.zeros((4, 2), complex), f.x, np.ones(2), -1.0, np.random.default_rng(0))
 
     def test_nonpositive_gains_rejected(self):
         c = build_constellation("qpsk")
         f = build_frame(2, 16, c, np.random.default_rng(0))
         h = np.zeros((4, 2), complex)
-        for g, p in ((np.array([1.0, 0.0]), np.ones(2)), (np.ones(2), np.array([1.0, -1.0]))):
-            with pytest.raises(ValueError, match="strictly positive"):
-                synthesize_received(h, f.x, g, p, 0.0, np.random.default_rng(0))
+        for gains in (np.array([1.0, 0.0]), np.array([1.0, -1.0])):
+            with pytest.raises(ValueError, match="gains must be strictly positive"):
+                synthesize_received(h, f.x, gains, 0.0, np.random.default_rng(0))
 
     def test_snr_mapping(self):
         assert snr_to_noise_variance(0.0, 8, 240) == pytest.approx(8 / 240)
@@ -228,8 +227,8 @@ class TestConcentrationStatistic:
     (lambda: header_length(0, 4), "k_users must be positive"),
     (lambda: build_frame(0, 16, build_constellation("qpsk"), np.random.default_rng(0)), "k_users must be positive"),
     (lambda: synthesize_received(np.zeros((4, 3), complex), build_frame(2, 16, build_constellation("qpsk"),
-                                 np.random.default_rng(0)).x, np.ones(2), np.ones(2), 0.0, np.random.default_rng(0)),
-     "channel, frame, G and P disagree on the number of users"),
+                                 np.random.default_rng(0)).x, np.ones(2), 0.0, np.random.default_rng(0)),
+     "channel, frame and gains disagree on the number of users"),
 ], ids=["constellation_size", "constellation_mean", "constellation_power", "header_length_k0", "build_frame_k0",
         "synthesize_k_mismatch"])
 def test_inputs_that_cannot_work_rejected(call, message):
