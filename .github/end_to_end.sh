@@ -1,7 +1,7 @@
 # The end-to-end runs that CI repeats to check that records are bit-reproducible.
 # Source it, cd to the directory that is to hold the runs, and call
 #   write_configs        to write each run's config;
-#   passes TAG CMD...    to run all fourteen with the command line CMD... (one
+#   passes TAG CMD...    to run all fifteen with the command line CMD... (one
 #                        that takes blindmimo's arguments) into <name>_TAG;
 #   same A B             to compare passes A and B run by run (diff -r).
 # METHODS, when set, replaces the methods of every simulate run.
@@ -29,6 +29,8 @@ SIMULATE=(
   'loud l3,l4,pilot {"constellation": "qam16", "k_users": 8, "t_len": 120, "n_h": 128, "theta": 0.2, "channel_model": "bernoulli_gaussian", "power": 4.0, "trials": 2, "sweep": {"param": "snr_db", "values": [20.0, 30.0]}}'
   # The default config at power 1e-6 with its noise scaled alike (20 dB), the only run far from unit scale: l3 and l4 must iterate there as at power 1, and pilot must decide.
   'faint l3,l4,rgd,pilot {"sigma_z2": 3.3333333333333335e-10, "trials": 2, "sweep": {"param": "power", "values": [1e-06]}}'
+  # Log-distance fading (G about 1e-10) at power 1e-314: G P underflows to 0 for some users in every trial, and each trial is one error record per method naming them, not the end of the run.
+  'underflow l3,l4,pilot {"k_users": 4, "t_len": 60, "n_h": 32, "t_pilot": 8, "channel_model": "bernoulli_gaussian", "fading_model": "log_distance", "base_seed": 99, "trials": 3, "sweep": {"param": "power", "values": [1e-314]}}'
   # Noiseless, K = 1, M = 2, theta = 0.05: most channels are all zero, and each such trial is a RankDeficientError record, not the end of the run.
   'zero l3,l4,rgd,pilot {"k_users": 1, "n_h": 2, "t_len": 8, "theta": 0.05, "channel_model": "bernoulli_gaussian", "snr_db": Infinity, "t_pilot": 1, "trials": 4, "sweep": {"param": "theta", "values": [0.05]}}'
 )

@@ -68,7 +68,7 @@ _FADING_FC_GHZ = 28.0
 # the noise scaled alike, l3, l4 and pilot decide the same from power 1e-300 to 1e307 (identity fading,
 # K = 4, M = 32, T = 60, 8 pilots); the first to fail past the caps is the l3 envelope, whose r^1.5
 # overflows from sigma_z2 ~ 1e204 or snr_db ~ -2052 dB on that config.  Power has no lower cap: l3, l4
-# and pilot decide as at power 1 down to subnormal G P (README, "Any units"); a G P of 0 is rejected.
+# and pilot decide as at power 1 down to subnormal G P (README, "Any units"); a G P of 0 is an error record.
 _MAX_SCALE = 1e30
 _MIN_SNR_DB = -300.0
 
@@ -80,13 +80,8 @@ class SystemConfig:
     ``snr_db`` maps to the per-entry noise variance sum(G P) / (T * SNR), on
     the received gains G P; set ``sigma_z2`` to bypass the mapping with an
     explicit variance.  ``theta`` drives the Bernoulli-Gaussian model and
-    ``n_paths`` the clustered model.
-
-    With fewer pilots than users (``t_pilot < k_users``, as in the defaults)
-    the pilot baseline's channel estimate is underdetermined and some trials
-    end as rank-deficient error records; such configs are still accepted.
-    With enough pilots, the l1 weight ``pilot_lambda`` can still zero a weak
-    user's whole channel estimate; that error record names the user.
+    ``n_paths`` the clustered model.  A config whose pilot baseline ends some
+    trials as error records is accepted (README, "Reproducibility").
     """
 
     k_users: int = 8
@@ -259,10 +254,12 @@ def _draw_channel(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_scenario(cfg: SystemConfig, rng: np.random.Generator) -> Scenario:
-    """Draw fading, channel, frame, and noise for one trial."""
+    """Draw fading, channel, frame, and noise for one trial; RankDeficientError names users whose G P is 0."""
     c = build_constellation(cfg.constellation)
     g = _draw_fading(cfg, rng)
     gains = g * cfg.power_vector()
+    if not gains.all():
+        raise RankDeficientError(f"the received gains G P of users {np.flatnonzero(gains == 0).tolist()} are 0")
     sigma_z2 = _noise_variance(cfg, gains)
     channel = _draw_channel(cfg, rng)
     frame = build_frame(cfg.k_users, cfg.t_len, c, rng)
@@ -279,7 +276,7 @@ class TrialMetrics:
     final solver objective over the expected-objective upper envelope, which
     bounds the third-power objective of an unpreconditioned Bernoulli-Gaussian
     block with unit fading and power; it is None for l4, pilot and any trial
-    outside that setting.  ``iters`` counts solver update steps (0 for pilot).
+    outside that setting.  ``iters`` counts solver update steps (for pilot, its 500 soft-threshold steps).
     ``wall_time`` is kept in memory for profiling but excluded from
     serialized records so outputs stay bit-reproducible.
     """
@@ -309,6 +306,7 @@ class TrialRecord:
     it defaults to 0 so records written before it existed still load, as do
     records with a top-level ``iters`` and metrics ``rate_blind``/``rate_training``.
     An error record's NaN ``final_eta`` is written as null (strict JSON) and loads back as NaN.
+    A trial with a G P of 0 has no block: each method's error record has an empty ``scenario_digest``.
     """
 
     fingerprint: str
@@ -369,9 +367,9 @@ def _run_method(
         x_hat = detector.pilot_zf_baseline(y_train, x_pilot, scenario.y_bar, scenario.gains, cfg.pilot_lambda)
         elapsed = time.perf_counter() - t0
         indices = detector.demodulate(x_hat, c)
-        fields = dict(stop_reason="obj_tol", final_eta=0.0, restarts=0)
+        fields = dict(stop_reason="max_iters", final_eta=0.0, restarts=0)
         own = dict(rate=metrics.achievable_rate_training(x_hat, frame.x, cfg.t_len, cfg.t_pilot),
-                   normalized_objective=None, iters=0)
+                   normalized_objective=None, iters=detector.PILOT_ITERS)
     else:
         t0 = time.perf_counter()
         result = detector.detect(scenario.y_bar, scenario.g_diag, frame.meta, c, cfg.solver, rng, method)
@@ -441,11 +439,16 @@ def run_sweep(
         for si, (value, cfg_i) in enumerate(points):
             key = 0 if sweep_param in ("t_pilot", "pilot_lambda") else si
             for trial in range(cfg_i.trials):
-                scenario = build_scenario(cfg_i, _stream(cfg_i.base_seed, key, trial, "scenario"))
-                digest = scenario.digest
+                try:
+                    scenario = build_scenario(cfg_i, _stream(cfg_i.base_seed, key, trial, "scenario"))
+                    digest, unbuilt = scenario.digest, None
+                except RankDeficientError as exc:
+                    digest, unbuilt = "", exc
                 for method in methods:
                     seq = _seed_sequence(cfg_i.base_seed, si, trial, method)
                     try:
+                        if unbuilt:
+                            raise unbuilt
                         outcome = _run_method(cfg_i, scenario, method, np.random.default_rng(seq))
                     except RankDeficientError as exc:
                         outcome = dict(metrics=None, stop_reason="error", final_eta=float("nan"),

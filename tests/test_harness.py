@@ -368,6 +368,25 @@ class TestRunSweep:
             assert r.error is None
             assert r.metrics.rate is not None
 
+    def test_pilot_takes_its_whole_budget(self, monkeypatch):
+        # CI's bg run: at 30 dB, trial 1's estimate once met a relative-update
+        # tolerance at step 286 (and trials 0 and 1 at 10 dB at 375 and 442).
+        # Every pilot call now takes all 500 soft-threshold steps, and its
+        # record says so.
+        cfg = SystemConfig(k_users=8, t_len=120, n_h=128, theta=0.2, channel_model="bernoulli_gaussian", trials=2)
+        threshold, calls = detector._soft_threshold, []
+
+        def spy(v, tau):
+            calls.append(None)
+            return threshold(v, tau)
+
+        monkeypatch.setattr(detector, "_soft_threshold", spy)
+        steps = []
+        for r in run_sweep(cfg, "snr_db", [10.0, 30.0], ("pilot",)):
+            steps.append((r.sweep_value, r.trial, len(calls), r.stop_reason, r.metrics.iters))
+            calls.clear()
+        assert steps == [(snr, t, 500, "max_iters", 500) for snr in (10.0, 30.0) for t in (0, 1)]
+
     def test_rgd_runs_under_log_distance_fading(self):
         # Gradients scale with G^(-1/2) (about 1e5 here): rgd on preconditioned
         # log-distance blocks must still write no error record.
@@ -595,6 +614,10 @@ class TestUnits:
                     want["metrics"].pop("normalized_objective")
                 assert got == want, e
 
+    # Log-distance gains, g_k ~ 1e-10.
+    LOG_DISTANCE = SystemConfig(k_users=4, t_len=60, n_h=32, t_pilot=8, channel_model="bernoulli_gaussian",
+                                fading_model="log_distance", snr_db=20.0, trials=3, base_seed=99)
+
     def test_subnormal_received_gains_decide_as_at_unit_power(self):
         # Log-distance gains (g_k ~ 1e-10) at power 1e-297 to 1e-305 put G P
         # at the edge of the float range and below it, among the subnormals.
@@ -602,8 +625,7 @@ class TestUnits:
         # their own, so every l3, l4 and pilot record decides as at power 1,
         # warning-free.  (The pilot baseline, unnormalized, once raised
         # ValueError from a NaN estimate at 1e-298 and LinAlgError from 1e-300.)
-        cfg = SystemConfig(k_users=4, t_len=60, n_h=32, t_pilot=8, channel_model="bernoulli_gaussian",
-                           fading_model="log_distance", snr_db=20.0, trials=3, base_seed=99)
+        cfg = self.LOG_DISTANCE
 
         def outcomes(power):
             with warnings.catch_warnings():
@@ -616,6 +638,41 @@ class TestUnits:
         assert [r[1] for r in ref].count("error") == 1  # trial 1's pilot zeroes a weak user at every power
         for power in (1e-297, 1e-298, 1e-300, 1e-305):
             assert outcomes(power) == ref, power
+
+    def test_pilot_under_overwhelming_noise_is_warning_free(self):
+        # sigma_z2 = 1e30 against G P below 1e-290: the channel estimate
+        # reaches about 1e161, whose norm a tolerance stop would overflow.
+        # The 500 steps take no norm, and every record decides (at chance)
+        # the same at each power.
+        def outcomes(power):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cfg = replace(self.LOG_DISTANCE, power=power, sigma_z2=1e30)
+                sweep = run_sweep(cfg, "snr_db", [20.0], ("pilot",))
+                return [(r.error, r.stop_reason, r.metrics.iters, r.metrics.ser, r.metrics.ber) for r in sweep]
+
+        ref = outcomes(1e-280)
+        assert [r[:3] for r in ref] == [(None, "max_iters", 500)] * 3
+        for power in (1e-300, 1e-305):
+            assert outcomes(power) == ref, power
+
+    @pytest.mark.parametrize("power", [1e-314, 1e-318])
+    def test_zero_received_gain_is_an_error_record_naming_the_users(self, power):
+        # Below about 1e-313 some user's G P underflows to 0 and its column
+        # of the block is lost: each trial is one error record per method,
+        # naming those users, with no block to digest, and the sweep goes on.
+        # (It once ended with ValueError: gains must be strictly positive.)
+        cfg = replace(self.LOG_DISTANCE, power=power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = list(run_sweep(cfg, "power", [power], ("l3", "l4", "pilot")))
+        assert [(r.trial, r.method) for r in records] == [(t, m) for t in range(3) for m in ("l3", "l4", "pilot")]
+        for r in records:
+            g = _draw_fading(cfg, _stream(cfg.base_seed, 0, r.trial, "scenario"))
+            zero = np.flatnonzero(g * power == 0).tolist()
+            assert zero, r.trial
+            assert r.error == f"RankDeficientError: the received gains G P of users {zero} are 0"
+            assert (r.stop_reason, r.scenario_digest, r.metrics) == ("error", "", None)
 
 
 @pytest.mark.parametrize("over, message", [
