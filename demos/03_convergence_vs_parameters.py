@@ -22,7 +22,7 @@ def main():
     base = SystemConfig(
         k_users=8, t_len=200, n_h=1024, n_v=1, theta=0.2,
         channel_model="bernoulli_gaussian", sigma_z2=0.05, trials=20, base_seed=1,
-        solver=SolverOptions(max_iters=120, eta_tol=1e-9, obj_rel_tol=1e-12),
+        solver=SolverOptions(max_iters=120, eta_tol=1e-9),
     )
     out = run_convergence_experiment(convergence_variants(base))
 

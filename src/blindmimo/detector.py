@@ -64,9 +64,6 @@ __all__ = [
 
 BLIND_METHODS = ("l3", "l4", "rgd")  # the names ``detect`` takes
 
-# Absolute slack allowed when asserting the monotone-ascent guarantee.
-MONOTONE_SLACK = 1e-12
-
 # Proximal-gradient steps of the pilot baseline's channel estimate: always all of them.
 PILOT_ITERS = 500
 
@@ -76,15 +73,13 @@ class SolverOptions:
     """Knobs for the manifold solvers; the exponent is not one: ``detect``'s method sets it.
 
     The iteration stops at relative first-order optimality
-    eta(A_j) < eta_tol * eta(A_0), or when the relative objective increase
-    drops below ``obj_rel_tol``, or after ``max_iters`` update steps,
-    whichever happens first.  Both rules are relative, so where a solve
-    stops does not depend on the units of Ybar or G.
-
-    Zero tolerances keep iterating at the converged plateau, where float64
-    objective evaluations fluctuate by ~eps * objective * log(T); keep
-    obj_rel_tol >= 1e-12 if the trace's monotone invariant matters.
-    ``max_iters`` must be a positive integer, the tolerances finite numbers
+    eta(A_j) < eta_tol * eta(A_0), when a step does not raise the objective
+    (``no_ascent``: the fixed-point step never lowers it, so only float
+    rounding at the converged plateau can), or after ``max_iters`` update
+    steps, whichever happens first.  Neither rule reads the units of Ybar or
+    G, so where a solve stops does not depend on them, and both are safe at
+    ``eta_tol`` 0, which runs a solve to its plateau.
+    ``max_iters`` must be a positive integer, ``eta_tol`` a finite number
     >= 0 and ``precondition`` a bool; a bool is not a number here.  Only
     ``detect`` reads ``precondition``: ``solve`` and ``riemannian_gd_baseline``
     solve the block they are given.
@@ -92,15 +87,13 @@ class SolverOptions:
 
     max_iters: int = 200
     eta_tol: float = 1e-6
-    obj_rel_tol: float = 1e-10
     precondition: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(n := self.max_iters, bool) or not isinstance(n, numbers.Integral) or n < 1:  # 40.0 fails
             raise ValueError(f"max_iters must be an integer of at least 1, got {n!r}")
-        for name in ("eta_tol", "obj_rel_tol"):
-            if isinstance(v := getattr(self, name), bool) or not (isinstance(v, numbers.Real) and 0 <= v < np.inf):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
+        if isinstance(v := self.eta_tol, bool) or not (isinstance(v, numbers.Real) and 0 <= v < np.inf):
+            raise ValueError(f"eta_tol must be finite and nonnegative, got {v!r}")
         if not isinstance(self.precondition, (bool, np.bool_)):  # a JSON "false" would switch it on
             raise ValueError(f"precondition must be true or false, got {self.precondition!r}")
 
@@ -111,16 +104,16 @@ class SolveTrace:
 
     ``objective_per_iter[j]`` and ``eta_per_iter[j]`` are measured at the
     j-th iterate, including the returned one, so ``iters_run`` (update
-    steps) is the trace length minus one.  The objective sequence must be
-    non-decreasing (guaranteed ascent) up to 1e-12 absolute slack; a step
-    between two objectives that overflowed to inf is not checked.
-    ``n_evals`` counts objective/gradient evaluations, the dominant cost, for
-    cross-solver comparisons.
+    steps) is the trace length minus one.  ``_ascend`` records only an
+    objective that exceeds the last, so the trace strictly increases unless
+    the caller's units round two to one float; any decrease raises
+    ValueError, but a step between two objectives past the float range (inf)
+    is not checked.  ``n_evals`` counts objective/gradient evaluations, the
+    dominant cost, a rejected one included.
     ``restarts`` counts fresh random starts after a rank-deficient gradient
-    (``solve`` makes at most one).  ``stop_reason`` is ``eta_tol``,
-    ``obj_tol`` or ``max_iters`` (the stop rule), or ``no_ascent``: the step
-    found no point that raises the objective (only the line search of
-    ``riemannian_gd_baseline`` can fail so).
+    (``solve`` makes at most one).  ``stop_reason`` is ``eta_tol`` or
+    ``max_iters`` (the stop rules), or ``no_ascent``: the step found no
+    point that raises the objective.
     """
 
     objective_per_iter: np.ndarray
@@ -134,11 +127,11 @@ class SolveTrace:
         eta = np.asarray(self.eta_per_iter, dtype=np.float64)
         if obj.shape != eta.shape or obj.ndim != 1 or obj.size < 1:
             raise ValueError("objective and eta traces must be equal-length vectors")
-        if self.stop_reason not in ("eta_tol", "obj_tol", "max_iters", "no_ascent"):
+        if self.stop_reason not in ("eta_tol", "max_iters", "no_ascent"):
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
         with np.errstate(invalid="ignore"):  # inf - inf: both objectives past the float range
             worst = np.fmin.reduce(np.diff(obj), initial=0.0)
-        if worst < -MONOTONE_SLACK:
+        if worst < 0:
             raise ValueError(f"objective trace decreased by {-worst:.3e}, ascent guarantee violated")
         object.__setattr__(self, "objective_per_iter", obj)
         object.__setattr__(self, "eta_per_iter", eta)
@@ -352,17 +345,19 @@ def _ascend(
 ) -> Tuple[np.ndarray, SolveTrace]:
     """The ascent loop both solvers share; only ``step`` differs.
 
-    Each iterate costs one objective/gradient evaluation and one
-    factorization of the gradient through ``_polar``, which gives eta; then
-    comes the stop rule (``eta_tol``, ``obj_tol``, ``max_iters``).
-    Otherwise ``step(a, obj, grad, polar)`` returns the next iterate, or None
-    (it found no ascent: stop with ``no_ascent``), and the objective
-    evaluations it spent; ``polar()`` forms the gradient's polar factor,
-    raising RankDeficientError when the gradient is rank deficient.  An
-    all-zero gradient raises RankDeficientError at once: its eta of 0 would
-    otherwise pass the stop rule at objective 0, the minimum.  Iterates are
-    plain arrays, checked by ``_check_orthonormal`` once at the start and as
-    ``step`` returns each (drift raises ValueError, never a restart).
+    Each iterate costs one objective/gradient evaluation; one that does not
+    raise the objective stops the loop with ``no_ascent`` at the previous
+    iterate, counted in ``n_evals`` but not recorded.  Otherwise one
+    factorization of the gradient through ``_polar`` gives eta, and the stop
+    rules ``eta_tol`` and ``max_iters`` follow.  Otherwise ``step(a, obj,
+    grad, polar)`` returns the next iterate, or None (it found no ascent:
+    ``no_ascent`` too), and the objective evaluations it spent; ``polar()``
+    forms the gradient's polar factor, raising RankDeficientError when the
+    gradient is rank deficient.  An all-zero gradient raises
+    RankDeficientError at once: its eta of 0 would otherwise pass the stop
+    rule at objective 0, the minimum.  Iterates are plain arrays, checked by
+    ``_check_orthonormal`` once at the start and as ``step`` returns each
+    (drift raises ValueError, never a restart).
 
     With ``vh``, ``y`` is the pair's left factor (u,) and the loop runs on
     x = vh A, as ``solve`` describes.  The trace, scaled back by 2^(p e) from
@@ -376,27 +371,28 @@ def _ascend(
     n_evals = 0
     for j in range(opts.max_iters + 1):
         obj, grad = _evaluate(y, x, isg, p, with_grad=True)
+        n_evals += 1
+        if j and not obj > objs[-1]:  # float rounding: the step cannot lower the objective
+            x, stop_reason = prev, "no_ascent"
+            break
         s, polar = _polar(grad)
         if s[0] == 0.0:
             raise RankDeficientError("the gradient vanishes")
         objs.append(obj)
         etas.append(_gap(float(s.sum()), x, grad))
-        n_evals += 1
         if etas[-1] < opts.eta_tol * etas[0]:
             stop_reason = "eta_tol"
-        elif j >= 1 and objs[-1] - objs[-2] < opts.obj_rel_tol * max(objs[-2], 1e-300):
-            stop_reason = "obj_tol"
         elif j == opts.max_iters:
             stop_reason = "max_iters"
         else:
             nxt, spent = step(x, obj, grad, polar=polar)
             n_evals += spent
             if nxt is not None:
-                x = _check_orthonormal(nxt)
+                prev, x = x, _check_orthonormal(nxt)
                 continue
             stop_reason = "no_ascent"
         break
-    a = a if j == 0 else x if vh is None else _check_orthonormal(vh.conj().T @ x)
+    a = a if len(objs) == 1 else x if vh is None else _check_orthonormal(vh.conj().T @ x)
     return a, SolveTrace(np.ldexp(objs, p * e), np.ldexp(etas, p * e), stop_reason, n_evals, restarts)
 
 

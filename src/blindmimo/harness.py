@@ -729,8 +729,9 @@ def emit_report(records: Iterable[TrialRecord], out_dir) -> List[str]:
 
     Writes ``trials.jsonl`` (one record per line), ``summary.csv`` (mean,
     median, and 95% t-interval half-width per sweep point and method; a
-    column is empty where no record sets it), and one whitespace-delimited
-    ``plot_evm_<method>.dat`` file per method with the EVM mean and interval.
+    column is empty where no record sets it, as is every statistic of an
+    all-error sweep point), and per method a ``plot_evm_<method>.dat`` of
+    the EVM mean and interval at each sweep point with a successful trial.
     """
     records = list(records)
     os.makedirs(out_dir, exist_ok=True)
@@ -759,8 +760,6 @@ def emit_report(records: Iterable[TrialRecord], out_dir) -> List[str]:
         writer.writerow(header)
         for (method, param, value), recs in sorted(groups.items()):
             done = [r.metrics for r in recs if r.error is None and r.metrics is not None]
-            if not done:
-                continue  # a sweep point with no successful trial writes no row
             n_errors = sum(r.error is not None for r in recs)
             row: List[object] = [method, param, repr(value), len(done), n_errors]
             stats = {}
@@ -773,10 +772,11 @@ def emit_report(records: Iterable[TrialRecord], out_dir) -> List[str]:
                     stats[f] = (float(vals.mean()), _median(vals), _ci95_halfwidth(vals))
                 row += [repr(v) for v in stats[f]] if f in stats else ["", "", ""]
             iters = np.array([m.iters for m in done], dtype=np.float64)
-            row.append(repr(float(iters.mean())))
+            row.append(repr(float(iters.mean())) if done else "")
             writer.writerow(row)
-            evm_mean, _, evm_ci = stats["evm"]
-            rows_by_method.setdefault(method, []).append((value, evm_mean, evm_ci))
+            if done:
+                evm_mean, _, evm_ci = stats["evm"]
+                rows_by_method.setdefault(method, []).append((value, evm_mean, evm_ci))
     written.append(summary_path)
 
     for method, rows in sorted(rows_by_method.items()):

@@ -188,7 +188,7 @@ def test_criterion_06_eta_stationarity():
             rgrad_zero_ok = False
     # converged solves: residual Riemannian gradient is tiny
     worst_ratio = 0.0
-    opts = SolverOptions(max_iters=500, eta_tol=1e-9, obj_rel_tol=1e-12)
+    opts = SolverOptions(max_iters=500, eta_tol=1e-9)
     configs = [(64, 2, 60, 0.1, 0.0), (128, 3, 80, 0.2, 0.01),
                (256, 4, 100, 0.1, 0.001), (128, 4, 64, 0.3, 0.05),
                (64, 3, 48, 0.2, 0.0), (96, 2, 40, 0.15, 0.02)]
@@ -266,7 +266,7 @@ def test_criterion_08_noisy_bound_consistency():
 
 def test_criterion_09_convergence_directional_checks():
     t0 = time.perf_counter()
-    opts = SolverOptions(max_iters=150, eta_tol=1e-9, obj_rel_tol=1e-12)
+    opts = SolverOptions(max_iters=150, eta_tol=1e-9)
     base = SystemConfig(
         k_users=8, t_len=200, n_h=1024, n_v=1, theta=0.2,
         channel_model="bernoulli_gaussian", sigma_z2=0.05, trials=30, base_seed=9, solver=opts,

@@ -89,7 +89,8 @@ class TestSystemConfig:
         ('{"solver": {"max_iters": 60.5}}', "solver.max_iters must be an integer"),
         ('{"solver": {"eta_tol": NaN}}', "solver.eta_tol must be finite and nonnegative"),
         ('{"solver": {"eta_tol": -1e-6}}', "solver.eta_tol must be finite and nonnegative"),
-        ('{"solver": {"obj_rel_tol": Infinity}}', "solver.obj_rel_tol must be finite and nonnegative"),
+        # A solve stops where a step does not raise the objective: no tolerance to set.
+        ('{"solver": {"obj_rel_tol": 1e-10}}', r"unknown config keys: \['solver.obj_rel_tol'\]"),
         ('{"solver": {"precondition": "false"}}', "solver.precondition must be true or false"),
         ('{"sigma_z2": Infinity}', "sigma_z2 must be finite"),
         ('{"sigma_z2": NaN}', "sigma_z2 must be finite"),
@@ -358,7 +359,7 @@ class TestRunSweep:
             assert r.error is None
             assert r.metrics.ser <= 0.5
             assert r.metrics.rate is not None
-            assert r.stop_reason in ("eta_tol", "obj_tol", "max_iters")
+            assert r.stop_reason in ("eta_tol", "max_iters", "no_ascent")
 
     def test_pilot_records(self):
         cfg = tiny_config(trials=2, t_pilot=8, snr_db=30.0, n_h=64,
@@ -397,7 +398,7 @@ class TestRunSweep:
         assert len(records) == 2
         for r in records:
             assert r.error is None, r.error
-            assert r.stop_reason in ("eta_tol", "obj_tol", "max_iters", "no_ascent")
+            assert r.stop_reason in ("eta_tol", "max_iters", "no_ascent")
 
     def test_rgd_reports_no_ascent_on_short_frames(self):
         # Preconditioned under log-distance fading, the Riemannian gradient
@@ -780,8 +781,10 @@ class TestEmitReport:
         emit_report(records, tmp_path)
         with open(tmp_path / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
-        # The all-error sweep point writes no row.
-        assert [(r["sweep_value"], r["n"], r["n_errors"]) for r in rows] == [("10.0", "2", "1")]
+        assert [(r["sweep_value"], r["n"], r["n_errors"]) for r in rows] == [("10.0", "2", "1"), ("20.0", "0", "2")]
+        # The all-error sweep point's row has empty statistics, and it adds no plot point.
+        assert {v for k, v in rows[1].items() if k not in ("method", "sweep_param", "sweep_value", "n", "n_errors")} == {""}
+        assert np.loadtxt(tmp_path / "plot_evm_l3.dat", ndmin=2)[:, 0].tolist() == [10.0]
 
     def test_plot_files_written(self, tmp_path):
         cfg = tiny_config(trials=2)
@@ -918,7 +921,7 @@ class TestConvergenceExperiment:
         out = run_convergence_experiment({"base": cfg})
         finals = [tr[-1] for tr in out["base"]["traces"]]
         for tr in out["base"]["traces"]:
-            assert np.all(np.diff(tr) >= -1e-12)
+            assert np.all(np.diff(tr) >= 0)
         # The expected level is reachable up to the per-realization spread of
         # the channel's spike mass (about 9% rel. std at this size).
         assert np.median(finals) >= 0.9
